@@ -252,9 +252,10 @@ enum CollOp : int {
   kCollFtRecover,  ///< survivor barrier during failure recovery; the "seq"
                    ///< bits carry the checkpoint epoch, not a coll_seq —
                    ///< victims' sequence counters must stay untouched
-  // Hierarchical (two-level PE-leader) collective phases. Only PE leaders
-  // ever send or receive on these tags; co-resident ranks combine through
-  // shared contribution blocks without messages.
+  // Hierarchical (two-level PE-leader) collective phases. Only group agents
+  // (PE leaders, or a rooted op's root in its own group) ever send or
+  // receive on these tags; co-resident ranks combine through shared
+  // contribution blocks without messages.
   kCollHierBarrier,   ///< leader dissemination (zero-byte tokens)
   kCollHierBcast,     ///< leader binomial broadcast
   kCollHierReduce,    ///< leader binomial fold (+ round 63: root forward)

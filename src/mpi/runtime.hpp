@@ -105,6 +105,10 @@ class Runtime {
   /// delivery hits/misses/bytes, FIFO fallbacks to the routed path, and
   /// hierarchical-collective leader-phase messages / local combines.
   util::Counters locality_counters() const;
+  /// Shared group blocks currently registered by hierarchical collectives.
+  /// Every rank that attaches a block detaches it again, so this is 0
+  /// whenever no collective is in flight.
+  std::size_t live_group_blocks() const;
 
   /// Scheduler instrumentation (cumulative, summed over PEs): per-lane
   /// dispatch counts, preemptions, quantum overruns, cross-thread readies,
@@ -137,10 +141,6 @@ class Runtime {
   void coll_gate_entry(RankMpi& rm, const char* name, std::int32_t color,
                        CommId comm, std::uint32_t seq, int root, int opkind,
                        std::uint32_t esize, std::uint64_t bytes, int expected);
-
-  /// Group-block registry for hierarchical collectives; defined in
-  /// collectives_hier.cpp. Public only so that file's helpers can name it.
-  struct CollHierState;
 
   /// Applies a (possibly user-defined) reduction operator "on a PE" the way
   /// AMPI's message combining does: through the code copy of some rank
@@ -319,6 +319,10 @@ class Runtime {
   /// race with the peer's suspend).
   void wake_coll_member(comm::PeId my_pe, RankMpi& member);
 
+  /// One rank's part in one hierarchical collective call: its view of the
+  /// communicator's grouping plus the group-block protocol every hier_*
+  /// body is built on (collectives_hier.cpp).
+  class HierCall;
   // Hierarchical collectives (collectives_hier.cpp). Each returns true if
   // the hierarchical algorithm ran; false = caller falls through to the
   // naive algorithm (e.g. non-contiguous grouping for order-sensitive ops).
@@ -407,8 +411,9 @@ class Runtime {
   /// staged payloads and the bandwidth-shaped algorithms (direct sends,
   /// ring) take over.
   std::size_t vec_cutoff_ = 32768;
-  /// Group-block registry instance (shared_ptr: the deleter is type-erased
-  /// in collectives_hier.cpp, so the type can stay incomplete here).
+  /// Group-block registry (collectives_hier.cpp). shared_ptr: the deleter
+  /// is type-erased there, so the type can stay incomplete here.
+  struct CollHierState;
   std::shared_ptr<CollHierState> hier_;
   void init_hier_state();
 

@@ -184,6 +184,8 @@ TEST_P(HierSweep, AllCollectivesAgree) {
     EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1)
         << "rank " << r;
   }
+  // Every group-block attachment was detached again.
+  EXPECT_EQ(rt.live_group_blocks(), 0u);
   const util::Counters lc = rt.locality_counters();
   if (c.hier) {
     EXPECT_GT(lc.get("coll_leader_msgs"), 0u);
@@ -435,6 +437,7 @@ TEST_P(VectorSweep, AllVectorCollectivesAgree) {
     EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1)
         << "rank " << r;
   }
+  EXPECT_EQ(rt.live_group_blocks(), 0u);
   const util::Counters lc = rt.locality_counters();
   if (c.hier) {
     // Contributions moved through shared group blocks, and leaders (not
