@@ -2,7 +2,9 @@
 // run with check.mode=off, warn, and abort. The acceptance bar is that the
 // fully armed checker (abort) costs at most 5% over off — the gate is one
 // lock-free slot probe per user-level collective and the p2p stamp is a
-// 4-byte header field, so the fast path should barely notice.
+// 4-byte header field, so the fast path should barely notice. Each rep runs
+// all three modes back to back and yields the paired ratios warn/off and
+// abort/off; the bar applies to the median ratio over reps.
 //
 // 32 virtual ranks on 4 PEs (8-way overdecomposition), each iteration:
 // 8 B allreduce + ring sendrecv + 1 KiB bcast + barrier — every check layer
@@ -28,10 +30,10 @@ constexpr int kPes = 4;
 constexpr int kChunk = 20;  ///< iterations per timed chunk (see mix_main)
 
 // Each iteration: 8 B allreduce + ring sendrecv + 1 KiB bcast + barrier.
-// Timing is the MINIMUM over many kChunk-iteration windows: on this shared
-// one-core container the noise (VM steal, preemption) is strictly additive,
-// so the fastest short window approaches the noise-free cost, where a mean
-// over the whole run absorbs every steal burst that lands inside it.
+// A run's figure is the MINIMUM over many kChunk-iteration windows: noise
+// from a shared host (steal, preemption) is strictly additive, so the
+// fastest short window approaches the noise-free cost, where a mean over
+// the whole run absorbs every steal burst that lands inside it.
 void* mix_main(void* arg) {
   auto* env = static_cast<mpi::Env*>(arg);
   const int iters = env->global<int>("iters").get();
@@ -96,24 +98,40 @@ ModeResult run_mode(const char* mode, int iters) {
   return r;
 }
 
-// Reps run interleaved across modes, rotating which mode goes first each
-// rep: slow background-load drift then hits every mode alike, and no mode
-// is systematically the last (each run_mode dirties the process heap a
-// little, taxing whoever always ran behind it). Each run already returns
-// its fastest chunk; the sweep keeps the fastest run per mode, so the
-// final figure is a min-of-mins — the closest observation to the
-// noise-free per-iteration cost this shared container allows.
-std::vector<ModeResult> sweep_modes(const std::vector<const char*>& modes,
-                                    int iters, int reps) {
+// Per-mode ratios to off, one per rep, and their quartiles.
+struct Ratios {
+  std::vector<double> per_rep;
+  double q1 = 0.0, median = 0.0, q3 = 0.0;
+};
+
+// Each rep runs every mode once, rotating which mode goes first: slow
+// background-load drift then hits every mode alike, and no mode is
+// systematically the last (each run_mode dirties the process heap a
+// little, taxing whoever always ran behind it). A mode's ratio to off is
+// taken within the rep, so a rep that lands in a noisy stretch moves both
+// sides of its ratio, and the median over reps discards the outliers.
+// `last` receives the last mode's final run, for its counters.
+std::vector<Ratios> sweep_modes(const std::vector<const char*>& modes,
+                                int iters, int reps, ModeResult& last) {
   const std::size_t n = modes.size();
-  std::vector<ModeResult> best(n);
-  for (int rep = 0; rep < reps; ++rep)
+  std::vector<Ratios> ratios(n);
+  std::vector<double> us(n);
+  for (int rep = 0; rep < reps; ++rep) {
     for (std::size_t j = 0; j < n; ++j) {
       const std::size_t m = (static_cast<std::size_t>(rep) + j) % n;
       ModeResult r = run_mode(modes[m], iters);
-      if (rep == 0 || r.us < best[m].us) best[m] = r;
+      us[m] = r.us;
+      if (m == n - 1) last = std::move(r);
     }
-  return best;
+    for (std::size_t m = 0; m < n; ++m)
+      ratios[m].per_rep.push_back(us[m] / us[0]);
+  }
+  for (Ratios& r : ratios) {
+    r.q1 = util::quantile(r.per_rep, 0.25);
+    r.median = util::quantile(r.per_rep, 0.5);
+    r.q3 = util::quantile(r.per_rep, 0.75);
+  }
+  return ratios;
 }
 
 }  // namespace
@@ -123,10 +141,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
 
-  // The min-of-chunks estimator converges with the number of chunks
-  // sampled and with how finely the modes interleave in time: many short
-  // runs beat few long ones, because background load varies on a scale of
-  // seconds and every mode needs chunks inside the same quiet windows.
   const int iters = quick ? 1000 : 2000;
   const int reps = quick ? 9 : 21;
 
@@ -134,49 +148,53 @@ int main(int argc, char** argv) {
               "allreduce+sendrecv+bcast+barrier per iteration\n\n",
               kVps, kPes);
 
-  const std::vector<ModeResult> best =
-      sweep_modes({"off", "warn", "abort"}, iters, reps);
-  const ModeResult& off = best[0];
-  const ModeResult& warn = best[1];
-  const ModeResult& abort_m = best[2];
+  // Abort goes last: its run's counters show every check layer engaged.
+  ModeResult abort_run;
+  const std::vector<Ratios> ratios =
+      sweep_modes({"off", "warn", "abort"}, iters, reps, abort_run);
+  const Ratios& warn = ratios[1];
+  const Ratios& abort_m = ratios[2];
+  const auto pct = [](double ratio) { return (ratio - 1.0) * 100.0; };
+  const bool pass = pct(abort_m.median) <= 5.0;
 
-  const double warn_pct = (warn.us / off.us - 1.0) * 100.0;
-  const double abort_pct = (abort_m.us / off.us - 1.0) * 100.0;
-
-  std::printf("(iter us = fastest %d-iteration chunk across %d runs; "
-              "additive noise falls out of the min)\n",
-              kChunk, reps);
-  std::printf("%-7s | %10s %10s\n", "mode", "iter us", "overhead");
-  std::printf("%-7s | %10.2f %9s\n", "off", off.us, "-");
-  std::printf("%-7s | %10.2f %+8.2f%%\n", "warn", warn.us, warn_pct);
-  std::printf("%-7s | %10.2f %+8.2f%%\n", "abort", abort_m.us, abort_pct);
+  std::printf("(overhead = median over %d reps of the per-rep ratio to off; "
+              "a run's time is its fastest %d-iteration chunk)\n",
+              reps, kChunk);
+  std::printf("%-7s | %9s %9s %9s\n", "mode", "q1", "median", "q3");
+  std::printf("%-7s | %+8.2f%% %+8.2f%% %+8.2f%%\n", "warn", pct(warn.q1),
+              pct(warn.median), pct(warn.q3));
+  std::printf("%-7s | %+8.2f%% %+8.2f%% %+8.2f%%\n", "abort",
+              pct(abort_m.q1), pct(abort_m.median), pct(abort_m.q3));
   std::printf("\nchecks per run (abort): coll_verified=%llu "
               "block_compares=%llu p2p_verified=%llu\n",
               static_cast<unsigned long long>(
-                  abort_m.counters.get("check_coll_verified")),
+                  abort_run.counters.get("check_coll_verified")),
               static_cast<unsigned long long>(
-                  abort_m.counters.get("check_block_compares")),
+                  abort_run.counters.get("check_block_compares")),
               static_cast<unsigned long long>(
-                  abort_m.counters.get("check_p2p_verified")));
-  std::printf("acceptance: abort overhead <= 5%% -> %s\n",
-              abort_pct <= 5.0 ? "PASS" : "FAIL");
+                  abort_run.counters.get("check_p2p_verified")));
+  std::printf("acceptance: median abort overhead <= 5%% -> %s\n",
+              pass ? "PASS" : "FAIL");
 
   std::FILE* json = std::fopen("BENCH_check.json", "w");
   if (json) {
     std::fprintf(
         json,
         "{\n  \"bench\": \"check_overhead\",\n  \"quick\": %s,\n"
-        "  \"estimator\": \"min over %d-iteration chunks across %d "
-        "interleaved runs\",\n"
+        "  \"estimator\": \"median over %d interleaved reps of the "
+        "per-rep ratio to off; a run's time is its fastest %d-iteration "
+        "chunk\",\n"
         "  \"vps\": %d,\n  \"pes\": %d,\n  \"iters\": %d,\n"
-        "  \"off_us\": %.3f,\n  \"warn_us\": %.3f,\n  \"abort_us\": %.3f,\n"
-        "  \"warn_overhead_pct\": %.2f,\n  \"abort_overhead_pct\": %.2f,\n"
+        "  \"warn_overhead_pct\": {\"q1\": %.2f, \"median\": %.2f, "
+        "\"q3\": %.2f},\n"
+        "  \"abort_overhead_pct\": {\"q1\": %.2f, \"median\": %.2f, "
+        "\"q3\": %.2f},\n"
         "  \"target_abort_overhead_pct\": 5.0,\n  \"pass\": %s,\n"
         "  \"abort_counters\": %s\n}\n",
-        quick ? "true" : "false", kChunk, reps, kVps, kPes, iters, off.us,
-        warn.us,
-        abort_m.us, warn_pct, abort_pct, abort_pct <= 5.0 ? "true" : "false",
-        abort_m.counters.to_json().c_str());
+        quick ? "true" : "false", reps, kChunk, kVps, kPes, iters,
+        pct(warn.q1), pct(warn.median), pct(warn.q3), pct(abort_m.q1),
+        pct(abort_m.median), pct(abort_m.q3), pass ? "true" : "false",
+        abort_run.counters.to_json().c_str());
     std::fclose(json);
     std::printf("wrote BENCH_check.json\n");
   }

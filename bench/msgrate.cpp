@@ -3,21 +3,16 @@
 // Measures point-to-point message rate (windowed stream, acked) and one-way
 // latency (blocking ping-pong) between two virtual ranks, across payload
 // sizes, privatization methods, and rank placements (same PE vs. two PEs),
-// under two transport configurations:
-//
-//   fast   — ring mailbox + payload pool + small-message aggregation
-//            (the defaults introduced with the zero-copy fast path)
-//   legacy — mutex+deque mailbox, pooling off, aggregation off
-//            (the pre-fast-path transport, kept selectable for A/B)
+// plus the raw cluster rate underneath (ring mailbox + payload pool +
+// small-message aggregation, no MPI matching on top).
 //
 // Prints a table and writes BENCH_msgrate.json (machine-readable: rates,
-// latencies, speedups, and the cluster's per-PE comm/pool counters).
-// `--quick` shrinks the sweep for CI smoke runs.
+// latencies, and the cluster's per-PE comm/pool counters). `--quick`
+// shrinks the sweep for CI smoke runs.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -119,7 +114,7 @@ img::ProgramImage build_program(int msg_bytes, int nmsgs, int lat_reps,
 }
 
 CaseResult run_case(core::Method method, int pes, int msg_bytes, int nmsgs,
-                    int lat_reps, bool legacy) {
+                    int lat_reps) {
   const img::ProgramImage image = build_program(
       msg_bytes, nmsgs, lat_reps, method == core::Method::TLSglobals);
   mpi::RuntimeConfig cfg;
@@ -128,11 +123,6 @@ CaseResult run_case(core::Method method, int pes, int msg_bytes, int nmsgs,
   cfg.vps = 2;
   cfg.method = method;
   cfg.slot_bytes = std::size_t{8} << 20;
-  if (legacy) {
-    cfg.options.set("comm.mailbox", "mutex");
-    cfg.options.set_bool("comm.pool", false);
-    cfg.options.set_int("comm.agg_threshold", 0);
-  }
   mpi::Runtime rt(image, cfg);
   comm::pool::reset_stats();
   rt.run();
@@ -148,17 +138,12 @@ CaseResult run_case(core::Method method, int pes, int msg_bytes, int nmsgs,
 
 // Raw transport rate: PE0's loop thread floods PE1 with user-data messages
 // through the cluster (no MPI matching, no ULT wakeups on top), so what's
-// timed is exactly the mailbox + pool + aggregation path the fast transport
-// changes. Returns delivered messages per second (millions).
-double raw_rate_mps(int bytes, int nmsgs, bool legacy) {
+// timed is exactly the mailbox + pool + aggregation path. Returns delivered
+// messages per second (millions).
+double raw_rate_mps(int bytes, int nmsgs) {
   comm::Cluster::Config cc;
   cc.nodes = 1;
   cc.pes_per_node = 2;
-  if (legacy) {
-    cc.options.set("comm.mailbox", "mutex");
-    cc.options.set_bool("comm.pool", false);
-    cc.options.set_int("comm.agg_threshold", 0);
-  }
   comm::Cluster cluster(cc);
   std::atomic<int> received{0};
   std::atomic<std::int64_t> finish_ns{0};
@@ -202,7 +187,6 @@ double raw_rate_mps(int bytes, int nmsgs, bool legacy) {
                           t0.time_since_epoch().count()) *
       1e-9;
   cluster.stop_and_join();
-  if (legacy) comm::pool::set_enabled(true);  // process-wide: restore
   return nmsgs / secs / 1e6;
 }
 
@@ -239,58 +223,36 @@ int main(int argc, char** argv) {
                  quick ? "true" : "false", kWindow);
   }
 
-  std::printf("msgrate: fast transport (ring mailbox + pool + aggregation) "
-              "vs legacy (mutex mailbox, no pool, no agg)\n\n");
+  std::printf("msgrate: ring mailbox + payload pool + aggregation\n\n");
 
-  // --- raw transport rate: isolates the paths this PR changes -----------
-  // Geometric-mean speedup over small messages (<= 64 B) on this slice is
-  // the acceptance criterion (>= 3x).
+  // --- raw transport rate: the cluster path alone ------------------------
   const int raw_msgs = quick ? 20000 : 200000;
   std::printf("raw transport rate (PE0 loop floods PE1 through the "
               "cluster, %d msgs):\n", raw_msgs);
-  std::printf("%-7s | %10s %10s %8s\n", "bytes", "fast Mm/s", "lgcy Mm/s",
-              "speedup");
-  double small_log_sum = 0.0;
-  int small_n = 0;
+  std::printf("%-7s | %10s %10s\n", "bytes", "Mmsg/s", "ns/msg");
   bool first_raw = true;
   for (int bytes : sizes) {
     const int nm = (bytes >= 65536) ? raw_msgs / 8 : raw_msgs;
-    const double fast = raw_rate_mps(bytes, nm, false);
-    const double legacy = raw_rate_mps(bytes, nm, true);
-    const double speedup = (legacy > 0.0) ? fast / legacy : 0.0;
-    if (bytes <= 64 && speedup > 0.0) {
-      small_log_sum += std::log(speedup);
-      ++small_n;
-    }
-    std::printf("%-7d | %10.3f %10.3f %7.2fx\n", bytes, fast, legacy,
-                speedup);
+    const double rate = raw_rate_mps(bytes, nm);
+    const double ns = rate > 0 ? 1e3 / rate : 0.0;
+    std::printf("%-7d | %10.3f %10.1f\n", bytes, rate, ns);
     if (json) {
       if (!first_raw) std::fprintf(json, ",\n");
       first_raw = false;
       std::fprintf(json,
                    "    {\"bytes\": %d, \"nmsgs\": %d,"
-                   " \"fast_msgs_per_s\": %.0f, \"legacy_msgs_per_s\": %.0f,"
-                   " \"fast_ns_per_msg\": %.1f, \"legacy_ns_per_msg\": %.1f,"
-                   " \"speedup\": %.3f}",
-                   bytes, nm, fast * 1e6, legacy * 1e6,
-                   fast > 0 ? 1e3 / fast : 0.0,
-                   legacy > 0 ? 1e3 / legacy : 0.0, speedup);
+                   " \"msgs_per_s\": %.0f, \"ns_per_msg\": %.1f}",
+                   bytes, nm, rate * 1e6, ns);
     }
   }
-  const double small_geomean =
-      small_n > 0 ? std::exp(small_log_sum / small_n) : 0.0;
-  std::printf("\nsmall-message (<= 64 B) raw geomean speedup: %.2fx "
-              "(acceptance: >= 3x)\n\n", small_geomean);
   if (json) std::fprintf(json, "\n  ],\n  \"cases\": [\n");
 
-  // --- end-to-end MPI rate/latency: fixed per-recv ULT scheduling cost
-  // sits on top of the transport in both configs, so ratios here are
-  // smaller than the raw slice.
-  std::printf("end-to-end MPI p2p (window=%d, rate msgs=%d, latency "
+  // --- end-to-end MPI rate/latency: the per-recv ULT scheduling cost sits
+  // on top of the transport, so rates here are below the raw slice.
+  std::printf("\nend-to-end MPI p2p (window=%d, rate msgs=%d, latency "
               "reps=%d):\n", kWindow, base_msgs, lat_reps);
-  std::printf("%-9s %-11s %-7s %8s | %10s %10s %8s | %10s %10s\n",
-              "placement", "method", "bytes", "", "fast Mm/s", "lgcy Mm/s",
-              "speedup", "fast us", "lgcy us");
+  std::printf("%-9s %-11s %-7s | %10s %10s\n", "placement", "method",
+              "bytes", "Mmsg/s", "lat us");
   bool first_case = true;
 
   for (int pes : {1, 2}) {
@@ -298,17 +260,9 @@ int main(int argc, char** argv) {
     for (core::Method method : methods) {
       for (int bytes : sizes) {
         const int nmsgs = (bytes >= 65536) ? base_msgs / 8 : base_msgs;
-        const CaseResult fast =
-            run_case(method, pes, bytes, nmsgs, lat_reps, false);
-        const CaseResult legacy =
-            run_case(method, pes, bytes, nmsgs, lat_reps, true);
-        const double speedup =
-            (legacy.rate_mps > 0.0) ? fast.rate_mps / legacy.rate_mps : 0.0;
-        std::printf("%-9s %-11s %-7d %8s | %10.3f %10.3f %7.2fx |"
-                    " %10.3f %10.3f\n",
-                    placement, bench_method_name(method), bytes, "",
-                    fast.rate_mps, legacy.rate_mps, speedup, fast.lat_us,
-                    legacy.lat_us);
+        const CaseResult r = run_case(method, pes, bytes, nmsgs, lat_reps);
+        std::printf("%-9s %-11s %-7d | %10.3f %10.3f\n", placement,
+                    bench_method_name(method), bytes, r.rate_mps, r.lat_us);
         if (json) {
           if (!first_case) std::fprintf(json, ",\n");
           first_case = false;
@@ -316,28 +270,19 @@ int main(int argc, char** argv) {
               json,
               "    {\"placement\": \"%s\", \"method\": \"%s\","
               " \"bytes\": %d, \"nmsgs\": %d,\n"
-              "     \"fast\": {\"msgs_per_s\": %.0f, \"ns_per_msg\": %.1f,"
+              "     \"msgs_per_s\": %.0f, \"ns_per_msg\": %.1f,"
               " \"latency_us\": %.3f,\n"
-              "      \"counters\": %s},\n"
-              "     \"legacy\": {\"msgs_per_s\": %.0f, \"ns_per_msg\": %.1f,"
-              " \"latency_us\": %.3f,\n"
-              "      \"counters\": %s},\n"
-              "     \"speedup\": %.3f}",
+              "     \"counters\": %s}",
               placement, bench_method_name(method), bytes, nmsgs,
-              fast.rate_mps * 1e6,
-              fast.rate_mps > 0 ? 1e3 / fast.rate_mps : 0.0, fast.lat_us,
-              fast.stats.to_json().c_str(), legacy.rate_mps * 1e6,
-              legacy.rate_mps > 0 ? 1e3 / legacy.rate_mps : 0.0,
-              legacy.lat_us, legacy.stats.to_json().c_str(), speedup);
+              r.rate_mps * 1e6, r.rate_mps > 0 ? 1e3 / r.rate_mps : 0.0,
+              r.lat_us, r.stats.to_json().c_str());
         }
       }
     }
   }
 
   if (json) {
-    std::fprintf(json,
-                 "\n  ],\n  \"small_msg_geomean_speedup\": %.3f\n}\n",
-                 small_geomean);
+    std::fprintf(json, "\n  ]\n}\n");
     std::fclose(json);
     std::printf("wrote BENCH_msgrate.json\n");
   }

@@ -1,7 +1,6 @@
 #include "comm/cluster.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -26,6 +25,12 @@ inline void bump32(std::atomic<std::uint32_t>& c) {
   c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
 }
 
+// Small-message aggregation: UserData payloads below kAggThreshold bytes
+// sent between PEs travel bundled, and a bin ships once it holds
+// kAggBinBytes.
+constexpr std::size_t kAggThreshold = 512;
+constexpr std::size_t kAggBinBytes = 16384;
+
 }  // namespace
 
 void CommCounters::merge(const CommCounters& o) noexcept {
@@ -43,37 +48,11 @@ Cluster::Cluster(const Config& config)
   require(config.nodes >= 1 && config.pes_per_node >= 1,
           ErrorCode::InvalidArgument, "cluster needs >= 1 node and PE");
   const auto& opt = config.options;
-  pool::set_enabled(opt.get_bool("comm.pool", true));
-  agg_threshold_ = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, opt.get_int("comm.agg_threshold", 512)));
-  agg_max_bytes_ = static_cast<std::size_t>(
-      std::max<std::int64_t>(64, opt.get_int("comm.agg_max_bytes", 16384)));
-
   Pe::Config pe_cfg;
-  pe_cfg.mailbox.mode = opt.get_string("comm.mailbox", "ring") == "mutex"
-                            ? Mailbox::Mode::Mutex
-                            : Mailbox::Mode::Ring;
-  pe_cfg.mailbox.slots = static_cast<std::size_t>(
-      std::max<std::int64_t>(2, opt.get_int("comm.mailbox_slots", 1024)));
-  pe_cfg.drain_batch = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, opt.get_int("comm.drain_batch", 64)));
-  hipri_bytes_ = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, opt.get_int("comm.hipri_bytes", 256)));
-
-  pe_cfg.sched.lanes = opt.get_string("sched.policy", "prio") != "fifo";
-  // Explicit option wins; otherwise the CI arming env var decides (the
-  // APV_CHECK_MODE pattern — lets the full suite run preempted without
-  // touching every test's option set).
-  std::string preempt_s = opt.get_string("sched.preempt", "");
-  if (preempt_s.empty()) {
-    if (const char* env = std::getenv("APV_SCHED_PREEMPT")) preempt_s = env;
-  }
-  pe_cfg.sched.preempt =
-      preempt_s == "on" || preempt_s == "1" || preempt_s == "true";
-  pe_cfg.sched.quantum_us = static_cast<std::uint64_t>(
-      std::max<std::int64_t>(1, opt.get_int("sched.quantum_us", 200)));
-  pe_cfg.sched.starve_limit = static_cast<int>(
-      std::max<std::int64_t>(1, opt.get_int("sched.starve_limit", 8)));
+  pe_cfg.sched.lanes = opt.get_string("sched.policy") != "fifo";
+  pe_cfg.sched.preempt = opt.get_bool("sched.preempt");
+  pe_cfg.sched.quantum_us =
+      static_cast<std::uint64_t>(opt.get_int("sched.quantum_us"));
 
   const int total = config.nodes * config.pes_per_node;
   TransportConfig tcfg;
@@ -84,10 +63,6 @@ Cluster::Cluster(const Config& config)
 
   pes_.reserve(total);
   tx_.reserve(total + 1);
-  const auto spin_us = std::max<std::int64_t>(
-      0, opt.get_int("transport.spin_us", 200));
-  const auto nap_us = std::max<std::int64_t>(
-      1, opt.get_int("transport.nap_us", 50));
   for (int i = 0; i < total; ++i) {
     pes_.push_back(std::make_unique<Pe>(i, node_of(i), config.backend,
                                         pe_cfg));
@@ -101,17 +76,15 @@ Cluster::Cluster(const Config& config)
       // Drain inbound shm rings every loop iteration, on the PE's own
       // thread; a locally-failed PE diverts instead of posting to a halted
       // loop (its own flag is authoritative in this process).
-      pes_.back()->set_poll_hook(
-          [this, i] {
-            return transport_->poll(i, [this, i](Message&& m) {
-              if (failed_[i].load(std::memory_order_acquire)) {
-                divert(std::move(m));
-              } else {
-                pes_[static_cast<std::size_t>(i)]->post(std::move(m));
-              }
-            });
-          },
-          spin_us, nap_us);
+      pes_.back()->set_poll_hook([this, i] {
+        return transport_->poll(i, [this, i](Message&& m) {
+          if (failed_[i].load(std::memory_order_acquire)) {
+            divert(std::move(m));
+          } else {
+            pes_[static_cast<std::size_t>(i)]->post(std::move(m));
+          }
+        });
+      });
     }
   }
   tx_.push_back(std::make_unique<PeTx>());  // sends from non-PE threads
@@ -203,7 +176,7 @@ void Cluster::send(Message&& msg) {
   // the envelope (and survives bundling via kAggHipriBit); it never changes
   // routing, pacing, or aggregation.
   if (msg.kind != Message::Kind::UserData ||
-      msg.payload.size() <= hipri_bytes_) {
+      msg.payload.size() <= kHipriBytes) {
     msg.prio = 1;
   }
   if (failed_[msg.dst_pe].load(std::memory_order_acquire)) {
@@ -220,8 +193,7 @@ void Cluster::send(Message&& msg) {
     shared.bytes.fetch_add(msg.payload.size(), std::memory_order_relaxed);
   }
   if (tx != nullptr && msg.kind == Message::Kind::UserData &&
-      msg.dst_pe != msg.src_pe && agg_threshold_ > 0 &&
-      msg.payload.size() < agg_threshold_) {
+      msg.dst_pe != msg.src_pe && msg.payload.size() < kAggThreshold) {
     bump(tx->aggregated);
     append_to_bin(*tx, std::move(msg));
     return;
@@ -246,7 +218,7 @@ void Cluster::append_to_bin(PeTx& tx, Message&& msg) {
     flush_bin(tx, msg.src_pe, dst);
   }
   if (bin.buf.empty()) {
-    bin.buf = Payload::acquire(std::max(agg_max_bytes_, entry));
+    bin.buf = Payload::acquire(std::max(kAggBinBytes, entry));
     bin.used = 0;
   }
   AggSubHeader h{};

@@ -35,53 +35,13 @@ struct CommCounters {
 /// boundaries are made real by the per-node Privatizer/Loader state above
 /// this layer and by the NetModel pacing inter-node messages here.
 ///
-/// Transport options (util::Options, `comm.*` keys):
-///  - comm.mailbox        "ring" (default) or "mutex" (legacy A/B baseline)
-///  - comm.mailbox_slots  ring capacity per PE (default 1024)
-///  - comm.drain_batch    envelopes per batched drain pass (default 64)
-///  - comm.pool           payload buffer pooling on/off (default true)
-///  - comm.agg_threshold  bundle UserData below this many payload bytes
-///                        (default 512; 0 disables aggregation)
-///  - comm.agg_max_bytes  flush a bin when it holds this much (default 16384)
-///  - comm.hipri_bytes    UserData payloads <= this many bytes are stamped
-///                        prio=1 and wake their rank on the High scheduler
-///                        lane (default 256; 0 = only non-UserData is hipri)
-///
-/// Transport options (`transport.*` keys; see comm/transport.hpp):
-///  - transport.backend   "inproc" (default; APV_TRANSPORT env overrides the
-///                        default) or "shm" (PEs spread over OS processes)
-///  - transport.procs / transport.proc / transport.job
-///                        shm process count, this process's index, and the
-///                        job rendezvous name (env APV_SHM_PROCS /
-///                        APV_SHM_PROC / APV_SHM_JOB — set by apv_launch)
-///  - transport.ring_slots / transport.arena_mb
-///                        SPSC ring depth per directed PE pair (1024) and
-///                        shared payload arena size (64 MiB)
-///  - transport.hb_ms / transport.hb_timeout_ms
-///                        heartbeat period (25) and staleness threshold
-///                        before a silent peer process is declared dead
-///                        (1000; a vanished pid is declared dead immediately)
-///  - transport.spin_us / transport.nap_us
-///                        PE idle policy while remote rings exist: busy-poll
-///                        window after last activity (200), then idle_wait
-///                        nap length (50)
-///
-/// Scheduler options (`sched.*` keys, applied to every PE's runqueue):
-///  - sched.policy        "prio" (default; three-lane runqueue) or "fifo"
-///                        (seed-exact single-lane cooperative FIFO)
-///  - sched.preempt       cooperative quantum preemption on/off (default
-///                        off; APV_SCHED_PREEMPT=on|off overrides the
-///                        default when the option is not set explicitly)
-///  - sched.quantum_us    preemption slice in microseconds (default 200)
-///  - sched.starve_limit  consecutive High-lane dispatches before a lower
-///                        lane is guaranteed a slot (default 8)
+/// Reads the net.*, sched.* and transport.* options (util::option_table()).
 class Cluster {
  public:
   struct Config {
     int nodes = 1;
     int pes_per_node = 1;
-    util::Options options;  ///< net.* keys feed the NetModel, comm.* the
-                            ///< transport fast path
+    util::Options options;  ///< net.*, sched.* and transport.* keys
     ult::ContextBackend backend = ult::default_context_backend();
   };
 
@@ -115,11 +75,6 @@ class Cluster {
   /// another process, the bytes are already in the shared arena and cross
   /// by reference. Plain pool acquisition on the inproc backend.
   Payload acquire_payload(std::size_t n) { return transport_->acquire_payload(n); }
-
-  /// UserData payloads at or below this size are stamped hipri (see the
-  /// option table above). The MPI layer reuses the same cutoff to pick the
-  /// wake lane on its same-PE inline path, which bypasses Cluster::send.
-  std::size_t hipri_bytes() const noexcept { return hipri_bytes_; }
 
   /// Sizes the authoritative rank-location table. Must be called before
   /// start(); the upper layer seeds initial placements with set_location.
@@ -249,9 +204,6 @@ class Cluster {
   std::unique_ptr<std::atomic<PeId>[]> locations_;
   int num_ranks_ = 0;
   bool started_ = false;
-  std::size_t agg_threshold_ = 512;
-  std::size_t agg_max_bytes_ = 16384;
-  std::size_t hipri_bytes_ = 256;
   std::atomic<std::uint64_t> internode_{0};
 
   std::unique_ptr<std::atomic<bool>[]> failed_;

@@ -4,8 +4,7 @@ namespace apv::comm {
 
 Mailbox::Mailbox() : Mailbox(Config{}) {}
 
-Mailbox::Mailbox(const Config& config) : mode_(config.mode) {
-  if (mode_ == Mode::Mutex) return;
+Mailbox::Mailbox(const Config& config) {
   std::size_t cap = 16;
   while (cap < config.slots) cap <<= 1;
   mask_ = cap - 1;
@@ -25,10 +24,6 @@ void Mailbox::push_overflow(Message&& msg) {
 }
 
 void Mailbox::push(Message&& msg) {
-  if (mode_ == Mode::Mutex) {
-    push_overflow(std::move(msg));
-    return;
-  }
   // FIFO rule 1: while the overflow holds anything, all producers append
   // there — a producer with an overflowed message must not lap it via the
   // ring.
@@ -59,17 +54,6 @@ void Mailbox::push(Message&& msg) {
 
 std::size_t Mailbox::pop_batch(std::vector<Message>& out, std::size_t max) {
   std::size_t n = 0;
-  if (mode_ == Mode::Mutex) {
-    std::lock_guard<std::mutex> lock(overflow_mutex_);
-    while (n < max && !overflow_.empty()) {
-      out.push_back(std::move(overflow_.front()));
-      overflow_.pop_front();
-      overflow_count_.fetch_sub(1, std::memory_order_relaxed);
-      ++n;
-    }
-    return n;
-  }
-
   std::uint64_t pos = tail_.load(std::memory_order_relaxed);
   while (n < max) {
     Slot& slot = slots_[pos & mask_];
@@ -92,6 +76,11 @@ std::size_t Mailbox::pop_batch(std::vector<Message>& out, std::size_t max) {
     std::deque<Message> batch;
     {
       std::lock_guard<std::mutex> lock(overflow_mutex_);
+      // Check again under the lock. A producer that passed rule 1 before the
+      // overflow filled can claim a ring slot after the check above and then
+      // overflow its next message; that slot has to drain first. Its claim
+      // precedes its overflow push, so it is visible here.
+      if (head_.load(std::memory_order_acquire) != pos) return n;
       batch.swap(overflow_);
       overflow_count_.fetch_sub(batch.size(), std::memory_order_relaxed);
       overflow_nonempty_.store(false, std::memory_order_release);
@@ -106,11 +95,9 @@ std::size_t Mailbox::pop_batch(std::vector<Message>& out, std::size_t max) {
 
 std::size_t Mailbox::size_approx() const noexcept {
   std::size_t n = overflow_count_.load(std::memory_order_acquire);
-  if (mode_ == Mode::Ring) {
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-    if (head > tail) n += static_cast<std::size_t>(head - tail);
-  }
+  const std::uint64_t head = head_.load(std::memory_order_acquire);
+  const std::uint64_t tail = tail_.load(std::memory_order_acquire);
+  if (head > tail) n += static_cast<std::size_t>(head - tail);
   return n;
 }
 

@@ -29,15 +29,9 @@ namespace apv::comm {
 ///    drained, so everything enqueued before the overflow began is out
 ///    first. The overflow then empties in one swap and traffic returns to
 ///    the ring — the slow path is self-correcting, not sticky.
-///
-/// Mode::Mutex preserves the original mutex+deque mailbox for A/B
-/// benchmarking (`comm.mailbox=mutex`).
 class Mailbox {
  public:
-  enum class Mode { Ring, Mutex };
-
   struct Config {
-    Mode mode = Mode::Ring;
     std::size_t slots = 1024;  ///< ring capacity; rounded up to a power of 2
   };
 
@@ -55,8 +49,6 @@ class Mailbox {
   std::size_t size_approx() const noexcept;
   bool empty() const noexcept { return size_approx() == 0; }
 
-  Mode mode() const noexcept { return mode_; }
-
   // --- instrumentation ----------------------------------------------------
   std::uint64_t ring_pushes() const noexcept {
     return ring_pushes_.load(std::memory_order_relaxed);
@@ -73,7 +65,6 @@ class Mailbox {
 
   void push_overflow(Message&& msg);
 
-  Mode mode_;
   std::size_t mask_ = 0;
   std::unique_ptr<Slot[]> slots_;
 

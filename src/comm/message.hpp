@@ -20,6 +20,12 @@ using RankId = int;
 
 inline constexpr PeId kInvalidPe = -1;
 
+/// UserData payloads at or below this many bytes are latency-critical:
+/// Cluster::send stamps them prio=1, and the MPI layer's same-PE inline
+/// path, which bypasses Cluster::send, wakes their receiver on the same
+/// High lane.
+inline constexpr std::size_t kHipriBytes = 256;
+
 /// Wire message between PEs. The comm layer routes by destination PE only;
 /// the fields after `dst_pe` are interpreted by the layer above (apv::mpi):
 /// point-to-point payloads, collective fragments, migration payloads, and
@@ -43,7 +49,7 @@ struct Message {
 
   Kind kind = Kind::UserData;
   std::uint8_t prio = 0;      ///< 1 = latency-critical (control/FT/checker
-                              ///< traffic, small p2p under comm.hipri_bytes);
+                              ///< traffic, p2p up to kHipriBytes);
                               ///< selects the High scheduler lane at delivery
                               ///< — never changes routing or aggregation
   PeId src_pe = kInvalidPe;
@@ -53,7 +59,8 @@ struct Message {
   std::int32_t comm_id = 0;   ///< communicator context id
   std::int32_t tag = 0;
   std::int32_t opcode = 0;    ///< Control/Migration sub-op; Aggregate count
-  std::uint64_t seq = 0;      ///< per-(src,dst,comm) FIFO sequence number;
+  std::uint64_t seq = 0;      ///< UserData: the sender's per-(src, dst) rank
+                              ///< routed count, the delivery order;
                               ///< Aggregate: summed bundled payload bytes
   std::uint32_t esize = 0;    ///< sender-declared element size (runtime
                               ///< checker stamp); 0 = unstamped, never

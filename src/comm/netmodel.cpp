@@ -5,9 +5,9 @@
 namespace apv::comm {
 
 NetModel::NetModel(const util::Options& options)
-    : enabled_(options.get_bool("net.enabled", false)),
-      latency_us_(options.get_double("net.latency_us", 1.5)),
-      bandwidth_gb_s_(options.get_double("net.bandwidth_gb_s", 12.0)) {}
+    : enabled_(options.get_bool("net.enabled")),
+      latency_us_(options.get_double("net.latency_us")),
+      bandwidth_gb_s_(options.get_double("net.bandwidth_gb_s")) {}
 
 double NetModel::cost_us(std::size_t bytes) const noexcept {
   double us = latency_us_;

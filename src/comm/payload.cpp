@@ -23,7 +23,6 @@ constexpr int kNumClasses = static_cast<int>(std::size(kClassSizes));
 constexpr int kThreadCacheCap = 16;   // chunks per class per thread
 constexpr int kGlobalCap = 256;       // chunks per class in the shared list
 
-std::atomic<bool> g_pool_enabled{true};
 std::atomic<std::uint64_t> g_misses{0}, g_adopted{0}, g_drops{0}, g_copied{0};
 
 // Hit/return counters are on the per-message fast path, so each thread keeps
@@ -249,7 +248,7 @@ void Payload::release() noexcept {
     if (c->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
     c->refs.store(1, std::memory_order_relaxed);
   }
-  if (c->size_class >= 0 && g_pool_enabled.load(std::memory_order_relaxed)) {
+  if (c->size_class >= 0) {
     pool_put(c);
   } else {
     delete c;
@@ -258,9 +257,7 @@ void Payload::release() noexcept {
 
 Payload Payload::acquire(std::size_t n) {
   if (n == 0) return Payload{};
-  const int cls = g_pool_enabled.load(std::memory_order_relaxed)
-                      ? class_for(n)
-                      : -1;
+  const int cls = class_for(n);
   if (cls >= 0) {
     Chunk* c = pool_get(cls);
     if (c == nullptr) {
@@ -276,7 +273,7 @@ Payload Payload::acquire(std::size_t n) {
     p.size_ = n;
     return p;
   }
-  // Pool disabled, or larger than the largest class: fresh vector backing.
+  // Larger than the largest class: fresh vector backing.
   g_misses.fetch_add(1, std::memory_order_relaxed);
   return adopt(std::vector<std::byte>(n));
 }
@@ -361,14 +358,6 @@ std::vector<std::byte> Payload::take_vector() {
 }
 
 namespace pool {
-
-void set_enabled(bool enabled) noexcept {
-  g_pool_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool enabled() noexcept {
-  return g_pool_enabled.load(std::memory_order_relaxed);
-}
 
 PoolStats stats() noexcept {
   PoolStats s;

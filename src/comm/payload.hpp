@@ -109,10 +109,6 @@ class Payload {
 
 /// Process-wide pool controls (the pool itself is internal to payload.cpp).
 namespace pool {
-/// Disables recycling (every acquire allocates, every release frees) — the
-/// "legacy allocator traffic" baseline for A/B benchmarking.
-void set_enabled(bool enabled) noexcept;
-bool enabled() noexcept;
 PoolStats stats() noexcept;
 void reset_stats() noexcept;
 /// Adds to the intermediate-copy counter (called by slow paths that have to

@@ -20,6 +20,14 @@ thread_local Pe* g_current_pe = nullptr;
 // enough that a spin-waiting peer stalls only microseconds; large enough
 // that bins still batch across bursts of back-to-back sends.
 constexpr std::size_t kQuietSlicesBeforeFlush = 64;
+
+// Envelopes moved out of the mailbox per drain pass.
+constexpr std::size_t kDrainBatch = 64;
+
+// Idle policy while a transport poll hook is installed (see set_poll_hook):
+// busy-poll window after the last activity, then idle_wait nap length.
+constexpr std::int64_t kPollSpinUs = 200;
+constexpr std::int64_t kPollNapUs = 50;
 }
 
 Pe* Pe::current() noexcept { return g_current_pe; }
@@ -32,9 +40,8 @@ Pe::Pe(PeId id, NodeId node, ult::ContextBackend backend,
     : id_(id),
       node_(node),
       sched_(backend, config.sched),
-      mailbox_(config.mailbox),
-      drain_batch_(config.drain_batch == 0 ? 1 : config.drain_batch) {
-  drain_buf_.reserve(drain_batch_);
+      mailbox_(config.mailbox) {
+  drain_buf_.reserve(kDrainBatch);
 }
 
 void Pe::set_dispatcher(Dispatcher dispatcher) {
@@ -55,13 +62,10 @@ void Pe::set_stop_drain(StopDrain drain) {
   stop_drain_ = std::move(drain);
 }
 
-void Pe::set_poll_hook(PollHook hook, std::int64_t spin_us,
-                       std::int64_t nap_us) {
+void Pe::set_poll_hook(PollHook hook) {
   require(!running_.load(), ErrorCode::BadState,
           "cannot change the poll hook while the PE loop runs");
   poll_hook_ = std::move(hook);
-  poll_spin_us_ = spin_us < 0 ? 0 : spin_us;
-  poll_nap_us_ = nap_us < 1 ? 1 : nap_us;
 }
 
 void Pe::post(Message&& msg) {
@@ -73,11 +77,11 @@ void Pe::post(Message&& msg) {
 }
 
 bool Pe::drain_mailbox() {
-  // One batched pass: swap up to drain_batch_ envelopes out of the ring
+  // One batched pass: swap up to kDrainBatch envelopes out of the ring
   // (lock-free), then dispatch them with the mailbox untouched. The loop
   // interleaves passes with run_one(), so a flood cannot starve the ULTs.
   drain_buf_.clear();
-  if (mailbox_.pop_batch(drain_buf_, drain_batch_) == 0) return false;
+  if (mailbox_.pop_batch(drain_buf_, kDrainBatch) == 0) return false;
   for (Message& msg : drain_buf_) {
     if (msg.kind == Message::Kind::Aggregate) {
       unbundle(std::move(msg), [this](Message&& sub) {
@@ -149,7 +153,7 @@ void Pe::run_loop() {
       const auto now = std::chrono::steady_clock::now();
       if (std::chrono::duration_cast<std::chrono::microseconds>(
               now - last_activity)
-              .count() < poll_spin_us_) {
+              .count() < kPollSpinUs) {
         std::this_thread::yield();
         continue;
       }
@@ -157,7 +161,7 @@ void Pe::run_loop() {
           [this] {
             return stop_.load() || failed_.load() || mailbox_depth() > 0;
           },
-          poll_nap_us_);
+          kPollNapUs);
       continue;
     }
     sched_.idle_wait(

@@ -20,8 +20,8 @@ namespace apv::comm {
 /// suspends and resumes on its resident PE's thread.
 ///
 /// The mailbox is a lock-light MPSC ring (see Mailbox); the loop drains it
-/// in batches of `drain_batch` envelopes per pass, and aggregate envelopes
-/// are unbundled here — the dispatcher above only ever sees plain messages.
+/// in batches of up to 64 envelopes per pass, and aggregate envelopes are
+/// unbundled here — the dispatcher above only ever sees plain messages.
 class Pe {
  public:
   /// Runs on the PE thread for every received message.
@@ -42,7 +42,6 @@ class Pe {
 
   struct Config {
     Mailbox::Config mailbox;
-    std::size_t drain_batch = 64;  ///< envelopes moved out per drain pass
     ult::Scheduler::Config sched;  ///< runqueue policy for this PE
   };
 
@@ -67,12 +66,11 @@ class Pe {
   /// Installs the transport poll hook. Remote traffic arrives with no wakeup
   /// signal (the producer is in another process and cannot notify this
   /// scheduler), so while a hook is installed the idle path busy-polls
-  /// (yielding) for `spin_us` after the last activity, then naps in
-  /// idle_wait slices of `nap_us` instead of the default 200µs — bounding
-  /// added latency without burning the host when truly idle. Must happen
-  /// before the loop starts.
-  void set_poll_hook(PollHook hook, std::int64_t spin_us,
-                     std::int64_t nap_us);
+  /// (yielding) for 200µs after the last activity, then naps in 50µs
+  /// idle_wait slices instead of the default 200µs — bounding added latency
+  /// without burning the host when truly idle. Must happen before the loop
+  /// starts.
+  void set_poll_hook(PollHook hook);
 
   /// Thread-safe: enqueues a message and wakes the PE if idle.
   void post(Message&& msg);
@@ -117,11 +115,8 @@ class Pe {
   std::vector<IdleHook> idle_hooks_;
   StopDrain stop_drain_;
   PollHook poll_hook_;
-  std::int64_t poll_spin_us_ = 200;
-  std::int64_t poll_nap_us_ = 50;
 
   Mailbox mailbox_;
-  std::size_t drain_batch_;
   std::vector<Message> drain_buf_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> failed_{false};

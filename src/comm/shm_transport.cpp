@@ -28,7 +28,6 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -48,6 +47,10 @@ using util::ErrorCode;
 using util::require;
 
 namespace {
+
+// Descriptors per SPSC ring; a power of two, so cursor arithmetic never
+// divides.
+constexpr std::uint32_t kRingSlots = 1024;
 
 std::int64_t now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -112,7 +115,7 @@ class ShmTransport final : public Transport {
   Layout compute_layout() const;
   std::uint64_t ring_bytes() const {
     return sizeof(shm::ShmRing) +
-           std::uint64_t{ring_slots_} * sizeof(shm::ShmMsgDesc);
+           std::uint64_t{kRingSlots} * sizeof(shm::ShmMsgDesc);
   }
   void create_segment(const Layout& lay);
   void attach_segment(const Layout& lay);
@@ -149,11 +152,11 @@ class ShmTransport final : public Transport {
   shm::ShmMsgDesc* ring_slot(shm::ShmRing* r, std::uint64_t i) const {
     auto* slots = reinterpret_cast<shm::ShmMsgDesc*>(
         reinterpret_cast<std::byte*>(r) + sizeof(shm::ShmRing));
-    return &slots[i % ring_slots_];
+    return &slots[i % kRingSlots];
   }
   bool ring_push(shm::ShmRing* r, const shm::ShmMsgDesc& d) {
     const std::uint64_t tail = r->tail.load(std::memory_order_relaxed);
-    if (tail - r->head.load(std::memory_order_acquire) >= ring_slots_)
+    if (tail - r->head.load(std::memory_order_acquire) >= kRingSlots)
       return false;
     *ring_slot(r, tail) = d;
     r->tail.store(tail + 1, std::memory_order_release);
@@ -198,7 +201,6 @@ class ShmTransport final : public Transport {
   int my_proc_ = 0;
   int pes_per_proc_ = 1;
   int max_ranks_ = 0;
-  std::uint32_t ring_slots_ = 1024;
   std::uint64_t arena_bytes_ = 64ull << 20;
   std::int64_t hb_ms_ = 25;
   std::int64_t hb_timeout_ms_ = 1000;
@@ -246,42 +248,21 @@ ShmTransport::ShmTransport(const util::Options& opt,
   num_pes_ = cfg.num_pes;
   nodes_ = cfg.nodes;
 
-  auto int_opt = [&opt](const char* key, const char* env,
-                        std::int64_t fallback) {
-    if (opt.has(key)) return opt.get_int(key, fallback);
-    if (env != nullptr) {
-      if (const char* v = std::getenv(env)) return std::int64_t(atoll(v));
-    }
-    return fallback;
-  };
-
-  procs_ = static_cast<int>(int_opt("transport.procs", "APV_SHM_PROCS", 1));
-  my_proc_ = static_cast<int>(int_opt("transport.proc", "APV_SHM_PROC", 0));
-  job_ = opt.get_string("transport.job", "");
-  if (job_.empty()) {
-    if (const char* v = std::getenv("APV_SHM_JOB")) job_ = v;
-  }
-  ring_slots_ = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(4, int_opt("transport.ring_slots", nullptr, 1024)));
-  // Round up to a power of two so cursor arithmetic never divides.
-  while ((ring_slots_ & (ring_slots_ - 1)) != 0) ++ring_slots_;
-  arena_bytes_ = static_cast<std::uint64_t>(std::max<std::int64_t>(
-                     1, int_opt("transport.arena_mb", nullptr, 64)))
+  procs_ = static_cast<int>(opt.get_int("transport.procs"));
+  my_proc_ = static_cast<int>(opt.get_int("transport.proc"));
+  job_ = opt.get_string("transport.job");
+  arena_bytes_ = static_cast<std::uint64_t>(opt.get_int("transport.arena_mb"))
                  << 20;
-  hb_ms_ = std::max<std::int64_t>(1, int_opt("transport.hb_ms", nullptr, 25));
-  hb_timeout_ms_ = std::max<std::int64_t>(
-      2 * hb_ms_, int_opt("transport.hb_timeout_ms", nullptr, 1000));
-  liveness_ms_ =
-      std::max<std::int64_t>(1, int_opt("transport.liveness_ms", nullptr, 5));
-  send_timeout_ms_ = std::max<std::int64_t>(
-      1, int_opt("transport.send_timeout_ms", nullptr, 5000));
-  rendezvous_ms_ = std::max<std::int64_t>(
-      100, int_opt("transport.rendezvous_ms", nullptr, 30000));
-  max_ranks_ = static_cast<int>(std::max<std::int64_t>(
-      num_pes_, int_opt("transport.max_ranks", nullptr, 4096)));
+  hb_ms_ = opt.get_int("transport.hb_ms");
+  hb_timeout_ms_ = opt.get_int("transport.hb_timeout_ms");
+  liveness_ms_ = opt.get_int("transport.liveness_ms");
+  send_timeout_ms_ = opt.get_int("transport.send_timeout_ms");
+  rendezvous_ms_ = opt.get_int("transport.rendezvous_ms");
+  max_ranks_ = static_cast<int>(opt.get_int("transport.max_ranks"));
 
-  require(procs_ >= 1, ErrorCode::InvalidArgument, "transport.procs must be >= 1");
-  require(my_proc_ >= 0 && my_proc_ < procs_, ErrorCode::InvalidArgument,
+  require(hb_timeout_ms_ >= 2 * hb_ms_, ErrorCode::InvalidArgument,
+          "transport.hb_timeout_ms must be at least 2 x transport.hb_ms");
+  require(my_proc_ < procs_, ErrorCode::InvalidArgument,
           "transport.proc out of range");
   require(num_pes_ % procs_ == 0, ErrorCode::InvalidArgument,
           "shm transport needs num_pes divisible by transport.procs");
@@ -375,7 +356,7 @@ void ShmTransport::create_segment(const Layout& lay) {
   hdr_->nodes = nodes_;
   hdr_->pes_per_node = num_pes_ / nodes_;
   hdr_->max_ranks = max_ranks_;
-  hdr_->ring_slots = ring_slots_;
+  hdr_->ring_slots = kRingSlots;
   hdr_->segment_bytes = lay.total;
   hdr_->proc_slots_off = lay.proc_slots_off;
   hdr_->failed_off = lay.failed_off;
@@ -458,7 +439,7 @@ void ShmTransport::attach_segment(const Layout& lay) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   require(hdr_->version == shm::kShmVersion && hdr_->procs == procs_ &&
-              hdr_->num_pes == num_pes_ && hdr_->ring_slots == ring_slots_,
+              hdr_->num_pes == num_pes_ && hdr_->ring_slots == kRingSlots,
           ErrorCode::InvalidArgument,
           "shm segment geometry mismatch (launcher and process options differ)");
 }

@@ -1,7 +1,5 @@
 #include "comm/transport.hpp"
 
-#include <cstdlib>
-
 #include "util/error.hpp"
 
 namespace apv::comm {
@@ -84,17 +82,8 @@ std::unique_ptr<Transport> make_shm_transport(const util::Options& opt,
 
 std::unique_ptr<Transport> make_transport(const util::Options& opt,
                                           const TransportConfig& cfg) {
-  // Explicit option wins; otherwise the env var decides (the APV_CHECK_MODE
-  // pattern — lets CI run whole suites over a backend without touching every
-  // test's option set).
-  std::string backend = opt.get_string("transport.backend", "");
-  if (backend.empty()) {
-    if (const char* env = std::getenv("APV_TRANSPORT")) backend = env;
-  }
-  if (backend.empty()) backend = "inproc";
-  if (backend == "inproc") return std::make_unique<InprocTransport>();
-  require(backend == "shm", ErrorCode::InvalidArgument,
-          "transport.backend must be 'inproc' or 'shm'");
+  if (opt.get_string("transport.backend") == "inproc")
+    return std::make_unique<InprocTransport>();
   return make_shm_transport(opt, cfg);
 }
 

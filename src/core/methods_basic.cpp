@@ -76,8 +76,7 @@ void TlsGlobalsMethod::init_process(ProcessEnv& env) {
   // Emulates the compiler requirement: the runtime must be able to address
   // TLS through the segment pointer at all times
   // (-mno-tls-direct-seg-refs on GCC / recent Clang).
-  const std::string compiler =
-      env.options.get_string("tls.compiler", "gcc");
+  const std::string compiler = env.options.get_string("tls.compiler");
   require(compiler == "gcc" || compiler == "clang",
           ErrorCode::NotSupported,
           "TLSglobals requires GCC or Clang >= 10 "
@@ -118,9 +117,8 @@ namespace {
 // ld changed GOT-relative addressing in 2.24 in a way that breaks GOT
 // swapping; AMPI required <= 2.23 or a patched newer ld.
 bool linker_supports_swapglobals(const util::Options& options) {
-  if (options.get_bool("swap.linker_patched", false)) return true;
-  const std::string version = options.get_string("swap.linker_version",
-                                                 "2.23");
+  if (options.get_bool("swap.linker_patched")) return true;
+  const std::string version = options.get_string("swap.linker_version");
   int major = 0;
   int minor = 0;
   std::sscanf(version.c_str(), "%d.%d", &major, &minor);

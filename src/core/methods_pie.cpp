@@ -14,7 +14,6 @@
 
 namespace apv::core {
 
-using util::ApvError;
 using util::ErrorCode;
 using util::require;
 
@@ -77,17 +76,11 @@ void PieGlobalsMethod::init_process(ProcessEnv& env) {
   require(env.image->is_pie(), ErrorCode::NotSupported,
           "PIEglobals requires the program built as a PIE "
           "(-pieglobals toolchain option)");
-  const std::string mode = env.options.get_string("pie.fixup", "scan");
-  if (mode == "scan") {
-    fixup_mode_ = PieFixupMode::Scan;
-  } else if (mode == "exact") {
-    fixup_mode_ = PieFixupMode::Exact;
-  } else {
-    throw ApvError(ErrorCode::InvalidArgument,
-                   "pie.fixup must be 'scan' or 'exact', got: " + mode);
-  }
-  share_readonly_ = env.options.get_bool("pie.share_readonly", false);
-  share_code_ = env.options.get_bool("pie.share_code", false);
+  fixup_mode_ = env.options.get_string("pie.fixup") == "exact"
+                    ? PieFixupMode::Exact
+                    : PieFixupMode::Scan;
+  share_readonly_ = env.options.get_bool("pie.share_readonly");
+  share_code_ = env.options.get_bool("pie.share_code");
 
   // dl_iterate_phdr before and after dlopen to locate the new binary's
   // segments (§3.3). Opened once per OS process — not once per rank — to

@@ -37,7 +37,7 @@ void PipGlobalsMethod::init_process(ProcessEnv& env) {
   primary_ = &env.loader->load_primary(*env.image);
   shared_tls_ = make_shared_tls(*env.image);
   if (env.pes_in_process > 1 &&
-      !env.options.get_bool("loader.patched_glibc", false)) {
+      !env.options.get_bool("loader.patched_glibc")) {
     APV_WARN("pipglobals",
              "SMP mode with stock glibc: at most %d dlmopen namespaces per "
              "process; expect LimitExceeded at higher virtualization",

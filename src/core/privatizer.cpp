@@ -16,7 +16,7 @@ Privatizer::Privatizer(Method method, ProcessEnv env)
   require(env_.image != nullptr && env_.loader != nullptr &&
               env_.arena != nullptr,
           ErrorCode::InvalidArgument, "ProcessEnv incomplete");
-  pie_share_readonly_ = env_.options.get_bool("pie.share_readonly", false);
+  pie_share_readonly_ = env_.options.get_bool("pie.share_readonly");
   method_->init_process(env_);
 }
 

@@ -7,29 +7,20 @@
 
 namespace apv::ft {
 
-using util::ApvError;
 using util::ErrorCode;
 using util::require;
 
 FaultInjector::Config FaultInjector::config_from_options(
     const util::Options& opts) {
   Config c;
-  const std::string policy = opts.get_string("ft.policy", "none");
-  if (policy == "none") {
-    c.policy = Policy::None;
-  } else if (policy == "epoch") {
-    c.policy = Policy::AtEpoch;
-  } else if (policy == "random") {
-    c.policy = Policy::Random;
-  } else {
-    throw ApvError(ErrorCode::InvalidArgument,
-                   "unknown ft.policy: " + policy);
-  }
-  c.pe = static_cast<comm::PeId>(opts.get_int("ft.pe", c.pe));
-  c.epoch = static_cast<std::uint32_t>(opts.get_int("ft.epoch", c.epoch));
-  c.seed = static_cast<std::uint64_t>(opts.get_int("ft.seed", 1));
-  c.horizon =
-      static_cast<std::uint32_t>(opts.get_int("ft.horizon", c.horizon));
+  const std::string policy = opts.get_string("ft.policy");
+  c.policy = policy == "epoch"    ? Policy::AtEpoch
+             : policy == "random" ? Policy::Random
+                                  : Policy::None;
+  c.pe = static_cast<comm::PeId>(opts.get_int("ft.pe"));
+  c.epoch = static_cast<std::uint32_t>(opts.get_int("ft.epoch"));
+  c.seed = static_cast<std::uint64_t>(opts.get_int("ft.seed"));
+  c.horizon = static_cast<std::uint32_t>(opts.get_int("ft.horizon"));
   return c;
 }
 

@@ -66,10 +66,10 @@ std::size_t InstanceRegistry::size() const {
 
 Loader::Loader(const util::Options& options)
     : options_(options),
-      patched_glibc_(options.get_bool("loader.patched_glibc", false)),
-      fs_dir_(options.get_string("fs.dir", "/tmp/apv_fsglobals")),
-      fs_latency_us_(options.get_int("fs.latency_us", 150)),
-      fs_bandwidth_mb_s_(options.get_double("fs.bandwidth_mb_s", 400.0)) {}
+      patched_glibc_(options.get_bool("loader.patched_glibc")),
+      fs_dir_(options.get_string("fs.dir")),
+      fs_latency_us_(options.get_int("fs.latency_us")),
+      fs_bandwidth_mb_s_(options.get_double("fs.bandwidth_mb_s")) {}
 
 Loader::~Loader() {
   for (const auto& inst : owned_) registry_.remove(inst.get());

@@ -273,13 +273,4 @@ int pick_steal_victim(const std::vector<std::size_t>& ready_depth,
   return victim;
 }
 
-int steal_batch_quota(std::size_t ready, int requested) {
-  if (ready == 0) return 0;
-  const std::size_t want =
-      requested < 1 ? 1 : static_cast<std::size_t>(requested);
-  const std::size_t cap = (ready + 1) / 2;  // at most half, rounded up
-  const std::size_t quota = want < cap ? want : cap;
-  return static_cast<int>(quota < 1 ? 1 : quota);
-}
-
 }  // namespace apv::lb

@@ -130,14 +130,4 @@ int pick_steal_victim(const std::vector<std::size_t>& ready_depth,
                       const std::vector<std::uint64_t>& service_ns, int self,
                       std::size_t min_ready = 1);
 
-/// How many ranks one steal may take from a victim whose ready queue holds
-/// `ready` ranks when the thief asked for `requested` (sched.steal_batch).
-/// Capped at half the backlog, rounded up — a steal must leave the victim
-/// with work proportional to what it had, or a single deep-queue victim
-/// gets strip-mined to idle by one greedy thief and the imbalance just
-/// changes sign. Never less than 1 when anything is queued (requested < 1
-/// is treated as 1, preserving the single-rank protocol); 0 when the queue
-/// is empty.
-int steal_batch_quota(std::size_t ready, int requested);
-
 }  // namespace apv::lb

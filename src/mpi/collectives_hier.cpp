@@ -66,6 +66,11 @@ namespace {
 /// protocol the member phase uses), keyed under kLeaderGroup.
 constexpr int kFlatLeaderMax = 8;
 
+/// Payloads at or above this many bytes leave the shared leader rendezvous
+/// and, in allreduce, switch from recursive doubling to Rabenseifner
+/// (reduce-scatter + allgather).
+constexpr std::size_t kRabCutoff = 32768;
+
 /// Registry group id for the inter-PE leader rendezvous block of one
 /// collective instance. Member blocks use the (non-negative) group id, so
 /// a negative sentinel can never collide with them under the same
@@ -554,7 +559,7 @@ bool Runtime::hier_bcast(RankMpi& rm, void* buf, std::size_t bytes, int root,
   // the agent tier straight into its own buffer.
   const int g = h.g, L = h.L;
   auto* data = static_cast<std::byte*>(buf);
-  if (L > 1 && L <= kFlatLeaderMax && bytes < rab_cutoff_) {
+  if (L > 1 && L <= kFlatLeaderMax && bytes < kRabCutoff) {
     // Small payloads at a small agent count: a shared hand-off block beats
     // the binomial tree (and any message fan-out) on sequential hops — the
     // root deposits once, every other agent copies out.
@@ -624,7 +629,7 @@ bool Runtime::hier_reduce(RankMpi& rm, const void* sbuf, void* rbuf,
   }
 
   if (L > 1 && op.commutative && L <= kFlatLeaderMax &&
-      bytes < rab_cutoff_) {
+      bytes < kRabCutoff) {
     // Shared agent fold (arrival order — commutative ops only); only the
     // root waits for the total.
     h.leader_meet(
@@ -709,7 +714,7 @@ bool Runtime::hier_allreduce(RankMpi& rm, const void* sbuf, void* rbuf,
   // place).
   const int g = h.g, L = h.L;
   std::byte* acc = h.blk->acc.data();
-  if (L > 1 && L <= kFlatLeaderMax && bytes < rab_cutoff_) {
+  if (L > 1 && L <= kFlatLeaderMax && bytes < kRabCutoff) {
     // Shared agent fold: one sequential hop and zero agent messages, which
     // is what a latency-bound allreduce is made of at this agent count.
     h.leader_meet(
@@ -746,7 +751,7 @@ bool Runtime::hier_allreduce(RankMpi& rm, const void* sbuf, void* rbuf,
     };
 
     if (rd >= 0 && pof2 > 1) {
-      const bool use_rab = bytes >= rab_cutoff_ && count >= pof2;
+      const bool use_rab = bytes >= kRabCutoff && count >= pof2;
       if (!use_rab) {
         // Recursive doubling: log2(pof2) pairwise exchange-and-fold rounds.
         int round = 0;

@@ -55,6 +55,9 @@ struct RankMpi {
   /// front, which must not shift the rest of the window.
   std::deque<RecvPost> posted;
   std::deque<comm::Message> unexpected;
+  /// Routed messages that arrived ahead of an older one from the same
+  /// sender (see Runtime::deliver_user); usually empty.
+  std::vector<comm::Message> early;
 
   /// Per-communicator collective sequence numbers (order of collective
   /// calls is identical across members, so these agree and disambiguate
@@ -161,12 +164,13 @@ struct RankMpi {
   /// mutex off the per-message path.
   std::vector<const CommInfo*> comm_info_cache;
 
-  /// FIFO hazard tracking for the same-PE inline fast path. routed_sent_[d]
-  /// counts messages this rank pushed into the routed transport (mailbox /
-  /// aggregation bins) toward world rank d; routed_delivered_[s] counts
-  /// routed messages from world rank s that reached this rank's queues.
-  /// Inline delivery to d is legal only when the pair's counts agree — no
-  /// routed message still in flight that an inline copy could overtake.
+  /// Per-pair FIFO state. routed_sent_[d] counts messages this rank pushed
+  /// into the routed transport (mailbox / aggregation bins) toward world
+  /// rank d, and stamps each one's seq; routed_delivered_[s] counts routed
+  /// messages from world rank s that reached this rank's queues, which
+  /// take them in seq order. Inline delivery to d is legal only when the
+  /// pair's counts agree — no routed message still in flight that an
+  /// inline copy could overtake.
   /// Both vectors are only ever touched on the owning rank's resident PE
   /// thread (the sender reads its peer's delivered count only when the peer
   /// is co-resident). uint32 wrap is harmless: only equality is tested.

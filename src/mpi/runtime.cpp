@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "check/wait_graph.hpp"
@@ -56,90 +55,46 @@ Runtime::Runtime(const img::ProgramImage& image, RuntimeConfig config)
   if (fic.policy != ft::FaultInjector::Policy::None) {
     injector_ = std::make_unique<ft::FaultInjector>(fic, cluster_->num_pes());
   }
-  pack_mode_ = config_.options.get_string("iso.pack", "touched") == "full"
-                   ? iso::PackMode::FullSlot
-                   : iso::PackMode::Touched;
+  const util::Options& opt = config_.options;
+  pack_mode_ = opt.get_string("iso.pack") == "full" ? iso::PackMode::FullSlot
+                                                     : iso::PackMode::Touched;
   // Incremental checkpointing: dirty-page tracker + delta policy. The
   // tracker also registers the SlotHeap write-notify hook so allocator
   // metadata updates pre-dirty their pages instead of faulting.
-  if (config_.options.get_string("ft.delta", "on") == "on") {
+  if (opt.get_bool("ft.delta")) {
     dirty_tracker_ = std::make_unique<iso::DirtyTracker>(*arena_);
   }
-  ckpt_full_every_ = static_cast<std::uint32_t>(std::max<std::int64_t>(
-      1, config_.options.get_int("ft.full_every", 8)));
+  ckpt_full_every_ = static_cast<std::uint32_t>(opt.get_int("ft.full_every"));
   // Chain-length bound for in-store consolidation. The periodic full image
   // already caps chains at full_every - 1, so by default consolidation only
   // engages when ft.max_chain is set tighter than that (or full_every is
   // raised without bound).
-  ckpt_store_->set_chain_limit(static_cast<std::size_t>(
-      std::max<std::int64_t>(0, config_.options.get_int("ft.max_chain", 0))));
-  inline_enabled_ = config_.options.get_string("comm.inline", "on") == "on";
-  coll_hier_ = config_.options.get_string("coll.algo", "hier") == "hier";
-  rab_cutoff_ = static_cast<std::size_t>(std::max<std::int64_t>(
-      0, config_.options.get_int("coll.rab_cutoff", 32768)));
-  // Vector-collective leader-phase transfer granularity; 0 would mean
-  // "never eager", which no algorithm wants — clamp to at least one byte.
-  vec_cutoff_ = static_cast<std::size_t>(std::max<std::int64_t>(
-      1, config_.options.get_int("coll.vec_cutoff", 32768)));
-  // Runtime correctness checker (src/check). An explicit check.mode option
-  // wins; otherwise the APV_CHECK_MODE environment variable applies, so CI
-  // can arm the checker across a whole test run without editing each job.
-  {
-    std::string mode_s = config_.options.get_string("check.mode", "");
-    if (mode_s.empty()) {
-      const char* env_mode = std::getenv("APV_CHECK_MODE");
-      mode_s = env_mode != nullptr ? env_mode : "off";
-    }
-    check::Mode cm = check::Mode::Off;
-    if (mode_s == "warn") {
-      cm = check::Mode::Warn;
-    } else if (mode_s == "abort") {
-      cm = check::Mode::Abort;
-    } else {
-      require(mode_s == "off" || mode_s.empty(), ErrorCode::InvalidArgument,
-              "check.mode must be off, warn, or abort");
-    }
-    if (cm != check::Mode::Off) {
-      const double deadlock_s =
-          config_.options.get_double("check.deadlock_s", 0.0);
-      // One gate shard per PE: co-resident members of a collective hit the
-      // same shard uncontended on their shared loop thread.
-      checker_ = std::make_unique<check::Checker>(cm, deadlock_s,
-                                                  cluster_->num_pes());
-      check_on_ = true;
-      fail_fast_ = cm == check::Mode::Abort;
-    }
+  ckpt_store_->set_chain_limit(
+      static_cast<std::size_t>(opt.get_int("ft.max_chain")));
+  inline_enabled_ = opt.get_bool("comm.inline");
+  coll_hier_ = opt.get_string("coll.algo") == "hier";
+  vec_cutoff_ = static_cast<std::size_t>(opt.get_int("coll.vec_cutoff"));
+  // Runtime correctness checker (src/check).
+  if (const std::string mode = opt.get_string("check.mode"); mode != "off") {
+    const check::Mode cm =
+        mode == "abort" ? check::Mode::Abort : check::Mode::Warn;
+    // One gate shard per PE: co-resident members of a collective hit the
+    // same shard uncontended on their shared loop thread.
+    checker_ = std::make_unique<check::Checker>(
+        cm, opt.get_double("check.deadlock_s"), cluster_->num_pes());
+    check_on_ = true;
+    fail_fast_ = cm == check::Mode::Abort;
   }
-  // Idle-PE rank stealing (fast complement to epoch LB). Same arming shape
-  // as the checker: an explicit sched.steal option wins, else the
-  // APV_SCHED_STEAL environment variable lets CI run whole suites with
-  // stealing on.
-  {
-    std::string steal_s = config_.options.get_string("sched.steal", "");
-    if (steal_s.empty()) {
-      const char* env = std::getenv("APV_SCHED_STEAL");
-      if (env != nullptr) steal_s = env;
-    }
-    steal_on_ = (steal_s == "on" || steal_s == "1" || steal_s == "true") &&
-                cluster_->num_pes() > 1 &&
-                // sched.policy=fifo is the seed-exact escape hatch: it
-                // already disarms lanes and preemption, and it dominates a
-                // suite-wide APV_SCHED_STEAL=on the same way — nothing may
-                // reorder or relocate ranks behind the seed schedule.
-                config_.options.get_string("sched.policy", "prio") != "fifo";
-    steal_idle_ns_ = static_cast<std::uint64_t>(std::max<std::int64_t>(
-                         1, config_.options.get_int("sched.steal_idle_us",
-                                                    500))) *
-                     1000;
-    steal_timeout_ns_ = static_cast<std::uint64_t>(std::max<std::int64_t>(
-                            1, config_.options.get_int(
-                                   "sched.steal_timeout_us", 5000))) *
-                        1000;
-    steal_batch_ = static_cast<int>(std::max<std::int64_t>(
-        1, config_.options.get_int("sched.steal_batch", 1)));
-    hipri_bytes_ = cluster_->hipri_bytes();
-  }
-  dump_counters_ = config_.options.get_bool("util.dump_counters", false);
+  // Idle-PE rank stealing (fast complement to epoch LB).
+  steal_on_ = opt.get_bool("sched.steal") && cluster_->num_pes() > 1 &&
+              // sched.policy=fifo is the seed-exact escape hatch: it already
+              // disarms lanes and preemption, and it dominates a suite-wide
+              // APV_SCHED_STEAL=on the same way — nothing may reorder or
+              // relocate ranks behind the seed schedule.
+              opt.get_string("sched.policy") != "fifo";
+  steal_idle_ns_ =
+      static_cast<std::uint64_t>(opt.get_int("sched.steal_idle_us")) * 1000;
+  dump_counters_ = opt.get_bool("util.dump_counters");
   init_hier_state();
   pack_api_table(api_);
   pe_state_.resize(static_cast<std::size_t>(cluster_->num_pes()));
@@ -374,8 +329,8 @@ void Runtime::start() {
 void Runtime::wait_finish() {
   require(started_, ErrorCode::BadState, "runtime not started");
   {
-    const auto timeout_s = static_cast<long>(std::max<std::int64_t>(
-        1, config_.options.get_int("mpi.timeout_s", 300)));
+    const auto timeout_s =
+        static_cast<long>(config_.options.get_int("mpi.timeout_s"));
     const double deadlock_s =
         checker_ != nullptr ? checker_->deadlock_s() : 0.0;
     const auto deadline =
@@ -578,16 +533,36 @@ void Runtime::deliver_user(comm::PeId pe, comm::Message&& msg) {
     return;
   }
   RankMpi& rm = *it->second;
-  // Final routed delivery: the pair's FIFO counters agree again once this
-  // lands in the rank's queues, re-enabling the inline fast path.
-  if (msg.src_rank >= 0) ++rm.routed_delivered_from(msg.src_rank);
-  // The envelope priority bit (stamped in Cluster::send, preserved through
-  // aggregation) picks the wake lane: latency-critical arrivals resume
-  // their rank ahead of Normal/Bulk work already queued on this PE.
-  const ult::Lane lane = msg.prio != 0 ? ult::Lane::High : ult::Lane::Normal;
-  if (!try_match(rm, msg)) rm.unexpected.push_back(std::move(msg));
-  ++rm.recvs;
-  wake_if_waiting(rm, lane);
+  // Per-sender FIFO: a routed message carries the sender's per-pair count
+  // as its seq. After this rank migrates, an older message forwarded from
+  // the old PE can arrive after a newer one sent straight here; the newer
+  // one waits in rm.early until its predecessors land.
+  const auto next_from = [&rm](const comm::Message& m) {
+    return static_cast<std::uint32_t>(m.seq) ==
+           rm.routed_delivered_from(m.src_rank) + 1;
+  };
+  if (msg.src_rank >= 0 && !next_from(msg)) {
+    rm.early.push_back(std::move(msg));
+    return;
+  }
+  for (;;) {
+    // Final routed delivery: the pair's FIFO counters agree again once this
+    // lands in the rank's queues, re-enabling the inline fast path.
+    if (msg.src_rank >= 0) ++rm.routed_delivered_from(msg.src_rank);
+    // The envelope priority bit (stamped in Cluster::send, preserved
+    // through aggregation) picks the wake lane: latency-critical arrivals
+    // resume their rank ahead of Normal/Bulk work already queued here.
+    const ult::Lane lane =
+        msg.prio != 0 ? ult::Lane::High : ult::Lane::Normal;
+    if (!try_match(rm, msg)) rm.unexpected.push_back(std::move(msg));
+    ++rm.recvs;
+    wake_if_waiting(rm, lane);
+    // That delivery may have put a held message in order.
+    const auto e = std::find_if(rm.early.begin(), rm.early.end(), next_from);
+    if (e == rm.early.end()) return;
+    msg = std::move(*e);
+    rm.early.erase(e);
+  }
 }
 
 bool Runtime::match_fields(RankMpi& rm, const RecvPost& post, CommId comm,
@@ -776,7 +751,7 @@ void Runtime::do_send(RankMpi& rm, const void* buf, std::size_t bytes,
   }
   m.dst_pe = cluster_->location(dst_world);
   ++rm.sends;
-  ++rm.routed_sent_to(dst_world);
+  m.seq = ++rm.routed_sent_to(dst_world);
   cluster_->send(std::move(m));
 }
 
@@ -865,8 +840,8 @@ bool Runtime::try_inline_send(RankMpi& rm, int dst_world, int tag,
     ps.inline_bytes += bytes;
     // The inline path bypasses Cluster::send's prio stamp; apply the same
     // small-payload cutoff to the wake lane directly.
-    wake_if_waiting(dst, bytes <= hipri_bytes_ ? ult::Lane::High
-                                               : ult::Lane::Normal);
+    wake_if_waiting(dst, bytes <= comm::kHipriBytes ? ult::Lane::High
+                                                    : ult::Lane::Normal);
     return true;
   }
   // Miss: no matching posted receive yet. Park a copy on the unexpected
@@ -889,8 +864,8 @@ bool Runtime::try_inline_send(RankMpi& rm, int dst_world, int tag,
   ++dst.recvs;
   ++ps.inline_misses;
   ps.inline_bytes += bytes;
-  wake_if_waiting(dst, bytes <= hipri_bytes_ ? ult::Lane::High
-                                             : ult::Lane::Normal);
+  wake_if_waiting(dst, bytes <= comm::kHipriBytes ? ult::Lane::High
+                                                  : ult::Lane::Normal);
   return true;
 }
 
@@ -987,7 +962,7 @@ void Runtime::coll_send(RankMpi& rm, int dst_world, int tag, const void* data,
     std::memcpy(m.payload.data(), data, bytes);
   }
   m.dst_pe = cluster_->location(dst_world);
-  ++rm.routed_sent_to(dst_world);
+  m.seq = ++rm.routed_sent_to(dst_world);
   cluster_->send(std::move(m));
 }
 
@@ -1026,7 +1001,7 @@ void Runtime::coll_send_staged(RankMpi& rm, int dst_world, int tag,
     std::memcpy(m.payload.data(), data, bytes);
   }
   m.dst_pe = cluster_->location(dst_world);
-  ++rm.routed_sent_to(dst_world);
+  m.seq = ++rm.routed_sent_to(dst_world);
   cluster_->send(std::move(m));
 }
 
@@ -1183,8 +1158,7 @@ void Runtime::handle_control(comm::PeId pe, comm::Message&& msg) {
       return;
     }
     case kCtlStealRequest:
-      handle_steal_request(pe, static_cast<comm::PeId>(msg.tag),
-                           static_cast<int>(msg.dst_rank));
+      handle_steal_request(pe, static_cast<comm::PeId>(msg.tag));
       return;
     case kCtlStealNack: {
       // Victim had nothing stealable. Clear the in-flight marker and
@@ -1327,6 +1301,11 @@ void Runtime::handle_migration_arrival(comm::PeId pe, comm::Message&& msg) {
 // transfer itself is the ordinary packed-image migration — a stolen rank
 // keeps the "ranks only run on their resident PE" invariant at every step.
 
+namespace {
+// A thief gives up on a steal request unanswered for this long (5 ms).
+constexpr std::uint64_t kStealTimeoutNs = 5'000'000;
+}  // namespace
+
 void Runtime::maybe_steal(comm::PeId pe) {
   auto& ps = pe_state_[static_cast<std::size_t>(pe)];
   const std::uint64_t now = util::wall_time_ns();
@@ -1334,7 +1313,7 @@ void Runtime::maybe_steal(comm::PeId pe) {
     // One request in flight at a time. A request (or its answer) can be
     // dropped outright when the victim dies — the timeout, not a reply, is
     // what guarantees the thief recovers.
-    if (now - ps.steal_req_ns < steal_timeout_ns_) return;
+    if (now - ps.steal_req_ns < kStealTimeoutNs) return;
     ++ps.steal_fails;
     ps.steal_req_ns = 0;
     ps.idle_since_ns = 0;
@@ -1394,12 +1373,10 @@ void Runtime::maybe_steal(comm::PeId pe) {
   req.src_pe = pe;
   req.dst_pe = victim;
   req.tag = pe;  // thief id travels in the tag
-  req.dst_rank = steal_batch_;  // how many ranks the thief would take
   cluster_->send(std::move(req));
 }
 
-void Runtime::handle_steal_request(comm::PeId pe, comm::PeId thief,
-                                   int requested) {
+void Runtime::handle_steal_request(comm::PeId pe, comm::PeId thief) {
   auto& ps = pe_state_[static_cast<std::size_t>(pe)];
   close_run_slice(pe);  // settle busy-time accounting before choosing
   const auto nack = [&] {
@@ -1419,76 +1396,62 @@ void Runtime::handle_steal_request(comm::PeId pe, comm::PeId thief,
     return;
   }
   ult::Scheduler& sched = cluster_->pe(pe).scheduler();
-  // Pre-protocol requests carry 0 in dst_rank; treat as the classic
-  // single-rank steal. The quota re-derives the grant from *our* queue —
-  // the thief's ask is a ceiling, never a command.
-  const int quota =
-      lb::steal_batch_quota(sched.ready_count(), requested < 1 ? 1 : requested);
-  int shipped = 0;
-  while (shipped < quota) {
-    // Candidates: ready (queued, not running, not blocked), not entangled
-    // in a collective (group blocks and gate shards hold per-PE
-    // references), not under any control operation, and not this PE's only
-    // resident. The busiest candidate goes — it is the one most worth
-    // running elsewhere. Re-picked each iteration: shipping one changes
-    // who is busiest next.
-    RankMpi* best = nullptr;
-    for (const auto& [rank, rm] : ps.resident) {
-      if (rm->finished || rm->failed || rm->waiting) continue;
-      if (rm->migrate_dest != comm::kInvalidPe || rm->ckpt_pending ||
-          rm->restore_pending)
-        continue;
-      if (rm->coll_depth > 0) continue;
-      if (rm->rc->ult->state() != ult::UltState::Ready) continue;
-      if (best == nullptr || rm->busy_time() > best->busy_time()) best = rm;
-    }
-    if (best == nullptr || ps.resident.size() < 2) break;
-    if (!sched.unqueue(best->rc->ult)) {
-      // Raced with dispatch (it is running right now) — nothing to hand
-      // over this round, and later candidates rank below it, so stop.
-      break;
-    }
-    ++ps.steals_out;
-    const comm::RankId stolen = best->world_rank;
-    // Same per-sender FIFO flush as perform_migration_departure: a stolen
-    // sender's not-yet-flushed binned messages must enter the network
-    // before its image does, or sends it makes from the thief PE could
-    // overtake them (found by the inline-delivery FIFO test under
-    // APV_SCHED_STEAL).
-    cluster_->flush_aggregation(pe);
-    // From here this is a migration departure with dest=thief. Setting
-    // migrate_dest reuses the existing wake guards: no late message arrival
-    // or stale kCtlCollWake can re-ready the ULT while its image is in
-    // flight. The arrival side clears it and requeues the rank.
-    best->migrate_dest = thief;
-    const comm::NodeId src_node = cluster_->node_of(pe);
-    privs_[static_cast<std::size_t>(src_node)]->rank_departed(best->rc);
-    ps.resident.erase(best->world_rank);
-
-    util::ByteBuffer buf;
-    iso::pack_slot(*arena_, best->rc->slot, pack_mode_, buf);
-
-    comm::Message mig;
-    mig.kind = comm::Message::Kind::Migration;
-    mig.opcode = kMigSteal;
-    mig.src_pe = pe;
-    mig.dst_pe = thief;
-    mig.dst_rank = stolen;
-    migration_bytes_.fetch_add(buf.size(), std::memory_order_relaxed);
-    mig.payload = comm::Payload::adopt(buf.take());
-    // Deliberately not counted in migrations_: that counter means
-    // "explicit migrations the program asked for" (AMPI_Migrate / fault
-    // recovery), and steals are reported separately via
-    // sched_steals_out/in.
-    // Location first, then the image: forwards chase the thief and queue
-    // behind the migration message (same ordering as plain departures).
-    cluster_->set_location(stolen, thief);
-    cluster_->send(std::move(mig));
-    APV_DEBUG("mpi", "PE %d: rank %d stolen by idle PE %d (%d/%d)", pe,
-              stolen, thief, shipped + 1, quota);
-    ++shipped;
+  // Candidates: ready (queued, not running, not blocked), not entangled in
+  // a collective (group blocks and gate shards hold per-PE references), not
+  // under any control operation, and not this PE's only resident. The
+  // busiest candidate goes — it is the one most worth running elsewhere.
+  RankMpi* best = nullptr;
+  for (const auto& [rank, rm] : ps.resident) {
+    if (rm->finished || rm->failed || rm->waiting) continue;
+    if (rm->migrate_dest != comm::kInvalidPe || rm->ckpt_pending ||
+        rm->restore_pending)
+      continue;
+    if (rm->coll_depth > 0) continue;
+    if (rm->rc->ult->state() != ult::UltState::Ready) continue;
+    if (best == nullptr || rm->busy_time() > best->busy_time()) best = rm;
   }
-  if (shipped == 0) nack();
+  // unqueue fails when the pick raced with dispatch (it is running right
+  // now): nothing to hand over this round.
+  if (best == nullptr || ps.resident.size() < 2 ||
+      !sched.unqueue(best->rc->ult)) {
+    nack();
+    return;
+  }
+  ++ps.steals_out;
+  const comm::RankId stolen = best->world_rank;
+  // Same per-sender FIFO flush as perform_migration_departure: a stolen
+  // sender's not-yet-flushed binned messages must enter the network before
+  // its image does, or sends it makes from the thief PE could overtake them
+  // (found by the inline-delivery FIFO test under APV_SCHED_STEAL).
+  cluster_->flush_aggregation(pe);
+  // From here this is a migration departure with dest=thief. Setting
+  // migrate_dest reuses the existing wake guards: no late message arrival
+  // or stale kCtlCollWake can re-ready the ULT while its image is in
+  // flight. The arrival side clears it and requeues the rank.
+  best->migrate_dest = thief;
+  const comm::NodeId src_node = cluster_->node_of(pe);
+  privs_[static_cast<std::size_t>(src_node)]->rank_departed(best->rc);
+  ps.resident.erase(best->world_rank);
+
+  util::ByteBuffer buf;
+  iso::pack_slot(*arena_, best->rc->slot, pack_mode_, buf);
+
+  comm::Message mig;
+  mig.kind = comm::Message::Kind::Migration;
+  mig.opcode = kMigSteal;
+  mig.src_pe = pe;
+  mig.dst_pe = thief;
+  mig.dst_rank = stolen;
+  migration_bytes_.fetch_add(buf.size(), std::memory_order_relaxed);
+  mig.payload = comm::Payload::adopt(buf.take());
+  // Deliberately not counted in migrations_: that counter means "explicit
+  // migrations the program asked for" (AMPI_Migrate / fault recovery), and
+  // steals are reported separately via sched_steals_out/in.
+  // Location first, then the image: forwards chase the thief and queue
+  // behind the migration message (same ordering as plain departures).
+  cluster_->set_location(stolen, thief);
+  cluster_->send(std::move(mig));
+  APV_DEBUG("mpi", "PE %d: rank %d stolen by idle PE %d", pe, stolen, thief);
 }
 
 int Runtime::do_checkpoint(RankMpi& rm) {

@@ -257,7 +257,7 @@ class Runtime {
     // Rank stealing, written only by this PE's loop thread: when the PE
     // went idle (0 = busy), and the outstanding steal request's send time
     // (0 = none in flight; a request to a PE that dies is simply dropped,
-    // so the thief retries after steal_timeout).
+    // so the thief retries after the steal timeout).
     std::uint64_t idle_since_ns = 0;
     std::uint64_t steal_req_ns = 0;
     std::uint64_t steal_requests = 0;
@@ -300,11 +300,10 @@ class Runtime {
   /// empty runqueue, nothing resident runnable) pick the most-loaded victim
   /// and request one rank (kCtlStealRequest). At most one request in flight.
   void maybe_steal(comm::PeId pe);
-  /// Victim half: pick up to `requested` ready, unentangled resident ranks
-  /// (capped by lb::steal_batch_quota at half the backlog), dequeue and
-  /// ship each to the thief via the packed-image migration path
-  /// (kMigSteal), or answer kCtlStealNack when nothing moved.
-  void handle_steal_request(comm::PeId pe, comm::PeId thief, int requested);
+  /// Victim half: pick the busiest ready, unentangled resident rank,
+  /// dequeue and ship it to the thief via the packed-image migration path
+  /// (kMigSteal), or answer kCtlStealNack when nothing is stealable.
+  void handle_steal_request(comm::PeId pe, comm::PeId thief);
 
   /// Same-PE inline delivery: when the destination rank is co-resident and
   /// no routed message for the pair is in flight, match against its posted
@@ -404,7 +403,6 @@ class Runtime {
 
   bool inline_enabled_ = true;  ///< comm.inline: same-PE inline delivery
   bool coll_hier_ = true;       ///< coll.algo: "hier" (default) or "naive"
-  std::size_t rab_cutoff_ = 32768;  ///< coll.rab_cutoff: Rabenseifner floor
   /// coll.vec_cutoff: vector-collective leader transfers up to this many
   /// bytes go eager in one message (and rooted trees/Bruck stay
   /// latency-shaped); above it transfers are chunked into cutoff-sized
@@ -441,11 +439,7 @@ class Runtime {
 
   // Idle-PE rank stealing (sched.steal / APV_SCHED_STEAL): off by default.
   bool steal_on_ = false;
-  std::uint64_t steal_idle_ns_ = 0;     ///< sched.steal_idle_us * 1000
-  std::uint64_t steal_timeout_ns_ = 0;  ///< give up on an unanswered request
-  int steal_batch_ = 1;                 ///< sched.steal_batch: ranks per steal
-  std::size_t hipri_bytes_ = 256;       ///< mirror of comm.hipri_bytes for
-                                        ///< the inline path's lane choice
+  std::uint64_t steal_idle_ns_ = 0;  ///< sched.steal_idle_us * 1000
 
   // Fault tolerance: versioned buddy checkpoint store + optional injector.
   std::unique_ptr<ft::CheckpointStore> ckpt_store_;
@@ -477,9 +471,8 @@ enum CtlOp : int {
   kCtlCollWake,         ///< wake dst_rank if parked in a group-block wait;
                         ///< processed on its resident PE thread so the wake
                         ///< cannot race the ULT's own suspend
-  kCtlStealRequest,     ///< idle thief asks the victim PE for ready ranks;
-                        ///< msg.tag carries the thief's PE id, msg.dst_rank
-                        ///< the batch size (sched.steal_batch; 0 acts as 1)
+  kCtlStealRequest,     ///< idle thief asks the victim PE for a ready rank;
+                        ///< msg.tag carries the thief's PE id
   kCtlStealNack,        ///< victim had nothing stealable; thief may retry
                         ///< another victim after its idle timer re-fires
 };

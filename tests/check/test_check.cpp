@@ -61,7 +61,8 @@ CheckResult run_check_job(EntryFn entry, const CheckJob& j) {
   cfg.options.set("check.mode", j.mode);
   cfg.options.set("coll.algo", j.algo);
   if (!j.inline_on) cfg.options.set("comm.inline", "off");
-  if (j.deadlock_s > 0.0) cfg.options.set_double("check.deadlock_s", j.deadlock_s);
+  if (j.deadlock_s > 0.0)
+    cfg.options.set("check.deadlock_s", std::to_string(j.deadlock_s));
   if (j.timeout_s > 0) cfg.options.set_int("mpi.timeout_s", j.timeout_s);
   mpi::Runtime rt(image, cfg);
   CheckResult res;

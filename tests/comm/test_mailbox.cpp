@@ -22,7 +22,6 @@ using comm::Payload;
 // --- payload buffers --------------------------------------------------------
 
 TEST(Payload, AcquireFillRead) {
-  comm::pool::set_enabled(true);
   Payload p = Payload::acquire(100);
   ASSERT_EQ(p.size(), 100u);
   for (std::size_t i = 0; i < p.size(); ++i)
@@ -35,7 +34,6 @@ TEST(Payload, AcquireFillRead) {
 }
 
 TEST(Payload, PoolRecyclesChunks) {
-  comm::pool::set_enabled(true);
   // Warm: the first acquires may miss; after releases the freelists serve.
   for (int i = 0; i < 8; ++i) Payload::acquire(200).clear();
   comm::pool::reset_stats();
@@ -45,18 +43,7 @@ TEST(Payload, PoolRecyclesChunks) {
   EXPECT_EQ(s.bytes_copied, 0u);
 }
 
-TEST(Payload, PoolDisabledAlwaysAllocates) {
-  comm::pool::set_enabled(false);
-  comm::pool::reset_stats();
-  for (int i = 0; i < 8; ++i) Payload::acquire(200).clear();
-  const comm::PoolStats s = comm::pool::stats();
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 8u);
-  comm::pool::set_enabled(true);
-}
-
 TEST(Payload, AdoptAndTakeVectorAreZeroCopy) {
-  comm::pool::set_enabled(true);
   std::vector<std::byte> bytes(4096, std::byte{0x5a});
   const std::byte* raw = bytes.data();
   comm::pool::reset_stats();
@@ -70,7 +57,6 @@ TEST(Payload, AdoptAndTakeVectorAreZeroCopy) {
 }
 
 TEST(Payload, SharedTakeVectorMustCopy) {
-  comm::pool::set_enabled(true);
   Payload p = Payload::adopt(std::vector<std::byte>(64, std::byte{7}));
   Payload alias = p;  // second handle: the vector can no longer be released
   comm::pool::reset_stats();
@@ -196,13 +182,10 @@ TEST(Mailbox, OverflowPreservesFifo) {
   EXPECT_EQ(mb.ring_pushes(), before + 1);
 }
 
-namespace {
-
-void run_mpsc_stress(Mailbox::Mode mode) {
+TEST(Mailbox, MpscStressRing) {
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 4000;
   Mailbox::Config cfg;
-  cfg.mode = mode;
   cfg.slots = 64;  // small on purpose: exercises the overflow transitions
   Mailbox mb(cfg);
 
@@ -246,12 +229,4 @@ void run_mpsc_stress(Mailbox::Mode mode) {
   EXPECT_TRUE(mb.empty());
   for (const auto& [p, n] : next_seq)
     EXPECT_EQ(n, static_cast<std::uint64_t>(kPerProducer)) << "producer " << p;
-}
-
-}  // namespace
-
-TEST(Mailbox, MpscStressRing) { run_mpsc_stress(Mailbox::Mode::Ring); }
-
-TEST(Mailbox, MpscStressMutexBaseline) {
-  run_mpsc_stress(Mailbox::Mode::Mutex);
 }

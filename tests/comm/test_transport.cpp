@@ -1,7 +1,7 @@
 // Cluster transport tests: small-message aggregation (bundling, FIFO across
-// flush boundaries, per-message counters), the legacy mutex-mailbox baseline,
-// dead-letter flooding during recovery, and the zero-copy acceptance
-// counters on the intra-PE and migration paths.
+// flush boundaries, per-message counters), dead-letter flooding during
+// recovery, and the zero-copy acceptance counters on the intra-PE and
+// migration paths.
 
 #include <gtest/gtest.h>
 
@@ -68,7 +68,7 @@ TEST(Aggregation, BundlesSmallMessagesPreservingOrder) {
       u.dst_rank = 0;
       u.tag = 5;
       u.seq = static_cast<std::uint64_t>(i);
-      // Every 16th message is larger than the default 512-byte threshold:
+      // Every 16th message is larger than the 512-byte aggregation threshold:
       // it must flush the bin first so order holds across the boundary.
       const std::size_t bytes = (i % 16 == 15) ? 2048 : 24;
       u.payload = comm::Payload::acquire(bytes);
@@ -96,67 +96,6 @@ TEST(Aggregation, BundlesSmallMessagesPreservingOrder) {
                 stats.get("comm.mailbox_overflow_pushes"),
             static_cast<std::uint64_t>(kMessages));
   cluster.stop_and_join();
-}
-
-TEST(Aggregation, ThresholdZeroDisablesBundling) {
-  comm::Cluster::Config cc;
-  cc.nodes = 1;
-  cc.pes_per_node = 2;
-  cc.options.set("comm.agg_threshold", "0");
-  comm::Cluster cluster(cc);
-  std::atomic<int> received{0};
-  cluster.pe(1).set_dispatcher([&](Message&& m) {
-    if (m.kind == Message::Kind::UserData) received.fetch_add(1);
-  });
-  cluster.pe(0).set_dispatcher([&](Message&& m) {
-    if (m.kind != Message::Kind::Control) return;
-    for (int i = 0; i < 50; ++i) {
-      Message u;
-      u.kind = Message::Kind::UserData;
-      u.dst_pe = 1;
-      u.payload = comm::Payload::acquire(8);
-      cluster.send(std::move(u));
-    }
-  });
-  cluster.start();
-  Message kick;
-  kick.kind = Message::Kind::Control;
-  kick.dst_pe = 0;
-  cluster.send(std::move(kick));
-  ASSERT_TRUE(wait_for([&] { return received.load() == 50; }));
-  EXPECT_EQ(cluster.counters(0).aggregated, 0u);
-  EXPECT_EQ(cluster.counters(0).agg_envelopes, 0u);
-  cluster.stop_and_join();
-}
-
-TEST(Transport, LegacyMutexMailboxStillDelivers) {
-  comm::Cluster::Config cc;
-  cc.nodes = 1;
-  cc.pes_per_node = 2;
-  cc.options.set("comm.mailbox", "mutex");
-  cc.options.set("comm.pool", "false");
-  cc.options.set("comm.agg_threshold", "0");
-  comm::Cluster cluster(cc);
-  EXPECT_EQ(cluster.pe(0).mailbox().mode(), comm::Mailbox::Mode::Mutex);
-  std::atomic<int> received{0};
-  cluster.pe(1).set_dispatcher([&](Message&& m) {
-    if (m.kind == Message::Kind::UserData) received.fetch_add(1);
-  });
-  cluster.pe(0).set_dispatcher([](Message&&) {});
-  cluster.start();
-  for (int i = 0; i < 100; ++i) {
-    Message u;
-    u.kind = Message::Kind::UserData;
-    u.src_pe = 0;
-    u.dst_pe = 1;
-    u.payload = comm::Payload::acquire(64);
-    cluster.send(std::move(u));
-  }
-  ASSERT_TRUE(wait_for([&] { return received.load() == 100; }));
-  EXPECT_EQ(cluster.pe(1).mailbox().ring_pushes(), 0u);
-  EXPECT_GT(cluster.pe(1).mailbox().overflow_pushes(), 0u);
-  cluster.stop_and_join();
-  comm::pool::set_enabled(true);  // process-wide: restore for other tests
 }
 
 // Satellite regression: flood the dead-letter queue from several threads

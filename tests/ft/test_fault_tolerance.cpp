@@ -64,8 +64,7 @@ TEST(FaultInjector, ConfigFromOptions) {
   EXPECT_EQ(c.epoch, 3u);
 
   util::Options bad;
-  bad.set("ft.policy", "sometimes");
-  EXPECT_THROW(ft::FaultInjector::config_from_options(bad), util::ApvError);
+  EXPECT_THROW(bad.set("ft.policy", "sometimes"), util::ApvError);
 }
 
 TEST(FaultInjector, AtEpochIsIdempotentPerEpoch) {
@@ -358,7 +357,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 namespace {
 
-double run_ft_jacobi(core::Method method, bool inject, bool delta = true) {
+// `delta` is the ft.delta spelling; anything but "off" arms delta images.
+double run_ft_jacobi(core::Method method, bool inject,
+                     const char* delta = "on") {
   apps::JacobiParams params;
   params.nx = 12;
   params.ny = 12;
@@ -371,7 +372,7 @@ double run_ft_jacobi(core::Method method, bool inject, bool delta = true) {
   const img::ProgramImage image = apps::build_jacobi(params);
 
   mpi::RuntimeConfig cfg = cfg_pes(method, 4, 4);
-  cfg.options.set("ft.delta", delta ? "on" : "off");
+  cfg.options.set("ft.delta", delta);
   if (inject) {
     // Kill PE 1 at the second checkpoint (iteration 4 of 8): half the
     // solve runs on the degraded machine.
@@ -382,7 +383,7 @@ double run_ft_jacobi(core::Method method, bool inject, bool delta = true) {
   mpi::Runtime rt(image, cfg);
   rt.run();
   const util::Counters ckpt = rt.ckpt_counters();
-  if (delta) {
+  if (std::strcmp(delta, "off") != 0) {
     // Epoch 1 is a full base; the later epochs ride the dirty bitmap.
     EXPECT_GT(ckpt.get("ckpt_images_delta"), 0u);
   } else {
@@ -582,7 +583,9 @@ TEST(CheckpointStore, ConsolidationFoldsOldestDeltaIntoBase) {
   EXPECT_EQ(store.chain_length(0, 3), 1u);
   EXPECT_FALSE(store.has(0, 1));
   for (const auto& m : store.copies(0)) {
-    if (m.epoch == 2) EXPECT_FALSE(m.is_delta) << "epoch 2 was not folded";
+    if (m.epoch == 2) {
+      EXPECT_FALSE(m.is_delta) << "epoch 2 was not folded";
+    }
   }
 
   const std::vector<unsigned char> expect = rig.snapshot_prefix();
@@ -706,10 +709,16 @@ TEST(DeltaCheckpoint, DeltaOffRecoveryMatchesDeltaOn) {
   // restored arithmetic must be bit-identical either way (and the off run's
   // zero delta counters are asserted inside the helper).
   const double with_delta =
-      run_ft_jacobi(core::Method::PIEglobals, /*inject=*/true, true);
+      run_ft_jacobi(core::Method::PIEglobals, /*inject=*/true, "on");
   const double without_delta =
-      run_ft_jacobi(core::Method::PIEglobals, /*inject=*/true, false);
+      run_ft_jacobi(core::Method::PIEglobals, /*inject=*/true, "off");
   EXPECT_EQ(with_delta, without_delta);
+}
+
+// Every on spelling arms delta checkpoints, not only the literal "on" (the
+// helper asserts ckpt_images_delta > 0).
+TEST(DeltaCheckpoint, TrueSpellingArmsDeltas) {
+  run_ft_jacobi(core::Method::PIEglobals, /*inject=*/false, "true");
 }
 
 namespace {

@@ -210,33 +210,3 @@ TEST(StealVictimLatency, SelfAndMinReadyStillApply) {
                                   std::vector<std::uint64_t>{}, 0),
             -1);
 }
-
-// --- batch quota: how many ranks one steal may take ------------------------
-
-TEST(StealBatchQuota, EmptyQueueGrantsNothing) {
-  EXPECT_EQ(lb::steal_batch_quota(0, 1), 0);
-  EXPECT_EQ(lb::steal_batch_quota(0, 8), 0);
-}
-
-TEST(StealBatchQuota, CappedAtHalfTheBacklogRoundedUp) {
-  // A greedy ask never strip-mines the victim: 8 queued -> at most 4 go.
-  EXPECT_EQ(lb::steal_batch_quota(8, 8), 4);
-  EXPECT_EQ(lb::steal_batch_quota(8, 100), 4);
-  // Rounded up, so odd backlogs still yield work: 5 -> 3, 1 -> 1.
-  EXPECT_EQ(lb::steal_batch_quota(5, 8), 3);
-  EXPECT_EQ(lb::steal_batch_quota(1, 8), 1);
-}
-
-TEST(StealBatchQuota, ModestAsksGrantedInFull) {
-  EXPECT_EQ(lb::steal_batch_quota(8, 1), 1);
-  EXPECT_EQ(lb::steal_batch_quota(8, 3), 3);
-  EXPECT_EQ(lb::steal_batch_quota(100, 4), 4);
-}
-
-TEST(StealBatchQuota, PreProtocolZeroActsAsSingleSteal) {
-  // Requests from builds predating the batch field carry 0 in the slot;
-  // they keep the classic one-rank-per-steal behaviour.
-  EXPECT_EQ(lb::steal_batch_quota(8, 0), 1);
-  EXPECT_EQ(lb::steal_batch_quota(8, -5), 1);
-  EXPECT_EQ(lb::steal_batch_quota(1, 0), 1);
-}

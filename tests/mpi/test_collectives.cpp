@@ -41,18 +41,17 @@ std::vector<std::intptr_t> run_job(EntryFn entry, const JobShape& shape,
   // MPI requires of every reduction op) but non-commutative, so it detects
   // any reordering of operands while tolerating re-bracketing (binomial /
   // hierarchical folds).
-  b.add_function("user_combine", reinterpret_cast<img::NativeFn>(
-                                     +[](const void* in, void* inout,
-                                         int len, Datatype) {
-                                       const int* a =
-                                           static_cast<const int*>(in);
-                                       int* b2 = static_cast<int*>(inout);
-                                       for (int i = 0; i + 1 < len; i += 2) {
-                                         b2[i + 1] =
-                                             a[i] * b2[i + 1] + a[i + 1];
-                                         b2[i] = a[i] * b2[i];
-                                       }
-                                     }));
+  // Cast through void(*)(), which -Wcast-function-type exempts.
+  b.add_function("user_combine",
+                 reinterpret_cast<img::NativeFn>(reinterpret_cast<void (*)()>(
+                     +[](const void* in, void* inout, int len, Datatype) {
+                       const int* a = static_cast<const int*>(in);
+                       int* b2 = static_cast<int*>(inout);
+                       for (int i = 0; i + 1 < len; i += 2) {
+                         b2[i + 1] = a[i] * b2[i + 1] + a[i + 1];
+                         b2[i] = a[i] * b2[i];
+                       }
+                     })));
   if (ctor != nullptr) b.add_constructor(ctor);
   const img::ProgramImage image = b.build();
   mpi::RuntimeConfig cfg;
@@ -387,9 +386,9 @@ TEST(Collectives, EmptyPeUserOpCombineThrows) {
                    static_cast<Env*>(arg)->barrier();
                    return nullptr;
                  });
-  b.add_function("user_combine", reinterpret_cast<img::NativeFn>(
-                                     +[](const void*, void*, int, Datatype) {
-                                     }));
+  b.add_function("user_combine",
+                 reinterpret_cast<img::NativeFn>(reinterpret_cast<void (*)()>(
+                     +[](const void*, void*, int, Datatype) {})));
   const img::ProgramImage image = b.build();
   mpi::RuntimeConfig cfg;
   cfg.nodes = 1;

@@ -158,18 +158,17 @@ TEST_P(HierSweep, AllCollectivesAgree) {
   img::ImageBuilder b("hiersweep");
   b.add_global<int>("unused", 0);
   b.add_function("mpi_main", &sweep_main);
-  b.add_function("user_combine", reinterpret_cast<img::NativeFn>(
-                                     +[](const void* in, void* inout,
-                                         int len, Datatype) {
-                                       const int* a =
-                                           static_cast<const int*>(in);
-                                       int* b2 = static_cast<int*>(inout);
-                                       for (int i = 0; i + 1 < len; i += 2) {
-                                         b2[i + 1] =
-                                             a[i] * b2[i + 1] + a[i + 1];
-                                         b2[i] = a[i] * b2[i];
-                                       }
-                                     }));
+  // Cast through void(*)(), which -Wcast-function-type exempts.
+  b.add_function("user_combine",
+                 reinterpret_cast<img::NativeFn>(reinterpret_cast<void (*)()>(
+                     +[](const void* in, void* inout, int len, Datatype) {
+                       const int* a = static_cast<const int*>(in);
+                       int* b2 = static_cast<int*>(inout);
+                       for (int i = 0; i + 1 < len; i += 2) {
+                         b2[i + 1] = a[i] * b2[i + 1] + a[i + 1];
+                         b2[i] = a[i] * b2[i];
+                       }
+                     })));
   const img::ProgramImage image = b.build();
   mpi::RuntimeConfig cfg;
   cfg.nodes = 1;
@@ -189,7 +188,9 @@ TEST_P(HierSweep, AllCollectivesAgree) {
   const util::Counters lc = rt.locality_counters();
   if (c.hier) {
     EXPECT_GT(lc.get("coll_leader_msgs"), 0u);
-    if (c.ranks_per_pe > 1) EXPECT_GT(lc.get("coll_local_combines"), 0u);
+    if (c.ranks_per_pe > 1) {
+      EXPECT_GT(lc.get("coll_local_combines"), 0u);
+    }
   } else {
     EXPECT_EQ(lc.get("coll_leader_msgs"), 0u);
     EXPECT_EQ(lc.get("coll_local_combines"), 0u);

@@ -142,7 +142,12 @@ img::ProgramImage build_entry(const char* name, img::NativeFn fn) {
 
 TEST(LoadBalance, RotateMovesEveryRank) {
   const img::ProgramImage image = build_entry("lbrotate", &lb_main);
-  mpi::Runtime rt(image, cfg_pes(core::Method::PIEglobals, 4, 2));
+  mpi::RuntimeConfig cfg = cfg_pes(core::Method::PIEglobals, 4, 2);
+  // A steal moves a rank without counting as a migration, which would
+  // throw off the count below; the explicit option wins over a suite-wide
+  // APV_SCHED_STEAL=on.
+  cfg.options.set("sched.steal", "off");
+  mpi::Runtime rt(image, cfg);
   rt.run();
   for (int r = 0; r < 4; ++r) {
     EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1);

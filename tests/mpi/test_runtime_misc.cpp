@@ -179,6 +179,9 @@ TEST(RuntimeMisc, RoundRobinAndBlockMapsPlaceAsDocumented) {
             static_cast<std::intptr_t>(static_cast<Env*>(arg)->my_pe()));
       });
   mpi::RuntimeConfig cfg = base_cfg(4, 2);
+  // An idle PE stealing a rank would move it off its mapped PE; the
+  // explicit option wins over a suite-wide APV_SCHED_STEAL=on.
+  cfg.options.set("sched.steal", "off");
   cfg.map = "rr";
   mpi::Runtime rr(image, cfg);
   rr.run();

@@ -116,7 +116,6 @@ TEST(SanAsanDeath, StalePayloadViewDiesOnUse) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        comm::pool::set_enabled(true);
         std::byte* stale = nullptr;
         {
           comm::Payload p = comm::Payload::acquire(128);

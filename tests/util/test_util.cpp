@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -92,50 +96,138 @@ TEST(Stats, ImbalanceRatio) {
   EXPECT_NEAR(imbalance_ratio({4.0, 0.0, 0.0, 0.0}), 4.0, 1e-12);
 }
 
-TEST(Options, ParseAndFetch) {
-  const char* argv[] = {"net.latency_us=2.5", "pie.fixup=exact",
-                        "loader.patched_glibc=true", "n=42"};
-  Options opts = Options::parse(4, argv);
-  EXPECT_DOUBLE_EQ(opts.get_double("net.latency_us", 0.0), 2.5);
-  EXPECT_EQ(opts.get_string("pie.fixup", ""), "exact");
-  EXPECT_TRUE(opts.get_bool("loader.patched_glibc", false));
-  EXPECT_EQ(opts.get_int("n", 0), 42);
+TEST(Options, SetAndGetTyped) {
+  Options opts;
+  opts.set("net.latency_us", "2.5");
+  opts.set("pie.fixup", "exact");
+  opts.set("loader.patched_glibc", "true");
+  opts.set_int("ft.pe", 3);
+  opts.set("check.deadlock_s", "0.125");
+  opts.set_bool("util.dump_counters", true);
+  EXPECT_DOUBLE_EQ(opts.get_double("net.latency_us"), 2.5);
+  EXPECT_EQ(opts.get_string("pie.fixup"), "exact");
+  EXPECT_TRUE(opts.get_bool("loader.patched_glibc"));
+  EXPECT_EQ(opts.get_int("ft.pe"), 3);
+  EXPECT_DOUBLE_EQ(opts.get_double("check.deadlock_s"), 0.125);
+  EXPECT_TRUE(opts.get_bool("util.dump_counters"));
+  EXPECT_EQ(Options().get_int("sched.quantum_us"), 200);  // the default
 }
 
-TEST(Options, DefaultsWhenMissing) {
-  Options opts;
-  EXPECT_EQ(opts.get_int("missing", -7), -7);
-  EXPECT_EQ(opts.get_string("missing", "d"), "d");
-  EXPECT_FALSE(opts.has("missing"));
+TEST(Options, EveryDefaultIsAccepted) {
+  for (const OptionSpec& s : option_table())
+    EXPECT_NO_THROW(Options().set(std::string(s.key), std::string(s.def)))
+        << s.key;
 }
 
 TEST(Options, BoolSpellings) {
   Options opts;
   for (const char* v : {"1", "true", "yes", "on"}) {
-    opts.set("k", v);
-    EXPECT_TRUE(opts.get_bool("k", false)) << v;
+    opts.set("ft.delta", v);
+    EXPECT_TRUE(opts.get_bool("ft.delta")) << v;
   }
-  for (const char* v : {"0", "false", "off", "banana"}) {
-    opts.set("k", v);
-    EXPECT_FALSE(opts.get_bool("k", true)) << v;
+  for (const char* v : {"0", "false", "no", "off"}) {
+    opts.set("ft.delta", v);
+    EXPECT_FALSE(opts.get_bool("ft.delta")) << v;
+  }
+  EXPECT_THROW(opts.set("ft.delta", "banana"), ApvError);
+}
+
+namespace {
+
+// Runs `f`, which must throw InvalidArgument with `key` in the message.
+template <typename F>
+void expect_rejected(F f, const std::string& key) {
+  try {
+    f();
+    ADD_FAILURE() << "no error for " << key;
+  } catch (const ApvError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::InvalidArgument) << e.what();
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
   }
 }
 
-TEST(Options, MalformedTokenThrows) {
-  const char* argv[] = {"novalue"};
-  EXPECT_THROW(Options::parse(1, argv), ApvError);
-  const char* argv2[] = {"=x"};
-  EXPECT_THROW(Options::parse(1, argv2), ApvError);
+}  // namespace
+
+TEST(Options, RejectsUndeclaredKey) {
+  expect_rejected([] { Options().set("comm.inlin", "on"); }, "comm.inlin");
 }
 
-TEST(Options, SettersRoundTrip) {
+TEST(Options, RejectsBadBool) {
+  expect_rejected([] { Options().set("ft.delta", "banana"); }, "ft.delta");
+}
+
+TEST(Options, RejectsValueOutsideList) {
+  expect_rejected([] { Options().set("coll.algo", "heir"); }, "coll.algo");
+}
+
+TEST(Options, RejectsMalformedNumber) {
+  expect_rejected([] { Options().set("sched.quantum_us", "12abc"); },
+                  "sched.quantum_us");
+}
+
+TEST(Options, RejectsValueBelowMinimum) {
+  expect_rejected([] { Options().set("coll.vec_cutoff", "0"); },
+                  "coll.vec_cutoff");
+}
+
+// Explicit option, then the environment alias (checked like a set value),
+// then the default; an empty variable counts as unset.
+TEST(Options, EnvAlias) {
+  const char* old = std::getenv("APV_SCHED_STEAL");
+  const std::string saved = old != nullptr ? old : "";
+  setenv("APV_SCHED_STEAL", "maybe", 1);
+  expect_rejected([] { Options().get_bool("sched.steal"); }, "sched.steal");
+  setenv("APV_SCHED_STEAL", "on", 1);
   Options opts;
-  opts.set_int("i", -12);
-  opts.set_double("d", 0.125);
-  opts.set_bool("b", true);
-  EXPECT_EQ(opts.get_int("i", 0), -12);
-  EXPECT_DOUBLE_EQ(opts.get_double("d", 0), 0.125);
-  EXPECT_TRUE(opts.get_bool("b", false));
+  EXPECT_TRUE(opts.get_bool("sched.steal"));
+  opts.set("sched.steal", "off");
+  EXPECT_FALSE(opts.get_bool("sched.steal"));
+  setenv("APV_SCHED_STEAL", "", 1);
+  EXPECT_FALSE(Options().get_bool("sched.steal"));
+  setenv("APV_SCHED_STEAL", saved.c_str(), 1);  // "" reads as unset
+}
+
+// The knobs replaced by constants stay deleted: setting one is an error,
+// not a silent no-op.
+TEST(Options, DeletedKnobsAreUndeclared) {
+  for (const char* key :
+       {"comm.mailbox", "comm.pool", "comm.agg_threshold",
+        "comm.agg_max_bytes", "comm.mailbox_slots", "comm.drain_batch",
+        "comm.hipri_bytes", "sched.starve_limit", "sched.steal_timeout_us",
+        "sched.steal_batch", "coll.rab_cutoff", "transport.spin_us",
+        "transport.nap_us", "transport.ring_slots"})
+    expect_rejected([key] { Options().set(key, "1"); }, key);
+}
+
+// README.md's "Options" table and option_table() list the same keys: every
+// declared key has a row showing its default and env alias, and every row
+// names a declared key.
+TEST(Options, ReadmeTableMatchesDeclarations) {
+  std::ifstream in(std::string(APV_SOURCE_DIR) + "/README.md");
+  ASSERT_TRUE(in);
+  std::map<std::string, std::string> rows;  // key -> its table row
+  bool in_section = false;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("## ", 0) == 0) in_section = line == "## Options";
+    if (in_section && line.rfind("| `", 0) == 0)
+      rows[line.substr(3, line.find('`', 3) - 3)] = line;
+  }
+  for (const OptionSpec& s : option_table()) {
+    const auto row = rows.find(std::string(s.key));
+    if (row == rows.end()) {
+      ADD_FAILURE() << "README has no row for " << s.key;
+      continue;
+    }
+    const std::string def = s.def.empty() ? "\"\"" : std::string(s.def);
+    const std::string env =
+        s.env != nullptr ? "`" + std::string(s.env) + "`" : "";
+    EXPECT_NE(row->second.find(" | `" + def + "` | " + env + " | "),
+              std::string::npos)
+        << row->second;
+    rows.erase(row);
+  }
+  for (const auto& [key, row] : rows)
+    ADD_FAILURE() << "README row for an undeclared option: " << row;
 }
 
 TEST(Bytes, AlignUp) {
