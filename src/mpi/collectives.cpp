@@ -467,38 +467,20 @@ void Runtime::do_alltoall(RankMpi& rm, const void* sbuf, int scount,
 
 CommId Runtime::do_comm_split(RankMpi& rm, CommId parent, int color,
                               int key) {
-  const CommInfo& ci = comm_info(parent);
-  const int n = ci.size();
-  const int me = ci.local_of(rm.world_rank);
+  const int n = comm_info(parent).size();
   // color/key legitimately differ per rank — the gate checks only that
   // everyone entered a split on this parent.
   CollScope gate(*this, rm, "comm_split", check::kColorCommSplit, parent, n);
   const std::uint32_t seq = rm.comm_seq_for(parent)++;
 
-  // Allgather (color, key, world) over the parent: linear gather at local
-  // rank 0, then broadcast of the full table.
+  // Allgather (color, key, world) over the parent.
   struct Item {
     int color, key, world;
   };
   std::vector<Item> table(static_cast<std::size_t>(n));
   const Item mine{color, key, rm.world_rank};
-  const int gtag = internal_tag(kCollCommSetup, 0, seq);
-  const int btag = internal_tag(kCollCommSetup, 1, seq);
-  if (me == 0) {
-    table[0] = mine;
-    for (int i = 1; i < n; ++i) {
-      coll_recv(rm, ci.world_of(i), gtag, &table[static_cast<std::size_t>(i)],
-                sizeof(Item), parent);
-    }
-    for (int i = 1; i < n; ++i) {
-      coll_send(rm, ci.world_of(i), btag, table.data(),
-                table.size() * sizeof(Item), parent);
-    }
-  } else {
-    coll_send(rm, ci.world_of(0), gtag, &mine, sizeof(Item), parent);
-    coll_recv(rm, ci.world_of(0), btag, table.data(),
-              table.size() * sizeof(Item), parent);
-  }
+  do_allgather(rm, &mine, sizeof(Item), Datatype::Byte, table.data(),
+               sizeof(Item), Datatype::Byte, parent);
 
   if (color < 0) return kCommNull;  // MPI_UNDEFINED
 

@@ -4,14 +4,15 @@
 // identical across ranks by construction — combine through a per-group
 // shared contribution block with no messages at all; one agent per group
 // (its leader, the lowest comm-local index, or the root of a rooted op in
-// the root's own group) runs the inter-PE phase with the other agents.
-// With V ranks on P PEs this turns O(V log V) collective messages into
-// O(P log P) plus memcpys, which is the whole point of
-// overdecomposition-aware collectives.
+// the root's own group) then meets the other agents in a second-level
+// shared block the same way. PEs are threads of one process (the Runtime
+// constructor refuses a multi-process transport), so no collective here
+// sends a message: with V ranks on P PEs each one costs V + P block
+// arrivals, at most P cross-PE wakes, and memcpys.
 //
-// Every algorithm's member phase is the one group-block protocol of
-// Runtime::HierCall below; the bodies differ only in what members hand in,
-// what the agents do with it among themselves, and what members take out.
+// Every algorithm is the one group-block protocol of Runtime::HierCall
+// below, run once among each group's members and once among the agents;
+// the bodies differ only in what they hand in and what they take out.
 //
 // Thread-safety model: a group's members usually share one PE thread, but
 // the placement view may be stale against the live location table (explicit
@@ -58,26 +59,17 @@ struct CommTopo {
 
 namespace {
 
-/// Leader counts up to this skip the logarithmic inter-PE trees for
-/// latency-bound (small-payload) phases: at this scale the sequential hop
-/// count, not the message count, is what a small collective's latency is
-/// made of. PEs are threads of one process, so instead of exchanging
-/// messages the agents rendezvous in a second-level shared block (the same
-/// protocol the member phase uses), keyed under kLeaderGroup.
-constexpr int kFlatLeaderMax = 8;
+/// A single contribution above this many bytes makes a uniform vector
+/// collective copy-bound: staging it through the shared blocks only adds
+/// memcpys, so the operation takes the flat path instead.
+constexpr std::size_t kVecCutoff = 32768;
 
-/// Payloads at or above this many bytes leave the shared leader rendezvous
-/// and, in allreduce, switch from recursive doubling to Rabenseifner
-/// (reduce-scatter + allgather).
-constexpr std::size_t kRabCutoff = 32768;
-
-/// Registry group id for the inter-PE leader rendezvous block of one
-/// collective instance. Member blocks use the (non-negative) group id, so
-/// a negative sentinel can never collide with them under the same
-/// (comm, seq) key.
+/// Registry group id for the agents' shared block of one collective
+/// instance. Member blocks use the (non-negative) group id, so a negative
+/// sentinel can never collide with them under the same (comm, seq) key.
 constexpr int kLeaderGroup = -1;
 
-/// leader_meet destination: every agent takes the result.
+/// leader_meet source / destination: every agent.
 constexpr int kAllGroups = -1;
 
 /// Per-(collective instance, group) shared contribution block.
@@ -220,10 +212,10 @@ std::shared_ptr<const CommTopo> Runtime::comm_topo(RankMpi& rm, CommId comm) {
 
 /// One rank's part in one hierarchical collective call: the communicator's
 /// grouping as this rank sees it, bound once and read by every algorithm
-/// below, and the group-block protocol every member phase is made of.
+/// below, and the group-block protocol every phase is made of.
 ///
-/// Each group has one agent, which runs the group's inter-PE phase: the
-/// root itself in a rooted op's own group (so the data starts, or the
+/// Each group has one agent, which represents the group among the agents:
+/// the root itself in a rooted op's own group (so the data starts, or the
 /// result lands, in the root's buffer with no staging hop), the group's
 /// leader everywhere else. Every rank derives the same agents.
 ///
@@ -232,14 +224,14 @@ std::shared_ptr<const CommTopo> Runtime::comm_topo(RankMpi& rm, CommId comm) {
 ///   - publish() / withdraw(): the agent publishes the group's result
 ///     under the block lock and wakes the members parked for it.
 ///   - leader_meet(): the same arrive/release protocol one level up, among
-///     the L agents.
+///     the L agents; it is the whole agent phase of every op.
 ///
 /// Every attachment to a shared block is detached when it goes out of
 /// scope, on every return path.
 class Runtime::HierCall {
  public:
   /// One attachment to a shared block: a group's member block or the
-  /// leader rendezvous block. The first rank to attach registers it under
+  /// agents' block. The first rank to attach registers it under
   /// (comm, seq, group); the last to detach erases it.
   class Block {
    public:
@@ -282,8 +274,8 @@ class Runtime::HierCall {
       return ++b_->arrived == b_->expected;
     }
 
-    /// Parks the calling rank until `ready` holds. It runs under the block
-    /// lock, so whatever it copies out is read under the lock too.
+    /// Parks the calling rank until `ready` holds (checked under the block
+    /// lock).
     template <class P>
     void wait(P&& ready) {
       for (;;) {
@@ -295,14 +287,14 @@ class Runtime::HierCall {
       }
     }
 
-    /// Parks until the block is released, then runs `take` on it.
+    /// Parks until the block is released, then runs `take` on it outside
+    /// the lock: released data is final — takers only read it or move out
+    /// slots no other taker touches — so concurrent takers on different PEs
+    /// do not serialize on their copies.
     template <class F = Nothing>
     void await_release(F&& take = F{}) {
-      wait([&](GroupBlock& b) {
-        if (!b.released) return false;
-        take(b);
-        return true;
-      });
+      wait([](const GroupBlock& b) { return b.released; });
+      take(*b_);
     }
 
     /// Runs `publish` and releases the block in one critical section, so
@@ -325,10 +317,9 @@ class Runtime::HierCall {
     std::shared_ptr<GroupBlock> b_;
   };
 
-  /// `op_kind` is both the checker's block color and the agent tags' op;
-  /// `shape_bytes` is the call shape the block check compares (0 where
-  /// per-member sizes legitimately differ); `root_index` is a rooted op's
-  /// root (-1 for the others).
+  /// `op_kind` is the checker's block color; `shape_bytes` is the call
+  /// shape the block check compares (0 where per-member sizes legitimately
+  /// differ); `root_index` is a rooted op's root (-1 for the others).
   HierCall(Runtime& runtime, RankMpi& rank, CommId c, std::int32_t op_kind,
            std::uint64_t shape_bytes, const char* op_name,
            int root_index = -1)
@@ -386,23 +377,6 @@ class Runtime::HierCall {
     return group == rg ? root : topo->leader[static_cast<std::size_t>(group)];
   }
 
-  // Rooted trees run over virtual group ids that put the root's group at
-  // 0, so the standard binomial shapes apply wherever the root lives.
-  int vgroup(int group) const { return ((group - rg) % L + L) % L; }
-  const std::vector<int>& vmembers(int v) const {
-    return members_of((v + rg) % L);
-  }
-  int vagent(int v) const { return agent_of((v + rg) % L); }
-  /// Members in virtual groups [vlo, vhi).
-  std::size_t vspan(int vlo, int vhi) const {
-    std::size_t m = 0;
-    for (int v = vlo; v < vhi; ++v) m += vmembers(v).size();
-    return m;
-  }
-
-  int round_tag(int round) const {
-    return internal_tag(kind, round & 0x3f, seq);
-  }
   /// The counters of the PE this rank runs on now — looked up per use,
   /// because a rank parked mid-collective can be stolen to another PE.
   PeState& pe() const {
@@ -470,48 +444,168 @@ class Runtime::HierCall {
     return true;
   }
 
+  /// deposit() of reduce and allreduce: commutative ops fold into the
+  /// block's acc in arrival order, order-sensitive ones stage per member.
+  bool deposit_operand(const void* sbuf, std::size_t bytes, const Op& op,
+                       Datatype dt, int count) {
+    return deposit([&](GroupBlock& b) {
+      if (!op.commutative) {
+        stage(b, sbuf, bytes);
+      } else if (fold(b.acc, sbuf, bytes, op, dt, count)) {
+        ++pe().coll_local_combines;
+      }
+    });
+  }
+
+  /// out = s[0] op s[1] op ... op s[k-1], for order-sensitive ops: a right
+  /// fold, equal to the left fold by associativity.
+  void fold_in_order(const std::vector<std::vector<std::byte>>& s,
+                     std::size_t k, void* out, const Op& op, Datatype dt,
+                     int count) const {
+    std::memcpy(out, s[k - 1].data(), s[k - 1].size());
+    for (std::size_t i = k - 1; i-- > 0;)
+      rt.apply_op(rm, op, dt, s[i].data(), out, count);
+  }
+
   // --- agent phase --------------------------------------------------------
 
-  /// Shared leader rendezvous: the L agents meet in a second-level block
-  /// (kLeaderGroup). Each runs `f` on it as it arrives and the last arrival
-  /// releases it; then the agent of group `dest` (every agent for
-  /// kAllGroups) runs `take` on the result, woken by the last arrival.
-  template <class Fold = Nothing, class Take = Nothing>
-  void leader_meet(int dest, Fold&& f = Fold{}, Take&& take = Take{}) {
+  /// The agent phase: the L agents meet in a second-level shared block
+  /// (kLeaderGroup). Every agent arrives; the agents of group `from`
+  /// (every group for kAllGroups) run `in` on the block as they do, and the
+  /// last of them releases it. Then the agents of group `to` (kAllGroups:
+  /// every agent) run `take` on the released block.
+  ///
+  /// `in` moves or copies what it hands in into the block, never leaves a
+  /// pointer: an agent that does not take may leave — and detach from its
+  /// own group block — before any taker reads the hand-in.
+  template <class In = Nothing, class Take = Nothing>
+  void leader_meet(int from, int to, In&& in = In{}, Take&& take = Take{}) {
     Block lb(*this, kLeaderGroup, L);
     ++pe().coll_shared_rendezvous;
-    const bool last = lb.arrive([&](GroupBlock& b) {
-      f(b);
-      if (b.arrived + 1 == L) b.released = true;  // the last arrival
+    bool releases = false;
+    lb.arrive([&](GroupBlock& b) {
+      if (from != kAllGroups && from != g) return;
+      in(b);
+      releases = from == g || b.arrived + 1 == L;  // the last hand-in
+      if (releases) b.released = true;
     });
-    if (dest == kAllGroups || dest == g) lb.await_release(take);
-    if (!last) return;
-    if (dest == kAllGroups) {
-      wake_agents();
-    } else if (dest != g) {
-      wake(agent_of(dest));
+    if (releases) {
+      if (to == kAllGroups) {
+        wake_agents();
+      } else if (to != g) {
+        wake(agent_of(to));
+      }
     }
+    if (to == kAllGroups || to == g) lb.await_release(take);
   }
 
-  // Agent-phase transport, addressed by comm-local index. Every agent
-  // message is counted here (coll_send_vec counts its own chunks).
-  void send(int dst, int tag, const void* data, std::size_t bytes) const {
-    ++pe().coll_leader_msgs;
-    rt.coll_send(rm, ci.world_of(dst), tag, data, bytes, comm);
+  /// Hand-in of the gather-shaped vector ops: moves my group's member slots
+  /// to the agents' block, one slot per comm-local index, so per-member
+  /// sizes need no length table.
+  void hand_in_members(GroupBlock& b) const {
+    b.slots.resize(static_cast<std::size_t>(n));
+    for (std::size_t j = 0; j < members.size(); ++j)
+      b.slots[static_cast<std::size_t>(members[j])] = std::move(blk->slots[j]);
   }
-  void send_staged(int dst, int tag, const void* data,
-                   std::size_t bytes) const {
-    ++pe().coll_leader_msgs;
-    rt.coll_send_staged(rm, ci.world_of(dst), tag, data, bytes, comm);
+
+  /// Agent phase of reduce and allreduce: combines the group partials and
+  /// writes the total to `out` at the agents of group `to`. Commutative
+  /// partials (the member block's acc, folded in arrival order) fold into
+  /// the agents' acc in arrival order as well. Order-sensitive ones (member
+  /// slots, folded here in index order) go to slot g and every taker folds
+  /// them in group-id order.
+  void combine(int to, void* out, const Op& op, Datatype dt, int count) {
+    auto& part = blk->acc;
+    if (!op.commutative) {
+      part.resize(blk->slots.back().size());
+      fold_in_order(blk->slots, static_cast<std::size_t>(gsize), part.data(),
+                    op, dt, count);
+      pe().coll_local_combines += static_cast<std::uint64_t>(gsize - 1);
+    }
+    leader_meet(
+        kAllGroups, to,
+        [&](GroupBlock& b) {
+          if (!op.commutative) {
+            b.slots.resize(static_cast<std::size_t>(L));
+            b.slots[static_cast<std::size_t>(g)] = std::move(part);
+          } else if (b.acc.empty()) {
+            b.acc = std::move(part);
+          } else {
+            rt.apply_op(rm, op, dt, part.data(), b.acc.data(), count);
+          }
+        },
+        [&](GroupBlock& b) {
+          if (op.commutative) {
+            std::memcpy(out, b.acc.data(), b.acc.size());
+          } else {
+            fold_in_order(b.slots, static_cast<std::size_t>(L), out, op, dt,
+                          count);
+          }
+        });
   }
-  void send_vec(int dst, int tag, const void* data, std::size_t bytes) const {
-    rt.coll_send_vec(rm, ci.world_of(dst), tag, data, bytes, comm);
+
+  /// gather/gatherv: every rank hands in `sbytes` at `sbuf` and leaves; the
+  /// root copies comm-local index i's contribution to `dest(i)`, a pointer
+  /// into its receive buffer and the capacity there.
+  template <class Dest>
+  void gather(const void* sbuf, std::size_t sbytes, Dest&& dest) {
+    const bool is_agent =
+        deposit([&](GroupBlock& b) { stage(b, sbuf, sbytes); });
+    pe().coll_vec_bytes += sbytes;
+    if (!is_agent) return;
+    leader_meet(
+        kAllGroups, rg, [this](GroupBlock& b) { hand_in_members(b); },
+        [&](GroupBlock& b) {
+          for (int i = 0; i < n; ++i) {
+            const auto& s = b.slots[static_cast<std::size_t>(i)];
+            const auto [p, cap] = dest(i);
+            std::memcpy(p, s.data(), std::min(s.size(), cap));
+          }
+        });
   }
-  void recv(int src, int tag, void* data, std::size_t bytes) const {
-    rt.coll_recv(rm, ci.world_of(src), tag, data, bytes, comm);
-  }
-  void recv_vec(int src, int tag, void* data, std::size_t bytes) const {
-    rt.coll_recv_vec(rm, ci.world_of(src), tag, data, bytes, comm);
+
+  /// scatter/scatterv: the root hands in `slice(i)`, a pointer into its
+  /// send buffer and a length, for every comm-local index i; every rank
+  /// gets its own slice, at most `rbytes` of it, in `rbuf`.
+  template <class Slice>
+  void scatter(Slice&& slice, void* rbuf, std::size_t rbytes) {
+    const auto take_mine = [&](const std::vector<std::byte>& s) {
+      const std::size_t len = std::min(s.size(), rbytes);
+      std::memcpy(rbuf, s.data(), len);
+      return len;
+    };
+    const auto slot = static_cast<std::size_t>(pos);
+    blk.arrive();
+    if (me != agent) {
+      withdraw([&](GroupBlock& b) {
+        pe().coll_vec_bytes += take_mine(b.slots[slot]);
+      });
+      return;
+    }
+    // The root copies every slice outside the agents' lock; each agent then
+    // moves its members' slices out into its own group block.
+    std::vector<std::vector<std::byte>> slices;
+    if (g == rg) {
+      slices.resize(static_cast<std::size_t>(n));
+      for (int i = 0; i < n; ++i) {
+        const auto [p, len] = slice(i);
+        slices[static_cast<std::size_t>(i)].assign(p, p + len);
+      }
+    }
+    std::vector<std::vector<std::byte>> mine(static_cast<std::size_t>(gsize));
+    leader_meet(
+        rg, kAllGroups, [&](GroupBlock& b) { b.slots = std::move(slices); },
+        [&](GroupBlock& b) {
+          for (std::size_t j = 0; j < mine.size(); ++j)
+            mine[j] = std::move(b.slots[static_cast<std::size_t>(members[j])]);
+        });
+    take_mine(mine[slot]);
+    publish([&](GroupBlock& b) {
+      for (std::size_t j = 0; j < mine.size(); ++j) {
+        if (j != slot) pe().coll_vec_bytes += mine[j].size();
+      }
+      b.slots = std::move(mine);
+    });
   }
 };
 
@@ -520,25 +614,11 @@ class Runtime::HierCall {
 
 bool Runtime::hier_barrier(RankMpi& rm, CommId comm) {
   HierCall h(*this, rm, comm, kCollHierBarrier, 0, "barrier");
-  const bool agent = h.deposit();
-  if (!agent) {
+  if (!h.deposit()) {
     h.withdraw();
     return true;
   }
-  const int g = h.g, L = h.L;
-  if (L > 1 && L <= kFlatLeaderMax) {
-    // One shared arrival counter and a cross-PE wake per sleeping agent
-    // instead of L*(L-1) zero-byte tokens.
-    h.leader_meet(kAllGroups);
-  } else if (L > 1) {
-    // Agent dissemination over groups, zero-byte tokens.
-    int round = 0;
-    for (int dist = 1; dist < L; dist <<= 1, ++round) {
-      const int tag = h.round_tag(round);
-      h.send(h.agent_of((g + dist) % L), tag, nullptr, 0);
-      h.recv(h.agent_of(((g - dist) % L + L) % L), tag, nullptr, 0);
-    }
-  }
+  h.leader_meet(kAllGroups, kAllGroups);
   h.publish();
   return true;
 }
@@ -554,289 +634,57 @@ bool Runtime::hier_bcast(RankMpi& rm, void* buf, std::size_t bytes, int root,
     h.withdraw([&](GroupBlock& b) { std::memcpy(buf, b.acc.data(), bytes); });
     return true;
   }
-
-  // Agent: the root holds the payload; every other agent receives it from
-  // the agent tier straight into its own buffer.
-  const int g = h.g, L = h.L;
+  // The root hands its payload in (copied outside the agents' lock) and
+  // leaves at once; every other agent copies it out.
   auto* data = static_cast<std::byte*>(buf);
-  if (L > 1 && L <= kFlatLeaderMax && bytes < kRabCutoff) {
-    // Small payloads at a small agent count: a shared hand-off block beats
-    // the binomial tree (and any message fan-out) on sequential hops — the
-    // root deposits once, every other agent copies out.
-    HierCall::Block lb(h, kLeaderGroup, L);
-    ++h.pe().coll_shared_rendezvous;
-    if (g == h.rg) {
-      lb.release([&](GroupBlock& b) { b.acc.assign(data, data + bytes); });
-      h.wake_agents();
-    } else {
-      lb.await_release(
-          [&](GroupBlock& b) { std::memcpy(data, b.acc.data(), bytes); });
-    }
-  } else {
-    // Binomial tree: receive from the parent agent, then relay down the
-    // subtree.
-    const int v = h.vgroup(g);
-    const int tag = h.round_tag(0);
-    int mask = 1;
-    while (mask < L && (v & mask) == 0) mask <<= 1;
-    if (mask < L) h.recv(h.vagent(v - mask), tag, data, bytes);
-    for (mask >>= 1; mask > 0; mask >>= 1) {
-      if (v + mask < L) h.send(h.vagent(v + mask), tag, data, bytes);
-    }
-  }
+  std::vector<std::byte> payload;
+  if (h.g == h.rg) payload.assign(data, data + bytes);
+  h.leader_meet(
+      h.rg, kAllGroups, [&](GroupBlock& b) { b.acc = std::move(payload); },
+      [&](GroupBlock& b) {
+        if (h.g != h.rg) std::memcpy(data, b.acc.data(), bytes);
+      });
   h.publish([&](GroupBlock& b) { b.acc.assign(data, data + bytes); });
   return true;
 }
 
 // ---------------------------------------------------------------------------
-// Reduce
+// Reduce / allreduce / scan. Commutative ops fold in arrival order;
+// order-sensitive ones stage per member and fold in index order, which
+// needs contiguous groups — the naive fold keeps rank order for any
+// grouping, so unordered topologies fall back to it.
 
 bool Runtime::hier_reduce(RankMpi& rm, const void* sbuf, void* rbuf,
                           int count, Datatype dt, const Op& op, int root,
                           CommId comm) {
-  // Order-sensitive ops need contiguous groups; the naive fold keeps rank
-  // order for any grouping.
   if (!op.commutative && !comm_topo(rm, comm)->ordered) return false;
   const std::size_t bytes =
       static_cast<std::size_t>(count) * datatype_size(dt);
   HierCall h(*this, rm, comm, kCollHierReduce, bytes, "reduce", root);
   // Members hand in and leave: the root is its own group's agent, so no
   // member waits for a result.
-  const bool agent = h.deposit([&](GroupBlock& b) {
-    if (!op.commutative) {
-      // Order-sensitive: stage per member, the agent folds in index order.
-      h.stage(b, sbuf, bytes);
-    } else if (h.fold(b.acc, sbuf, bytes, op, dt, count)) {
-      ++h.pe().coll_local_combines;
-    }
-  });
-  if (!agent) return true;
-
-  const int g = h.g, L = h.L, gsize = h.gsize, rg = h.rg;
-  std::vector<std::byte> acc;
-  if (op.commutative) {
-    acc = h.blk->acc;  // fully folded group partial
-  } else {
-    // In-order right fold of the staged slots (equals the left fold by
-    // associativity): acc = s_0 op s_1 op ... op s_{gsize-1}.
-    const auto& slots = h.blk->slots;
-    acc = slots[static_cast<std::size_t>(gsize - 1)];
-    for (int i = gsize - 2; i >= 0; --i) {
-      apply_op(rm, op, dt, slots[static_cast<std::size_t>(i)].data(),
-               acc.data(), count);
-      ++h.pe().coll_local_combines;
-    }
-  }
-
-  if (L > 1 && op.commutative && L <= kFlatLeaderMax &&
-      bytes < kRabCutoff) {
-    // Shared agent fold (arrival order — commutative ops only); only the
-    // root waits for the total.
-    h.leader_meet(
-        rg,
-        [&](GroupBlock& b) { h.fold(b.acc, acc.data(), bytes, op, dt, count); },
-        [&](GroupBlock& b) { std::memcpy(acc.data(), b.acc.data(), bytes); });
-  } else if (L > 1 && op.commutative) {
-    // Binomial combine toward the root.
-    std::vector<std::byte> incoming(bytes);
-    const int v = h.vgroup(g);
-    int round = 0;
-    for (int mask = 1; mask < L; mask <<= 1, ++round) {
-      const int tag = h.round_tag(round);
-      if ((v & mask) != 0) {
-        h.send(h.vagent(v - mask), tag, acc.data(), bytes);
-        break;
-      }
-      if (v + mask < L) {
-        h.recv(h.vagent(v + mask), tag, incoming.data(), bytes);
-        apply_op(rm, op, dt, incoming.data(), acc.data(), count);
-      }
-    }
-  } else if (L > 1) {
-    // Order-preserving binomial fold over absolute group ids (groups are
-    // contiguous index intervals in id order): result lands at group 0.
-    std::vector<std::byte> incoming(bytes);
-    int round = 0;
-    for (int mask = 1; mask < L; mask <<= 1, ++round) {
-      const int tag = h.round_tag(round);
-      if ((g & mask) != 0) {
-        h.send(h.agent_of(g - mask), tag, acc.data(), bytes);
-        break;
-      }
-      if (g + mask < L) {
-        h.recv(h.agent_of(g + mask), tag, incoming.data(), bytes);
-        // acc covers the left interval: acc = acc op incoming.
-        apply_op(rm, op, dt, acc.data(), incoming.data(), count);
-        acc.swap(incoming);
-      }
-    }
-    // Group 0's agent forwards the total to the root if the root lives
-    // elsewhere.
-    const int fwd_tag = h.round_tag(63);
-    if (g == 0 && rg != 0) {
-      h.send(root, fwd_tag, acc.data(), bytes);
-    } else if (g == rg && rg != 0) {
-      h.recv(h.agent_of(0), fwd_tag, acc.data(), bytes);
-    }
-  }
-
-  if (g == rg) std::memcpy(rbuf, acc.data(), bytes);
+  const bool agent = h.deposit_operand(sbuf, bytes, op, dt, count);
+  if (agent) h.combine(h.rg, rbuf, op, dt, count);
   return true;
 }
-
-// ---------------------------------------------------------------------------
-// Allreduce
 
 bool Runtime::hier_allreduce(RankMpi& rm, const void* sbuf, void* rbuf,
                              int count, Datatype dt, const Op& op,
                              CommId comm) {
+  if (!op.commutative && !comm_topo(rm, comm)->ordered) return false;
   const std::size_t bytes =
       static_cast<std::size_t>(count) * datatype_size(dt);
-  if (!op.commutative) {
-    // Order-sensitive: hierarchical reduce to local root 0, then
-    // hierarchical bcast (each consumes its own sequence number).
-    return hier_reduce(rm, sbuf, rbuf, count, dt, op, /*root=*/0, comm) &&
-           hier_bcast(rm, rbuf, bytes, /*root=*/0, comm);
-  }
-
   HierCall h(*this, rm, comm, kCollHierAllred, bytes, "allreduce");
-  const bool agent = h.deposit([&](GroupBlock& b) {
-    if (h.fold(b.acc, sbuf, bytes, op, dt, count))
-      ++h.pe().coll_local_combines;
-  });
+  const bool agent = h.deposit_operand(sbuf, bytes, op, dt, count);
   if (!agent) {
     h.withdraw([&](GroupBlock& b) { std::memcpy(rbuf, b.acc.data(), bytes); });
     return true;
   }
-
-  // Inter-PE phase among the L agents on the group partial in the block's
-  // acc (members only read it after the release, so the agent works in
-  // place).
-  const int g = h.g, L = h.L;
-  std::byte* acc = h.blk->acc.data();
-  if (L > 1 && L <= kFlatLeaderMax && bytes < kRabCutoff) {
-    // Shared agent fold: one sequential hop and zero agent messages, which
-    // is what a latency-bound allreduce is made of at this agent count.
-    h.leader_meet(
-        kAllGroups,
-        [&](GroupBlock& b) { h.fold(b.acc, acc, bytes, op, dt, count); },
-        [&](GroupBlock& b) { std::memcpy(acc, b.acc.data(), bytes); });
-  } else if (L > 1) {
-    std::vector<std::byte> incoming(bytes);
-    int pof2 = 1;
-    while (pof2 * 2 <= L) pof2 <<= 1;
-    const int rem = L - pof2;
-    const std::size_t esize = datatype_size(dt);
-    const int pre_tag = h.round_tag(62);
-    const int post_tag = h.round_tag(61);
-
-    // Fold the non-power-of-two remainder into the even partners first;
-    // odd agents rejoin when the result is re-broadcast at the end.
-    int rd = -1;  // my index within the power-of-two participant set
-    if (g < 2 * rem) {
-      if ((g % 2) != 0) {
-        h.send(h.agent_of(g - 1), pre_tag, acc, bytes);
-        h.recv(h.agent_of(g - 1), post_tag, acc, bytes);
-      } else {
-        h.recv(h.agent_of(g + 1), pre_tag, incoming.data(), bytes);
-        apply_op(rm, op, dt, incoming.data(), acc, count);
-        rd = g / 2;
-      }
-    } else {
-      rd = g - rem;
-    }
-
-    auto agent_of_rd = [&](int r) {
-      return h.agent_of(r < rem ? 2 * r : r + rem);
-    };
-
-    if (rd >= 0 && pof2 > 1) {
-      const bool use_rab = bytes >= kRabCutoff && count >= pof2;
-      if (!use_rab) {
-        // Recursive doubling: log2(pof2) pairwise exchange-and-fold rounds.
-        int round = 0;
-        for (int mask = 1; mask < pof2; mask <<= 1, ++round) {
-          const int partner = agent_of_rd(rd ^ mask);
-          const int tag = h.round_tag(round);
-          h.send(partner, tag, acc, bytes);
-          h.recv(partner, tag, incoming.data(), bytes);
-          apply_op(rm, op, dt, incoming.data(), acc, count);
-        }
-      } else {
-        // Rabenseifner: reduce-scatter by recursive halving, then
-        // allgather by recursive doubling — each agent moves ~2x the
-        // payload total instead of log2(P) full copies.
-        std::vector<int> cnt(static_cast<std::size_t>(pof2));
-        std::vector<int> dsp(static_cast<std::size_t>(pof2) + 1, 0);
-        for (int i = 0; i < pof2; ++i) {
-          cnt[static_cast<std::size_t>(i)] =
-              count / pof2 + (i < count % pof2 ? 1 : 0);
-          dsp[static_cast<std::size_t>(i) + 1] =
-              dsp[static_cast<std::size_t>(i)] +
-              cnt[static_cast<std::size_t>(i)];
-        }
-        auto range_bytes = [&](int lo, int hi) {
-          return static_cast<std::size_t>(dsp[static_cast<std::size_t>(hi)] -
-                                          dsp[static_cast<std::size_t>(lo)]) *
-                 esize;
-        };
-        auto range_ptr = [&](int lo) {
-          return acc +
-                 static_cast<std::size_t>(dsp[static_cast<std::size_t>(lo)]) *
-                     esize;
-        };
-        // Reduce-scatter: my chunk window halves every round.
-        std::vector<std::pair<int, int>> windows;  // window before each split
-        int lo = 0, hi = pof2;
-        int round = 0;
-        for (int mask = pof2 >> 1; mask > 0; mask >>= 1, ++round) {
-          const int partner = agent_of_rd(rd ^ mask);
-          const int mid = (lo + hi) / 2;
-          windows.emplace_back(lo, hi);
-          int keep_lo, keep_hi, send_lo, send_hi;
-          if ((rd & mask) == 0) {  // I am the lower half: keep [lo, mid)
-            keep_lo = lo, keep_hi = mid, send_lo = mid, send_hi = hi;
-          } else {
-            keep_lo = mid, keep_hi = hi, send_lo = lo, send_hi = mid;
-          }
-          const int tag = internal_tag(kCollHierRabRs, round & 0x3f, h.seq);
-          h.send(partner, tag, range_ptr(send_lo),
-                 range_bytes(send_lo, send_hi));
-          std::vector<std::byte> part(range_bytes(keep_lo, keep_hi));
-          h.recv(partner, tag, part.data(), part.size());
-          apply_op(rm, op, dt, part.data(), range_ptr(keep_lo),
-                   dsp[static_cast<std::size_t>(keep_hi)] -
-                       dsp[static_cast<std::size_t>(keep_lo)]);
-          lo = keep_lo;
-          hi = keep_hi;
-        }
-        // Allgather: replay the windows in reverse, swapping halves.
-        for (int r = static_cast<int>(windows.size()) - 1; r >= 0; --r) {
-          const int mask = pof2 >> (r + 1);
-          const int partner = agent_of_rd(rd ^ mask);
-          const auto [wlo, whi] = windows[static_cast<std::size_t>(r)];
-          // My current window is my kept half of [wlo, whi); the partner
-          // holds the other half, fully reduced.
-          const int olo = lo == wlo ? hi : wlo;
-          const int ohi = lo == wlo ? whi : lo;
-          const int tag = internal_tag(kCollHierRabAg, r & 0x3f, h.seq);
-          h.send(partner, tag, range_ptr(lo), range_bytes(lo, hi));
-          h.recv(partner, tag, range_ptr(olo), range_bytes(olo, ohi));
-          lo = wlo;
-          hi = whi;
-        }
-      }
-      if (g < 2 * rem) h.send(h.agent_of(g + 1), post_tag, acc, bytes);
-    }
-  }
-
-  std::memcpy(rbuf, acc, bytes);
-  h.publish();
+  h.combine(kAllGroups, rbuf, op, dt, count);
+  const auto* total = static_cast<const std::byte*>(rbuf);
+  h.publish([&](GroupBlock& b) { b.acc.assign(total, total + bytes); });
   return true;
 }
-
-// ---------------------------------------------------------------------------
-// Scan
 
 bool Runtime::hier_scan(RankMpi& rm, const void* sbuf, void* rbuf, int count,
                         Datatype dt, const Op& op, CommId comm) {
@@ -856,7 +704,7 @@ bool Runtime::hier_scan(RankMpi& rm, const void* sbuf, void* rbuf, int count,
 
   // Group-local inclusive prefixes, in index order (slot i becomes
   // s_0 op ... op s_i); the last slot is the group total.
-  const int g = h.g, L = h.L, gsize = h.gsize;
+  const int g = h.g, gsize = h.gsize;
   auto& slots = h.blk->slots;
   for (int i = 1; i < gsize; ++i) {
     apply_op(rm, op, dt, slots[static_cast<std::size_t>(i - 1)].data(),
@@ -864,22 +712,21 @@ bool Runtime::hier_scan(RankMpi& rm, const void* sbuf, void* rbuf, int count,
     ++h.pe().coll_local_combines;
   }
 
-  // Serial agent chain carrying the exclusive prefix of whole groups:
-  // L-1 messages instead of n-1.
-  const int tag = h.round_tag(0);
+  // Every agent hands its group total in at slot g and folds the totals of
+  // the groups before it, in group-id order, into its exclusive prefix.
   std::vector<std::byte> excl;
-  if (g > 0) {
-    excl.resize(bytes);
-    h.recv(h.agent_of(g - 1), tag, excl.data(), bytes);
-  }
-  if (g + 1 < L) {
-    std::vector<std::byte> carry = slots[static_cast<std::size_t>(gsize - 1)];
-    if (g > 0) {
-      // carry = excl op group_total.
-      apply_op(rm, op, dt, excl.data(), carry.data(), count);
-    }
-    h.send(h.agent_of(g + 1), tag, carry.data(), bytes);
-  }
+  h.leader_meet(
+      kAllGroups, kAllGroups,
+      [&](GroupBlock& b) {
+        b.slots.resize(static_cast<std::size_t>(h.L));
+        b.slots[static_cast<std::size_t>(g)] = slots.back();
+      },
+      [&](GroupBlock& b) {
+        if (g == 0) return;
+        excl.resize(bytes);
+        h.fold_in_order(b.slots, static_cast<std::size_t>(g), excl.data(), op,
+                        dt, count);
+      });
   h.publish([&](GroupBlock& b) {
     if (g > 0) {
       for (auto& s : b.slots)
@@ -893,379 +740,68 @@ bool Runtime::hier_scan(RankMpi& rm, const void* sbuf, void* rbuf, int count,
 // ---------------------------------------------------------------------------
 // Vector collectives. Gather-side members are fire-and-forget: the agent's
 // attachment keeps the slots alive, so a contributing member is done the
-// moment its deposit lands.
+// moment its deposit lands. The uniform ops are their v-op with rank i's
+// block at displacement i × block.
 //
-// The uniform ops select by size: once a single contribution exceeds the
-// vector cutoff the operation is copy-bound, and staging it through the
-// agent only adds memcpys without reducing bytes on the wire. Every rank
-// evaluates the same uniform predicate, so all fall back together.
-
-// ---------------------------------------------------------------------------
-// Gatherv
+// The uniform ops select by size: once a single contribution exceeds
+// kVecCutoff the operation is copy-bound, and staging it through the
+// shared blocks only adds memcpys. Every rank evaluates the same uniform
+// predicate, so all fall back together.
 
 bool Runtime::hier_gatherv(RankMpi& rm, const void* sbuf, std::size_t sbytes,
                            void* rbuf, const int* rcounts, const int* displs,
                            std::size_t resize, int root, CommId comm) {
   // Checked bytes 0: per-member contribution sizes legitimately differ.
   HierCall h(*this, rm, comm, kCollHierGather, 0, "gatherv", root);
-  const bool agent =
-      h.deposit([&](GroupBlock& b) { h.stage(b, sbuf, sbytes); });
-  h.pe().coll_vec_bytes += sbytes;
-  if (!agent) return true;
-  const int L = h.L, gsize = h.gsize, rg = h.rg;
-  const auto& slots = h.blk->slots;
-
-  if (h.g != rg) {
-    // Non-root group agent: ship [length table][concatenated data] to the
-    // root. Member sizes are only known here (the count table lives at the
-    // root), so the inter-PE phase is direct sends — a combining tree
-    // could not size its intermediate buffers.
-    std::vector<std::uint64_t> lens;
-    std::vector<std::byte> agg;
-    for (const auto& s : slots) {
-      lens.push_back(s.size());
-      agg.insert(agg.end(), s.begin(), s.end());
-    }
-    h.send_staged(root, h.round_tag(0), lens.data(),
-                  lens.size() * sizeof(std::uint64_t));
-    h.send_vec(root, h.round_tag(1), agg.data(), agg.size());
-    return true;
-  }
-
-  // Root: own group's contributions come straight out of the shared slots;
-  // remote groups arrive as [lengths][data] from each agent. Length irecvs
-  // are pre-posted for every group before any data is drained.
   auto* rp = static_cast<std::byte*>(rbuf);
-  auto dst_of = [&](int i) {
-    return rp + static_cast<std::size_t>(displs[i]) * resize;
-  };
-  auto cap_of = [&](int i) {
-    return static_cast<std::size_t>(rcounts[i]) * resize;
-  };
-  for (int j = 0; j < gsize; ++j) {
-    const int i = h.members[static_cast<std::size_t>(j)];
-    const auto& s = slots[static_cast<std::size_t>(j)];
-    std::memcpy(dst_of(i), s.data(), std::min(s.size(), cap_of(i)));
-  }
-  std::vector<std::vector<std::uint64_t>> lens(static_cast<std::size_t>(L));
-  std::vector<Request> lreqs(static_cast<std::size_t>(L), kRequestNull);
-  for (int gg = 0; gg < L; ++gg) {
-    if (gg == rg) continue;
-    auto& gl = lens[static_cast<std::size_t>(gg)];
-    gl.resize(h.members_of(gg).size());
-    lreqs[static_cast<std::size_t>(gg)] =
-        do_irecv(rm, gl.data(), gl.size() * sizeof(std::uint64_t),
-                 h.agent_of(gg), h.round_tag(0), comm);
-  }
-  for (int gg = 0; gg < L; ++gg) {
-    if (gg == rg) continue;
-    do_wait(rm, lreqs[static_cast<std::size_t>(gg)]);
-    const auto& gm = h.members_of(gg);
-    const auto& gl = lens[static_cast<std::size_t>(gg)];
-    std::size_t total = 0;
-    for (const std::uint64_t l : gl) total += l;
-    std::vector<std::byte> agg(total);
-    h.recv_vec(h.agent_of(gg), h.round_tag(1), agg.data(), total);
-    std::size_t off = 0;
-    for (std::size_t j = 0; j < gm.size(); ++j) {
-      const auto l = static_cast<std::size_t>(gl[j]);
-      std::memcpy(dst_of(gm[j]), agg.data() + off,
-                  std::min(l, cap_of(gm[j])));
-      off += l;
-    }
-  }
+  h.gather(sbuf, sbytes, [&](int i) {
+    return std::pair{rp + static_cast<std::size_t>(displs[i]) * resize,
+                     static_cast<std::size_t>(rcounts[i]) * resize};
+  });
   return true;
 }
-
-// ---------------------------------------------------------------------------
-// Gather (uniform block)
 
 bool Runtime::hier_gather(RankMpi& rm, const void* sbuf, std::size_t sblock,
                           void* rbuf, int root, CommId comm) {
-  if (sblock > vec_cutoff_) return false;  // copy-bound: flat path
+  if (sblock > kVecCutoff) return false;  // copy-bound: flat path
   HierCall h(*this, rm, comm, kCollHierGather, sblock, "gather", root);
-  const bool agent =
-      h.deposit([&](GroupBlock& b) { h.stage(b, sbuf, sblock); });
-  h.pe().coll_vec_bytes += sblock;
-  if (!agent) return true;
-  const int g = h.g, L = h.L, gsize = h.gsize, rg = h.rg;
-  const auto& slots = h.blk->slots;
-  const int vg = h.vgroup(g);
-  const std::size_t total = static_cast<std::size_t>(h.n) * sblock;
   auto* rp = static_cast<std::byte*>(rbuf);
-
-  if (total <= vec_cutoff_ || L == 1) {
-    // Eager: binomial combine toward virtual group 0. The node at vg
-    // accumulates the contiguous virtual interval [vg, vg+2^k); every
-    // intermediate buffer size is computable from the shared topology,
-    // which is what makes a combining tree possible for uniform blocks.
-    std::vector<std::byte> vbuf;
-    vbuf.reserve(vg == 0 ? total
-                         : h.vspan(vg, std::min(2 * vg, L)) * sblock);
-    for (const auto& s : slots) vbuf.insert(vbuf.end(), s.begin(), s.end());
-    int round = 0;
-    for (int mask = 1; mask < L; mask <<= 1, ++round) {
-      const int tag = h.round_tag(2 + round);
-      if ((vg & mask) != 0) {
-        h.send_vec(h.vagent(vg - mask), tag, vbuf.data(), vbuf.size());
-        break;
-      }
-      const int clo = vg + mask;
-      if (clo < L) {
-        const std::size_t add =
-            h.vspan(clo, std::min(clo + mask, L)) * sblock;
-        const std::size_t old = vbuf.size();
-        vbuf.resize(old + add);
-        h.recv_vec(h.vagent(clo), tag, vbuf.data() + old, add);
-      }
-    }
-    if (vg == 0) {
-      // Unpack virtual order back to comm-index placement.
-      std::size_t off = 0;
-      for (int v = 0; v < L; ++v) {
-        for (const int i : h.vmembers(v)) {
-          std::memcpy(rp + static_cast<std::size_t>(i) * sblock,
-                      vbuf.data() + off, sblock);
-          off += sblock;
-        }
-      }
-    }
-  } else if (g != rg) {
-    // Chunked: direct agent->root shipment of the PE-aggregate.
-    std::vector<std::byte> agg;
-    agg.reserve(static_cast<std::size_t>(gsize) * sblock);
-    for (const auto& s : slots) agg.insert(agg.end(), s.begin(), s.end());
-    h.send_vec(root, h.round_tag(1), agg.data(), agg.size());
-  } else {
-    for (int j = 0; j < gsize; ++j) {
-      const int i = h.members[static_cast<std::size_t>(j)];
-      std::memcpy(rp + static_cast<std::size_t>(i) * sblock,
-                  slots[static_cast<std::size_t>(j)].data(), sblock);
-    }
-    for (int gg = 0; gg < L; ++gg) {
-      if (gg == rg) continue;
-      const auto& gm = h.members_of(gg);
-      const std::size_t gb = gm.size() * sblock;
-      const int tag = h.round_tag(1);
-      if (h.topo->ordered) {
-        // Group members are one contiguous comm-index interval: the
-        // aggregate lands straight in rbuf with no intermediate buffer.
-        h.recv_vec(h.agent_of(gg), tag,
-                   rp + static_cast<std::size_t>(gm.front()) * sblock, gb);
-      } else {
-        std::vector<std::byte> agg(gb);
-        h.recv_vec(h.agent_of(gg), tag, agg.data(), gb);
-        for (std::size_t j = 0; j < gm.size(); ++j) {
-          std::memcpy(rp + static_cast<std::size_t>(gm[j]) * sblock,
-                      agg.data() + j * sblock, sblock);
-        }
-      }
-    }
-  }
+  h.gather(sbuf, sblock, [&](int i) {
+    return std::pair{rp + static_cast<std::size_t>(i) * sblock, sblock};
+  });
   return true;
 }
-
-// ---------------------------------------------------------------------------
-// Scatterv
 
 bool Runtime::hier_scatterv(RankMpi& rm, const void* sbuf, const int* scounts,
                             const int* displs, std::size_t sesize, void* rbuf,
                             std::size_t rbytes, int root, CommId comm) {
   HierCall h(*this, rm, comm, kCollHierScatter, 0, "scatterv", root);
-  h.blk.arrive();
-  const auto slot = static_cast<std::size_t>(h.pos);
-  if (h.me != h.agent) {
-    // Members park until the agent deposits the per-member slices.
-    h.withdraw([&](GroupBlock& b) {
-      const auto& s = b.slots[slot];
-      const std::size_t len = std::min(s.size(), rbytes);
-      std::memcpy(rbuf, s.data(), len);
-      h.pe().coll_vec_bytes += len;
-    });
-    return true;
-  }
-
-  // My group's slices in member order: straight out of sbuf at the root,
-  // out of the root's [lengths][data] shipment at any other agent.
-  const int L = h.L, gsize = h.gsize, rg = h.rg;
-  std::vector<std::pair<const std::byte*, std::size_t>> mine(
-      static_cast<std::size_t>(gsize));
-  std::vector<std::byte> agg;
-  if (h.g == rg) {
-    const auto* sp = static_cast<const std::byte*>(sbuf);
-    auto slice = [&](int i) {
-      return std::pair{sp + static_cast<std::size_t>(displs[i]) * sesize,
-                       static_cast<std::size_t>(scounts[i]) * sesize};
-    };
-    for (int gg = 0; gg < L; ++gg) {
-      if (gg == rg) continue;
-      std::vector<std::uint64_t> lens;
-      std::vector<std::byte> out;
-      for (const int i : h.members_of(gg)) {
-        const auto [p, len] = slice(i);
-        lens.push_back(len);
-        out.insert(out.end(), p, p + len);
-      }
-      h.send_staged(h.agent_of(gg), h.round_tag(0), lens.data(),
-                    lens.size() * sizeof(std::uint64_t));
-      h.send_vec(h.agent_of(gg), h.round_tag(1), out.data(), out.size());
-    }
-    for (int j = 0; j < gsize; ++j)
-      mine[static_cast<std::size_t>(j)] =
-          slice(h.members[static_cast<std::size_t>(j)]);
-  } else {
-    std::vector<std::uint64_t> lens(static_cast<std::size_t>(gsize));
-    h.recv(root, h.round_tag(0), lens.data(),
-           lens.size() * sizeof(std::uint64_t));
-    std::size_t total = 0;
-    for (const std::uint64_t l : lens) total += l;
-    agg.resize(total);
-    h.recv_vec(root, h.round_tag(1), agg.data(), total);
-    std::size_t off = 0;
-    for (int j = 0; j < gsize; ++j) {
-      const auto len =
-          static_cast<std::size_t>(lens[static_cast<std::size_t>(j)]);
-      mine[static_cast<std::size_t>(j)] = {agg.data() + off, len};
-      off += len;
-    }
-  }
-  // Publish the slices; my own goes straight to rbuf.
-  h.publish([&](GroupBlock& b) {
-    b.slots.resize(static_cast<std::size_t>(gsize));
-    for (int j = 0; j < gsize; ++j) {
-      const auto [p, len] = mine[static_cast<std::size_t>(j)];
-      if (static_cast<std::size_t>(j) == slot) {
-        std::memcpy(rbuf, p, std::min(len, rbytes));
-      } else {
-        b.slots[static_cast<std::size_t>(j)].assign(p, p + len);
-        h.pe().coll_vec_bytes += len;
-      }
-    }
-  });
+  const auto* sp = static_cast<const std::byte*>(sbuf);
+  h.scatter(
+      [&](int i) {
+        return std::pair{sp + static_cast<std::size_t>(displs[i]) * sesize,
+                         static_cast<std::size_t>(scounts[i]) * sesize};
+      },
+      rbuf, rbytes);
   return true;
 }
-
-// ---------------------------------------------------------------------------
-// Scatter (uniform block)
 
 bool Runtime::hier_scatter(RankMpi& rm, const void* sbuf, std::size_t sblock,
                            void* rbuf, int root, CommId comm) {
-  if (sblock > vec_cutoff_) return false;  // copy-bound: flat path
+  if (sblock > kVecCutoff) return false;  // copy-bound: flat path
   HierCall h(*this, rm, comm, kCollHierScatter, sblock, "scatter", root);
-  h.blk.arrive();
-  const auto slot = static_cast<std::size_t>(h.pos);
-  if (h.me != h.agent) {
-    h.withdraw([&](GroupBlock& b) {
-      std::memcpy(rbuf, b.slots[slot].data(), sblock);
-      h.pe().coll_vec_bytes += sblock;
-    });
-    return true;
-  }
-
-  const int g = h.g, L = h.L, gsize = h.gsize, rg = h.rg;
-  const int vg = h.vgroup(g);
-  const std::size_t total = static_cast<std::size_t>(h.n) * sblock;
   const auto* sp = static_cast<const std::byte*>(sbuf);
-
-  // My group's chunk, in member-pos order, ends up in `mine`.
-  std::vector<std::byte> mine;
-  if (total <= vec_cutoff_ || L == 1) {
-    // Eager: binomial scatter down the virtual tree. A node receives its
-    // whole subtree span in one message and relays halves; sizes all come
-    // from the shared topology.
-    std::vector<std::byte> vbuf;
-    int span_hi;
-    int recv_mask;
-    if (vg == 0) {
-      span_hi = L;
-      recv_mask = 1;
-      while (recv_mask < L) recv_mask <<= 1;
-      vbuf.reserve(total);
-      for (int v = 0; v < L; ++v) {
-        for (const int i : h.vmembers(v)) {
-          const auto* p = sp + static_cast<std::size_t>(i) * sblock;
-          vbuf.insert(vbuf.end(), p, p + sblock);
-        }
-      }
-    } else {
-      int round = 0;
-      recv_mask = 1;
-      while ((vg & recv_mask) == 0) {
-        recv_mask <<= 1;
-        ++round;
-      }
-      span_hi = std::min(vg + recv_mask, L);
-      vbuf.resize(h.vspan(vg, span_hi) * sblock);
-      h.recv_vec(h.vagent(vg - recv_mask), h.round_tag(2 + round),
-                 vbuf.data(), vbuf.size());
-    }
-    int round = 0;
-    for (int m = 1; m < recv_mask; m <<= 1) ++round;
-    for (int m = recv_mask >> 1; m > 0; m >>= 1) {
-      --round;
-      const int clo = vg + m;
-      if (clo < span_hi) {
-        const int chi = std::min(vg + 2 * m, span_hi);
-        const std::size_t off = h.vspan(vg, clo) * sblock;
-        h.send_vec(h.vagent(clo), h.round_tag(2 + round), vbuf.data() + off,
-                   h.vspan(clo, chi) * sblock);
-      }
-    }
-    mine.assign(vbuf.begin(),
-                vbuf.begin() + static_cast<std::ptrdiff_t>(
-                                   static_cast<std::size_t>(gsize) * sblock));
-  } else if (g == rg) {
-    // Chunked: direct per-agent shipments; an ordered topology lets the
-    // root send straight out of sbuf (each group is one contiguous run).
-    for (int gg = 0; gg < L; ++gg) {
-      if (gg == rg) continue;
-      const auto& gm = h.members_of(gg);
-      const std::size_t gb = gm.size() * sblock;
-      const int tag = h.round_tag(1);
-      if (h.topo->ordered) {
-        h.send_vec(h.agent_of(gg), tag,
-                   sp + static_cast<std::size_t>(gm.front()) * sblock, gb);
-      } else {
-        std::vector<std::byte> agg;
-        agg.reserve(gb);
-        for (const int i : gm) {
-          const auto* p = sp + static_cast<std::size_t>(i) * sblock;
-          agg.insert(agg.end(), p, p + sblock);
-        }
-        h.send_vec(h.agent_of(gg), tag, agg.data(), gb);
-      }
-    }
-    mine.reserve(static_cast<std::size_t>(gsize) * sblock);
-    for (const int i : h.members) {
-      const auto* p = sp + static_cast<std::size_t>(i) * sblock;
-      mine.insert(mine.end(), p, p + sblock);
-    }
-  } else {
-    mine.resize(static_cast<std::size_t>(gsize) * sblock);
-    h.recv_vec(root, h.round_tag(1), mine.data(), mine.size());
-  }
-
-  h.publish([&](GroupBlock& b) {
-    b.slots.resize(static_cast<std::size_t>(gsize));
-    for (int j = 0; j < gsize; ++j) {
-      const auto* p = mine.data() + static_cast<std::size_t>(j) * sblock;
-      if (static_cast<std::size_t>(j) == slot) {
-        std::memcpy(rbuf, p, sblock);
-      } else {
-        b.slots[static_cast<std::size_t>(j)].assign(p, p + sblock);
-        h.pe().coll_vec_bytes += sblock;
-      }
-    }
-  });
+  h.scatter(
+      [&](int i) {
+        return std::pair{sp + static_cast<std::size_t>(i) * sblock, sblock};
+      },
+      rbuf, sblock);
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// Allgather (uniform block)
-
 bool Runtime::hier_allgather(RankMpi& rm, const void* sbuf,
                              std::size_t sblock, void* rbuf, CommId comm) {
-  if (sblock > vec_cutoff_) return false;  // copy-bound: flat path
+  if (sblock > kVecCutoff) return false;  // copy-bound: flat path
   HierCall h(*this, rm, comm, kCollHierAllgather, sblock, "allgather");
   const std::size_t total = static_cast<std::size_t>(h.n) * sblock;
   const bool agent =
@@ -1275,88 +811,29 @@ bool Runtime::hier_allgather(RankMpi& rm, const void* sbuf,
     h.withdraw([&](GroupBlock& b) { std::memcpy(rbuf, b.acc.data(), total); });
     return true;
   }
-
-  // have[gg] = group gg's PE-aggregate (member-pos order), filled by the
-  // inter-PE exchange.
-  const int g = h.g, L = h.L;
-  auto gbytes = [&](int gg) { return h.members_of(gg).size() * sblock; };
-  std::vector<std::vector<std::byte>> have(static_cast<std::size_t>(L));
-  {
-    auto& own = have[static_cast<std::size_t>(g)];
-    own.reserve(gbytes(g));
-    for (const auto& s : h.blk->slots)
-      own.insert(own.end(), s.begin(), s.end());
-  }
-  if (L > 1 && total <= vec_cutoff_) {
-    // Eager: Bruck dissemination over groups — ceil(log2 L) steps, each
-    // moving the concatenation of everything held so far.
-    int round = 0;
-    for (int d = 1; d < L; d <<= 1, ++round) {
-      const int cnt = std::min(d, L - d);
-      const int to = (g - d + L) % L;
-      const int from = (g + d) % L;
-      const int tag = h.round_tag(round);
-      std::vector<std::byte> out;
-      for (int v = 0; v < cnt; ++v) {
-        const auto& held = have[static_cast<std::size_t>((g + v) % L)];
-        out.insert(out.end(), held.begin(), held.end());
-      }
-      h.send_vec(h.agent_of(to), tag, out.data(), out.size());
-      std::size_t rb = 0;
-      for (int v = 0; v < cnt; ++v) rb += gbytes((from + v) % L);
-      std::vector<std::byte> in(rb);
-      h.recv_vec(h.agent_of(from), tag, in.data(), rb);
-      std::size_t off = 0;
-      for (int v = 0; v < cnt; ++v) {
-        const int gg = (from + v) % L;
-        have[static_cast<std::size_t>(gg)].assign(
-            in.data() + off, in.data() + off + gbytes(gg));
-        off += gbytes(gg);
-      }
-    }
-  } else if (L > 1) {
-    // Chunked: ring — L-1 steps, each forwarding one group aggregate, so
-    // at most one aggregate is in flight per agent at a time.
-    for (int s = 1; s < L; ++s) {
-      const int to = (g + 1) % L;
-      const int from = (g - 1 + L) % L;
-      const int fwd = (g - s + 1 + L) % L;  // aggregate to pass along
-      const int gain = (g - s + L) % L;     // aggregate arriving this step
-      const int tag = h.round_tag(s);
-      auto& out = have[static_cast<std::size_t>(fwd)];
-      auto& in = have[static_cast<std::size_t>(gain)];
-      h.send_vec(h.agent_of(to), tag, out.data(), out.size());
-      in.resize(gbytes(gain));
-      h.recv_vec(h.agent_of(from), tag, in.data(), in.size());
-    }
-  }
-
-  // Publish the full result in comm-index order; members copy it out.
-  h.publish([&](GroupBlock& b) {
-    b.acc.resize(total);
-    for (int gg = 0; gg < L; ++gg) {
-      const auto& gm = h.members_of(gg);
-      for (std::size_t j = 0; j < gm.size(); ++j) {
-        std::memcpy(b.acc.data() + static_cast<std::size_t>(gm[j]) * sblock,
-                    have[static_cast<std::size_t>(gg)].data() + j * sblock,
-                    sblock);
-      }
-    }
-    std::memcpy(rbuf, b.acc.data(), total);
-  });
+  // Every agent assembles the whole result in comm-index order from the
+  // agents' slots; members copy it out of the group block.
+  auto* rp = static_cast<std::byte*>(rbuf);
+  h.leader_meet(
+      kAllGroups, kAllGroups, [&](GroupBlock& b) { h.hand_in_members(b); },
+      [&](GroupBlock& b) {
+        for (int i = 0; i < h.n; ++i) {
+          std::memcpy(rp + static_cast<std::size_t>(i) * sblock,
+                      b.slots[static_cast<std::size_t>(i)].data(), sblock);
+        }
+      });
+  h.publish([&](GroupBlock& b) { b.acc.assign(rp, rp + total); });
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// Alltoall (uniform block)
-
 bool Runtime::hier_alltoall(RankMpi& rm, const void* sbuf, std::size_t sblock,
                             void* rbuf, std::size_t rblock, CommId comm) {
-  if (sblock > vec_cutoff_) return false;  // copy-bound: flat path
+  if (sblock > kVecCutoff) return false;  // copy-bound: flat path
   HierCall h(*this, rm, comm, kCollHierAlltoall, sblock, "alltoall");
   const int n = h.n;
-  // The block's acc holds gsize rows of n blocks: row t is member t's full
-  // inbox in comm-index order.
+  // Every member stages its whole send row; the group block's acc then
+  // holds gsize rows of n blocks, row t being member t's inbox in
+  // comm-index order.
   const std::size_t row = static_cast<std::size_t>(n) * sblock;
   const bool agent =
       h.deposit([&](GroupBlock& b) { h.stage(b, sbuf, row); });
@@ -1376,56 +853,49 @@ bool Runtime::hier_alltoall(RankMpi& rm, const void* sbuf, std::size_t sblock,
     return true;
   }
 
+  // Before it arrives, each agent assembles from its members' rows the
+  // [member t of dg][my member s] blocks bound for every group dg and hands
+  // them in at slot g * L + dg; after the release it places the L slots
+  // addressed to its own group. Assembling first overlaps that half of the
+  // copying with the other agents' member phases, and each source group's
+  // blocks reach a taker as one contiguous run.
   const int g = h.g, L = h.L, gsize = h.gsize;
-  const auto& slots = h.blk->slots;
+  const auto& rows = h.blk->slots;
+  std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(L));
+  for (int dg = 0; dg < L; ++dg) {
+    auto& a = out[static_cast<std::size_t>(dg)];
+    a.reserve(h.members_of(dg).size() * rows.size() * sblock);
+    for (const int dst : h.members_of(dg)) {
+      for (const auto& r : rows) {
+        const auto* p = r.data() + static_cast<std::size_t>(dst) * sblock;
+        a.insert(a.end(), p, p + sblock);
+      }
+    }
+  }
   auto& acc = h.blk->acc;
   acc.resize(static_cast<std::size_t>(gsize) * row);
-  // Aggregate for destination group gg: [dst member t][src member s] of
-  // per-pair blocks — one message per PE pair instead of one per rank pair.
-  auto assemble = [&](int gg) {
-    const auto& gm = h.members_of(gg);
-    std::vector<std::byte> a(gm.size() * static_cast<std::size_t>(gsize) *
-                             sblock);
-    std::size_t off = 0;
-    for (const int dst : gm) {
-      for (const auto& s : slots) {
-        std::memcpy(a.data() + off,
-                    s.data() + static_cast<std::size_t>(dst) * sblock, sblock);
-        off += sblock;
-      }
-    }
-    return a;
-  };
-  // Places an aggregate from source group sg (laid out [my member t][sg
-  // member s]) into the result rows.
-  auto place = [&](int sg, const std::vector<std::byte>& a) {
-    const auto& gm = h.members_of(sg);
-    std::size_t off = 0;
-    for (int t = 0; t < gsize; ++t) {
-      for (const int src : gm) {
-        std::memcpy(acc.data() + static_cast<std::size_t>(t) * row +
-                        static_cast<std::size_t>(src) * sblock,
-                    a.data() + off, sblock);
-        off += sblock;
-      }
-    }
-  };
-
-  // Shifted pairwise exchange over the L agents (the same schedule as the
-  // naive alltoall, but over PE-pair aggregates).
-  place(g, assemble(g));
-  for (int s = 1; s < L; ++s) {
-    const int dg = (g + s) % L;
-    const int sg = (g - s + L) % L;
-    const int tag = h.round_tag(s);
-    const std::vector<std::byte> out = assemble(dg);
-    h.send_vec(h.agent_of(dg), tag, out.data(), out.size());
-    std::vector<std::byte> in(h.members_of(sg).size() *
-                              static_cast<std::size_t>(gsize) * sblock);
-    h.recv_vec(h.agent_of(sg), tag, in.data(), in.size());
-    place(sg, in);
-  }
-
+  h.leader_meet(
+      kAllGroups, kAllGroups,
+      [&](GroupBlock& b) {
+        b.slots.resize(static_cast<std::size_t>(L) * L);
+        for (int dg = 0; dg < L; ++dg)
+          b.slots[static_cast<std::size_t>(g * L + dg)] =
+              std::move(out[static_cast<std::size_t>(dg)]);
+      },
+      [&](GroupBlock& b) {
+        for (int sg = 0; sg < L; ++sg) {
+          const std::byte* p =
+              b.slots[static_cast<std::size_t>(sg * L + g)].data();
+          for (int t = 0; t < gsize; ++t) {
+            for (const int src : h.members_of(sg)) {
+              std::memcpy(acc.data() + static_cast<std::size_t>(t) * row +
+                              static_cast<std::size_t>(src) * sblock,
+                          p, sblock);
+              p += sblock;
+            }
+          }
+        }
+      });
   copy_row_out(acc.data() + my_row);
   h.publish();
   return true;

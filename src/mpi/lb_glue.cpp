@@ -21,26 +21,10 @@ void Runtime::do_load_balance(RankMpi& rm, const std::string& strategy) {
     std::int32_t pe;
     std::int32_t pad;
   };
-  const std::uint32_t seq = rm.coll_seq_for(kCommWorld)++;
-  const int gtag = internal_tag(kCollLb, 0, seq);
-  const int btag = internal_tag(kCollLb, 1, seq);
   std::vector<Entry> all(static_cast<std::size_t>(n));
   const Entry mine{rm.busy_time(), rm.resident_pe, 0};
-  if (me == 0) {
-    all[0] = mine;
-    for (int i = 1; i < n; ++i) {
-      coll_recv(rm, i, gtag, &all[static_cast<std::size_t>(i)], sizeof(Entry),
-                kCommWorld);
-    }
-    for (int i = 1; i < n; ++i) {
-      coll_send(rm, i, btag, all.data(), all.size() * sizeof(Entry),
-                kCommWorld);
-    }
-  } else {
-    coll_send(rm, 0, gtag, &mine, sizeof(Entry), kCommWorld);
-    coll_recv(rm, 0, btag, all.data(), all.size() * sizeof(Entry),
-              kCommWorld);
-  }
+  do_allgather(rm, &mine, sizeof(Entry), Datatype::Byte, all.data(),
+               sizeof(Entry), Datatype::Byte, kCommWorld);
 
   lb::LbStats stats;
   stats.num_pes = cluster_->num_pes();

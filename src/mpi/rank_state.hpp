@@ -242,7 +242,9 @@ constexpr int internal_tag(int op, int round, std::uint32_t seq) {
          static_cast<int>(seq & 0x3fffu);
 }
 
-/// Collective op codes for internal_tag.
+/// Collective op codes: internal_tag's op field for the flat (message)
+/// algorithms and runtime glue, and the hierarchical collectives' shared-block
+/// checker colors.
 enum CollOp : int {
   kCollBarrier = 1,
   kCollBcast,
@@ -251,31 +253,21 @@ enum CollOp : int {
   kCollScatter,
   kCollAlltoall,
   kCollScan,
-  kCollCommSetup,
-  kCollLb,
   kCollFtRecover,  ///< survivor barrier during failure recovery; the "seq"
                    ///< bits carry the checkpoint epoch, not a coll_seq —
                    ///< victims' sequence counters must stay untouched
-  // Hierarchical (two-level PE-leader) collective phases. Only group agents
-  // (PE leaders, or a rooted op's root in its own group) ever send or
-  // receive on these tags; co-resident ranks combine through shared
-  // contribution blocks without messages.
-  kCollHierBarrier,   ///< leader dissemination (zero-byte tokens)
-  kCollHierBcast,     ///< leader binomial broadcast
-  kCollHierReduce,    ///< leader binomial fold (+ round 63: root forward)
-  kCollHierAllred,    ///< leader recursive doubling (+ remainder rounds)
-  kCollHierRabRs,     ///< Rabenseifner reduce-scatter (recursive halving)
-  kCollHierRabAg,     ///< Rabenseifner allgather (recursive doubling)
-  kCollHierScan,      ///< serial leader chain of exclusive group prefixes
-  // Vector collectives: leaders exchange whole PE-aggregates (per-member
-  // offset tables live in the shared blocks, never on the wire for the
-  // uniform variants; gatherv/scatterv ship a length table first).
-  kCollHierGather,    ///< binomial combine toward the root's group (eager)
-                      ///< or direct leader->root sends (chunked)
-  kCollHierScatter,   ///< binomial split from the root's group (eager) or
-                      ///< direct root->leader sends (chunked)
-  kCollHierAllgather, ///< Bruck dissemination (eager) or ring (chunked)
-  kCollHierAlltoall,  ///< shifted pairwise exchange of PE-pair aggregates
+  // Hierarchical (two-level) collectives. They send no messages — members
+  // and group agents meet in shared blocks — so these only name the call
+  // shape the blocks' runtime-checker compare stamps.
+  kCollHierBarrier,
+  kCollHierBcast,
+  kCollHierReduce,
+  kCollHierAllred,
+  kCollHierScan,
+  kCollHierGather,
+  kCollHierScatter,
+  kCollHierAllgather,
+  kCollHierAlltoall,
 };
 static_assert(kCollHierAlltoall <= 31,
               "CollOp must fit internal_tag's 5 bits");

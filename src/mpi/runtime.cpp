@@ -73,7 +73,6 @@ Runtime::Runtime(const img::ProgramImage& image, RuntimeConfig config)
       static_cast<std::size_t>(opt.get_int("ft.max_chain")));
   inline_enabled_ = opt.get_bool("comm.inline");
   coll_hier_ = opt.get_string("coll.algo") == "hier";
-  vec_cutoff_ = static_cast<std::size_t>(opt.get_int("coll.vec_cutoff"));
   // Runtime correctness checker (src/check).
   if (const std::string mode = opt.get_string("check.mode"); mode != "off") {
     const check::Mode cm =
@@ -593,6 +592,31 @@ namespace {
 }
 }  // namespace
 
+std::string Runtime::p2p_mismatch(check::P2pVerdict v, const RankMpi& dst,
+                                  const RecvPost& post, int src_world,
+                                  int tag, CommId comm, std::uint32_t esize,
+                                  std::size_t bytes) {
+  const bool truncation = v == check::P2pVerdict::Truncation;
+  std::string diag =
+      std::string(truncation ? "p2p truncation" : "p2p type mismatch") +
+      ": rank " + std::to_string(dst.world_rank) +
+      " recv(src=" + std::to_string(comm_info(comm).local_of(src_world)) +
+      ", tag=" + std::to_string(tag) + ", comm=" + std::to_string(comm) +
+      ") ";
+  if (truncation) {
+    diag += "has a " + std::to_string(post.max_bytes) +
+            "-byte buffer but rank " + std::to_string(src_world) + " sent " +
+            std::to_string(bytes) + " bytes";
+  } else {
+    diag += "declared element size " + std::to_string(post.esize) +
+            " but rank " + std::to_string(src_world) + " declared " +
+            std::to_string(esize);
+  }
+  checker_->record(truncation ? "p2p-truncation" : "p2p-type-mismatch",
+                   dst.world_rank, diag);
+  return diag;
+}
+
 void Runtime::complete_recv(RankMpi& rm, const RecvPost& post,
                             comm::Message& msg) {
   std::size_t copy_bytes = msg.payload.size();
@@ -608,28 +632,9 @@ void Runtime::complete_recv(RankMpi& rm, const RecvPost& post,
         checker_->p2p_verify(rm.resident_pe, msg.esize, msg.payload.size(),
                              post.esize, post.max_bytes);
     if (v != check::P2pVerdict::Ok) [[unlikely]] {
-      const int src_local = comm_info(rm, msg.comm_id).local_of(msg.src_rank);
-      std::string diag;
-      if (v == check::P2pVerdict::Truncation) {
-        diag = "p2p truncation: rank " + std::to_string(rm.world_rank) +
-               " recv(src=" + std::to_string(src_local) +
-               ", tag=" + std::to_string(msg.tag) +
-               ", comm=" + std::to_string(msg.comm_id) + ") has a " +
-               std::to_string(post.max_bytes) +
-               "-byte buffer but the sender sent " +
-               std::to_string(msg.payload.size()) + " bytes";
-      } else {
-        diag = "p2p type mismatch: rank " + std::to_string(rm.world_rank) +
-               " recv(src=" + std::to_string(src_local) +
-               ", tag=" + std::to_string(msg.tag) +
-               ", comm=" + std::to_string(msg.comm_id) +
-               ") declared element size " + std::to_string(post.esize) +
-               " but the sender declared " + std::to_string(msg.esize);
-      }
-      checker_->record(v == check::P2pVerdict::Truncation
-                           ? "p2p-truncation"
-                           : "p2p-type-mismatch",
-                       rm.world_rank, diag);
+      std::string diag = p2p_mismatch(v, rm, post, msg.src_rank, msg.tag,
+                                      msg.comm_id, msg.esize,
+                                      msg.payload.size());
       if (checker_->mode() == check::Mode::Abort && rm.pending_check.empty())
         rm.pending_check = std::move(diag);
     }
@@ -800,26 +805,8 @@ bool Runtime::try_inline_send(RankMpi& rm, int dst_world, int tag,
       const check::P2pVerdict v =
           checker_->p2p_verify(pe, esize, bytes, pit->esize, pit->max_bytes);
       if (v != check::P2pVerdict::Ok) [[unlikely]] {
-        std::string diag;
-        if (v == check::P2pVerdict::Truncation) {
-          diag = "p2p truncation: rank " + std::to_string(dst_world) +
-                 " recv(tag=" + std::to_string(tag) +
-                 ", comm=" + std::to_string(comm) + ") has a " +
-                 std::to_string(pit->max_bytes) + "-byte buffer but rank " +
-                 std::to_string(rm.world_rank) + " sent " +
-                 std::to_string(bytes) + " bytes";
-        } else {
-          diag = "p2p type mismatch: rank " + std::to_string(dst_world) +
-                 " recv(tag=" + std::to_string(tag) +
-                 ", comm=" + std::to_string(comm) +
-                 ") declared element size " + std::to_string(pit->esize) +
-                 " but rank " + std::to_string(rm.world_rank) +
-                 " declared " + std::to_string(esize);
-        }
-        checker_->record(v == check::P2pVerdict::Truncation
-                             ? "p2p-truncation"
-                             : "p2p-type-mismatch",
-                         rm.world_rank, diag);
+        std::string diag = p2p_mismatch(v, dst, *pit, rm.world_rank, tag,
+                                        comm, esize, bytes);
         if (checker_->mode() == check::Mode::Abort)
           throw ApvError(ErrorCode::CheckFailed, diag);
       }
@@ -978,60 +965,6 @@ std::size_t Runtime::coll_recv(RankMpi& rm, int src_world, int tag,
   return static_cast<std::size_t>(status.count_bytes);
 }
 
-void Runtime::coll_send_staged(RankMpi& rm, int dst_world, int tag,
-                               const void* data, std::size_t bytes,
-                               CommId comm) {
-  preempt_point();
-  // Same-PE destinations take the inline user-to-user path — strictly
-  // better than any staging (zero transport envelopes at all).
-  if (try_inline_send(rm, dst_world, tag, data, bytes, comm, 0)) return;
-  comm::Message m;
-  m.kind = comm::Message::Kind::UserData;
-  m.src_pe = rm.resident_pe;
-  m.src_rank = rm.world_rank;
-  m.dst_rank = dst_world;
-  m.comm_id = comm;
-  m.tag = tag;
-  if (bytes > 0) {
-    // On the shm backend this block already lives in the cross-process
-    // arena: send_remote transfers it by refcount bump, making this fill
-    // the one copy on the cross-process path. Inproc / single-process shm
-    // degenerate to plain pool acquisition.
-    m.payload = cluster_->acquire_payload(bytes);
-    std::memcpy(m.payload.data(), data, bytes);
-  }
-  m.dst_pe = cluster_->location(dst_world);
-  m.seq = ++rm.routed_sent_to(dst_world);
-  cluster_->send(std::move(m));
-}
-
-void Runtime::coll_send_vec(RankMpi& rm, int dst_world, int tag,
-                            const void* data, std::size_t bytes,
-                            CommId comm) {
-  auto& ps = pe_state_[static_cast<std::size_t>(rm.resident_pe)];
-  const auto* p = static_cast<const std::byte*>(data);
-  std::size_t off = 0;
-  do {
-    const std::size_t len = std::min(bytes - off, vec_cutoff_);
-    ++ps.coll_leader_msgs;
-    coll_send_staged(rm, dst_world, tag, p + off, len, comm);
-    off += len;
-  } while (off < bytes);
-}
-
-void Runtime::coll_recv_vec(RankMpi& rm, int src_world, int tag, void* data,
-                            std::size_t bytes, CommId comm) {
-  // Chunk boundaries mirror coll_send_vec exactly (vec_cutoff is a shared
-  // option value); per-sender FIFO keeps same-tag chunks in order.
-  auto* p = static_cast<std::byte*>(data);
-  std::size_t off = 0;
-  do {
-    const std::size_t len = std::min(bytes - off, vec_cutoff_);
-    coll_recv(rm, src_world, tag, p + off, len, comm);
-    off += len;
-  } while (off < bytes);
-}
-
 // ---------------------------------------------------------------------------
 // Ops
 
@@ -1121,22 +1054,23 @@ void Runtime::do_migrate_to(RankMpi& rm, comm::PeId dest) {
 
 void Runtime::handle_control(comm::PeId pe, comm::Message&& msg) {
   const auto epoch = static_cast<std::uint32_t>(msg.tag);
+  bool done = true;
   switch (msg.opcode) {
     case kCtlDoMigrate:
-      perform_migration_departure(pe, msg.dst_rank);
-      return;
+      done = perform_migration_departure(pe, msg.dst_rank);
+      break;
     case kCtlDoCheckpoint:
-      perform_checkpoint_pack(pe, msg.dst_rank, epoch, /*buddy=*/false);
-      return;
+      done = perform_checkpoint_pack(pe, msg.dst_rank, epoch, /*buddy=*/false);
+      break;
     case kCtlDoRestore:
-      perform_restore_unpack(pe, msg.dst_rank, epoch);
-      return;
+      done = perform_restore_unpack(pe, msg.dst_rank, epoch);
+      break;
     case kCtlFtCheckpoint:
-      perform_checkpoint_pack(pe, msg.dst_rank, epoch, /*buddy=*/true);
-      return;
+      done = perform_checkpoint_pack(pe, msg.dst_rank, epoch, /*buddy=*/true);
+      break;
     case kCtlFtAdopt:
-      perform_ft_adopt(pe, msg.dst_rank, epoch);
-      return;
+      done = perform_ft_adopt(pe, msg.dst_rank, epoch);
+      break;
     case kCtlCollWake: {
       auto& ps = pe_state_[static_cast<std::size_t>(pe)];
       auto it = ps.resident.find(msg.dst_rank);
@@ -1173,6 +1107,12 @@ void Runtime::handle_control(comm::PeId pe, comm::Message&& msg) {
     default:
       throw ApvError(ErrorCode::Internal, "unknown control opcode");
   }
+  if (!done) {
+    // The rank operation is not ready yet: requeue the command behind this
+    // PE's mailbox.
+    msg.src_pe = pe;
+    cluster_->pe(pe).post(std::move(msg));
+  }
 }
 
 void Runtime::wake_coll_member(comm::PeId my_pe, RankMpi& member) {
@@ -1205,28 +1145,19 @@ void Runtime::wake_coll_member(comm::PeId my_pe, RankMpi& member) {
 
 namespace {
 // A control operation on a suspended rank must observe the ULT actually
-// suspended; if the rank was spuriously woken, requeue the command.
+// suspended; if the rank was spuriously woken, the command is requeued.
 bool rank_parked(const RankMpi& rm) {
   return rm.rc->ult->state() == ult::UltState::Blocked;
 }
 }  // namespace
 
-void Runtime::perform_migration_departure(comm::PeId pe, comm::RankId rank) {
+bool Runtime::perform_migration_departure(comm::PeId pe, comm::RankId rank) {
   auto& ps = pe_state_[static_cast<std::size_t>(pe)];
   auto it = ps.resident.find(rank);
   require(it != ps.resident.end(), ErrorCode::Internal,
           "migration departure for non-resident rank");
   RankMpi& rm = *it->second;
-  if (!rank_parked(rm)) {
-    comm::Message retry;
-    retry.kind = comm::Message::Kind::Control;
-    retry.opcode = kCtlDoMigrate;
-    retry.src_pe = pe;
-    retry.dst_pe = pe;
-    retry.dst_rank = rank;
-    cluster_->pe(pe).post(std::move(retry));
-    return;
-  }
+  if (!rank_parked(rm)) return false;
   // Settle busy-time accounting before the rank can run elsewhere: if the
   // open slice still names this rank, a later idle-hook close here would
   // race the destination PE's switch hook writing the same busy_time_s
@@ -1261,6 +1192,7 @@ void Runtime::perform_migration_departure(comm::PeId pe, comm::RankId rank) {
   // destination and queue behind the migration message.
   cluster_->set_location(rank, dest);
   cluster_->send(std::move(mig));
+  return true;
 }
 
 void Runtime::handle_migration_arrival(comm::PeId pe, comm::Message&& msg) {
@@ -1473,24 +1405,14 @@ int Runtime::do_checkpoint(RankMpi& rm) {
   return rm.restored ? 1 : 0;
 }
 
-void Runtime::perform_checkpoint_pack(comm::PeId pe, comm::RankId rank,
+bool Runtime::perform_checkpoint_pack(comm::PeId pe, comm::RankId rank,
                                       std::uint32_t epoch, bool buddy) {
   auto& ps = pe_state_[static_cast<std::size_t>(pe)];
   auto it = ps.resident.find(rank);
   require(it != ps.resident.end(), ErrorCode::Internal,
           "checkpoint for non-resident rank");
   RankMpi& rm = *it->second;
-  if (!rank_parked(rm)) {
-    comm::Message retry;
-    retry.kind = comm::Message::Kind::Control;
-    retry.opcode = buddy ? kCtlFtCheckpoint : kCtlDoCheckpoint;
-    retry.tag = static_cast<std::int32_t>(epoch);
-    retry.src_pe = pe;
-    retry.dst_pe = pe;
-    retry.dst_rank = rank;
-    cluster_->pe(pe).post(std::move(retry));
-    return;
-  }
+  if (!rank_parked(rm)) return false;
   const iso::SlotId slot = rm.rc->slot;
   // Delta is eligible only when tracking covered the whole interval since
   // the previous image: the tracker is armed, nothing rewrote the slot
@@ -1550,6 +1472,7 @@ void Runtime::perform_checkpoint_pack(comm::PeId pe, comm::RankId rank,
   if (dirty_tracker_ != nullptr) dirty_tracker_->arm(slot);
   rm.ckpt_pending = false;
   cluster_->pe(pe).scheduler().ready(rm.rc->ult, ult::Lane::High);
+  return true;
 }
 
 int Runtime::do_restore(RankMpi& rm) {
@@ -1575,24 +1498,14 @@ int Runtime::do_restore(RankMpi& rm) {
                  "restore resumed past the rewound stack frame");
 }
 
-void Runtime::perform_restore_unpack(comm::PeId pe, comm::RankId rank,
+bool Runtime::perform_restore_unpack(comm::PeId pe, comm::RankId rank,
                                      std::uint32_t epoch) {
   auto& ps = pe_state_[static_cast<std::size_t>(pe)];
   auto it = ps.resident.find(rank);
   require(it != ps.resident.end(), ErrorCode::Internal,
           "restore for non-resident rank");
   RankMpi& rm = *it->second;
-  if (!rank_parked(rm)) {
-    comm::Message retry;
-    retry.kind = comm::Message::Kind::Control;
-    retry.opcode = kCtlDoRestore;
-    retry.tag = static_cast<std::int32_t>(epoch);
-    retry.src_pe = pe;
-    retry.dst_pe = pe;
-    retry.dst_rank = rank;
-    cluster_->pe(pe).post(std::move(retry));
-    return;
-  }
+  if (!rank_parked(rm)) return false;
   if (dirty_tracker_ != nullptr) dirty_tracker_->disarm(rm.rc->slot);
   rm.force_full_ckpt = true;
   // Materialize the epoch: the full base first, then each delta in order,
@@ -1611,6 +1524,7 @@ void Runtime::perform_restore_unpack(comm::PeId pe, comm::RankId rank,
   rm.ckpt_pending = false;
   rm.restore_pending = false;
   cluster_->pe(pe).scheduler().ready(rm.rc->ult, ult::Lane::High);
+  return true;
 }
 
 comm::PeId Runtime::buddy_of(comm::PeId pe) const {
@@ -1622,24 +1536,15 @@ comm::PeId Runtime::buddy_of(comm::PeId pe) const {
   return pe;  // single live PE: no distinct buddy exists
 }
 
-void Runtime::perform_ft_adopt(comm::PeId pe, comm::RankId rank,
+bool Runtime::perform_ft_adopt(comm::PeId pe, comm::RankId rank,
                                std::uint32_t epoch) {
   RankMpi& rm = rank_state(rank);
   // The victim packs and parks on the dying PE's thread while we run here;
   // retry (requeue behind our own mailbox) until its epoch image exists and
   // the ULT is genuinely suspended.
   if (!(rm.restore_pending && rank_parked(rm) &&
-        ckpt_store_->has(rank, epoch))) {
-    comm::Message retry;
-    retry.kind = comm::Message::Kind::Control;
-    retry.opcode = kCtlFtAdopt;
-    retry.tag = static_cast<std::int32_t>(epoch);
-    retry.src_pe = pe;
-    retry.dst_pe = pe;
-    retry.dst_rank = rank;
-    cluster_->pe(pe).post(std::move(retry));
-    return;
-  }
+        ckpt_store_->has(rank, epoch)))
+    return false;
   const comm::PeId old_pe = rm.resident_pe;
   // The dying PE's loop may still be draining the backlog it accepted
   // before the leader declared it dead — and its thread was the last to
@@ -1651,17 +1556,7 @@ void Runtime::perform_ft_adopt(comm::PeId pe, comm::RankId rank,
   // plain-byte unpack and map surgery below (found by TSan). The wait is
   // bounded — every rank on the dead PE is a parked victim, so its loop
   // drains and halts without needing anything from us.
-  if (cluster_->pe(old_pe).running()) {
-    comm::Message retry;
-    retry.kind = comm::Message::Kind::Control;
-    retry.opcode = kCtlFtAdopt;
-    retry.tag = static_cast<std::int32_t>(epoch);
-    retry.src_pe = pe;
-    retry.dst_pe = pe;
-    retry.dst_rank = rank;
-    cluster_->pe(pe).post(std::move(retry));
-    return;
-  }
+  if (cluster_->pe(old_pe).running()) return false;
   const comm::NodeId old_node = cluster_->node_of(old_pe);
   privs_[static_cast<std::size_t>(old_node)]->rank_departed(rm.rc);
   pe_state_[static_cast<std::size_t>(old_pe)].resident.erase(rank);
@@ -1697,6 +1592,7 @@ void Runtime::perform_ft_adopt(comm::PeId pe, comm::RankId rank,
                  "%zu image(s), %zu bytes)",
            rank, pe, epoch, chain.size(), chain_bytes);
   cluster_->pe(pe).scheduler().ready(rm.rc->ult, ult::Lane::High);
+  return true;
 }
 
 void Runtime::do_compute(RankMpi& rm, double seconds) {
@@ -1833,14 +1729,13 @@ void Runtime::dump_all_counters() const {
 util::Counters Runtime::locality_counters() const {
   util::Counters c;
   std::uint64_t hits = 0, misses = 0, bytes = 0, fifo = 0;
-  std::uint64_t leader_msgs = 0, local_combines = 0, shared_rdv = 0;
+  std::uint64_t local_combines = 0, shared_rdv = 0;
   std::uint64_t vec_bytes = 0;
   for (const PeState& ps : pe_state_) {
     hits += ps.inline_hits;
     misses += ps.inline_misses;
     bytes += ps.inline_bytes;
     fifo += ps.inline_fifo_fallbacks;
-    leader_msgs += ps.coll_leader_msgs;
     local_combines += ps.coll_local_combines;
     shared_rdv += ps.coll_shared_rendezvous;
     vec_bytes += ps.coll_vec_bytes;
@@ -1849,7 +1744,6 @@ util::Counters Runtime::locality_counters() const {
   c.set("inline_misses", misses);
   c.set("inline_bytes", bytes);
   c.set("inline_fifo_fallbacks", fifo);
-  c.set("coll_leader_msgs", leader_msgs);
   c.set("coll_local_combines", local_combines);
   c.set("coll_shared_rendezvous", shared_rdv);
   c.set("coll_vec_bytes", vec_bytes);

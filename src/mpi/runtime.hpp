@@ -103,7 +103,7 @@ class Runtime {
 
   /// Locality instrumentation (cumulative, summed over PEs): same-PE inline
   /// delivery hits/misses/bytes, FIFO fallbacks to the routed path, and
-  /// hierarchical-collective leader-phase messages / local combines.
+  /// hierarchical-collective local combines / agent meetings / vector bytes.
   util::Counters locality_counters() const;
   /// Shared group blocks currently registered by hierarchical collectives.
   /// Every rank that attaches a block detaches it again, so this is 0
@@ -165,20 +165,6 @@ class Runtime {
                  std::size_t bytes, CommId comm);
   std::size_t coll_recv(RankMpi& rm, int src_world, int tag, void* data,
                         std::size_t max_bytes, CommId comm);
-  /// coll_send staged through Cluster::acquire_payload: on the shm backend
-  /// the bytes land directly in the cross-process arena and the envelope
-  /// moves them by refcount handoff — the fill here is the only copy on
-  /// the cross-process path. Everywhere else it degenerates to coll_send.
-  void coll_send_staged(RankMpi& rm, int dst_world, int tag, const void* data,
-                        std::size_t bytes, CommId comm);
-  /// Leader-phase vector transfer: one eager message up to coll.vec_cutoff,
-  /// chunked into vec_cutoff-sized staged payloads above it (bounds peak
-  /// arena/pool block size; both sides derive identical chunk boundaries
-  /// from the shared option value).
-  void coll_send_vec(RankMpi& rm, int dst_world, int tag, const void* data,
-                     std::size_t bytes, CommId comm);
-  void coll_recv_vec(RankMpi& rm, int src_world, int tag, void* data,
-                     std::size_t bytes, CommId comm);
 
   void do_barrier(RankMpi& rm, CommId comm);
   void do_bcast(RankMpi& rm, void* buf, std::size_t bytes, int root,
@@ -270,7 +256,6 @@ class Runtime {
     std::uint64_t inline_misses = 0;
     std::uint64_t inline_bytes = 0;
     std::uint64_t inline_fifo_fallbacks = 0;
-    std::uint64_t coll_leader_msgs = 0;
     std::uint64_t coll_local_combines = 0;
     std::uint64_t coll_shared_rendezvous = 0;
     std::uint64_t coll_vec_bytes = 0;  ///< bytes through vector shared blocks
@@ -292,6 +277,13 @@ class Runtime {
   bool match_fields(RankMpi& rm, const RecvPost& post, CommId comm, int tag,
                     int src_world) const;
   void complete_recv(RankMpi& rm, const RecvPost& post, comm::Message& msg);
+  /// A stamped p2p pair the checker found mismatched at match time (`v`):
+  /// world rank `src_world` sent `bytes` of element size `esize` into
+  /// `dst`'s receive `post`. Records the located diagnosis and returns it.
+  std::string p2p_mismatch(check::P2pVerdict v, const RankMpi& dst,
+                           const RecvPost& post, int src_world, int tag,
+                           CommId comm, std::uint32_t esize,
+                           std::size_t bytes);
   void wake_if_waiting(RankMpi& rm,
                        ult::Lane lane = ult::Lane::Normal);
 
@@ -335,9 +327,8 @@ class Runtime {
   bool hier_scan(RankMpi& rm, const void* sbuf, void* rbuf, int count,
                  Datatype dt, const Op& op, CommId comm);
   // Vector collectives: co-resident ranks deposit/withdraw through the
-  // shared block (rank-indexed offsets derived from the topology); one
-  // leader per PE exchanges whole PE-aggregates, staged via
-  // coll_send_vec/coll_send_staged so the shm tier moves them zero-copy.
+  // shared block (rank-indexed offsets derived from the topology), and the
+  // group agents hand whole per-member blocks over in the agents' block.
   bool hier_gather(RankMpi& rm, const void* sbuf, std::size_t sblock,
                    void* rbuf, int root, CommId comm);
   bool hier_gatherv(RankMpi& rm, const void* sbuf, std::size_t sbytes,
@@ -367,12 +358,16 @@ class Runtime {
   void dump_stuck_state();
 
   void close_run_slice(comm::PeId pe);
-  void perform_migration_departure(comm::PeId pe, comm::RankId rank);
-  void perform_checkpoint_pack(comm::PeId pe, comm::RankId rank,
+  // Control-command handlers for a parked rank. Each returns false, having
+  // changed nothing, while the rank is not ready for it (not parked yet;
+  // for adoption, also no epoch image yet or its old PE still running);
+  // handle_control then requeues the command it received.
+  bool perform_migration_departure(comm::PeId pe, comm::RankId rank);
+  bool perform_checkpoint_pack(comm::PeId pe, comm::RankId rank,
                                std::uint32_t epoch, bool buddy);
-  void perform_restore_unpack(comm::PeId pe, comm::RankId rank,
+  bool perform_restore_unpack(comm::PeId pe, comm::RankId rank,
                               std::uint32_t epoch);
-  void perform_ft_adopt(comm::PeId pe, comm::RankId rank, std::uint32_t epoch);
+  bool perform_ft_adopt(comm::PeId pe, comm::RankId rank, std::uint32_t epoch);
   /// Survivor-side recovery protocol (ft_glue.cpp): survivor barrier, then
   /// the leader declares the PE dead, re-places the lost ranks via the LB
   /// strategy, and dispatches adopt commands to their new hosts.
@@ -403,12 +398,6 @@ class Runtime {
 
   bool inline_enabled_ = true;  ///< comm.inline: same-PE inline delivery
   bool coll_hier_ = true;       ///< coll.algo: "hier" (default) or "naive"
-  /// coll.vec_cutoff: vector-collective leader transfers up to this many
-  /// bytes go eager in one message (and rooted trees/Bruck stay
-  /// latency-shaped); above it transfers are chunked into cutoff-sized
-  /// staged payloads and the bandwidth-shaped algorithms (direct sends,
-  /// ring) take over.
-  std::size_t vec_cutoff_ = 32768;
   /// Group-block registry (collectives_hier.cpp). shared_ptr: the deleter
   /// is type-erased there, so the type can stay incomplete here.
   struct CollHierState;

@@ -33,8 +33,6 @@ constexpr OptionSpec kOptions[] = {
      "how long a PE must be idle before it tries to steal"},
     {"coll.algo", String, "hier", "hier|naive", kNoMin, nullptr,
      "hier = two-level PE-leader collectives; naive = seed flat paths"},
-    {"coll.vec_cutoff", Int, "32768", "", 1, nullptr,
-     "vector collectives: eager up to this many bytes, chunked above it"},
     {"check.mode", String, "off", "off|warn|abort", kNoMin, "APV_CHECK_MODE",
      "checker: warn prints located diagnoses, abort fails with CheckFailed"},
     {"check.deadlock_s", Double, "0", "", 0, nullptr,

@@ -1,7 +1,8 @@
 // Hierarchical-collective correctness sweep: barrier / bcast / reduce /
 // allreduce / scan, commutative (builtin Sum) and non-commutative
-// (associative affine-map user op), at 1 / 4 / 16 ranks per PE, with the
-// coll.algo=naive escape hatch cross-checked against coll.algo=hier.
+// (associative affine-map user op), at 1 / 4 / 16 ranks per PE on 3, 4 and
+// 10 PEs, with the coll.algo=naive escape hatch cross-checked against
+// coll.algo=hier.
 
 #include <gtest/gtest.h>
 
@@ -36,9 +37,7 @@ void affine_fold(int lo, int hi, int* ep, int* eq) {
   }
 }
 
-// Large enough that a world allreduce crosses the default Rabenseifner
-// cutoff (32 KiB): exercises reduce-scatter + allgather above it and
-// recursive doubling below it (the small cases elsewhere in this entry).
+// A bandwidth-sized allreduce next to the latency-sized ones below.
 constexpr int kBigCount = 16384;  // 64 KiB of ints
 
 void* sweep_main(void* arg) {
@@ -75,7 +74,7 @@ void* sweep_main(void* arg) {
     }
   }
 
-  // Commutative allreduce, small (recursive doubling among leaders).
+  // Commutative allreduce, small.
   {
     int v[2] = {me + 1, me * me};
     int out[2] = {0, 0};
@@ -88,7 +87,7 @@ void* sweep_main(void* arg) {
     check(out[0] == s1 && out[1] == s2);
   }
 
-  // Commutative allreduce, large (Rabenseifner among leaders).
+  // Commutative allreduce, large.
   {
     std::vector<int> v(kBigCount), out(kBigCount, -1);
     for (int i = 0; i < kBigCount; ++i) v[static_cast<std::size_t>(i)] = me + i;
@@ -144,9 +143,36 @@ void* sweep_main(void* arg) {
 }
 
 struct HierCase {
+  int pes;
   int ranks_per_pe;
   bool hier;
 };
+
+// Odd (3) and even (4) agent counts, and more agents (10) than any single
+// step of a tree over them would touch.
+const auto kShapes = ::testing::Values(
+    HierCase{3, 1, true}, HierCase{3, 1, false}, HierCase{3, 4, true},
+    HierCase{3, 4, false}, HierCase{3, 16, true}, HierCase{3, 16, false},
+    HierCase{4, 1, true}, HierCase{4, 1, false}, HierCase{4, 4, true},
+    HierCase{4, 4, false}, HierCase{4, 16, true}, HierCase{4, 16, false},
+    HierCase{10, 1, true}, HierCase{10, 1, false}, HierCase{10, 4, true},
+    HierCase{10, 4, false});
+
+std::string shape_name(const ::testing::TestParamInfo<HierCase>& info) {
+  return "pes" + std::to_string(info.param.pes) + "_rpp" +
+         std::to_string(info.param.ranks_per_pe) +
+         (info.param.hier ? "_hier" : "_naive");
+}
+
+// Hier runs meet in shared blocks; naive ones never do.
+void expect_meetings(const mpi::Runtime& rt, bool hier) {
+  const util::Counters lc = rt.locality_counters();
+  if (hier) {
+    EXPECT_GT(lc.get("coll_shared_rendezvous"), 0u);
+  } else {
+    EXPECT_EQ(lc.get("coll_shared_rendezvous"), 0u);
+  }
+}
 
 }  // namespace
 
@@ -154,7 +180,6 @@ class HierSweep : public ::testing::TestWithParam<HierCase> {};
 
 TEST_P(HierSweep, AllCollectivesAgree) {
   const HierCase c = GetParam();
-  const int pes = 4;
   img::ImageBuilder b("hiersweep");
   b.add_global<int>("unused", 0);
   b.add_function("mpi_main", &sweep_main);
@@ -172,8 +197,8 @@ TEST_P(HierSweep, AllCollectivesAgree) {
   const img::ProgramImage image = b.build();
   mpi::RuntimeConfig cfg;
   cfg.nodes = 1;
-  cfg.pes_per_node = pes;
-  cfg.vps = c.ranks_per_pe * pes;
+  cfg.pes_per_node = c.pes;
+  cfg.vps = c.ranks_per_pe * c.pes;
   cfg.method = core::Method::PIEglobals;
   cfg.slot_bytes = std::size_t{8} << 20;
   cfg.options.set("coll.algo", c.hier ? "hier" : "naive");
@@ -185,37 +210,25 @@ TEST_P(HierSweep, AllCollectivesAgree) {
   }
   // Every group-block attachment was detached again.
   EXPECT_EQ(rt.live_group_blocks(), 0u);
+  expect_meetings(rt, c.hier);
   const util::Counters lc = rt.locality_counters();
-  if (c.hier) {
-    EXPECT_GT(lc.get("coll_leader_msgs"), 0u);
-    if (c.ranks_per_pe > 1) {
-      EXPECT_GT(lc.get("coll_local_combines"), 0u);
-    }
-  } else {
-    EXPECT_EQ(lc.get("coll_leader_msgs"), 0u);
+  if (c.hier && c.ranks_per_pe > 1) {
+    EXPECT_GT(lc.get("coll_local_combines"), 0u);
+  } else if (!c.hier) {
     EXPECT_EQ(lc.get("coll_local_combines"), 0u);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, HierSweep,
-    ::testing::Values(HierCase{1, true}, HierCase{1, false},
-                      HierCase{4, true}, HierCase{4, false},
-                      HierCase{16, true}, HierCase{16, false}),
-    [](const ::testing::TestParamInfo<HierCase>& info) {
-      return std::string("rpp") + std::to_string(info.param.ranks_per_pe) +
-             (info.param.hier ? "_hier" : "_naive");
-    });
+INSTANTIATE_TEST_SUITE_P(Shapes, HierSweep, kShapes, shape_name);
 
 // ---------------------------------------------------------------------------
 // Vector collectives: gather/gatherv/scatter/scatterv/allgather/alltoall,
 // hier vs naive bit-identity across root positions, non-uniform counts, and
-// a comm_split subset. Small counts take the eager leader phase, kVecBig
-// crosses coll.vec_cutoff into the chunked one.
+// a comm_split subset, at latency-sized and mid-sized blocks.
 
 namespace {
 
-constexpr int kVecBig = 1536;  // 6 KiB blocks: world totals cross the cutoff
+constexpr int kVecBig = 1536;  // 6 KiB blocks
 
 void* vector_main(void* arg) {
   auto* env = static_cast<Env*>(arg);
@@ -226,7 +239,7 @@ void* vector_main(void* arg) {
 
   env->barrier();
 
-  // Gather: every root position, eager and chunked block sizes.
+  // Gather: every root position, small and mid-sized blocks.
   for (const int root : {0, n / 2, n - 1}) {
     for (const int count : {2, kVecBig}) {
       std::vector<int> v(static_cast<std::size_t>(count));
@@ -281,7 +294,7 @@ void* vector_main(void* arg) {
     }
   }
 
-  // Scatter: eager and chunked block sizes.
+  // Scatter: small and mid-sized blocks.
   for (const int root : {0, n - 1}) {
     for (const int count : {3, kVecBig}) {
       std::vector<int> v;
@@ -331,7 +344,7 @@ void* vector_main(void* arg) {
     check(good);
   }
 
-  // Allgather: eager (Bruck) and chunked (ring) leader phases.
+  // Allgather: small and mid-sized blocks.
   for (const int count : {2, kVecBig}) {
     std::vector<int> v(static_cast<std::size_t>(count));
     for (int i = 0; i < count; ++i)
@@ -420,15 +433,14 @@ class VectorSweep : public ::testing::TestWithParam<HierCase> {};
 
 TEST_P(VectorSweep, AllVectorCollectivesAgree) {
   const HierCase c = GetParam();
-  const int pes = 4;
   img::ImageBuilder b("vecsweep");
   b.add_global<int>("unused", 0);
   b.add_function("mpi_main", &vector_main);
   const img::ProgramImage image = b.build();
   mpi::RuntimeConfig cfg;
   cfg.nodes = 1;
-  cfg.pes_per_node = pes;
-  cfg.vps = c.ranks_per_pe * pes;
+  cfg.pes_per_node = c.pes;
+  cfg.vps = c.ranks_per_pe * c.pes;
   cfg.method = core::Method::PIEglobals;
   cfg.slot_bytes = std::size_t{8} << 20;
   cfg.options.set("coll.algo", c.hier ? "hier" : "naive");
@@ -439,26 +451,94 @@ TEST_P(VectorSweep, AllVectorCollectivesAgree) {
         << "rank " << r;
   }
   EXPECT_EQ(rt.live_group_blocks(), 0u);
+  // Contributions moved through shared group blocks (hier only).
   const util::Counters lc = rt.locality_counters();
   if (c.hier) {
-    // Contributions moved through shared group blocks, and leaders (not
-    // every rank) carried the inter-PE phase.
     EXPECT_GT(lc.get("coll_vec_bytes"), 0u);
-    EXPECT_GT(lc.get("coll_leader_msgs"), 0u);
   } else {
     EXPECT_EQ(lc.get("coll_vec_bytes"), 0u);
   }
+  expect_meetings(rt, c.hier);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, VectorSweep,
-    ::testing::Values(HierCase{1, true}, HierCase{1, false},
-                      HierCase{4, true}, HierCase{4, false},
-                      HierCase{16, true}, HierCase{16, false}),
-    [](const ::testing::TestParamInfo<HierCase>& info) {
-      return std::string("rpp") + std::to_string(info.param.ranks_per_pe) +
-             (info.param.hier ? "_hier" : "_naive");
-    });
+INSTANTIATE_TEST_SUITE_P(Shapes, VectorSweep, kShapes, shape_name);
+
+// ---------------------------------------------------------------------------
+// Size-based selection: a uniform vector op whose single contribution is
+// above the vector cutoff (32 KiB) takes the flat path under coll.algo=hier
+// too, so no vector bytes cross a shared block.
+
+namespace {
+
+constexpr int kFlatBlock = 9000;  // 36000-byte blocks
+
+void* flat_fallback_main(void* arg) {
+  auto* env = static_cast<Env*>(arg);
+  const int me = env->rank();
+  const int n = env->size();
+  const int root = n - 1;
+  std::intptr_t ok = 1;
+  const auto check = [&ok](bool cond) { ok = ok && cond ? 1 : 0; };
+
+  std::vector<int> v(kFlatBlock);
+  for (int i = 0; i < kFlatBlock; ++i)
+    v[static_cast<std::size_t>(i)] = me * 100000 + i;
+  std::vector<int> all;
+  if (me == root) all.assign(static_cast<std::size_t>(n) * kFlatBlock, -1);
+  env->gather(v.data(), kFlatBlock, Datatype::Int, all.data(), kFlatBlock,
+              Datatype::Int, root);
+  if (me == root) {
+    bool good = true;
+    for (int r = 0; r < n; ++r)
+      for (int i = 0; i < kFlatBlock; ++i)
+        good = good && all[static_cast<std::size_t>(r * kFlatBlock + i)] ==
+                           r * 100000 + i;
+    check(good);
+    for (int r = 0; r < n; ++r)
+      for (int i = 0; i < kFlatBlock; ++i)
+        all[static_cast<std::size_t>(r * kFlatBlock + i)] = r * 7 + i;
+  }
+  std::vector<int> mine(kFlatBlock, -1);
+  env->scatter(all.data(), kFlatBlock, Datatype::Int, mine.data(),
+               kFlatBlock, Datatype::Int, root);
+  bool good = true;
+  for (int i = 0; i < kFlatBlock; ++i)
+    good = good && mine[static_cast<std::size_t>(i)] == me * 7 + i;
+  check(good);
+  return reinterpret_cast<void*>(ok);
+}
+
+}  // namespace
+
+class FlatFallback : public ::testing::TestWithParam<bool> {};
+
+TEST_P(FlatFallback, LargeBlocksGatherAndScatter) {
+  const bool hier = GetParam();
+  img::ImageBuilder b("flatfallback");
+  b.add_global<int>("unused", 0);
+  b.add_function("mpi_main", &flat_fallback_main);
+  const img::ProgramImage image = b.build();
+  mpi::RuntimeConfig cfg;
+  cfg.nodes = 1;
+  cfg.pes_per_node = 4;
+  cfg.vps = 8;
+  cfg.method = core::Method::PIEglobals;
+  cfg.slot_bytes = std::size_t{8} << 20;
+  cfg.options.set("coll.algo", hier ? "hier" : "naive");
+  mpi::Runtime rt(image, cfg);
+  rt.run();
+  for (int r = 0; r < cfg.vps; ++r) {
+    EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1)
+        << "rank " << r;
+  }
+  EXPECT_EQ(rt.live_group_blocks(), 0u);
+  EXPECT_EQ(rt.locality_counters().get("coll_vec_bytes"), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Algo, FlatFallback, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "hier" : "naive");
+                         });
 
 // ---------------------------------------------------------------------------
 // Mid-collective PE failure: a rank killed between vector collectives must

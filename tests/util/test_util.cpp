@@ -166,8 +166,8 @@ TEST(Options, RejectsMalformedNumber) {
 }
 
 TEST(Options, RejectsValueBelowMinimum) {
-  expect_rejected([] { Options().set("coll.vec_cutoff", "0"); },
-                  "coll.vec_cutoff");
+  expect_rejected([] { Options().set("sched.quantum_us", "0"); },
+                  "sched.quantum_us");
 }
 
 // Explicit option, then the environment alias (checked like a set value),
@@ -194,8 +194,8 @@ TEST(Options, DeletedKnobsAreUndeclared) {
        {"comm.mailbox", "comm.pool", "comm.agg_threshold",
         "comm.agg_max_bytes", "comm.mailbox_slots", "comm.drain_batch",
         "comm.hipri_bytes", "sched.starve_limit", "sched.steal_timeout_us",
-        "sched.steal_batch", "coll.rab_cutoff", "transport.spin_us",
-        "transport.nap_us", "transport.ring_slots"})
+        "sched.steal_batch", "coll.rab_cutoff", "coll.vec_cutoff",
+        "transport.spin_us", "transport.nap_us", "transport.ring_slots"})
     expect_rejected([key] { Options().set(key, "1"); }, key);
 }
 
