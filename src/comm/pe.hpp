@@ -99,8 +99,6 @@ class Pe {
   /// True while run_loop is executing.
   bool running() const noexcept { return running_.load(); }
 
-  std::uint64_t messages_processed() const noexcept { return processed_; }
-
   /// The PE whose loop is executing on the calling thread, or nullptr.
   static Pe* current() noexcept;
 

@@ -44,9 +44,8 @@ void api_send(Env* e, const void* buf, int count, Datatype dt, int dst,
 
 Status api_recv(Env* e, void* buf, int count, Datatype dt, int src, int tag,
                 CommId comm) {
-  Request req = rt(e).do_irecv(rm(e), buf, nbytes(count, dt), src, tag, comm,
-                               static_cast<std::uint32_t>(datatype_size(dt)));
-  return rt(e).do_wait(rm(e), req);
+  return rt(e).do_recv(rm(e), buf, nbytes(count, dt), src, tag, comm,
+                       static_cast<std::uint32_t>(datatype_size(dt)));
 }
 
 Request api_isend(Env* e, const void* buf, int count, Datatype dt, int dst,

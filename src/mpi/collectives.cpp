@@ -1,5 +1,5 @@
-// Collective algorithms, built on the runtime's internal eager transport
-// (coll_send / coll_recv) with tags in the internal tag space. Each
+// Collective algorithms, built on the runtime's eager point-to-point
+// transport (do_send / do_recv) with tags in the internal tag space. Each
 // collective consumes one per-communicator sequence number; MPI's "same
 // order on every member" rule makes the sequence agree across ranks.
 
@@ -71,11 +71,11 @@ void Runtime::do_barrier(RankMpi& rm, CommId comm) {
   // exchange (empty payloads never touch the pool).
   int round = 0;
   for (int dist = 1; dist < n; dist <<= 1, ++round) {
-    const int dst = ci.world_of((me + dist) % n);
-    const int src = ci.world_of(((me - dist) % n + n) % n);
+    const int dst = (me + dist) % n;
+    const int src = ((me - dist) % n + n) % n;
     const int tag = internal_tag(kCollBarrier, round, seq);
-    coll_send(rm, dst, tag, nullptr, 0, comm);
-    coll_recv(rm, src, tag, nullptr, 0, comm);
+    do_send(rm, nullptr, 0, dst, tag, comm);
+    do_recv(rm, nullptr, 0, src, tag, comm);
   }
 }
 
@@ -96,18 +96,15 @@ void Runtime::do_bcast(RankMpi& rm, void* buf, std::size_t bytes, int root,
   int mask = 1;
   while (mask < n) {
     if ((vr & mask) != 0) {
-      const int parent = ci.world_of(((vr - mask) + root) % n);
-      coll_recv(rm, parent, tag, buf, bytes, comm);
+      do_recv(rm, buf, bytes, ((vr - mask) + root) % n, tag, comm);
       break;
     }
     mask <<= 1;
   }
   mask >>= 1;
   while (mask > 0) {
-    if (vr + mask < n) {
-      const int child = ci.world_of((vr + mask + root) % n);
-      coll_send(rm, child, tag, buf, bytes, comm);
-    }
+    if (vr + mask < n)
+      do_send(rm, buf, bytes, (vr + mask + root) % n, tag, comm);
     mask >>= 1;
   }
 }
@@ -145,14 +142,13 @@ void Runtime::do_reduce(RankMpi& rm, const void* sbuf, void* rbuf, int count,
       const int tag = internal_tag(kCollReduce, round & 0x3f, seq);
       if ((me & mask) != 0) {
         // acc covers [me, me+mask): hand it to the left neighbour, done.
-        coll_send(rm, ci.world_of(me - mask), tag, acc.data(), bytes, comm);
+        do_send(rm, acc.data(), bytes, me - mask, tag, comm);
         break;
       }
       if (me + mask < n) {
         // incoming covers [me+mask, ...): acc = acc op incoming, keeping
         // rank order (acc is the left operand).
-        coll_recv(rm, ci.world_of(me + mask), tag, incoming.data(), bytes,
-                  comm);
+        do_recv(rm, incoming.data(), bytes, me + mask, tag, comm);
         apply_op(rm, op, dt, acc.data(), incoming.data(), count);
         acc.swap(incoming);
       }
@@ -161,9 +157,9 @@ void Runtime::do_reduce(RankMpi& rm, const void* sbuf, void* rbuf, int count,
     if (root == 0) {
       if (me == 0) std::memcpy(rbuf, acc.data(), bytes);
     } else if (me == 0) {
-      coll_send(rm, ci.world_of(root), fwd_tag, acc.data(), bytes, comm);
+      do_send(rm, acc.data(), bytes, root, fwd_tag, comm);
     } else if (me == root) {
-      coll_recv(rm, ci.world_of(0), fwd_tag, rbuf, bytes, comm);
+      do_recv(rm, rbuf, bytes, 0, fwd_tag, comm);
     }
     return;
   }
@@ -176,13 +172,11 @@ void Runtime::do_reduce(RankMpi& rm, const void* sbuf, void* rbuf, int count,
   std::vector<std::byte> incoming(bytes);
   for (int mask = 1; mask < n; mask <<= 1) {
     if ((vr & mask) != 0) {
-      const int parent = ci.world_of(((vr - mask) + root) % n);
-      coll_send(rm, parent, tag, acc.data(), bytes, comm);
+      do_send(rm, acc.data(), bytes, ((vr - mask) + root) % n, tag, comm);
       break;
     }
     if (vr + mask < n) {
-      const int child = ci.world_of((vr + mask + root) % n);
-      coll_recv(rm, child, tag, incoming.data(), bytes, comm);
+      do_recv(rm, incoming.data(), bytes, (vr + mask + root) % n, tag, comm);
       apply_op(rm, op, dt, incoming.data(), acc.data(), count);
     }
   }
@@ -223,12 +217,11 @@ void Runtime::do_scan(RankMpi& rm, const void* sbuf, void* rbuf, int count,
   std::memcpy(acc.data(), sbuf, bytes);
   if (me > 0) {
     std::vector<std::byte> partial(bytes);
-    coll_recv(rm, ci.world_of(me - 1), tag, partial.data(), bytes, comm);
+    do_recv(rm, partial.data(), bytes, me - 1, tag, comm);
     // acc = partial op acc keeps rank order: partial is s_0..s_{me-1}.
     apply_op(rm, op, dt, partial.data(), acc.data(), count);
   }
-  if (me + 1 < n) coll_send(rm, ci.world_of(me + 1), tag, acc.data(), bytes,
-                            comm);
+  if (me + 1 < n) do_send(rm, acc.data(), bytes, me + 1, tag, comm);
   std::memcpy(rbuf, acc.data(), bytes);
 }
 
@@ -256,7 +249,7 @@ void Runtime::do_gatherv(RankMpi& rm, const void* sbuf, int scount,
   const int tag = internal_tag(kCollGather, 0, seq);
 
   if (me != root) {
-    coll_send(rm, ci.world_of(root), tag, sbuf, sbytes, comm);
+    do_send(rm, sbuf, sbytes, root, tag, comm);
     return;
   }
   // Pre-post every irecv before draining any of them: contributions land
@@ -309,11 +302,11 @@ void Runtime::do_scatterv(RankMpi& rm, const void* sbuf, const int* scounts,
                 "scatter: root receive buffer too small");
         std::memcpy(rbuf, src, len);
       } else {
-        coll_send(rm, ci.world_of(i), tag, src, len, comm);
+        do_send(rm, src, len, i, tag, comm);
       }
     }
   } else {
-    coll_recv(rm, ci.world_of(root), tag, rbuf, rbytes, comm);
+    do_recv(rm, rbuf, rbytes, root, tag, comm);
   }
 }
 
@@ -410,7 +403,7 @@ void Runtime::do_allgather(RankMpi& rm, const void* sbuf, int scount,
   std::memcpy(rp + static_cast<std::size_t>(me) * rblock, sbuf,
               std::min(sblock, rblock));
   for (int i = 0; i < n; ++i) {
-    if (i != me) coll_send(rm, ci.world_of(i), tag, sbuf, sblock, comm);
+    if (i != me) do_send(rm, sbuf, sblock, i, tag, comm);
   }
   for (int i = 0; i < n; ++i) {
     if (i != me) do_wait(rm, reqs[static_cast<std::size_t>(i)]);
@@ -459,8 +452,8 @@ void Runtime::do_alltoall(RankMpi& rm, const void* sbuf, int scount,
       std::memcpy(rblk, sblk, std::min(sblock, rblock));
       continue;
     }
-    coll_send(rm, ci.world_of(dst), internal_tag(kCollAlltoall, s & 0x3f, seq),
-              sblk, sblock, comm);
+    do_send(rm, sblk, sblock, dst, internal_tag(kCollAlltoall, s & 0x3f, seq),
+            comm);
   }
   for (int s = 1; s < n; ++s) do_wait(rm, reqs[static_cast<std::size_t>(s)]);
 }

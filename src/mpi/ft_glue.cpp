@@ -41,7 +41,6 @@
 
 namespace apv::mpi {
 
-using util::ApvError;
 using util::ErrorCode;
 using util::require;
 
@@ -59,19 +58,7 @@ int Runtime::do_checkpoint_all(RankMpi& rm) {
   do_barrier(rm, kCommWorld);
 
   rm.ckpt_pending = true;
-  comm::Message ctl;
-  ctl.kind = comm::Message::Kind::Control;
-  ctl.opcode = kCtlFtCheckpoint;
-  ctl.tag = static_cast<std::int32_t>(epoch);
-  ctl.src_pe = rm.resident_pe;
-  ctl.dst_pe = rm.resident_pe;
-  ctl.dst_rank = rm.world_rank;
-  // Post straight into the resident PE's mailbox (this rank runs on that
-  // very thread) instead of routing through Cluster::send: a concurrent
-  // fail_pe on this PE must not divert the victim's own pack command —
-  // the dying PE drains its mailbox before halting, so a posted pack
-  // always executes and the leader's wait below always terminates.
-  cluster_->pe(rm.resident_pe).post(std::move(ctl));
+  command_self(rm, kCtlFtCheckpoint, epoch);
   while (rm.ckpt_pending) block_current(rm);
 
   if (!rm.restored) {
@@ -88,8 +75,7 @@ int Runtime::do_checkpoint_all(RankMpi& rm) {
       // This rank just lost its host. Check that someone survives to run
       // the recovery, then park without touching the network: a survivor
       // PE adopts this ULT, unpacks the epoch image over the slot, and
-      // execution rewinds to the pack suspension above with rm.restored
-      // set — this park never "returns".
+      // execution rewinds to the pack suspension above.
       bool any_survivor = false;
       for (int r = 0; r < config_.vps; ++r) {
         if (cluster_->location(r) != victim) {
@@ -100,12 +86,7 @@ int Runtime::do_checkpoint_all(RankMpi& rm) {
       require(any_survivor, ErrorCode::BadState,
               "fault killed the PE hosting every rank: no survivor left to "
               "run recovery");
-      rm.restore_pending = true;
-      rm.waiting = true;
-      ult::current_scheduler()->suspend();
-      rm.waiting = false;
-      throw ApvError(ErrorCode::Internal,
-                     "adopted rank resumed past the rewound stack frame");
+      park_until_rewound(rm);
     }
     recover_from_failure(rm, victim, epoch);
     // Survivors were already at the epoch state when the fault was
@@ -135,13 +116,13 @@ void Runtime::recover_from_failure(RankMpi& rm, comm::PeId victim,
   if (me != leader) {
     // Flat survivor barrier: report in, then wait for the leader to finish
     // re-homing the lost ranks before resuming.
-    coll_send(rm, leader, gather_tag, nullptr, 0, kCommWorld);
-    coll_recv(rm, leader, release_tag, nullptr, 0, kCommWorld);
+    do_send(rm, nullptr, 0, leader, gather_tag, kCommWorld);
+    do_recv(rm, nullptr, 0, leader, release_tag, kCommWorld);
     return;
   }
 
   for (std::size_t i = 1; i < survivors.size(); ++i) {
-    coll_recv(rm, survivors[i], gather_tag, nullptr, 0, kCommWorld);
+    do_recv(rm, nullptr, 0, survivors[i], gather_tag, kCommWorld);
   }
 
   // Wait for each lost rank to reach its own commit point, pack its epoch
@@ -191,14 +172,8 @@ void Runtime::recover_from_failure(RankMpi& rm, comm::PeId victim,
   }
   cluster_->flush_dead_letters();
   for (const auto& [lost, dest] : plan.placement) {
-    comm::Message adopt;
-    adopt.kind = comm::Message::Kind::Control;
-    adopt.opcode = kCtlFtAdopt;
-    adopt.tag = static_cast<std::int32_t>(epoch);
-    adopt.src_pe = rm.resident_pe;
-    adopt.dst_pe = dest;
-    adopt.dst_rank = lost;
-    cluster_->send(std::move(adopt));
+    cluster_->send(control(kCtlFtAdopt, rm.resident_pe, dest, lost,
+                           static_cast<std::int32_t>(epoch)));
   }
   APV_INFO("ft", "recovery at epoch %u: PE %d died, %zu rank(s) re-placed "
                  "across %d live PE(s)",
@@ -212,7 +187,7 @@ void Runtime::recover_from_failure(RankMpi& rm, comm::PeId victim,
   if (checker_ != nullptr) checker_->note_recovery();
 
   for (std::size_t i = 1; i < survivors.size(); ++i) {
-    coll_send(rm, survivors[i], release_tag, nullptr, 0, kCommWorld);
+    do_send(rm, nullptr, 0, survivors[i], release_tag, kCommWorld);
   }
 }
 

@@ -138,10 +138,6 @@ struct RankMpi {
     return busy_time_s.load(std::memory_order_relaxed);
   }
 
-  // Traffic counters.
-  std::uint64_t sends = 0;
-  std::uint64_t recvs = 0;
-
   /// This rank's view of the world's rank->PE placement, used to derive
   /// hierarchical-collective groupings. Seeded identically on every rank at
   /// construction and updated only inside do_load_balance (where all ranks

@@ -513,22 +513,7 @@ void Runtime::deliver_user(comm::PeId pe, comm::Message&& msg) {
   auto& ps = pe_state_[static_cast<std::size_t>(pe)];
   auto it = ps.resident.find(msg.dst_rank);
   if (it == ps.resident.end()) {
-    // The rank is not here (it migrated). Forward toward its recorded
-    // location; if the location still says "here", its state is in flight
-    // to us — requeue behind the migration message.
-    const comm::PeId loc = cluster_->location(msg.dst_rank);
-    if (loc == pe) {
-      ++ps.forward_retries;
-      cluster_->pe(pe).post(std::move(msg));
-      return;
-    }
-    msg.dst_pe = loc;
-    // Re-stamp the envelope: from here on *this* PE is the sender (the
-    // netmodel and aggregation bins key off src_pe, and the original
-    // sender's hop was already paid).
-    msg.src_pe = pe;
-    forwards_.fetch_add(1, std::memory_order_relaxed);
-    cluster_->send(std::move(msg));
+    chase_rank(pe, std::move(msg));
     return;
   }
   RankMpi& rm = *it->second;
@@ -554,7 +539,6 @@ void Runtime::deliver_user(comm::PeId pe, comm::Message&& msg) {
     const ult::Lane lane =
         msg.prio != 0 ? ult::Lane::High : ult::Lane::Normal;
     if (!try_match(rm, msg)) rm.unexpected.push_back(std::move(msg));
-    ++rm.recvs;
     wake_if_waiting(rm, lane);
     // That delivery may have put a held message in order.
     const auto e = std::find_if(rm.early.begin(), rm.early.end(), next_from);
@@ -562,6 +546,24 @@ void Runtime::deliver_user(comm::PeId pe, comm::Message&& msg) {
     msg = std::move(*e);
     rm.early.erase(e);
   }
+}
+
+void Runtime::chase_rank(comm::PeId pe, comm::Message&& msg) {
+  const comm::PeId loc = cluster_->location(msg.dst_rank);
+  if (loc == pe) {
+    // The location still says "here": the rank's state is in flight to us.
+    // Requeue behind its migration message.
+    cluster_->pe(pe).post(std::move(msg));
+    return;
+  }
+  msg.dst_pe = loc;
+  // Re-stamp the envelope: from here on *this* PE is the sender (the
+  // netmodel and aggregation bins key off src_pe, and the original
+  // sender's hop was already paid).
+  msg.src_pe = pe;
+  if (msg.kind == comm::Message::Kind::UserData)
+    forwards_.fetch_add(1, std::memory_order_relaxed);
+  cluster_->send(std::move(msg));
 }
 
 bool Runtime::match_fields(RankMpi& rm, const RecvPost& post, CommId comm,
@@ -578,11 +580,6 @@ bool Runtime::match_fields(RankMpi& rm, const RecvPost& post, CommId comm,
   return true;
 }
 
-bool Runtime::match_predicate(RankMpi& rm, const RecvPost& post,
-                              const comm::Message& msg) const {
-  return match_fields(rm, post, msg.comm_id, msg.tag, msg.src_rank);
-}
-
 namespace {
 [[noreturn]] void throw_truncation(std::size_t got, std::size_t cap) {
   throw util::ApvError(ErrorCode::InvalidArgument,
@@ -594,14 +591,14 @@ namespace {
 
 std::string Runtime::p2p_mismatch(check::P2pVerdict v, const RankMpi& dst,
                                   const RecvPost& post, int src_world,
-                                  int tag, CommId comm, std::uint32_t esize,
+                                  int tag, std::uint32_t esize,
                                   std::size_t bytes) {
   const bool truncation = v == check::P2pVerdict::Truncation;
   std::string diag =
       std::string(truncation ? "p2p truncation" : "p2p type mismatch") +
       ": rank " + std::to_string(dst.world_rank) +
-      " recv(src=" + std::to_string(comm_info(comm).local_of(src_world)) +
-      ", tag=" + std::to_string(tag) + ", comm=" + std::to_string(comm) +
+      " recv(src=" + std::to_string(comm_info(post.comm).local_of(src_world)) +
+      ", tag=" + std::to_string(tag) + ", comm=" + std::to_string(post.comm) +
       ") ";
   if (truncation) {
     diag += "has a " + std::to_string(post.max_bytes) +
@@ -617,26 +614,29 @@ std::string Runtime::p2p_mismatch(check::P2pVerdict v, const RankMpi& dst,
   return diag;
 }
 
-void Runtime::complete_recv(RankMpi& rm, const RecvPost& post,
-                            comm::Message& msg) {
-  std::size_t copy_bytes = msg.payload.size();
+void Runtime::complete_recv(RankMpi& dst, const RecvPost& post,
+                            int src_world, int tag, std::uint32_t esize,
+                            const void* data, std::size_t bytes,
+                            bool in_sender) {
+  std::size_t copy_bytes = bytes;
   // Match-time type/size verification. Only user traffic both sides stamped
-  // (internal collective fragments stay esize=0). This path also runs on
-  // the PE loop thread (dispatcher match), which must not throw into rank
-  // context — a mismatch is parked on rm.pending_check and thrown from the
-  // rank's next do_wait/do_test/resume instead.
-  const bool stamped = check_on_ && msg.esize != 0 && post.esize != 0 &&
-                       msg.tag < kInternalTagBase;
+  // (internal collective fragments stay esize=0). The routed match runs on
+  // the PE loop thread, which must not throw into rank context — a mismatch
+  // is parked on dst.pending_check and thrown from the rank's next
+  // do_wait/do_test/resume instead. The inline hit runs in the sender's
+  // own ULT, so abort mode throws there before dst's buffer is touched.
+  const bool stamped = check_on_ && esize != 0 && post.esize != 0 &&
+                       tag < kInternalTagBase;
   if (stamped) {
-    const check::P2pVerdict v =
-        checker_->p2p_verify(rm.resident_pe, msg.esize, msg.payload.size(),
-                             post.esize, post.max_bytes);
+    const check::P2pVerdict v = checker_->p2p_verify(
+        dst.resident_pe, esize, bytes, post.esize, post.max_bytes);
     if (v != check::P2pVerdict::Ok) [[unlikely]] {
-      std::string diag = p2p_mismatch(v, rm, post, msg.src_rank, msg.tag,
-                                      msg.comm_id, msg.esize,
-                                      msg.payload.size());
-      if (checker_->mode() == check::Mode::Abort && rm.pending_check.empty())
-        rm.pending_check = std::move(diag);
+      std::string diag =
+          p2p_mismatch(v, dst, post, src_world, tag, esize, bytes);
+      if (checker_->mode() == check::Mode::Abort) {
+        if (in_sender) throw ApvError(ErrorCode::CheckFailed, diag);
+        if (dst.pending_check.empty()) dst.pending_check = std::move(diag);
+      }
     }
   }
   if (copy_bytes > post.max_bytes) [[unlikely]] {
@@ -646,18 +646,19 @@ void Runtime::complete_recv(RankMpi& rm, const RecvPost& post,
     if (!stamped) throw_truncation(copy_bytes, post.max_bytes);
     copy_bytes = post.max_bytes;
   }
-  if (copy_bytes > 0) std::memcpy(post.buf, msg.payload.data(), copy_bytes);
-  RequestState& rs = rm.requests[static_cast<std::size_t>(post.req)];
+  if (copy_bytes > 0) std::memcpy(post.buf, data, copy_bytes);
+  RequestState& rs = dst.requests[static_cast<std::size_t>(post.req)];
   rs.complete = true;
-  rs.status.source = comm_info(rm, msg.comm_id).local_of(msg.src_rank);
-  rs.status.tag = msg.tag;
+  rs.status.source = comm_info(dst, post.comm).local_of(src_world);
+  rs.status.tag = tag;
   rs.status.count_bytes = static_cast<int>(copy_bytes);
 }
 
 bool Runtime::try_match(RankMpi& rm, comm::Message& msg) {
   for (auto it = rm.posted.begin(); it != rm.posted.end(); ++it) {
-    if (!match_predicate(rm, *it, msg)) continue;
-    complete_recv(rm, *it, msg);
+    if (!match_fields(rm, *it, msg.comm_id, msg.tag, msg.src_rank)) continue;
+    complete_recv(rm, *it, msg.src_rank, msg.tag, msg.esize,
+                  msg.payload.data(), msg.payload.size(), /*in_sender=*/false);
     rm.posted.erase(it);
     return true;
   }
@@ -726,36 +727,40 @@ namespace {
 inline void preempt_point() {
   if (ult::Scheduler* s = ult::current_scheduler()) s->preempt_point();
 }
+
+// A user-data envelope from `src`, not yet addressed to a PE. esize is one
+// unconditional store, verified only when stamped on both sides and the
+// checker is armed. The payload is one pooled buffer filled once from the
+// user's bytes; from here it moves (or is view-shared) unmodified to the
+// matching receive. Zero-byte tokens skip the pool (empty Payload).
+comm::Message user_envelope(const RankMpi& src, int dst_world, int tag,
+                            CommId comm, std::uint32_t esize,
+                            const void* data, std::size_t bytes) {
+  comm::Message m;
+  m.kind = comm::Message::Kind::UserData;
+  m.src_pe = src.resident_pe;
+  m.src_rank = src.world_rank;
+  m.dst_rank = dst_world;
+  m.comm_id = comm;
+  m.tag = tag;
+  m.esize = esize;
+  if (bytes > 0) {
+    m.payload = comm::Payload::acquire(bytes);
+    std::memcpy(m.payload.data(), data, bytes);
+  }
+  return m;
+}
 }  // namespace
 
 void Runtime::do_send(RankMpi& rm, const void* buf, std::size_t bytes,
                       int dst_local, int tag, CommId comm,
                       std::uint32_t esize) {
   preempt_point();
-  const CommInfo& ci = comm_info(rm, comm);
-  const int dst_world = ci.world_of(dst_local);
-  if (try_inline_send(rm, dst_world, tag, buf, bytes, comm, esize)) {
-    ++rm.sends;
-    return;
-  }
-  comm::Message m;
-  m.kind = comm::Message::Kind::UserData;
-  m.src_pe = rm.resident_pe;
-  m.src_rank = rm.world_rank;
-  m.dst_rank = dst_world;
-  m.comm_id = comm;
-  m.tag = tag;
-  m.esize = esize;  // one unconditional store; verified only when stamped
-                    // on both sides and the checker is armed
-  // One pooled buffer, filled once from the user's bytes; from here the
-  // payload moves (or is view-shared) unmodified to the matching receive.
-  // Zero-byte control tokens skip the pool entirely (empty Payload).
-  if (bytes > 0) {
-    m.payload = comm::Payload::acquire(bytes);
-    std::memcpy(m.payload.data(), buf, bytes);
-  }
+  const int dst_world = comm_info(rm, comm).world_of(dst_local);
+  if (try_inline_send(rm, dst_world, tag, buf, bytes, comm, esize)) return;
+  comm::Message m =
+      user_envelope(rm, dst_world, tag, comm, esize, buf, bytes);
   m.dst_pe = cluster_->location(dst_world);
-  ++rm.sends;
   m.seq = ++rm.routed_sent_to(dst_world);
   cluster_->send(std::move(m));
 }
@@ -793,66 +798,32 @@ bool Runtime::try_inline_send(RankMpi& rm, int dst_world, int tag,
     cluster_->flush_aggregation(pe);
     return false;
   }
-  for (auto pit = dst.posted.begin(); pit != dst.posted.end(); ++pit) {
-    if (!match_fields(dst, *pit, comm, tag, rm.world_rank)) continue;
+  // The inline path bypasses Cluster::send's prio stamp; apply the same
+  // small-payload cutoff to the wake lane directly.
+  const ult::Lane lane =
+      bytes <= comm::kHipriBytes ? ult::Lane::High : ult::Lane::Normal;
+  const auto pit = std::find_if(
+      dst.posted.begin(), dst.posted.end(), [&](const RecvPost& p) {
+        return match_fields(dst, p, comm, tag, rm.world_rank);
+      });
+  if (pit != dst.posted.end()) {
     // Hit: one user-buffer -> user-buffer copy, no payload, no mailbox.
-    // Same match-time verification as the routed path — but this runs in
-    // the sender's own ULT context, so abort mode can throw directly.
-    std::size_t copy_bytes = bytes;
-    const bool stamped = check_on_ && esize != 0 && pit->esize != 0 &&
-                         tag < kInternalTagBase;
-    if (stamped) {
-      const check::P2pVerdict v =
-          checker_->p2p_verify(pe, esize, bytes, pit->esize, pit->max_bytes);
-      if (v != check::P2pVerdict::Ok) [[unlikely]] {
-        std::string diag = p2p_mismatch(v, dst, *pit, rm.world_rank, tag,
-                                        comm, esize, bytes);
-        if (checker_->mode() == check::Mode::Abort)
-          throw ApvError(ErrorCode::CheckFailed, diag);
-      }
-    }
-    if (copy_bytes > pit->max_bytes) [[unlikely]] {
-      if (!stamped) throw_truncation(copy_bytes, pit->max_bytes);
-      copy_bytes = pit->max_bytes;
-    }
-    if (copy_bytes > 0) std::memcpy(pit->buf, data, copy_bytes);
-    RequestState& rs = dst.requests[static_cast<std::size_t>(pit->req)];
-    rs.complete = true;
-    rs.status.source = comm_info(rm, comm).local_of(rm.world_rank);
-    rs.status.tag = tag;
-    rs.status.count_bytes = static_cast<int>(copy_bytes);
+    complete_recv(dst, *pit, rm.world_rank, tag, esize, data, bytes,
+                  /*in_sender=*/true);
     dst.posted.erase(pit);
-    ++dst.recvs;
     ++ps.inline_hits;
-    ps.inline_bytes += bytes;
-    // The inline path bypasses Cluster::send's prio stamp; apply the same
-    // small-payload cutoff to the wake lane directly.
-    wake_if_waiting(dst, bytes <= comm::kHipriBytes ? ult::Lane::High
-                                                    : ult::Lane::Normal);
-    return true;
+  } else {
+    // Miss: no matching posted receive yet. Park a copy on the unexpected
+    // queue directly — still no mailbox round-trip, but the bytes need a
+    // buffer of their own now.
+    comm::Message m = user_envelope(rm, dst_world, tag, comm, esize, data,
+                                    bytes);
+    m.dst_pe = pe;
+    dst.unexpected.push_back(std::move(m));
+    ++ps.inline_misses;
   }
-  // Miss: no matching posted receive yet. Park a copy on the unexpected
-  // queue directly — still no mailbox round-trip, but the bytes need a
-  // buffer of their own now.
-  comm::Message m;
-  m.kind = comm::Message::Kind::UserData;
-  m.src_pe = pe;
-  m.dst_pe = pe;
-  m.src_rank = rm.world_rank;
-  m.dst_rank = dst_world;
-  m.comm_id = comm;
-  m.tag = tag;
-  m.esize = esize;
-  if (bytes > 0) {
-    m.payload = comm::Payload::acquire(bytes);
-    std::memcpy(m.payload.data(), data, bytes);
-  }
-  dst.unexpected.push_back(std::move(m));
-  ++dst.recvs;
-  ++ps.inline_misses;
   ps.inline_bytes += bytes;
-  wake_if_waiting(dst, bytes <= comm::kHipriBytes ? ult::Lane::High
-                                                  : ult::Lane::Normal);
+  wake_if_waiting(dst, lane);
   return true;
 }
 
@@ -870,8 +841,9 @@ Request Runtime::do_irecv(RankMpi& rm, void* buf, std::size_t max_bytes,
     rm.last_post_comm = comm;
   }
   for (auto it = rm.unexpected.begin(); it != rm.unexpected.end(); ++it) {
-    if (!match_predicate(rm, post, *it)) continue;
-    complete_recv(rm, post, *it);
+    if (!match_fields(rm, post, it->comm_id, it->tag, it->src_rank)) continue;
+    complete_recv(rm, post, it->src_rank, it->tag, it->esize,
+                  it->payload.data(), it->payload.size(), /*in_sender=*/false);
     rm.unexpected.erase(it);
     return req;
   }
@@ -893,6 +865,13 @@ Status Runtime::do_wait(RankMpi& rm, Request& req) {
   return status;
 }
 
+Status Runtime::do_recv(RankMpi& rm, void* buf, std::size_t max_bytes,
+                        int src, int tag, CommId comm, std::uint32_t esize) {
+  preempt_point();
+  Request req = do_irecv(rm, buf, max_bytes, src, tag, comm, esize);
+  return do_wait(rm, req);
+}
+
 bool Runtime::do_test(RankMpi& rm, Request& req, Status* status) {
   preempt_point();
   throw_pending_check(rm);
@@ -912,7 +891,7 @@ bool Runtime::do_iprobe(RankMpi& rm, int src, int tag, CommId comm,
   throw_pending_check(rm);
   RecvPost probe{kRequestNull, nullptr, 0, src, tag, comm};
   for (const comm::Message& msg : rm.unexpected) {
-    if (!match_predicate(rm, probe, msg)) continue;
+    if (!match_fields(rm, probe, msg.comm_id, msg.tag, msg.src_rank)) continue;
     if (status != nullptr) {
       status->source = comm_info(rm, comm).local_of(msg.src_rank);
       status->tag = msg.tag;
@@ -926,43 +905,6 @@ bool Runtime::do_iprobe(RankMpi& rm, int src, int tag, CommId comm,
 void Runtime::do_yield(RankMpi& rm) {
   (void)rm;
   ult::current_scheduler()->yield();
-}
-
-// ---------------------------------------------------------------------------
-// Internal (collective) transport
-
-void Runtime::coll_send(RankMpi& rm, int dst_world, int tag, const void* data,
-                        std::size_t bytes, CommId comm) {
-  preempt_point();
-  // esize stays 0: internal collective fragments carry algorithm-shaped
-  // byte counts, not the user's declared type — never p2p-verified.
-  if (try_inline_send(rm, dst_world, tag, data, bytes, comm, 0)) return;
-  comm::Message m;
-  m.kind = comm::Message::Kind::UserData;
-  m.src_pe = rm.resident_pe;
-  m.src_rank = rm.world_rank;
-  m.dst_rank = dst_world;
-  m.comm_id = comm;
-  m.tag = tag;
-  if (bytes > 0) {
-    m.payload = comm::Payload::acquire(bytes);
-    std::memcpy(m.payload.data(), data, bytes);
-  }
-  m.dst_pe = cluster_->location(dst_world);
-  m.seq = ++rm.routed_sent_to(dst_world);
-  cluster_->send(std::move(m));
-}
-
-std::size_t Runtime::coll_recv(RankMpi& rm, int src_world, int tag,
-                               void* data, std::size_t max_bytes,
-                               CommId comm) {
-  preempt_point();
-  const int src_local = src_world == kAnySource
-                            ? kAnySource
-                            : comm_info(rm, comm).local_of(src_world);
-  Request req = do_irecv(rm, data, max_bytes, src_local, tag, comm);
-  const Status status = do_wait(rm, req);
-  return static_cast<std::size_t>(status.count_bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -1026,6 +968,44 @@ void Runtime::combine_on_pe(comm::PeId pe, const Op& op, Datatype dt,
 }
 
 // ---------------------------------------------------------------------------
+// Control commands
+
+comm::Message Runtime::control(CtlOp op, comm::PeId src, comm::PeId dst,
+                               comm::RankId rank, std::int32_t tag) {
+  comm::Message m;
+  m.kind = comm::Message::Kind::Control;
+  m.opcode = op;
+  m.src_pe = src;
+  m.dst_pe = dst;
+  m.dst_rank = rank;
+  m.tag = tag;
+  return m;
+}
+
+void Runtime::command_self(RankMpi& rm, CtlOp op, std::uint32_t epoch) {
+  // Post straight into the resident PE's mailbox (this rank runs on that
+  // very thread) instead of routing through Cluster::send: a concurrent
+  // fail_pe on this PE must not divert the rank's own command — the dying
+  // PE drains its mailbox before halting, so a posted command always
+  // executes (the recovery leader's wait for a victim's pack relies on it).
+  const comm::PeId pe = rm.resident_pe;
+  cluster_->pe(pe).post(control(op, pe, pe, rm.world_rank,
+                                static_cast<std::int32_t>(epoch)));
+}
+
+void Runtime::park_until_rewound(RankMpi& rm) {
+  // This suspension never "returns" here: the unpack rewinds the ULT's
+  // stack to the checkpoint suspension, and execution resumes inside
+  // do_checkpoint or do_checkpoint_all with rm.restored set instead.
+  rm.restore_pending = true;
+  rm.waiting = true;
+  ult::current_scheduler()->suspend();
+  rm.waiting = false;
+  throw ApvError(ErrorCode::Internal,
+                 "rank resumed past its rewound stack frame");
+}
+
+// ---------------------------------------------------------------------------
 // Migration, checkpoint/restart
 
 void Runtime::do_migrate_to(RankMpi& rm, comm::PeId dest) {
@@ -1041,13 +1021,7 @@ void Runtime::do_migrate_to(RankMpi& rm, comm::PeId dest) {
               " cannot migrate ranks: its segment copies were allocated by "
               "the dynamic linker, not Isomalloc");
   rm.migrate_dest = dest;
-  comm::Message ctl;
-  ctl.kind = comm::Message::Kind::Control;
-  ctl.opcode = kCtlDoMigrate;
-  ctl.src_pe = rm.resident_pe;
-  ctl.dst_pe = rm.resident_pe;  // our own PE performs the departure
-  ctl.dst_rank = rm.world_rank;
-  cluster_->send(std::move(ctl));
+  command_self(rm, kCtlDoMigrate);
   // Suspend; the PE packs and ships us, and the destination PE resumes us.
   while (rm.migrate_dest != comm::kInvalidPe) block_current(rm);
 }
@@ -1075,17 +1049,10 @@ void Runtime::handle_control(comm::PeId pe, comm::Message&& msg) {
       auto& ps = pe_state_[static_cast<std::size_t>(pe)];
       auto it = ps.resident.find(msg.dst_rank);
       if (it == ps.resident.end()) {
-        // The rank moved on (migration/adoption); chase its location like
-        // deliver_user does. A wake that arrives after the rank already
-        // observed its release flag is a harmless no-op wherever it lands.
-        const comm::PeId loc = cluster_->location(msg.dst_rank);
-        if (loc == pe) {
-          cluster_->pe(pe).post(std::move(msg));
-        } else {
-          msg.dst_pe = loc;
-          msg.src_pe = pe;
-          cluster_->send(std::move(msg));
-        }
+        // The rank moved on (migration/adoption). A wake that arrives after
+        // the rank already observed its release flag is a harmless no-op
+        // wherever it lands.
+        chase_rank(pe, std::move(msg));
         return;
       }
       wake_if_waiting(*it->second, ult::Lane::High);
@@ -1134,13 +1101,9 @@ void Runtime::wake_coll_member(comm::PeId my_pe, RankMpi& member) {
     wake_if_waiting(member, ult::Lane::High);
     return;
   }
-  comm::Message wake;
-  wake.kind = comm::Message::Kind::Control;
-  wake.opcode = kCtlCollWake;
-  wake.src_pe = my_pe;
-  wake.dst_pe = cluster_->location(member.world_rank);
-  wake.dst_rank = member.world_rank;
-  cluster_->send(std::move(wake));
+  cluster_->send(control(kCtlCollWake, my_pe,
+                         cluster_->location(member.world_rank),
+                         member.world_rank));
 }
 
 namespace {
@@ -1151,6 +1114,95 @@ bool rank_parked(const RankMpi& rm) {
 }
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// Rank movement
+//
+// Every move of a rank's state is built from the same steps: migrate_to and
+// LB epochs (ship, then overwrite + admit on arrival), steals (ship as
+// kMigSteal), checkpoint restore (overwrite in place) and FT adoption
+// (leave the dead PE, overwrite, admit). A fix to one kind of move is a fix
+// to all of them.
+
+void Runtime::leave(comm::PeId pe, RankMpi& rm) {
+  privs_[static_cast<std::size_t>(cluster_->node_of(pe))]->rank_departed(
+      rm.rc);
+  pe_state_[static_cast<std::size_t>(pe)].resident.erase(rm.world_rank);
+}
+
+void Runtime::ship(comm::PeId pe, RankMpi& rm, MigOp op) {
+  // Settle busy-time accounting before the rank can run elsewhere: if the
+  // open slice still names this rank, a later idle-hook close here would
+  // race the destination PE's switch hook writing the same busy_time_s
+  // (found by TSan). The mailbox ship orders this close before the
+  // destination's resume.
+  close_run_slice(pe);
+  // Per-sender FIFO across the move: sends this rank already made may still
+  // sit in THIS PE's aggregation bins. Push them into the network before
+  // the image ships — the rank can only send again after its arrival
+  // dispatches, and every mailbox push here completes before the image's,
+  // so pre-move traffic stays ahead of post-move traffic on every path.
+  cluster_->flush_aggregation(pe);
+  leave(pe, rm);
+
+  util::ByteBuffer buf;
+  iso::pack_slot(*arena_, rm.rc->slot, pack_mode_, buf);
+
+  const comm::PeId dest = rm.migrate_dest;
+  comm::Message mig;
+  mig.kind = comm::Message::Kind::Migration;
+  mig.opcode = op;
+  mig.src_pe = pe;
+  mig.dst_pe = dest;
+  mig.dst_rank = rm.world_rank;
+  // The packed image moves into the payload — the bytes pack_slot produced
+  // are the bytes the destination unpacks, with no intermediate copy.
+  migration_bytes_.fetch_add(buf.size(), std::memory_order_relaxed);
+  mig.payload = comm::Payload::adopt(buf.take());
+  // Steals are deliberately not counted in migrations_: that counter means
+  // "explicit migrations the program asked for" (AMPI_Migrate / fault
+  // recovery), and steals are reported separately via sched_steals_out/in.
+  if (op == kMigPlain) migrations_.fetch_add(1, std::memory_order_relaxed);
+  // Update the location *before* the state ships so forwards head to the
+  // destination and queue behind the migration message.
+  cluster_->set_location(rm.world_rank, dest);
+  cluster_->send(std::move(mig));
+}
+
+std::size_t Runtime::overwrite(RankMpi& rm,
+                               std::span<const comm::Payload> images) {
+  // The runtime is about to rewrite the slot wholesale: the write barrier
+  // must not see (or fault on) the unpack, and the bitmap no longer
+  // describes an interval since any stored image — next checkpoint packs a
+  // full base.
+  if (dirty_tracker_ != nullptr) dirty_tracker_->disarm(rm.rc->slot);
+  rm.force_full_ckpt = true;
+  // Unpack straight out of the payloads (an arriving image, or the store's
+  // ref-counted views) — no intermediate vector, no copy.
+  std::size_t bytes = 0;
+  for (const comm::Payload& img : images) {
+    bytes += img.size();
+    util::ByteReader reader(img.data(), img.size());
+    iso::unpack_slot(*arena_, rm.rc->slot, reader);
+  }
+  return bytes;
+}
+
+void Runtime::admit(comm::PeId pe, RankMpi& rm) {
+  privs_[static_cast<std::size_t>(cluster_->node_of(pe))]->rank_arrived(
+      rm.rc);
+  rm.resident_pe = pe;
+  pe_state_[static_cast<std::size_t>(pe)].resident[rm.world_rank] = &rm;
+}
+
+void Runtime::resume_restored(comm::PeId pe, RankMpi& rm) {
+  // The ULT (stack, context, heap) is now exactly as it was inside the
+  // checkpoint suspension. Flag the resume as a restore and wake it.
+  rm.restored = true;
+  rm.ckpt_pending = false;
+  rm.restore_pending = false;
+  cluster_->pe(pe).scheduler().ready(rm.rc->ult, ult::Lane::High);
+}
+
 bool Runtime::perform_migration_departure(comm::PeId pe, comm::RankId rank) {
   auto& ps = pe_state_[static_cast<std::size_t>(pe)];
   auto it = ps.resident.find(rank);
@@ -1158,60 +1210,14 @@ bool Runtime::perform_migration_departure(comm::PeId pe, comm::RankId rank) {
           "migration departure for non-resident rank");
   RankMpi& rm = *it->second;
   if (!rank_parked(rm)) return false;
-  // Settle busy-time accounting before the rank can run elsewhere: if the
-  // open slice still names this rank, a later idle-hook close here would
-  // race the destination PE's switch hook writing the same busy_time_s
-  // (found by TSan; the steal path already closes for the same reason).
-  // The mailbox ship orders this close before the destination's resume.
-  close_run_slice(pe);
-  const comm::PeId dest = rm.migrate_dest;
-  // Per-sender FIFO across the move: sends this rank already made may still
-  // sit in THIS PE's aggregation bins. Push them into the network before
-  // the image ships — the rank can only send again after its arrival
-  // dispatches, and every mailbox push here completes before the image's,
-  // so pre-move traffic stays ahead of post-move traffic on every path.
-  cluster_->flush_aggregation(pe);
-  const comm::NodeId src_node = cluster_->node_of(pe);
-  privs_[static_cast<std::size_t>(src_node)]->rank_departed(rm.rc);
-  ps.resident.erase(it);
-
-  util::ByteBuffer buf;
-  iso::pack_slot(*arena_, rm.rc->slot, pack_mode_, buf);
-
-  comm::Message mig;
-  mig.kind = comm::Message::Kind::Migration;
-  mig.src_pe = pe;
-  mig.dst_pe = dest;
-  mig.dst_rank = rank;
-  // The packed image moves into the payload — the bytes pack_slot produced
-  // are the bytes the destination unpacks, with no intermediate copy.
-  migration_bytes_.fetch_add(buf.size(), std::memory_order_relaxed);
-  mig.payload = comm::Payload::adopt(buf.take());
-  migrations_.fetch_add(1, std::memory_order_relaxed);
-  // Update the location *before* the state ships so forwards head to the
-  // destination and queue behind the migration message.
-  cluster_->set_location(rank, dest);
-  cluster_->send(std::move(mig));
+  ship(pe, rm, kMigPlain);
   return true;
 }
 
 void Runtime::handle_migration_arrival(comm::PeId pe, comm::Message&& msg) {
   RankMpi& rm = rank_state(msg.dst_rank);
-  // The runtime is about to rewrite the slot wholesale: the write barrier
-  // must not see (or fault on) the unpack, and the bitmap no longer
-  // describes an interval since any stored image — next checkpoint packs a
-  // full base.
-  if (dirty_tracker_ != nullptr) dirty_tracker_->disarm(rm.rc->slot);
-  rm.force_full_ckpt = true;
-  // Unpack straight out of the arriving payload — no intermediate vector,
-  // no copy.
-  util::ByteReader reader(msg.payload.data(), msg.payload.size());
-  iso::unpack_slot(*arena_, rm.rc->slot, reader);
-
-  const comm::NodeId node = cluster_->node_of(pe);
-  privs_[static_cast<std::size_t>(node)]->rank_arrived(rm.rc);
-  rm.resident_pe = pe;
-  pe_state_[static_cast<std::size_t>(pe)].resident[msg.dst_rank] = &rm;
+  overwrite(rm, {&msg.payload, 1});
+  admit(pe, rm);
   rm.migrate_dest = comm::kInvalidPe;
   if (msg.opcode == kMigSteal) {
     // A stolen rank arriving answers this PE's own steal request: settle
@@ -1299,25 +1305,15 @@ void Runtime::maybe_steal(comm::PeId pe) {
   if (victim < 0) return;
   ++ps.steal_requests;
   ps.steal_req_ns = now;
-  comm::Message req;
-  req.kind = comm::Message::Kind::Control;
-  req.opcode = kCtlStealRequest;
-  req.src_pe = pe;
-  req.dst_pe = victim;
-  req.tag = pe;  // thief id travels in the tag
-  cluster_->send(std::move(req));
+  // The thief id travels in the tag.
+  cluster_->send(control(kCtlStealRequest, pe, victim, -1, pe));
 }
 
 void Runtime::handle_steal_request(comm::PeId pe, comm::PeId thief) {
   auto& ps = pe_state_[static_cast<std::size_t>(pe)];
   close_run_slice(pe);  // settle busy-time accounting before choosing
   const auto nack = [&] {
-    comm::Message n;
-    n.kind = comm::Message::Kind::Control;
-    n.opcode = kCtlStealNack;
-    n.src_pe = pe;
-    n.dst_pe = thief;
-    cluster_->send(std::move(n));
+    cluster_->send(control(kCtlStealNack, pe, thief));
   };
   if (thief < 0 || thief >= cluster_->num_pes() || thief == pe ||
       cluster_->pe_failed(thief) || cluster_->pe_failed(pe)) {
@@ -1350,54 +1346,20 @@ void Runtime::handle_steal_request(comm::PeId pe, comm::PeId thief) {
     return;
   }
   ++ps.steals_out;
-  const comm::RankId stolen = best->world_rank;
-  // Same per-sender FIFO flush as perform_migration_departure: a stolen
-  // sender's not-yet-flushed binned messages must enter the network before
-  // its image does, or sends it makes from the thief PE could overtake them
-  // (found by the inline-delivery FIFO test under APV_SCHED_STEAL).
-  cluster_->flush_aggregation(pe);
   // From here this is a migration departure with dest=thief. Setting
   // migrate_dest reuses the existing wake guards: no late message arrival
   // or stale kCtlCollWake can re-ready the ULT while its image is in
   // flight. The arrival side clears it and requeues the rank.
   best->migrate_dest = thief;
-  const comm::NodeId src_node = cluster_->node_of(pe);
-  privs_[static_cast<std::size_t>(src_node)]->rank_departed(best->rc);
-  ps.resident.erase(best->world_rank);
-
-  util::ByteBuffer buf;
-  iso::pack_slot(*arena_, best->rc->slot, pack_mode_, buf);
-
-  comm::Message mig;
-  mig.kind = comm::Message::Kind::Migration;
-  mig.opcode = kMigSteal;
-  mig.src_pe = pe;
-  mig.dst_pe = thief;
-  mig.dst_rank = stolen;
-  migration_bytes_.fetch_add(buf.size(), std::memory_order_relaxed);
-  mig.payload = comm::Payload::adopt(buf.take());
-  // Deliberately not counted in migrations_: that counter means "explicit
-  // migrations the program asked for" (AMPI_Migrate / fault recovery), and
-  // steals are reported separately via sched_steals_out/in.
-  // Location first, then the image: forwards chase the thief and queue
-  // behind the migration message (same ordering as plain departures).
-  cluster_->set_location(stolen, thief);
-  cluster_->send(std::move(mig));
-  APV_DEBUG("mpi", "PE %d: rank %d stolen by idle PE %d", pe, stolen, thief);
+  ship(pe, *best, kMigSteal);
+  APV_DEBUG("mpi", "PE %d: rank %d stolen by idle PE %d", pe,
+            best->world_rank, thief);
 }
 
 int Runtime::do_checkpoint(RankMpi& rm) {
   rm.restored = false;
   rm.ckpt_pending = true;
-  const std::uint32_t epoch = ++rm.ft_epoch;
-  comm::Message ctl;
-  ctl.kind = comm::Message::Kind::Control;
-  ctl.opcode = kCtlDoCheckpoint;
-  ctl.tag = static_cast<std::int32_t>(epoch);
-  ctl.src_pe = rm.resident_pe;
-  ctl.dst_pe = rm.resident_pe;
-  ctl.dst_rank = rm.world_rank;
-  cluster_->send(std::move(ctl));
+  command_self(rm, kCtlDoCheckpoint, ++rm.ft_epoch);
   while (rm.ckpt_pending) block_current(rm);
   // After a restore, execution rewinds to the suspension above and resumes
   // here with rm.restored set — the setjmp/longjmp shape of
@@ -1479,23 +1441,8 @@ int Runtime::do_restore(RankMpi& rm) {
   const std::uint32_t epoch = ckpt_store_->latest_epoch(rm.world_rank);
   require(epoch != 0, ErrorCode::NotFound,
           "no checkpoint taken for rank " + std::to_string(rm.world_rank));
-  rm.restore_pending = true;
-  comm::Message ctl;
-  ctl.kind = comm::Message::Kind::Control;
-  ctl.opcode = kCtlDoRestore;
-  ctl.tag = static_cast<std::int32_t>(epoch);
-  ctl.src_pe = rm.resident_pe;
-  ctl.dst_pe = rm.resident_pe;
-  ctl.dst_rank = rm.world_rank;
-  cluster_->send(std::move(ctl));
-  // This suspension never "returns" here: the unpack rewinds the ULT's
-  // stack to the checkpoint suspension, and execution resumes inside
-  // do_checkpoint instead.
-  rm.waiting = true;
-  ult::current_scheduler()->suspend();
-  rm.waiting = false;
-  throw ApvError(ErrorCode::Internal,
-                 "restore resumed past the rewound stack frame");
+  command_self(rm, kCtlDoRestore, epoch);
+  park_until_rewound(rm);
 }
 
 bool Runtime::perform_restore_unpack(comm::PeId pe, comm::RankId rank,
@@ -1506,24 +1453,13 @@ bool Runtime::perform_restore_unpack(comm::PeId pe, comm::RankId rank,
           "restore for non-resident rank");
   RankMpi& rm = *it->second;
   if (!rank_parked(rm)) return false;
-  if (dirty_tracker_ != nullptr) dirty_tracker_->disarm(rm.rc->slot);
-  rm.force_full_ckpt = true;
-  // Materialize the epoch: the full base first, then each delta in order,
-  // unpacked directly from the store's ref-counted views.
+  // Materialize the epoch: the full base first, then each delta in order.
   std::vector<comm::Payload> chain;
   require(ckpt_store_->fetch_chain(rank, epoch, chain), ErrorCode::NotFound,
           "checkpoint image lost for rank " + std::to_string(rank) +
               " epoch " + std::to_string(epoch));
-  for (comm::Payload& img : chain) {
-    util::ByteReader reader(img.data(), img.size());
-    iso::unpack_slot(*arena_, rm.rc->slot, reader);
-  }
-  // The ULT (stack, context, heap) is now exactly as it was inside the
-  // checkpoint suspension. Flag the resume as a restore and wake it.
-  rm.restored = true;
-  rm.ckpt_pending = false;
-  rm.restore_pending = false;
-  cluster_->pe(pe).scheduler().ready(rm.rc->ult, ult::Lane::High);
+  overwrite(rm, chain);
+  resume_restored(pe, rm);
   return true;
 }
 
@@ -1557,41 +1493,24 @@ bool Runtime::perform_ft_adopt(comm::PeId pe, comm::RankId rank,
   // bounded — every rank on the dead PE is a parked victim, so its loop
   // drains and halts without needing anything from us.
   if (cluster_->pe(old_pe).running()) return false;
-  const comm::NodeId old_node = cluster_->node_of(old_pe);
-  privs_[static_cast<std::size_t>(old_node)]->rank_departed(rm.rc);
-  pe_state_[static_cast<std::size_t>(old_pe)].resident.erase(rank);
+  leave(old_pe, rm);
 
   // Pull the surviving buddy chain over and unpack it over the slot (full
   // base, then deltas in order): the rank is now bit-for-bit at the epoch
   // state, hosted here. The views are ref-counted — no copy is made to
-  // serve them.
-  if (dirty_tracker_ != nullptr) dirty_tracker_->disarm(rm.rc->slot);
-  rm.force_full_ckpt = true;
+  // serve them. The recovery leader already published this PE as the
+  // rank's location.
   std::vector<comm::Payload> chain;
   require(ckpt_store_->fetch_chain(rank, epoch, chain), ErrorCode::Internal,
           "buddy checkpoint copy vanished during adoption");
-  std::size_t chain_bytes = 0;
-  for (comm::Payload& img : chain) {
-    chain_bytes += img.size();
-    util::ByteReader reader(img.data(), img.size());
-    iso::unpack_slot(*arena_, rm.rc->slot, reader);
-  }
-
-  const comm::NodeId node = cluster_->node_of(pe);
-  privs_[static_cast<std::size_t>(node)]->rank_arrived(rm.rc);
-  rm.resident_pe = pe;
-  pe_state_[static_cast<std::size_t>(pe)].resident[rank] = &rm;
-  cluster_->set_location(rank, pe);
+  const std::size_t chain_bytes = overwrite(rm, chain);
+  admit(pe, rm);
   recoveries_.fetch_add(1, std::memory_order_relaxed);
   recovery_bytes_.fetch_add(chain_bytes, std::memory_order_relaxed);
-
-  rm.restored = true;
-  rm.ckpt_pending = false;
-  rm.restore_pending = false;
   APV_INFO("ft", "rank %d adopted by PE %d from buddy copy (epoch %u, "
                  "%zu image(s), %zu bytes)",
            rank, pe, epoch, chain.size(), chain_bytes);
-  cluster_->pe(pe).scheduler().ready(rm.rc->ult, ult::Lane::High);
+  resume_restored(pe, rm);
   return true;
 }
 

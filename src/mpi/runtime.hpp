@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,32 @@ struct RuntimeConfig {
   std::string map = "block";  ///< initial rank→PE map: "block" or "rr"
   util::Options options;      ///< net.*, fs.*, pie.*, swap.*, iso.*, loader.*
   ult::ContextBackend backend = ult::default_context_backend();
+};
+
+/// Control-message opcodes (comm::Message::opcode when kind == Control).
+enum CtlOp : int {
+  kCtlDoMigrate = 1,    ///< source PE: pack + ship the suspended rank
+  kCtlDoCheckpoint,     ///< PE: pack the suspended rank (single copy);
+                        ///< msg.tag carries the epoch
+  kCtlDoRestore,        ///< PE: unpack the epoch image (msg.tag) over the slot
+  kCtlFtCheckpoint,     ///< PE: pack + store on self and buddy (msg.tag=epoch)
+  kCtlFtAdopt,          ///< new host PE: adopt a victim rank from its buddy
+                        ///< checkpoint copy (msg.tag=epoch)
+  kCtlCollWake,         ///< wake dst_rank if parked in a group-block wait;
+                        ///< processed on its resident PE thread so the wake
+                        ///< cannot race the ULT's own suspend
+  kCtlStealRequest,     ///< idle thief asks the victim PE for a ready rank;
+                        ///< msg.tag carries the thief's PE id
+  kCtlStealNack,        ///< victim had nothing stealable; thief may retry
+                        ///< another victim after its idle timer re-fires
+};
+
+/// Migration-message sub-opcodes (comm::Message::opcode when kind ==
+/// Migration). The seed used opcode 0 implicitly; kMigSteal lets the
+/// arrival side count steals without a second bookkeeping channel.
+enum MigOp : int {
+  kMigPlain = 0,  ///< migrate_to / LB epoch migration
+  kMigSteal = 1,  ///< rank shipped in answer to a steal request
 };
 
 /// The virtualized MPI runtime: ties together the cluster (PEs + mailboxes),
@@ -81,7 +108,6 @@ class Runtime {
   // --- job-wide statistics -------------------------------------------------
   std::uint64_t migration_count() const noexcept { return migrations_; }
   std::uint64_t migration_bytes() const noexcept { return migration_bytes_; }
-  std::uint64_t forward_count() const noexcept { return forwards_; }
   std::uint64_t total_context_switches() const;
 
   // --- fault tolerance -----------------------------------------------------
@@ -92,8 +118,6 @@ class Runtime {
   std::uint64_t recovery_count() const noexcept { return recoveries_; }
   /// Checkpoint-image bytes fetched from buddy copies during recovery.
   std::uint64_t recovery_bytes() const noexcept { return recovery_bytes_; }
-  /// Incremental checkpointing active (ft.delta=on, the default).
-  bool delta_ckpt_enabled() const noexcept { return dirty_tracker_ != nullptr; }
   /// The arena's dirty-page tracker, or nullptr when ft.delta=off.
   iso::DirtyTracker* dirty_tracker() noexcept { return dirty_tracker_.get(); }
   /// Checkpoint instrumentation (cumulative): image counts and bytes split
@@ -114,12 +138,6 @@ class Runtime {
   /// dispatch counts, preemptions, quantum overruns, cross-thread readies,
   /// and the steal protocol's request/fail/in/out counts.
   util::Counters sched_counters() const;
-  /// Idle-PE rank stealing active (sched.steal=on or APV_SCHED_STEAL=on).
-  bool steal_enabled() const noexcept { return steal_on_; }
-  /// Same-PE inline delivery active (comm.inline=on, the default).
-  bool inline_enabled() const noexcept { return inline_enabled_; }
-  /// Hierarchical collectives active (coll.algo=hier, the default).
-  bool hier_collectives_enabled() const noexcept { return coll_hier_; }
 
   // --- runtime correctness checker (src/check) -----------------------------
   /// The checker instance, or nullptr when check.mode=off.
@@ -157,14 +175,12 @@ class Runtime {
   Request do_irecv(RankMpi& rm, void* buf, std::size_t max_bytes, int src,
                    int tag, CommId comm, std::uint32_t esize = 0);
   Status do_wait(RankMpi& rm, Request& req);
+  /// Blocking receive (irecv + wait) behind a preemption safe point.
+  Status do_recv(RankMpi& rm, void* buf, std::size_t max_bytes, int src,
+                 int tag, CommId comm, std::uint32_t esize = 0);
   bool do_test(RankMpi& rm, Request& req, Status* status);
   bool do_iprobe(RankMpi& rm, int src, int tag, CommId comm, Status* status);
   void do_yield(RankMpi& rm);
-
-  void coll_send(RankMpi& rm, int dst_world, int tag, const void* data,
-                 std::size_t bytes, CommId comm);
-  std::size_t coll_recv(RankMpi& rm, int src_world, int tag, void* data,
-                        std::size_t max_bytes, CommId comm);
 
   void do_barrier(RankMpi& rm, CommId comm);
   void do_bcast(RankMpi& rm, void* buf, std::size_t bytes, int root,
@@ -239,7 +255,6 @@ class Runtime {
     std::map<comm::RankId, RankMpi*> resident;
     RankMpi* running = nullptr;        // load-timing bookkeeping
     std::uint64_t slice_start_ns = 0;
-    std::uint64_t forward_retries = 0;
     // Rank stealing, written only by this PE's loop thread: when the PE
     // went idle (0 = busy), and the outstanding steal request's send time
     // (0 = none in flight; a request to a PE that dies is simply dropped,
@@ -265,25 +280,31 @@ class Runtime {
   void rank_finished(RankMpi& rm);
 
   comm::PeId initial_pe(int world_rank) const;
-  comm::PeId current_pe_of(RankMpi& rm) const { return rm.resident_pe; }
 
   void dispatch(comm::PeId pe, comm::Message&& msg);
   void deliver_user(comm::PeId pe, comm::Message&& msg);
   void handle_control(comm::PeId pe, comm::Message&& msg);
   void handle_migration_arrival(comm::PeId pe, comm::Message&& msg);
+  /// Sends a message for a rank that is not resident on `pe` after it: to
+  /// the rank's recorded location, or back into `pe`'s own mailbox while
+  /// that location still says `pe` (its image is in flight to us).
+  void chase_rank(comm::PeId pe, comm::Message&& msg);
   bool try_match(RankMpi& rm, comm::Message& msg);
-  bool match_predicate(RankMpi& rm, const RecvPost& post,
-                       const comm::Message& msg) const;
   bool match_fields(RankMpi& rm, const RecvPost& post, CommId comm, int tag,
                     int src_world) const;
-  void complete_recv(RankMpi& rm, const RecvPost& post, comm::Message& msg);
+  /// Completes `dst`'s matched receive `post` with `bytes` from world rank
+  /// `src_world` (routed match on the dispatcher, or inline hit when
+  /// `in_sender`: the sender's own ULT, which may throw a mismatch
+  /// diagnosis straight away instead of parking it on dst.pending_check).
+  void complete_recv(RankMpi& dst, const RecvPost& post, int src_world,
+                     int tag, std::uint32_t esize, const void* data,
+                     std::size_t bytes, bool in_sender);
   /// A stamped p2p pair the checker found mismatched at match time (`v`):
   /// world rank `src_world` sent `bytes` of element size `esize` into
   /// `dst`'s receive `post`. Records the located diagnosis and returns it.
   std::string p2p_mismatch(check::P2pVerdict v, const RankMpi& dst,
                            const RecvPost& post, int src_world, int tag,
-                           CommId comm, std::uint32_t esize,
-                           std::size_t bytes);
+                           std::uint32_t esize, std::size_t bytes);
   void wake_if_waiting(RankMpi& rm,
                        ult::Lane lane = ult::Lane::Normal);
 
@@ -358,6 +379,35 @@ class Runtime {
   void dump_stuck_state();
 
   void close_run_slice(comm::PeId pe);
+
+  /// A runtime control envelope (`tag` carries the epoch or the thief id).
+  static comm::Message control(CtlOp op, comm::PeId src, comm::PeId dst,
+                               comm::RankId rank = -1, std::int32_t tag = 0);
+  /// Posts a command about `rm` to its own PE's mailbox.
+  void command_self(RankMpi& rm, CtlOp op, std::uint32_t epoch = 0);
+  /// Parks the calling rank until a restore or an adoption rewinds its
+  /// stack to the checkpoint suspension; never returns.
+  [[noreturn]] void park_until_rewound(RankMpi& rm);
+
+  // --- rank movement: every move is built from these steps ----------------
+  /// Takes `rm` off `pe`: the privatizer's departure hook and the resident
+  /// map.
+  void leave(comm::PeId pe, RankMpi& rm);
+  /// Moves the parked `rm` from `pe` to rm.migrate_dest: settles the run
+  /// slice, flushes `pe`'s aggregation bins, leaves, packs, publishes the
+  /// new location, then sends the image as `op`.
+  void ship(comm::PeId pe, RankMpi& rm, MigOp op);
+  /// Rewrites rm's slot wholesale from `images` (a full base first, then
+  /// deltas in order), with the write barrier disarmed and the next
+  /// checkpoint forced full. Returns the bytes unpacked.
+  std::size_t overwrite(RankMpi& rm, std::span<const comm::Payload> images);
+  /// Makes `rm` resident on `pe`: the privatizer's arrival hook, the
+  /// resident map and rm.resident_pe.
+  void admit(comm::PeId pe, RankMpi& rm);
+  /// Resumes a rank whose slot was just overwritten with a checkpoint
+  /// image inside its checkpoint suspension, flagged as restored.
+  void resume_restored(comm::PeId pe, RankMpi& rm);
+
   // Control-command handlers for a parked rank. Each returns false, having
   // changed nothing, while the rank is not ready for it (not parked yet;
   // for adoption, also no epoch image yet or its old PE still running);
@@ -446,32 +496,6 @@ class Runtime {
   std::atomic<std::uint64_t> ckpt_pages_dirty_{0};
 
   friend class Env;
-};
-
-/// Control-message opcodes (comm::Message::opcode when kind == Control).
-enum CtlOp : int {
-  kCtlDoMigrate = 1,    ///< source PE: pack + ship the suspended rank
-  kCtlDoCheckpoint,     ///< PE: pack the suspended rank (single copy);
-                        ///< msg.tag carries the epoch
-  kCtlDoRestore,        ///< PE: unpack the epoch image (msg.tag) over the slot
-  kCtlFtCheckpoint,     ///< PE: pack + store on self and buddy (msg.tag=epoch)
-  kCtlFtAdopt,          ///< new host PE: adopt a victim rank from its buddy
-                        ///< checkpoint copy (msg.tag=epoch)
-  kCtlCollWake,         ///< wake dst_rank if parked in a group-block wait;
-                        ///< processed on its resident PE thread so the wake
-                        ///< cannot race the ULT's own suspend
-  kCtlStealRequest,     ///< idle thief asks the victim PE for a ready rank;
-                        ///< msg.tag carries the thief's PE id
-  kCtlStealNack,        ///< victim had nothing stealable; thief may retry
-                        ///< another victim after its idle timer re-fires
-};
-
-/// Migration-message sub-opcodes (comm::Message::opcode when kind ==
-/// Migration). The seed used opcode 0 implicitly; kMigSteal lets the
-/// arrival side count steals without a second bookkeeping channel.
-enum MigOp : int {
-  kMigPlain = 0,  ///< migrate_to / LB epoch migration
-  kMigSteal = 1,  ///< rank shipped in answer to a steal request
 };
 
 }  // namespace apv::mpi

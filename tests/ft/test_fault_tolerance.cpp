@@ -398,6 +398,13 @@ double run_ft_jacobi(core::Method method, bool inject,
     if (rt.fault_injector() != nullptr) {
       EXPECT_EQ(rt.fault_injector()->kills(), 1);
     }
+    // Adopted ranks are resident where the location table says, and none
+    // is left on the killed PE.
+    for (int r = 0; r < cfg.vps; ++r) {
+      EXPECT_EQ(rt.rank_state(r).resident_pe, rt.cluster().location(r))
+          << "rank " << r;
+      EXPECT_NE(rt.rank_state(r).resident_pe, 1) << "rank " << r;
+    }
   }
   const double residual = apps::jacobi_result(rt.rank_return(0));
   EXPECT_TRUE(std::isfinite(residual));

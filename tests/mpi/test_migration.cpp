@@ -81,6 +81,11 @@ TEST_P(MigratePerMethod, StatePreservedAcrossPes) {
   }
   EXPECT_EQ(rt.migration_count(), 4u);
   EXPECT_GT(rt.migration_bytes(), 0u);
+  // Every move leaves the rank's state and the location table agreeing.
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_EQ(rt.rank_state(r).resident_pe, rt.cluster().location(r))
+        << "rank " << r;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -151,6 +156,8 @@ TEST(LoadBalance, RotateMovesEveryRank) {
   rt.run();
   for (int r = 0; r < 4; ++r) {
     EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1);
+    EXPECT_EQ(rt.rank_state(r).resident_pe, rt.cluster().location(r))
+        << "rank " << r;
   }
   EXPECT_EQ(rt.migration_count(), 4u);
 }

@@ -240,6 +240,9 @@ TEST(SchedSteal, IdlePeStealsFromCrowdedNeighbor) {
   for (int r = 0; r < cfg.vps; ++r) {
     EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), cfg.vps)
         << "rank " << r;
+    // Stolen ranks too: resident where the location table says.
+    EXPECT_EQ(rt.rank_state(r).resident_pe, rt.cluster().location(r))
+        << "rank " << r;
   }
   const util::Counters c = rt.sched_counters();
   EXPECT_GE(c.get("sched_steal_requests"), 1u);
