@@ -41,6 +41,7 @@ void CommCounters::merge(const CommCounters& o) noexcept {
   flushes_size += o.flushes_size;
   flushes_order += o.flushes_order;
   flushes_idle += o.flushes_idle;
+  flushes_block += o.flushes_block;
 }
 
 Cluster::Cluster(const Config& config)
@@ -71,7 +72,8 @@ Cluster::Cluster(const Config& config)
     // The aggregation bins owned by this PE are flushed whenever its loop
     // goes idle — the hook runs on the owning thread, so bins stay
     // single-writer.
-    pes_.back()->add_idle_hook([this, i] { flush_aggregation(i); });
+    pes_.back()->add_idle_hook(
+        [this, i] { flush_aggregation(i, FlushCause::Idle); });
     if (transport_->num_procs() > 1 && transport_->is_local(i)) {
       // Drain inbound shm rings every loop iteration, on the PE's own
       // thread; a locally-failed PE diverts instead of posting to a halted
@@ -263,14 +265,18 @@ void Cluster::flush_bin(PeTx& tx, PeId src, PeId dst) {
   deliver(std::move(env));
 }
 
-void Cluster::flush_aggregation(PeId src) {
+void Cluster::flush_aggregation(PeId src, FlushCause cause) {
   if (src < 0 || src >= num_pes()) return;
   PeTx& tx = *tx_[src];
+  std::atomic<std::uint64_t>& counter =
+      cause == FlushCause::Idle    ? tx.flushes_idle
+      : cause == FlushCause::Block ? tx.flushes_block
+                                   : tx.flushes_order;
   for (PeId dst = 0; dst < num_pes(); ++dst) {
     if (tx.bins[static_cast<std::size_t>(dst)].count.load(
             std::memory_order_relaxed) == 0)
       continue;
-    bump(tx.flushes_idle);
+    bump(counter);
     flush_bin(tx, src, dst);
   }
 }
@@ -453,6 +459,7 @@ CommCounters Cluster::counters(PeId pe) const {
   c.flushes_size = tx.flushes_size.load(std::memory_order_relaxed);
   c.flushes_order = tx.flushes_order.load(std::memory_order_relaxed);
   c.flushes_idle = tx.flushes_idle.load(std::memory_order_relaxed);
+  c.flushes_block = tx.flushes_block.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -467,6 +474,7 @@ CommCounters Cluster::counters_total() const {
     c.flushes_size = tx->flushes_size.load(std::memory_order_relaxed);
     c.flushes_order = tx->flushes_order.load(std::memory_order_relaxed);
     c.flushes_idle = tx->flushes_idle.load(std::memory_order_relaxed);
+    c.flushes_block = tx->flushes_block.load(std::memory_order_relaxed);
     total.merge(c);
   }
   return total;
@@ -482,6 +490,7 @@ util::Counters Cluster::stat_counters() const {
   out.set("comm.flushes_size", c.flushes_size);
   out.set("comm.flushes_order", c.flushes_order);
   out.set("comm.flushes_idle", c.flushes_idle);
+  out.set("comm.flushes_block", c.flushes_block);
   out.set("comm.send_calls", c.sends);
   out.set("comm.internode", internode_.load(std::memory_order_relaxed));
   out.set("comm.dropped", dropped_.load(std::memory_order_relaxed));

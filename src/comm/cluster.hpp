@@ -23,11 +23,21 @@ struct CommCounters {
   std::uint64_t aggregated = 0;     ///< messages that travelled bundled
   std::uint64_t agg_envelopes = 0;  ///< aggregate envelopes shipped
   std::uint64_t flushes_size = 0;   ///< bin flushes forced by the size cap
-  std::uint64_t flushes_order = 0;  ///< flushes forced by a non-bundled send
-                                    ///< to the same PE (FIFO preservation)
+  std::uint64_t flushes_order = 0;  ///< flushes that keep a message from
+                                    ///< overtaking binned ones
   std::uint64_t flushes_idle = 0;   ///< flushes from the PE idle hook
+  std::uint64_t flushes_block = 0;  ///< flushes by a rank blocking on its PE
 
   void merge(const CommCounters& o) noexcept;
+};
+
+/// Why the bins of a PE are flushed; each cause feeds one counter.
+enum class FlushCause : std::uint8_t {
+  Idle,   ///< the PE idle hook (flushes_idle)
+  Block,  ///< a rank about to block on the PE (flushes_block)
+  Order,  ///< per-sender FIFO (flushes_order): the MPI layer's inline
+          ///< fallback, and a rank shipping out, flush before the next
+          ///< message or the image takes another path
 };
 
 /// The emulated machine: `nodes` OS processes × `pes_per_node` PEs each
@@ -88,7 +98,8 @@ class Cluster {
   /// destination PE's mailbox. Small UserData messages sent from a PE
   /// thread are coalesced per destination PE and shipped as aggregate
   /// envelopes (flushed by size, by a later non-bundled message to the same
-  /// PE, or by the sending PE going idle); the per-(sender, destination)
+  /// PE, by the sending PE going idle, or by the layer above through
+  /// flush_aggregation, e.g. when a rank blocks); the per-(sender, destination)
   /// FIFO order is preserved across all of it. Messages to a failed PE are
   /// diverted: user data follows its destination rank's location (or waits
   /// in the dead-letter queue until the rank is re-homed); control and
@@ -96,9 +107,10 @@ class Cluster {
   /// longer exists.
   void send(Message&& msg);
 
-  /// Flushes the aggregation bins owned by `src`. Called from `src`'s own
-  /// PE thread (the idle hook does this automatically once started).
-  void flush_aggregation(PeId src);
+  /// Flushes the aggregation bins owned by `src`, counting each nonempty
+  /// bin under `cause`. Called from `src`'s own PE thread (the idle hook
+  /// does this automatically once started).
+  void flush_aggregation(PeId src, FlushCause cause);
 
   /// Messages currently sitting unflushed in `src`'s aggregation bins
   /// (approximate — safe to call from any thread; used by deadlock
@@ -180,6 +192,7 @@ class Cluster {
     std::atomic<std::uint64_t> flushes_size{0};
     std::atomic<std::uint64_t> flushes_order{0};
     std::atomic<std::uint64_t> flushes_idle{0};
+    std::atomic<std::uint64_t> flushes_block{0};
   };
 
   /// The tx state of msg.src_pe iff the calling thread is that PE's loop

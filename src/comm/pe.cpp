@@ -16,18 +16,25 @@ namespace {
 thread_local Pe* g_current_pe = nullptr;
 
 // Consecutive scheduler slices with an empty mailbox before the loop runs
-// its idle hooks even though a ULT is still ready (see run_loop). Small
-// enough that a spin-waiting peer stalls only microseconds; large enough
-// that bins still batch across bursts of back-to-back sends.
+// its idle hooks even though a ULT is still ready (see run_loop). A rank
+// that blocks flushes its PE's bins itself (Runtime::block_current), so
+// this covers only ranks that keep the scheduler busy without blocking: a
+// rank spin-yielding on remote progress (the recovery leader's do_yield
+// loop) or one preempted mid-compute. Small enough that a spin-waiting
+// peer stalls only microseconds; large enough that bins still batch
+// across bursts of back-to-back sends.
 constexpr std::size_t kQuietSlicesBeforeFlush = 64;
 
 // Envelopes moved out of the mailbox per drain pass.
 constexpr std::size_t kDrainBatch = 64;
 
-// Idle policy while a transport poll hook is installed (see set_poll_hook):
-// busy-poll window after the last activity, then idle_wait nap length.
+// Idle policy (see run_loop): yield-spin for kPollSpinUs after the loop
+// first finds no work, then nap in idle_wait slices. Cross-process
+// producers cannot wake a parked PE, so with a transport poll hook the
+// nap is shorter.
 constexpr std::int64_t kPollSpinUs = 200;
 constexpr std::int64_t kPollNapUs = 50;
+constexpr std::int64_t kIdleNapUs = 200;
 }
 
 Pe* Pe::current() noexcept { return g_current_pe; }
@@ -70,9 +77,9 @@ void Pe::set_poll_hook(PollHook hook) {
 
 void Pe::post(Message&& msg) {
   mailbox_.push(std::move(msg));
-  // Wake the scheduler's idle wait; ready() notification path is reused by
-  // sharing its condition variable via a zero-cost trick: idle_wait also
-  // re-checks the mailbox through the stop predicate we pass in run_loop.
+  // idle_wait's predicate (see run_loop) checks the mailbox, so the push
+  // above is the work ready_notify publishes; it takes the scheduler mutex
+  // only while this PE is parked.
   sched_.ready_notify();
 }
 
@@ -112,7 +119,10 @@ void Pe::run_loop() {
   running_.store(true);
   APV_DEBUG("pe", "PE %d (node %d) loop starting", id_, node_);
   std::size_t quiet_streak = 0;
-  auto last_activity = std::chrono::steady_clock::now();
+  // Start of the current idle stretch; only idle iterations read the clock.
+  bool idle = false;
+  std::chrono::steady_clock::time_point idle_since;
+  const std::int64_t nap_us = poll_hook_ ? kPollNapUs : kIdleNapUs;
   for (;;) {
     // Transport poll first: envelopes it pulls off the shm rings land in our
     // own mailbox (posted from this thread) and the drain right below
@@ -121,7 +131,7 @@ void Pe::run_loop() {
     const bool had_msgs = drain_mailbox() || polled > 0;
     const bool ran = sched_.run_one();
     if (had_msgs || ran) {
-      if (poll_hook_) last_activity = std::chrono::steady_clock::now();
+      idle = false;
       // A ULT can keep the scheduler busy forever while logically waiting on
       // remote progress (e.g. a recovery leader spin-yielding on a peer). If
       // such a spin left a message in an aggregation bin, the peer in turn
@@ -145,30 +155,23 @@ void Pe::run_loop() {
       if (mailbox_.empty() && sched_.ready_count() == 0) break;
       continue;
     }
-    if (poll_hook_) {
-      // Cross-process producers cannot wake this scheduler, so an idle_wait
-      // here would add its full timeout to every remote message's latency.
-      // Spin (yielding, so a same-core peer process still runs) for a short
-      // window after the last activity, then fall back to short naps.
-      const auto now = std::chrono::steady_clock::now();
-      if (std::chrono::duration_cast<std::chrono::microseconds>(
-              now - last_activity)
-              .count() < kPollSpinUs) {
-        std::this_thread::yield();
-        continue;
-      }
-      sched_.idle_wait(
-          [this] {
-            return stop_.load() || failed_.load() || mailbox_depth() > 0;
-          },
-          kPollNapUs);
+    // A reply usually arrives within microseconds of the PE running dry,
+    // and parking would add a futex round trip to it. Spin (yielding, so a
+    // thread sharing this core still runs) for a short window, then park.
+    const auto now = std::chrono::steady_clock::now();
+    if (!idle) {
+      idle = true;
+      idle_since = now;
+    }
+    if (now - idle_since < std::chrono::microseconds(kPollSpinUs)) {
+      std::this_thread::yield();
       continue;
     }
     sched_.idle_wait(
         [this] {
           return stop_.load() || failed_.load() || mailbox_depth() > 0;
         },
-        200);
+        nap_us);
   }
   // Orderly stop (not a simulated crash): let the upper layer unwind
   // whatever is still parked on this scheduler, on this thread, while the

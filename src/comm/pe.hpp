@@ -63,16 +63,17 @@ class Pe {
   void add_idle_hook(IdleHook hook);
   /// Installs the stop-drain callback. Must happen before the loop starts.
   void set_stop_drain(StopDrain drain);
-  /// Installs the transport poll hook. Remote traffic arrives with no wakeup
-  /// signal (the producer is in another process and cannot notify this
-  /// scheduler), so while a hook is installed the idle path busy-polls
-  /// (yielding) for 200µs after the last activity, then naps in 50µs
-  /// idle_wait slices instead of the default 200µs — bounding added latency
-  /// without burning the host when truly idle. Must happen before the loop
-  /// starts.
+  /// Installs the transport poll hook. Every idle PE yield-spins for 200µs
+  /// before it parks; remote traffic arrives with no wakeup signal (the
+  /// producer is in another process and cannot notify this scheduler), so
+  /// with a hook installed the parked PE naps in 50µs idle_wait slices
+  /// instead of 200µs — bounding added latency without burning the host
+  /// when truly idle. Must happen before the loop starts.
   void set_poll_hook(PollHook hook);
 
-  /// Thread-safe: enqueues a message and wakes the PE if idle.
+  /// Thread-safe: enqueues a message and wakes the PE if it is parked in
+  /// idle_wait. A PE that is running or spinning is not signalled at all
+  /// (Scheduler::ready_notify), and a post that races the park is not lost.
   void post(Message&& msg);
 
   std::size_t mailbox_depth() const { return mailbox_.size_approx(); }

@@ -682,6 +682,10 @@ void Runtime::block_current(RankMpi& rm) {
   ult::Scheduler* sched = ult::current_scheduler();
   require(sched != nullptr && sched->current() == rm.rc->ult,
           ErrorCode::BadState, "blocking call outside the rank's ULT");
+  // What this rank sent before blocking is what its peers wait on to reply:
+  // ship it now rather than when the PE next goes idle. A burst still
+  // leaves as one bundle per destination.
+  cluster_->flush_aggregation(rm.resident_pe, comm::FlushCause::Block);
   sched->suspend();
   rm.waiting = false;
   throw_pending_check(rm);
@@ -795,7 +799,7 @@ bool Runtime::try_inline_send(RankMpi& rm, int dst_world, int tag,
   if (rm.routed_sent_to(dst_world) !=
       dst.routed_delivered_from(rm.world_rank)) {
     ++ps.inline_fifo_fallbacks;
-    cluster_->flush_aggregation(pe);
+    cluster_->flush_aggregation(pe, comm::FlushCause::Order);
     return false;
   }
   // The inline path bypasses Cluster::send's prio stamp; apply the same
@@ -1141,7 +1145,7 @@ void Runtime::ship(comm::PeId pe, RankMpi& rm, MigOp op) {
   // the image ships — the rank can only send again after its arrival
   // dispatches, and every mailbox push here completes before the image's,
   // so pre-move traffic stays ahead of post-move traffic on every path.
-  cluster_->flush_aggregation(pe);
+  cluster_->flush_aggregation(pe, comm::FlushCause::Order);
   leave(pe, rm);
 
   util::ByteBuffer buf;

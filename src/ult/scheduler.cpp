@@ -131,10 +131,7 @@ void Scheduler::ready(Ult* t, Lane lane) {
                                                std::memory_order_release,
                                                std::memory_order_relaxed));
   bump(remote_readies_);
-  // Pass through the mutex before notifying so the wakeup cannot land
-  // between the sleeper's predicate check and its wait (see header).
-  { std::lock_guard<std::mutex> lock(mutex_); }
-  cv_.notify_one();
+  ready_notify();
 }
 
 void Scheduler::drain_remote() {
@@ -238,12 +235,23 @@ bool Scheduler::idle_wait(const std::function<bool()>& stop,
                           std::int64_t timeout_us) {
   bind_owner();
   std::unique_lock<std::mutex> lock(mutex_);
+  sleeping_.store(true, std::memory_order_relaxed);
+  // Pairs with the fence in ready_notify (see the header's eventcount
+  // note): the predicate below sees the waker's work, or the waker sees
+  // sleeping_ and queues on mutex_ until the wait has released it.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   cv_.wait_for(lock, std::chrono::microseconds(timeout_us),
                [&] { return ready_count() > 0 || stop(); });
+  sleeping_.store(false, std::memory_order_relaxed);
   return ready_count() > 0;
 }
 
-void Scheduler::ready_notify() { cv_.notify_one(); }
+void Scheduler::ready_notify() {
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (!sleeping_.load(std::memory_order_relaxed)) return;
+  { std::lock_guard<std::mutex> lock(mutex_); }
+  cv_.notify_one();
+}
 
 void Scheduler::leave_current(UltState new_state) {
   Ult* self = current_;

@@ -36,7 +36,7 @@ using SwitchHook = std::function<void(Ult* next)>;
 ///  - Any other thread: a lock-free MPSC Treiber stack (intrusive
 ///    Ult::remote_next_), reversed into FIFO order when the owner drains
 ///    it. The scheduler mutex is only ever taken around the idle_wait
-///    sleep and its paired notify.
+///    sleep, and by a waker only while the owner is parked there.
 ///
 /// Cooperative preemption (config.preempt): enter() stamps a slice start,
 /// and preempt_point() — called by the runtime at safe points (message
@@ -78,8 +78,10 @@ class Scheduler {
   /// up to timeout_us. Returns true if ready work is available.
   bool idle_wait(const std::function<bool()>& stop, std::int64_t timeout_us);
 
-  /// Wakes an idle_wait early (e.g. after external work such as a mailbox
-  /// post that the stop predicate will observe).
+  /// Wakes an idle_wait early. Call it after publishing external work
+  /// that the stop predicate will observe (a mailbox post, a stop flag):
+  /// the publication must precede the call. Costs one fence when the
+  /// owner is not parked.
   void ready_notify();
 
   /// Queued ULTs (all lanes + undrained cross-thread pushes). Lock-free;
@@ -198,11 +200,17 @@ class Scheduler {
   std::atomic<std::uint64_t> remote_n_{0};
   std::atomic<std::thread::id> owner_{};
 
-  // mutex_/cv_ exist only for the idle_wait sleep: a cross-thread ready()
-  // takes the (empty) critical section before notifying so a wakeup cannot
-  // slip between the sleeper's predicate check and its wait.
+  // mutex_/cv_/sleeping_ exist only for the idle_wait sleep (an
+  // eventcount). The sleeper sets sleeping_ under mutex_, then fences
+  // before its predicate check; a waker publishes its work, fences, and
+  // takes mutex_ to notify only if it sees sleeping_. The two seq_cst
+  // fences guarantee that either the predicate sees the work or the waker
+  // sees the flag, and the mutex keeps the notify from landing between
+  // the predicate check and the wait. Wakers of a PE that is not parked
+  // never touch the mutex.
   mutable std::mutex mutex_;
   std::condition_variable cv_;
+  std::atomic<bool> sleeping_{false};
 
   std::array<std::atomic<std::uint64_t>, kLaneCount> lane_dispatch_{};
   std::atomic<std::uint64_t> preempts_{0};

@@ -9,6 +9,7 @@
 #include "image/image.hpp"
 #include "mpi/runtime.hpp"
 #include "util/error.hpp"
+#include "util/stats.hpp"
 
 using namespace apv;
 using mpi::Datatype;
@@ -18,10 +19,12 @@ namespace {
 
 using EntryFn = void* (*)(void*);
 
-// Runs `entry` as a vps-rank job and returns per-rank intptr results.
+// Runs `entry` as a vps-rank job and returns per-rank intptr results;
+// copies the runtime's counters out when asked.
 std::vector<std::intptr_t> run_job(EntryFn entry, int vps, int pes = 1,
                                    core::Method method =
-                                       core::Method::PIEglobals) {
+                                       core::Method::PIEglobals,
+                                   util::Counters* counters = nullptr) {
   img::ImageBuilder b("p2pjob");
   b.add_global<int>("unused", 0);
   b.add_function("mpi_main", entry);
@@ -34,6 +37,7 @@ std::vector<std::intptr_t> run_job(EntryFn entry, int vps, int pes = 1,
   cfg.slot_bytes = std::size_t{8} << 20;
   mpi::Runtime rt(image, cfg);
   rt.run();
+  if (counters != nullptr) *counters = rt.all_counters();
   std::vector<std::intptr_t> out;
   for (int r = 0; r < vps; ++r)
     out.push_back(reinterpret_cast<std::intptr_t>(rt.rank_return(r)));
@@ -67,6 +71,39 @@ TEST(P2P, BlockingRoundTrip) {
   const auto r = run_job(&basic_roundtrip, 2);
   EXPECT_EQ(r[0], 1235);
   EXPECT_EQ(r[1], 1235);
+}
+
+namespace {
+constexpr int kSmallPings = 50;
+
+void* small_ping_pong(void* arg) {
+  ENV();
+  const int peer = 1 - env->rank();
+  int v = 0;
+  for (int i = 0; i < kSmallPings; ++i) {
+    if (env->rank() == 0) {
+      env->send(&v, 1, Datatype::Int, peer, 12);
+      env->recv(&v, 1, Datatype::Int, peer, 13);
+    } else {
+      env->recv(&v, 1, Datatype::Int, peer, 12);
+      ++v;
+      env->send(&v, 1, Datatype::Int, peer, 13);
+    }
+  }
+  return reinterpret_cast<void*>(static_cast<std::intptr_t>(v));
+}
+}  // namespace
+
+// A small inter-PE message waits in its PE's aggregation bin. The sender
+// blocking on the reply ships it: rank 0 blocks after every ping, so each
+// one leaves by a block flush rather than by its PE going idle.
+TEST(P2P, BlockingSenderFlushesItsBins) {
+  util::Counters c;
+  const auto r = run_job(&small_ping_pong, 2, 2, core::Method::PIEglobals, &c);
+  EXPECT_EQ(r[0], kSmallPings);
+  EXPECT_EQ(r[1], kSmallPings);
+  EXPECT_GE(c.get("comm.flushes_block"),
+            static_cast<std::uint64_t>(kSmallPings));
 }
 
 namespace {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -226,6 +228,38 @@ TEST(Scheduler, IdleWaitTimesOut) {
 TEST(Scheduler, IdleWaitSeesStopPredicate) {
   ult::Scheduler sched;
   EXPECT_FALSE(sched.idle_wait([] { return true; }, 1000000));
+}
+
+// A waker that publishes its work and notifies while the sleeper is between
+// its predicate check and its wait must still end the wait early: the
+// sleeper holds the scheduler mutex there, so a bare notify would be lost
+// and the wait would run out its full timeout.
+TEST(Scheduler, NotifyDuringPredicateCheckIsNotLost) {
+  ult::Scheduler sched;
+  std::atomic<bool> posted{false};
+  std::thread waker;
+  bool first = true;
+  const auto t0 = std::chrono::steady_clock::now();
+  sched.idle_wait(
+      [&] {
+        if (posted.load()) return true;
+        if (first) {
+          first = false;
+          waker = std::thread([&] {
+            posted.store(true);
+            sched.ready_notify();
+          });
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        return false;
+      },
+      2000000);
+  const auto waited_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  waker.join();
+  EXPECT_TRUE(posted.load());
+  EXPECT_LT(waited_ms, 500);
 }
 
 TEST(Scheduler, CurrentUltVisibleFromInside) {
