@@ -56,12 +56,6 @@ Cluster::Cluster(const Config& config)
       static_cast<std::uint64_t>(opt.get_int("sched.quantum_us"));
 
   const int total = config.nodes * config.pes_per_node;
-  TransportConfig tcfg;
-  tcfg.num_pes = total;
-  tcfg.nodes = config.nodes;
-  tcfg.pes_per_node = config.pes_per_node;
-  transport_ = make_transport(opt, tcfg);
-
   pes_.reserve(total);
   tx_.reserve(total + 1);
   for (int i = 0; i < total; ++i) {
@@ -74,31 +68,11 @@ Cluster::Cluster(const Config& config)
     // single-writer.
     pes_.back()->add_idle_hook(
         [this, i] { flush_aggregation(i, FlushCause::Idle); });
-    if (transport_->num_procs() > 1 && transport_->is_local(i)) {
-      // Drain inbound shm rings every loop iteration, on the PE's own
-      // thread; a locally-failed PE diverts instead of posting to a halted
-      // loop (its own flag is authoritative in this process).
-      pes_.back()->set_poll_hook([this, i] {
-        return transport_->poll(i, [this, i](Message&& m) {
-          if (failed_[i].load(std::memory_order_acquire)) {
-            divert(std::move(m));
-          } else {
-            pes_[static_cast<std::size_t>(i)]->post(std::move(m));
-          }
-        });
-      });
-    }
   }
   tx_.push_back(std::make_unique<PeTx>());  // sends from non-PE threads
   failed_ = std::make_unique<std::atomic<bool>[]>(
       static_cast<std::size_t>(total));
   for (int i = 0; i < total; ++i) failed_[i].store(false);
-  // A peer process publishing a failure (or dying outright) funnels into
-  // the same fail_pe path a local failure takes; fail_pe is idempotent, so
-  // both processes converging on the same PE is fine.
-  transport_->set_failure_callback([this](PeId pe) {
-    if (pe >= 0 && pe < num_pes() && !pe_failed(pe)) fail_pe(pe);
-  });
 }
 
 Cluster::~Cluster() { stop_and_join(); }
@@ -113,16 +87,6 @@ void Cluster::resize_location_table(int nranks) {
   require(!started_, ErrorCode::BadState,
           "location table must be sized before start");
   require(nranks >= 0, ErrorCode::InvalidArgument, "negative rank count");
-  if (transport_->has_shared_locations()) {
-    // The authoritative table lives in the shared segment so re-homing
-    // decisions agree across processes; it is sized (and kInvalidPe-filled)
-    // at segment creation.
-    require(nranks <= transport_->max_shared_ranks(),
-            ErrorCode::LimitExceeded,
-            "rank count exceeds transport.max_ranks");
-    num_ranks_ = nranks;
-    return;
-  }
   locations_ = std::make_unique<std::atomic<PeId>[]>(
       static_cast<std::size_t>(nranks));
   for (int i = 0; i < nranks; ++i) locations_[i].store(kInvalidPe);
@@ -132,10 +96,6 @@ void Cluster::resize_location_table(int nranks) {
 void Cluster::set_location(RankId rank, PeId pe) {
   require(rank >= 0 && rank < num_ranks_, ErrorCode::InvalidArgument,
           "rank out of location-table range");
-  if (transport_->has_shared_locations()) {
-    transport_->publish_location(rank, pe);
-    return;
-  }
   require(locations_ != nullptr, ErrorCode::InvalidArgument,
           "location table not sized");
   locations_[rank].store(pe, std::memory_order_release);
@@ -144,8 +104,6 @@ void Cluster::set_location(RankId rank, PeId pe) {
 PeId Cluster::location(RankId rank) const {
   require(rank >= 0 && rank < num_ranks_, ErrorCode::InvalidArgument,
           "rank out of location-table range");
-  if (transport_->has_shared_locations())
-    return transport_->shared_location(rank);
   require(locations_ != nullptr, ErrorCode::InvalidArgument,
           "location table not sized");
   return locations_[rank].load(std::memory_order_acquire);
@@ -296,18 +254,6 @@ void Cluster::deliver(Message&& msg) {
     divert(std::move(msg));
     return;
   }
-  if (!transport_->is_local(msg.dst_pe)) {
-    // Real IPC replaces the modelled network hop: no netmodel pacing and no
-    // internode_ charge — the shm.* counters account for this path. A dead
-    // or stopped destination process refuses the envelope; divert it like
-    // any other send to a failed PE.
-    Pe* cur = Pe::current();
-    const bool owner = cur != nullptr && msg.src_pe >= 0 &&
-                       msg.src_pe < num_pes() &&
-                       pes_[static_cast<std::size_t>(msg.src_pe)].get() == cur;
-    if (!transport_->send_remote(msg, owner)) divert(std::move(msg));
-    return;
-  }
   if (msg.src_pe != kInvalidPe && node_of(msg.src_pe) != node_of(msg.dst_pe)) {
     if (msg.kind == Message::Kind::Aggregate) {
       // Charge the bundle as its constituent messages: bundling is a
@@ -363,8 +309,6 @@ void Cluster::fail_pe(PeId pe) {
   if (!failed_[pe].compare_exchange_strong(expected, true)) return;
   failed_count_.fetch_add(1, std::memory_order_release);
   pes_[pe]->fail();
-  // Let the other processes divert their own traffic too (no-op on inproc).
-  transport_->publish_pe_failed(pe);
 }
 
 bool Cluster::pe_failed(PeId pe) const {
@@ -422,16 +366,11 @@ void Cluster::start() {
   require(!started_, ErrorCode::BadState, "cluster already started");
   started_ = true;
   threads_.reserve(pes_.size());
-  int local = 0;
   for (auto& pe : pes_) {
-    // Remote PEs belong to another OS process; they exist here only as
-    // routing targets — their loops run where they are local.
-    if (!transport_->is_local(pe->id())) continue;
     threads_.emplace_back([p = pe.get()] { p->run_loop(); });
-    ++local;
   }
-  APV_INFO("cluster", "started %d node(s) x %d PE(s), %d local via %s",
-           config_.nodes, config_.pes_per_node, local, transport_->name());
+  APV_INFO("cluster", "started %d node(s) x %d PE(s)", config_.nodes,
+           config_.pes_per_node);
 }
 
 void Cluster::stop_and_join() {
@@ -442,41 +381,30 @@ void Cluster::stop_and_join() {
   }
   threads_.clear();
   started_ = false;
-  // Mark a clean departure so peers treat our silence as a stop, not a
-  // crash (no-op on inproc).
-  transport_->stop();
+}
+
+CommCounters Cluster::PeTx::snapshot() const {
+  CommCounters c;
+  c.sends = sends.load(std::memory_order_relaxed);
+  c.bytes = bytes.load(std::memory_order_relaxed);
+  c.aggregated = aggregated.load(std::memory_order_relaxed);
+  c.agg_envelopes = agg_envelopes.load(std::memory_order_relaxed);
+  c.flushes_size = flushes_size.load(std::memory_order_relaxed);
+  c.flushes_order = flushes_order.load(std::memory_order_relaxed);
+  c.flushes_idle = flushes_idle.load(std::memory_order_relaxed);
+  c.flushes_block = flushes_block.load(std::memory_order_relaxed);
+  return c;
 }
 
 CommCounters Cluster::counters(PeId pe) const {
   require(pe >= 0 && pe < num_pes(), ErrorCode::InvalidArgument,
           "PE id out of range");
-  const PeTx& tx = *tx_[pe];
-  CommCounters c;
-  c.sends = tx.sends.load(std::memory_order_relaxed);
-  c.bytes = tx.bytes.load(std::memory_order_relaxed);
-  c.aggregated = tx.aggregated.load(std::memory_order_relaxed);
-  c.agg_envelopes = tx.agg_envelopes.load(std::memory_order_relaxed);
-  c.flushes_size = tx.flushes_size.load(std::memory_order_relaxed);
-  c.flushes_order = tx.flushes_order.load(std::memory_order_relaxed);
-  c.flushes_idle = tx.flushes_idle.load(std::memory_order_relaxed);
-  c.flushes_block = tx.flushes_block.load(std::memory_order_relaxed);
-  return c;
+  return tx_[pe]->snapshot();
 }
 
 CommCounters Cluster::counters_total() const {
   CommCounters total;
-  for (const auto& tx : tx_) {
-    CommCounters c;
-    c.sends = tx->sends.load(std::memory_order_relaxed);
-    c.bytes = tx->bytes.load(std::memory_order_relaxed);
-    c.aggregated = tx->aggregated.load(std::memory_order_relaxed);
-    c.agg_envelopes = tx->agg_envelopes.load(std::memory_order_relaxed);
-    c.flushes_size = tx->flushes_size.load(std::memory_order_relaxed);
-    c.flushes_order = tx->flushes_order.load(std::memory_order_relaxed);
-    c.flushes_idle = tx->flushes_idle.load(std::memory_order_relaxed);
-    c.flushes_block = tx->flushes_block.load(std::memory_order_relaxed);
-    total.merge(c);
-  }
+  for (const auto& tx : tx_) total.merge(tx->snapshot());
   return total;
 }
 
@@ -491,7 +419,6 @@ util::Counters Cluster::stat_counters() const {
   out.set("comm.flushes_order", c.flushes_order);
   out.set("comm.flushes_idle", c.flushes_idle);
   out.set("comm.flushes_block", c.flushes_block);
-  out.set("comm.send_calls", c.sends);
   out.set("comm.internode", internode_.load(std::memory_order_relaxed));
   out.set("comm.dropped", dropped_.load(std::memory_order_relaxed));
   std::uint64_t ring = 0;
@@ -502,7 +429,6 @@ util::Counters Cluster::stat_counters() const {
   }
   out.set("comm.mailbox_ring_pushes", ring);
   out.set("comm.mailbox_overflow_pushes", overflow);
-  out.merge(transport_->counters());
   const PoolStats p = pool::stats();
   out.set("pool.hits", p.hits);
   out.set("pool.misses", p.misses);

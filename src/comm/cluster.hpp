@@ -10,7 +10,6 @@
 #include "comm/message.hpp"
 #include "comm/netmodel.hpp"
 #include "comm/pe.hpp"
-#include "comm/transport.hpp"
 #include "util/options.hpp"
 #include "util/stats.hpp"
 
@@ -45,13 +44,13 @@ enum class FlushCause : std::uint8_t {
 /// boundaries are made real by the per-node Privatizer/Loader state above
 /// this layer and by the NetModel pacing inter-node messages here.
 ///
-/// Reads the net.*, sched.* and transport.* options (util::option_table()).
+/// Reads the net.* and sched.* options (util::option_table()).
 class Cluster {
  public:
   struct Config {
     int nodes = 1;
     int pes_per_node = 1;
-    util::Options options;  ///< net.*, sched.* and transport.* keys
+    util::Options options;  ///< net.* and sched.* keys
     ult::ContextBackend backend = ult::default_context_backend();
   };
 
@@ -74,17 +73,6 @@ class Cluster {
   }
 
   const NetModel& net() const noexcept { return net_; }
-
-  /// The transport routing this cluster's envelopes. With the shm backend
-  /// and >1 process, only PEs with transport().is_local() run loops in this
-  /// process; the rest exist as routing targets.
-  const Transport& transport() const noexcept { return *transport_; }
-
-  /// Sender-side zero-copy staging (see Transport::acquire_payload): fill
-  /// the returned payload and send — if the destination turns out to be in
-  /// another process, the bytes are already in the shared arena and cross
-  /// by reference. Plain pool acquisition on the inproc backend.
-  Payload acquire_payload(std::size_t n) { return transport_->acquire_payload(n); }
 
   /// Sizes the authoritative rank-location table. Must be called before
   /// start(); the upper layer seeds initial placements with set_location.
@@ -193,6 +181,9 @@ class Cluster {
     std::atomic<std::uint64_t> flushes_order{0};
     std::atomic<std::uint64_t> flushes_idle{0};
     std::atomic<std::uint64_t> flushes_block{0};
+
+    /// Every counter, read with relaxed loads.
+    CommCounters snapshot() const;
   };
 
   /// The tx state of msg.src_pe iff the calling thread is that PE's loop
@@ -207,10 +198,6 @@ class Cluster {
 
   Config config_;
   NetModel net_;
-  // Declared before the PEs (and the dead-letter queue): destroyed last, so
-  // wrapped shm payloads still parked in mailboxes release their arena
-  // blocks through a live transport.
-  std::unique_ptr<Transport> transport_;
   std::vector<std::unique_ptr<Pe>> pes_;
   std::vector<std::unique_ptr<PeTx>> tx_;
   std::vector<std::thread> threads_;

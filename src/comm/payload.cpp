@@ -62,28 +62,12 @@ int class_for(std::size_t n) noexcept {
 struct Payload::Chunk {
   std::atomic<std::uint32_t> refs{1};
   std::int32_t size_class = -1;           // -1: vector-backed (adopted)
-                                          // -2: external (release hook)
   std::size_t capacity = 0;
   std::byte* mem = nullptr;               // pooled storage, owned
   std::vector<std::byte> vec;             // adopted storage
   Chunk* next_free = nullptr;             // freelist link while recycled
 
-  // External backing: bytes owned elsewhere (shm arena block); the hook
-  // runs when the chunk dies, never a delete[].
-  std::byte* ext_data = nullptr;
-  std::size_t ext_n = 0;
-  Payload::ExternalRelease ext_release = nullptr;
-  void* ext_ctx = nullptr;
-
-  std::byte* bytes() noexcept {
-    if (size_class >= 0) return mem;
-    return ext_data != nullptr ? ext_data : vec.data();
-  }
-
-  ~Chunk() {
-    if (ext_release != nullptr) ext_release(ext_ctx, ext_data, ext_n);
-    delete[] mem;
-  }
+  ~Chunk() { delete[] mem; }
 };
 
 namespace {
@@ -289,33 +273,6 @@ Payload Payload::adopt(std::vector<std::byte>&& bytes) {
   p.data_ = c->vec.data();
   p.size_ = c->vec.size();
   return p;
-}
-
-Payload Payload::wrap_external(std::byte* data, std::size_t n,
-                               ExternalRelease release, void* ctx) {
-  if (data == nullptr || n == 0) {
-    if (release != nullptr) release(ctx, data, n);
-    return Payload{};
-  }
-  Chunk* c = new Chunk;
-  c->size_class = -2;
-  c->capacity = n;
-  c->ext_data = data;
-  c->ext_n = n;
-  c->ext_release = release;
-  c->ext_ctx = ctx;
-  Payload p;
-  p.chunk_ = c;
-  p.data_ = data;
-  p.size_ = n;
-  return p;
-}
-
-bool Payload::is_external_block(ExternalRelease release,
-                                const void* ctx) const noexcept {
-  return chunk_ != nullptr && chunk_->size_class == -2 &&
-         chunk_->ext_release == release && chunk_->ext_ctx == ctx &&
-         data_ == chunk_->ext_data;
 }
 
 Payload Payload::view(const Payload& parent, std::size_t off,

@@ -25,16 +25,13 @@ struct PoolStats {
 /// intra-PE delivery and migration hand over the very bytes the sender
 /// produced, with no intermediate memcpy.
 ///
-/// Four backing shapes, one handle type:
+/// Three backing shapes, one handle type:
 ///  - pooled: a size-class chunk from the freelist (the hot p2p path);
 ///  - adopted: wraps a `std::vector<std::byte>` moved in from elsewhere
 ///    (migration images packed by Isomalloc) — zero-copy in, and
 ///    `take_vector()` is zero-copy out while the handle is unique;
 ///  - view: a sub-range of another payload sharing its refcount
-///    (aggregation envelopes are unbundled into views, not copies);
-///  - external: wraps bytes owned by someone else entirely (a mapped
-///    shared-memory arena block on the cross-process transport) and calls a
-///    release hook when the last handle drops — views into it compose.
+///    (aggregation envelopes are unbundled into views, not copies).
 ///
 /// Thread-safety: the refcount is atomic, so handles may be released from
 /// any thread; the *bytes* follow the usual message discipline (the producer
@@ -61,23 +58,6 @@ class Payload {
 
   /// A sub-range [off, off+len) of `parent`, sharing its chunk refcount.
   static Payload view(const Payload& parent, std::size_t off, std::size_t len);
-
-  /// Called when the last handle on an external payload drops.
-  using ExternalRelease = void (*)(void* ctx, std::byte* data, std::size_t n);
-
-  /// Wraps `n` bytes owned elsewhere (e.g. a shared-memory arena block the
-  /// cross-process transport mapped into this process) without copying.
-  /// `release` runs exactly once, from whichever thread drops the last
-  /// handle. Views into the wrapped payload share the refcount as usual.
-  static Payload wrap_external(std::byte* data, std::size_t n,
-                               ExternalRelease release, void* ctx);
-
-  /// True when this handle covers a whole external block owned by (`release`,
-  /// `ctx`) — i.e. data() is the block start, not a view into its interior.
-  /// The shm transport uses this to recognize payloads it staged itself and
-  /// hand the block across by reference instead of copying.
-  bool is_external_block(ExternalRelease release,
-                         const void* ctx) const noexcept;
 
   std::byte* data() noexcept { return data_; }
   const std::byte* data() const noexcept { return data_; }

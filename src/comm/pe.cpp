@@ -29,11 +29,8 @@ constexpr std::size_t kQuietSlicesBeforeFlush = 64;
 constexpr std::size_t kDrainBatch = 64;
 
 // Idle policy (see run_loop): yield-spin for kPollSpinUs after the loop
-// first finds no work, then nap in idle_wait slices. Cross-process
-// producers cannot wake a parked PE, so with a transport poll hook the
-// nap is shorter.
+// first finds no work, then nap in idle_wait slices of kIdleNapUs.
 constexpr std::int64_t kPollSpinUs = 200;
-constexpr std::int64_t kPollNapUs = 50;
 constexpr std::int64_t kIdleNapUs = 200;
 }
 
@@ -67,12 +64,6 @@ void Pe::set_stop_drain(StopDrain drain) {
   require(!running_.load(), ErrorCode::BadState,
           "cannot change the stop drain while the PE loop runs");
   stop_drain_ = std::move(drain);
-}
-
-void Pe::set_poll_hook(PollHook hook) {
-  require(!running_.load(), ErrorCode::BadState,
-          "cannot change the poll hook while the PE loop runs");
-  poll_hook_ = std::move(hook);
 }
 
 void Pe::post(Message&& msg) {
@@ -122,13 +113,8 @@ void Pe::run_loop() {
   // Start of the current idle stretch; only idle iterations read the clock.
   bool idle = false;
   std::chrono::steady_clock::time_point idle_since;
-  const std::int64_t nap_us = poll_hook_ ? kPollNapUs : kIdleNapUs;
   for (;;) {
-    // Transport poll first: envelopes it pulls off the shm rings land in our
-    // own mailbox (posted from this thread) and the drain right below
-    // dispatches them in the same iteration.
-    const std::size_t polled = poll_hook_ ? poll_hook_() : 0;
-    const bool had_msgs = drain_mailbox() || polled > 0;
+    const bool had_msgs = drain_mailbox();
     const bool ran = sched_.run_one();
     if (had_msgs || ran) {
       idle = false;
@@ -171,7 +157,7 @@ void Pe::run_loop() {
         [this] {
           return stop_.load() || failed_.load() || mailbox_depth() > 0;
         },
-        nap_us);
+        kIdleNapUs);
   }
   // Orderly stop (not a simulated crash): let the upper layer unwind
   // whatever is still parked on this scheduler, on this thread, while the

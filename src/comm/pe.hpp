@@ -28,11 +28,6 @@ class Pe {
   using Dispatcher = std::function<void(Message&&)>;
   /// Runs once per idle loop iteration (progress hook for the upper layer).
   using IdleHook = std::function<void()>;
-  /// Drains this PE's inbound cross-process transport rings; returns how
-  /// many envelopes it moved (they land in the mailbox via post, so the
-  /// loop's next drain dispatches them). Runs on the PE thread, every loop
-  /// iteration.
-  using PollHook = std::function<std::size_t()>;
   /// Runs on the PE thread after the loop exits via stop() — not after a
   /// simulated crash (fail()), whose semantics are precisely "no cleanup
   /// ran". The MPI layer uses it to force-unwind ranks still parked here
@@ -63,13 +58,6 @@ class Pe {
   void add_idle_hook(IdleHook hook);
   /// Installs the stop-drain callback. Must happen before the loop starts.
   void set_stop_drain(StopDrain drain);
-  /// Installs the transport poll hook. Every idle PE yield-spins for 200µs
-  /// before it parks; remote traffic arrives with no wakeup signal (the
-  /// producer is in another process and cannot notify this scheduler), so
-  /// with a hook installed the parked PE naps in 50µs idle_wait slices
-  /// instead of 200µs — bounding added latency without burning the host
-  /// when truly idle. Must happen before the loop starts.
-  void set_poll_hook(PollHook hook);
 
   /// Thread-safe: enqueues a message and wakes the PE if it is parked in
   /// idle_wait. A PE that is running or spinning is not signalled at all
@@ -113,7 +101,6 @@ class Pe {
   Dispatcher dispatcher_;
   std::vector<IdleHook> idle_hooks_;
   StopDrain stop_drain_;
-  PollHook poll_hook_;
 
   Mailbox mailbox_;
   std::vector<Message> drain_buf_;

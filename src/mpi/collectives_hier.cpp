@@ -5,10 +5,9 @@
 // shared contribution block with no messages at all; one agent per group
 // (its leader, the lowest comm-local index, or the root of a rooted op in
 // the root's own group) then meets the other agents in a second-level
-// shared block the same way. PEs are threads of one process (the Runtime
-// constructor refuses a multi-process transport), so no collective here
-// sends a message: with V ranks on P PEs each one costs V + P block
-// arrivals, at most P cross-PE wakes, and memcpys.
+// shared block the same way. PEs are threads of one process, so no
+// collective here sends a message: with V ranks on P PEs each one costs
+// V + P block arrivals, at most P cross-PE wakes, and memcpys.
 //
 // Every algorithm is the one group-block protocol of Runtime::HierCall
 // below, run once among each group's members and once among the agents;

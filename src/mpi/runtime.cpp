@@ -39,14 +39,6 @@ Runtime::Runtime(const img::ProgramImage& image, RuntimeConfig config)
   cc.options = config_.options;
   cc.backend = config_.backend;
   cluster_ = std::make_unique<comm::Cluster>(cc);
-  // The MPI layer assumes every PE's scheduler/resident state is reachable
-  // in-process (ULT wakes, migration packing, steal handlers). The shm
-  // transport with one process degenerates to exactly that, so only a real
-  // multi-process job is rejected; spreading virtual ranks over OS
-  // processes is the Cluster-level tier's follow-on.
-  require(cluster_->transport().num_procs() == 1, ErrorCode::InvalidArgument,
-          "mpi::Runtime needs a single-process transport "
-          "(transport.procs/APV_SHM_PROCS > 1 is Cluster-level only)");
 
   comms_ = std::make_unique<CommTable>(config_.vps);
   ckpt_store_ = std::make_unique<ft::CheckpointStore>();

@@ -83,27 +83,6 @@ constexpr OptionSpec kOptions[] = {
      "network model: per-message latency"},
     {"net.bandwidth_gb_s", Double, "12", "", 0, nullptr,
      "network model: bandwidth (0 = no bandwidth term)"},
-    {"transport.backend", String, "inproc", "inproc|shm", kNoMin,
-     "APV_TRANSPORT", "inproc = in-process; shm = PEs over OS processes"},
-    {"transport.procs", Int, "1", "", 1, "APV_SHM_PROCS",
-     "shm: number of OS processes"},
-    {"transport.proc", Int, "0", "", 0, "APV_SHM_PROC",
-     "shm: this process's index"},
-    {"transport.job", String, "", "", kNoMin, "APV_SHM_JOB",
-     "shm: job rendezvous name (required with more than one process)"},
-    {"transport.arena_mb", Int, "64", "", 1, nullptr,
-     "shm: shared payload arena size in MiB"},
-    {"transport.hb_ms", Int, "25", "", 1, nullptr, "shm: heartbeat period"},
-    {"transport.hb_timeout_ms", Int, "1000", "", 2, nullptr,
-     "shm: declare a peer dead after this heartbeat silence (>= 2 x hb_ms)"},
-    {"transport.liveness_ms", Int, "5", "", 1, nullptr,
-     "shm: minimum interval between peer liveness sweeps"},
-    {"transport.send_timeout_ms", Int, "5000", "", 1, nullptr,
-     "shm: a send to a full ring or arena fails after this long"},
-    {"transport.rendezvous_ms", Int, "30000", "", 100, nullptr,
-     "shm: how long processes wait for each other at startup"},
-    {"transport.max_ranks", Int, "4096", "", 1, nullptr,
-     "shm: capacity of the shared rank-location table"},
 };
 
 const OptionSpec* find(std::string_view key) {

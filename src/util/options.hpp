@@ -28,7 +28,7 @@ struct OptionSpec {
 std::span<const OptionSpec> option_table();
 
 /// Typed key=value configuration for the runtime components (privatization
-/// methods, transport, scheduler, collectives, fault tolerance, checker).
+/// methods, network model, scheduler, collectives, fault tolerance, checker).
 /// Keys are dotted strings such as "pie.fixup" or "net.latency_us", and
 /// each must be declared in option_table(). A read resolves, in order, to
 /// the value set here, the value of the key's environment alias, and the

@@ -1,7 +1,7 @@
 // Cluster transport tests: small-message aggregation (bundling, FIFO across
 // flush boundaries, per-message counters), dead-letter flooding during
-// recovery, and the zero-copy acceptance counters on the intra-PE and
-// migration paths.
+// recovery, and the zero-copy acceptance counters on the routed (intra- and
+// inter-PE) and migration paths.
 
 #include <gtest/gtest.h>
 
@@ -176,9 +176,11 @@ TEST(DeadLetter, FloodDuringRecoveryNoLossNoDuplication) {
 
 namespace {
 
-void* intra_pe_pingpong(void* arg) {
+// 100 round trips of `N`-byte messages between ranks 0 and 1.
+template <std::size_t N>
+void* pingpong(void* arg) {
   auto* env = static_cast<mpi::Env*>(arg);
-  char buf[256];
+  char buf[N];
   // Blocking ping-pong: each round's buffers are released before the next
   // acquire, so the pool's recycling actually engages.
   if (env->rank() == 0) {
@@ -193,7 +195,7 @@ void* intra_pe_pingpong(void* arg) {
   for (int i = 0; i < 100; ++i) {
     std::memset(buf, 0, sizeof buf);
     env->recv(buf, sizeof buf, mpi::Datatype::Byte, 0, 1);
-    if (buf[0] != 0x2a || buf[255] != 0x2a) ok = 0;
+    if (buf[0] != 0x2a || buf[N - 1] != 0x2a) ok = 0;
     env->send(buf, sizeof buf, mpi::Datatype::Byte, 0, 2);
   }
   return reinterpret_cast<void*>(ok);
@@ -231,28 +233,40 @@ img::ProgramImage entry_image(const char* name, img::NativeFn fn) {
 
 }  // namespace
 
-// Acceptance: with the same-PE inline fast path disabled, intra-PE routed
-// delivery hands the sender's pooled buffer to the receiver — the pool
-// observes hits and zero payload-to-payload copies.
-TEST(ZeroCopy, IntraPeDeliveryCopiesNoPayloadBytes) {
-  const img::ProgramImage image =
-      entry_image("zc_intra", &intra_pe_pingpong);
-  mpi::RuntimeConfig cfg = transport_cfg(2, 1, core::Method::None);
-  cfg.options.set("comm.inline", "off");
-  mpi::Runtime rt(image, cfg);
-  comm::pool::reset_stats();
-  rt.run();
-  EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(1)), 1);
-  const comm::PoolStats s = comm::pool::stats();
-  EXPECT_GT(s.hits, 0u);
-  EXPECT_EQ(s.bytes_copied, 0u);
+// Acceptance: routed delivery hands the sender's pooled buffer to the
+// receiver — the pool observes hits and zero payload-to-payload copies —
+// within a PE (same-PE inline fast path disabled), and across PEs both for
+// small messages, which travel bundled and arrive as views into their
+// aggregate envelope, and for large ones, which are sent directly.
+TEST(ZeroCopy, RoutedDeliveryCopiesNoPayloadBytes) {
+  struct Case {
+    const char* name;
+    int pes;
+    img::NativeFn fn;
+    std::uint64_t aggregated;  // sends expected to travel bundled
+  };
+  for (const Case& c : {Case{"intra-PE 256 B", 1, &pingpong<256>, 0},
+                        Case{"inter-PE 256 B", 2, &pingpong<256>, 200},
+                        Case{"inter-PE 4 KiB", 2, &pingpong<4096>, 0}}) {
+    SCOPED_TRACE(c.name);
+    const img::ProgramImage image = entry_image("zc_routed", c.fn);
+    mpi::RuntimeConfig cfg = transport_cfg(2, c.pes, core::Method::None);
+    cfg.options.set("comm.inline", "off");
+    mpi::Runtime rt(image, cfg);
+    comm::pool::reset_stats();
+    rt.run();
+    EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(1)), 1);
+    const comm::PoolStats s = comm::pool::stats();
+    EXPECT_GT(s.hits, 0u);
+    EXPECT_EQ(s.bytes_copied, 0u);
+    EXPECT_EQ(rt.all_counters().get("comm.aggregated"), c.aggregated);
+  }
 }
 
 // Acceptance: with the inline fast path on (the default), the same exchange
 // bypasses the payload pool entirely — user buffer to user buffer.
 TEST(ZeroCopy, IntraPeInlineDeliverySkipsThePool) {
-  const img::ProgramImage image =
-      entry_image("zc_inline", &intra_pe_pingpong);
+  const img::ProgramImage image = entry_image("zc_inline", &pingpong<256>);
   mpi::Runtime rt(image, transport_cfg(2, 1, core::Method::None));
   comm::pool::reset_stats();
   rt.run();

@@ -187,15 +187,20 @@ TEST(Options, EnvAlias) {
   setenv("APV_SCHED_STEAL", saved.c_str(), 1);  // "" reads as unset
 }
 
-// The knobs replaced by constants stay deleted: setting one is an error,
-// not a silent no-op.
+// The knobs replaced by constants or deleted with their code stay deleted:
+// setting one is an error, not a silent no-op.
 TEST(Options, DeletedKnobsAreUndeclared) {
   for (const char* key :
        {"comm.mailbox", "comm.pool", "comm.agg_threshold",
         "comm.agg_max_bytes", "comm.mailbox_slots", "comm.drain_batch",
         "comm.hipri_bytes", "sched.starve_limit", "sched.steal_timeout_us",
         "sched.steal_batch", "coll.rab_cutoff", "coll.vec_cutoff",
-        "transport.spin_us", "transport.nap_us", "transport.ring_slots"})
+        "transport.spin_us", "transport.nap_us", "transport.ring_slots",
+        "transport.backend", "transport.procs", "transport.proc",
+        "transport.job", "transport.arena_mb", "transport.hb_ms",
+        "transport.hb_timeout_ms", "transport.liveness_ms",
+        "transport.send_timeout_ms", "transport.rendezvous_ms",
+        "transport.max_ranks"})
     expect_rejected([key] { Options().set(key, "1"); }, key);
 }
 
