@@ -42,13 +42,14 @@ void bm_backend(benchmark::State& state, ult::ContextBackend backend) {
     ult::Ult b(2, &yield_body, &task, s2.data(), s2.size(), backend);
     sched.ready(&a);
     sched.ready(&b);
-    const std::uint64_t before = sched.switch_count();
+    const std::uint64_t before =
+        sched.counters().get(util::Ctr::ContextSwitches);
     const util::WallTimer timer;
     sched.run_until_quiescent();
     const double elapsed = timer.elapsed_s();
     state.SetIterationTime(elapsed);
     total_s += elapsed;
-    switches = sched.switch_count() - before;
+    switches = sched.counters().get(util::Ctr::ContextSwitches) - before;
   }
   state.counters["ns_per_switch"] =
       total_s * 1e9 /

@@ -57,9 +57,10 @@ void run_case(const char* mode, int heap_mb) {
   double ms;
   void* ret = rt.rank_return(0);
   std::memcpy(&ms, &ret, sizeof ms);
+  const util::CounterValues v = rt.cluster().totals();
   std::printf("%-9s %10d %16.2f %14.3f\n", mode, heap_mb,
-              static_cast<double>(rt.migration_bytes()) /
-                  static_cast<double>(rt.migration_count()) / (1 << 20),
+              static_cast<double>(v[util::Ctr::MigrationBytes]) /
+                  static_cast<double>(v[util::Ctr::Migrations]) / (1 << 20),
               ms);
 }
 

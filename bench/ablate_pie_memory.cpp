@@ -71,9 +71,10 @@ void run_variant(const img::ProgramImage& image, bool share_code,
   double migrate_ms;
   void* ret = rt.rank_return(0);
   std::memcpy(&migrate_ms, &ret, sizeof migrate_ms);
+  const util::CounterValues v = rt.cluster().totals();
   const double payload_mb =
-      static_cast<double>(rt.migration_bytes()) /
-      static_cast<double>(rt.migration_count()) / (1 << 20);
+      static_cast<double>(v[util::Ctr::MigrationBytes]) /
+      static_cast<double>(v[util::Ctr::Migrations]) / (1 << 20);
   std::printf("%-12s %-14s %14.2f %14.2f %12.3f\n",
               share_code ? "shared" : "per-rank",
               share_readonly ? "shared" : "per-rank",

@@ -106,10 +106,11 @@ CaseOut run_case(std::size_t heap_bytes, std::size_t write_bytes, int epochs,
 
   CaseOut out;
   out.counters = rt.all_counters();
-  const auto full_bytes = out.counters.get("ckpt_bytes_full");
-  const auto delta_bytes = out.counters.get("ckpt_bytes_delta");
-  const auto full_images = out.counters.get("ckpt_images_full");
-  const auto delta_images = out.counters.get("ckpt_images_delta");
+  const util::CounterValues v = rt.cluster().totals();
+  const auto full_bytes = v[util::Ctr::CkptBytesFull];
+  const auto delta_bytes = v[util::Ctr::CkptBytesDelta];
+  const auto full_images = v[util::Ctr::CkptImagesFull];
+  const auto delta_images = v[util::Ctr::CkptImagesDelta];
   if (delta) {
     // Steady state excludes the mandatory epoch-1 full base (one per rank,
     // estimated at the mean full-image size); periodic rebases stay in.
@@ -121,8 +122,7 @@ CaseOut run_case(std::size_t heap_bytes, std::size_t write_bytes, int epochs,
                            static_cast<double>(delta_bytes)) /
                           (static_cast<double>(epochs - 1) * kVps);
     out.pages_per_epoch =
-        delta_images > 0 ? static_cast<double>(out.counters.get(
-                               "ckpt_pages_dirty")) /
+        delta_images > 0 ? static_cast<double>(v[util::Ctr::CkptPagesDirty]) /
                                static_cast<double>(delta_images)
                          : 0.0;
   } else {

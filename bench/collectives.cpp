@@ -203,7 +203,8 @@ void* inline_pp_main(void* arg) {
 
 struct PpResult {
   double rate_mps = 0.0;
-  util::Counters counters;  ///< unified all_counters() snapshot
+  util::CounterValues counters;
+  comm::PoolStats pool;
 };
 
 PpResult run_pingpong(int reps, bool inline_on) {
@@ -226,7 +227,8 @@ PpResult run_pingpong(int reps, bool inline_on) {
   void* ret = rt.rank_return(0);
   std::memcpy(&rate, &ret, sizeof rate);
   r.rate_mps = rate;
-  r.counters = rt.all_counters();
+  r.counters = rt.cluster().totals();
+  r.pool = comm::pool::stats();
   return r;
 }
 
@@ -398,13 +400,13 @@ int main(int argc, char** argv) {
   const double pp_speedup =
       off.rate_mps > 0.0 ? fast.rate_mps / off.rate_mps : 0.0;
   const std::uint64_t inline_pool_acquires =
-      fast.counters.get("pool.hits") + fast.counters.get("pool.misses");
+      fast.pool.hits + fast.pool.misses;
   std::printf("\nsame-PE ping-pong (pre-posted receives, %d reps):\n", reps);
   std::printf("  inline on : %8.3f Mmsg/s  (inline_hits=%llu, "
               "pool acquires=%llu)\n",
               fast.rate_mps,
               static_cast<unsigned long long>(
-                  fast.counters.get("inline_hits")),
+                  fast.counters[util::Ctr::InlineHits]),
               static_cast<unsigned long long>(inline_pool_acquires));
   std::printf("  inline off: %8.3f Mmsg/s\n", off.rate_mps);
   std::printf("  speedup   : %7.2fx (acceptance: >= 3x)\n", pp_speedup);
@@ -429,8 +431,9 @@ int main(int argc, char** argv) {
         "  \"allreduce_8B_speedup\": %.3f,\n"
         "  \"allreduce_64KiB_speedup\": %.3f,\n",
         reps, fast.rate_mps * 1e6, off.rate_mps * 1e6, pp_speedup,
-        static_cast<unsigned long long>(fast.counters.get("inline_hits")),
-        static_cast<unsigned long long>(fast.counters.get("inline_misses")),
+        static_cast<unsigned long long>(fast.counters[util::Ctr::InlineHits]),
+        static_cast<unsigned long long>(
+            fast.counters[util::Ctr::InlineMisses]),
         static_cast<unsigned long long>(inline_pool_acquires),
         allred_speedup[0], allred_speedup[1]);
     std::fprintf(json,

@@ -70,13 +70,14 @@ void bm_ctxswitch(benchmark::State& state, core::Method method) {
     core::RankContext* b = priv.create_rank(rp);
     sched.ready(a->ult);
     sched.ready(b->ult);
-    const std::uint64_t before = sched.switch_count();
+    const std::uint64_t before =
+        sched.counters().get(util::Ctr::ContextSwitches);
     const util::WallTimer timer;
     sched.run_until_quiescent();
     const double elapsed = timer.elapsed_s();
     state.SetIterationTime(elapsed);
     total_s += elapsed;
-    switches = sched.switch_count() - before;
+    switches = sched.counters().get(util::Ctr::ContextSwitches) - before;
     priv.destroy_rank(a);
     priv.destroy_rank(b);
   }

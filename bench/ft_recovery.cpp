@@ -109,8 +109,8 @@ Case run_case(int heap_mb) {
     return c;
   }
   unpack_ms(bits, &c.checkpoint_ms, &c.recovery_ms);
-  c.recovered_bytes = rt.recovery_bytes();
-  c.image_mb = static_cast<double>(rt.recovery_bytes()) / (1 << 20);
+  c.recovered_bytes = rt.cluster().totals()[util::Ctr::RecoveryBytes];
+  c.image_mb = static_cast<double>(c.recovered_bytes) / (1 << 20);
   return c;
 }
 

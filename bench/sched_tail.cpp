@@ -155,7 +155,7 @@ struct ModeResult {
   std::size_t op_pings = 0;
   double ping_rate = 0.0;  // in-op pings/s over the client's ping time
   double hog_rate = 0.0;   // hog slices/s (per hog, worst hog)
-  util::Counters sched;
+  util::CounterValues sched;
 };
 
 mpi::RuntimeConfig base_config(int pes, int vps) {
@@ -207,7 +207,7 @@ ModeResult run_mode(const std::string& mode, int pings, int hog_iters) {
       static_cast<double>(g_hog_span_ns.load(std::memory_order_relaxed)) /
       1e9;
   r.hog_rate = hog_s > 0.0 ? hog_iters / hog_s : 0.0;
-  r.sched = rt.sched_counters();
+  r.sched = rt.cluster().totals();
   return r;
 }
 
@@ -333,7 +333,7 @@ int main(int argc, char** argv) {
         modes[m].c_str(), r.bare.p50_us, r.bare.p99_us, r.bare.p999_us,
         r.op_pings, r.op.p50_us, r.op.p99_us, r.op.p999_us, r.ping_rate,
         r.hog_rate,
-        static_cast<unsigned long long>(r.sched.get("sched_steals_in")));
+        static_cast<unsigned long long>(r.sched[util::Ctr::SchedStealsIn]));
   }
 
   const double speedup = best[2].op.p99_us > 0.0
@@ -403,7 +403,7 @@ int main(int argc, char** argv) {
           key.c_str(), r.bare.p50_us, r.bare.p99_us, r.bare.p999_us,
           r.op_pings, r.op.p50_us, r.op.p99_us, r.op.p999_us, r.ping_rate,
           r.hog_rate,
-          static_cast<unsigned long long>(r.sched.get("sched_steals_in")));
+          static_cast<unsigned long long>(r.sched[util::Ctr::SchedStealsIn]));
     }
     std::fprintf(json, "  \"oversubscribed\": [");
     for (std::size_t k = 0; k < oversub.size(); ++k)

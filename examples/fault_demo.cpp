@@ -97,10 +97,11 @@ int main() {
   std::memcpy(&got, &ret, sizeof got);
   std::printf("\nrank 0 final local sum: %.1f (expected %.1f)\n", got,
               expect);
+  const util::CounterValues v = rt.cluster().totals();
   std::printf("recoveries: %llu rank(s), %llu bytes fetched from buddies; "
               "%d of %d PEs still alive\n",
-              static_cast<unsigned long long>(rt.recovery_count()),
-              static_cast<unsigned long long>(rt.recovery_bytes()),
+              static_cast<unsigned long long>(v[util::Ctr::Recoveries]),
+              static_cast<unsigned long long>(v[util::Ctr::RecoveryBytes]),
               rt.cluster().num_live_pes(), rt.cluster().num_pes());
   return 0;
 }

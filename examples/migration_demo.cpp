@@ -93,8 +93,9 @@ int main() {
       rt.privatizer(node).env().loader->registry(), privatized);
   std::printf("\npieglobalsfind: privatized mpi_main @ %p -> primary @ %p\n",
               privatized, original);
+  const util::CounterValues v = rt.cluster().totals();
   std::printf("migrations performed: %llu, bytes moved: %llu\n",
-              static_cast<unsigned long long>(rt.migration_count()),
-              static_cast<unsigned long long>(rt.migration_bytes()));
+              static_cast<unsigned long long>(v[util::Ctr::Migrations]),
+              static_cast<unsigned long long>(v[util::Ctr::MigrationBytes]));
   return 0;
 }

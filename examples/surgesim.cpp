@@ -50,7 +50,7 @@ RunResult run(int pes, int vps, int lb_period, int steps) {
   mpi::Runtime rt(image, cfg);
   const util::WallTimer timer;
   rt.run();
-  return {timer.elapsed_s(), rt.migration_count()};
+  return {timer.elapsed_s(), rt.cluster().totals()[util::Ctr::Migrations]};
 }
 
 // Modelled per-PE imbalance over the whole run for a static block map vs.

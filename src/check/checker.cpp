@@ -32,14 +32,13 @@ const char* coll_color_name(std::int32_t color) noexcept {
   }
 }
 
-Checker::Checker(Mode mode, double deadlock_s, int nlanes)
+Checker::Checker(Mode mode, double deadlock_s)
     : mode_(mode),
       deadlock_s_(deadlock_s),
       // 256 slots holds every realistic in-flight gate population (one per
       // communicator with an active collective); the overflow map catches
       // the rest. Power of two for mask indexing.
-      slots_(256),
-      lanes_(nlanes > 0 ? static_cast<std::size_t>(nlanes) : 1) {}
+      slots_(256) {}
 
 namespace {
 
@@ -51,10 +50,11 @@ void describe_field(std::ostringstream& os, const char* field, long long mine,
 
 }  // namespace
 
-std::string Checker::gate_mismatch(int world_rank, const char* name,
-                                   std::int32_t comm, std::uint32_t seq,
-                                   const CollDesc& mine, const GateEntry& e) {
-  coll_mismatches_.fetch_add(1, std::memory_order_relaxed);
+std::string Checker::gate_mismatch(util::CounterBlock& ctr, int world_rank,
+                                   const char* name, std::int32_t comm,
+                                   std::uint32_t seq, const CollDesc& mine,
+                                   const GateEntry& e) {
+  ctr.add(util::Ctr::CheckCollMismatches);
   const CollDesc& ref = e.ref;
   std::ostringstream os;
   os << "collective mismatch: rank " << world_rank << " entered " << name
@@ -76,7 +76,7 @@ std::string Checker::gate_mismatch(int world_rank, const char* name,
   return os.str();
 }
 
-std::string Checker::coll_gate_locked(int lane_idx, int world_rank,
+std::string Checker::coll_gate_locked(util::CounterBlock& ctr, int world_rank,
                                       const char* name, std::int32_t comm,
                                       std::uint32_t seq, int expected,
                                       const CollDesc& mine) {
@@ -90,12 +90,11 @@ std::string Checker::coll_gate_locked(int lane_idx, int world_rank,
     GateSlot& s = slots_[(home + static_cast<std::size_t>(p)) & mask];
     if (s.key.load(std::memory_order_acquire) != key) continue;
     lk.unlock();
-    return coll_gate(lane_idx, world_rank, name, comm, seq, expected, mine);
+    return coll_gate(ctr, world_rank, name, comm, seq, expected, mine);
   }
   if (overflow_count_.load(std::memory_order_relaxed) != 0 &&
       overflow_.count(key) != 0)
-    return gate_overflow(lane_idx, world_rank, name, comm, seq, expected,
-                         mine);
+    return gate_overflow(ctr, world_rank, name, comm, seq, expected, mine);
   // Deposit: claim the first free probe slot (frees only happen lock-free,
   // claims only here under the mutex, so a free slot stays free).
   for (int p = 0; p < kProbeLen; ++p) {
@@ -107,16 +106,14 @@ std::string Checker::coll_gate_locked(int lane_idx, int world_rank,
     return {};
   }
   // All candidate slots busy with other gates: park in the overflow map.
-  return gate_overflow(lane_idx, world_rank, name, comm, seq, expected,
-                       mine);
+  return gate_overflow(ctr, world_rank, name, comm, seq, expected, mine);
 }
 
 /// Deposit/compare through the overflow map; called with gate_mutex_ held.
-std::string Checker::gate_overflow(int lane_idx, int world_rank,
+std::string Checker::gate_overflow(util::CounterBlock& ctr, int world_rank,
                                    const char* name, std::int32_t comm,
                                    std::uint32_t seq, int expected,
                                    const CollDesc& mine) {
-  Lane& ln = lane(lane_idx);
   const std::uint64_t key = gate_key(comm, seq);
   auto it = overflow_.find(key);
   if (it == overflow_.end()) {
@@ -132,9 +129,9 @@ std::string Checker::gate_overflow(int lane_idx, int world_rank,
   GateEntry& e = it->second;
   std::string mismatch;
   if (desc_matches(mine, e.ref)) {
-    ++ln.coll_verified;
+    ctr.bump(util::Ctr::CheckCollVerified);
   } else {
-    mismatch = gate_mismatch(world_rank, name, comm, seq, mine, e);
+    mismatch = gate_mismatch(ctr, world_rank, name, comm, seq, mine, e);
   }
   if (++e.arrived >= expected) {
     overflow_.erase(it);
@@ -143,11 +140,12 @@ std::string Checker::gate_overflow(int lane_idx, int world_rank,
   return mismatch;
 }
 
-std::string Checker::block_mismatch(int world_rank, const char* name,
+std::string Checker::block_mismatch(util::CounterBlock& ctr, int world_rank,
+                                    const char* name,
                                     std::uint64_t block_bytes,
                                     const char* my_name,
                                     std::uint64_t my_bytes) {
-  block_mismatches_.fetch_add(1, std::memory_order_relaxed);
+  ctr.add(util::Ctr::CheckBlockMismatches);
   std::ostringstream os;
   os << "collective block mismatch: rank " << world_rank << " joined a "
      << name << " rendezvous with " << my_name << "(" << my_bytes
@@ -170,33 +168,6 @@ std::vector<Diagnosis> Checker::diagnoses() const {
 std::size_t Checker::diagnosis_count() const {
   std::lock_guard<std::mutex> lk(diag_mutex_);
   return diagnoses_.size();
-}
-
-util::Counters Checker::counters() const {
-  util::Counters c;
-  std::uint64_t verified = 0, blocks = 0, p2p = 0;
-  for (const Lane& ln : lanes_) {
-    verified += ln.coll_verified;
-    blocks += ln.block_checked;
-    p2p += ln.p2p_checked;
-  }
-  c.set("check_coll_verified", verified);
-  c.set("check_coll_mismatches",
-        coll_mismatches_.load(std::memory_order_relaxed));
-  c.set("check_block_compares", blocks);
-  c.set("check_block_mismatches",
-        block_mismatches_.load(std::memory_order_relaxed));
-  c.set("check_p2p_verified", p2p);
-  c.set("check_p2p_type_mismatches",
-        p2p_type_mismatches_.load(std::memory_order_relaxed));
-  c.set("check_p2p_truncations",
-        p2p_truncations_.load(std::memory_order_relaxed));
-  c.set("check_deadlock_scans",
-        deadlock_scans_.load(std::memory_order_relaxed));
-  c.set("check_recoveries_seen",
-        recoveries_seen_.load(std::memory_order_relaxed));
-  c.set("check_diagnoses", diagnosis_count());
-  return c;
 }
 
 }  // namespace apv::check

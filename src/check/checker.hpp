@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "util/stats.hpp"
+#include "util/counters.hpp"
 
 namespace apv::check {
 
@@ -78,14 +78,12 @@ enum class P2pVerdict : std::uint8_t { Ok, TypeMismatch, Truncation };
 ///   which is sound because a (comm, seq) pair is never reused (check_seq
 ///   is monotonic per communicator). Only deposits take a mutex, i.e. one
 ///   lock per collective instead of one per member.
-/// - Counters are single-writer per-lane cells (one cache line per PE loop
-///   thread, the same convention as the comm.* transport counters), summed
-///   at report time. Only rare events (mismatches) use shared atomics.
+/// - Counts go to the calling PE's counter block (util/counters.hpp), which
+///   every check takes as `ctr`: verifications are bumped by the PE's own
+///   thread, the rare mismatches added.
 class Checker {
  public:
-  /// `nlanes` = number of PE loop threads; lane i must only be bumped from
-  /// PE i's thread.
-  Checker(Mode mode, double deadlock_s, int nlanes);
+  Checker(Mode mode, double deadlock_s);
 
   Mode mode() const noexcept { return mode_; }
   bool enabled() const noexcept { return mode_ != Mode::Off; }
@@ -99,23 +97,24 @@ class Checker {
   /// memory stays O(in-flight collectives). Defined inline below: the
   /// comparer probe is the hottest check in the runtime (one per member
   /// per user-level collective) and must not pay a cross-TU call.
-  std::string coll_gate(int lane, int world_rank, const char* name,
-                        std::int32_t comm, std::uint32_t seq, int expected,
+  std::string coll_gate(util::CounterBlock& ctr, int world_rank,
+                        const char* name, std::int32_t comm,
+                        std::uint32_t seq, int expected,
                         const CollDesc& mine);
 
   /// Match-time p2p verification: sender-declared element size/count vs
   /// the receiver's declared element size and buffer capacity. Element
   /// sizes must agree (size-based datatype check); the payload must fit.
-  P2pVerdict p2p_verify(int lane_idx, std::uint32_t send_esize,
+  P2pVerdict p2p_verify(util::CounterBlock& ctr, std::uint32_t send_esize,
                         std::uint64_t send_bytes, std::uint32_t recv_esize,
                         std::uint64_t recv_cap) noexcept {
-    ++lane(lane_idx).p2p_checked;
+    ctr.bump(util::Ctr::CheckP2pVerified);
     if (send_bytes > recv_cap) [[unlikely]] {
-      p2p_truncations_.fetch_add(1, std::memory_order_relaxed);
+      ctr.add(util::Ctr::CheckP2pTruncations);
       return P2pVerdict::Truncation;
     }
     if (send_esize != recv_esize) [[unlikely]] {
-      p2p_type_mismatches_.fetch_add(1, std::memory_order_relaxed);
+      ctr.add(util::Ctr::CheckP2pTypeMismatches);
       return P2pVerdict::TypeMismatch;
     }
     return P2pVerdict::Ok;
@@ -127,37 +126,23 @@ class Checker {
   /// still fires for composite collectives whose inner steps are not
   /// gated, and catches size divergence before a shared-block memcpy
   /// could overrun.
-  std::string block_compare(int lane_idx, int world_rank, const char* name,
-                            std::int32_t block_color,
+  std::string block_compare(util::CounterBlock& ctr, int world_rank,
+                            const char* name, std::int32_t block_color,
                             std::uint64_t block_bytes, std::int32_t my_color,
                             const char* my_name, std::uint64_t my_bytes) {
-    ++lane(lane_idx).block_checked;
+    ctr.bump(util::Ctr::CheckBlockCompares);
     if (my_color == block_color && my_bytes == block_bytes) [[likely]]
       return {};
-    return block_mismatch(world_rank, name, block_bytes, my_name, my_bytes);
+    return block_mismatch(ctr, world_rank, name, block_bytes, my_name,
+                          my_bytes);
   }
 
   /// Records a diagnosis and prints it to stderr (both warn and abort
   /// mode; abort additionally throws at the call site, not here).
   void record(const char* kind, int rank, std::string message);
 
-  /// Failure-recovery passed through the checker's view without resetting
-  /// gate state (per-communicator sequences live on the host heap and
-  /// stay aligned across victims and survivors); counted for
-  /// observability and FT regression tests.
-  void note_recovery() noexcept {
-    recoveries_seen_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void note_deadlock_scan() noexcept {
-    deadlock_scans_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   std::vector<Diagnosis> diagnoses() const;
   std::size_t diagnosis_count() const;
-
-  /// check_* counters (util::Counters convention): gates passed/failed,
-  /// block compares, p2p verifications, deadlock scans, recoveries seen.
-  util::Counters counters() const;
 
  private:
   struct GateEntry {
@@ -221,14 +206,6 @@ class Checker {
     }
   };
 
-  /// Per-PE single-writer counter cells; padded so lanes never share a
-  /// cache line.
-  struct alignas(64) Lane {
-    std::uint64_t coll_verified = 0;
-    std::uint64_t block_checked = 0;
-    std::uint64_t p2p_checked = 0;
-  };
-
   static constexpr std::uint64_t kEmptyKey = ~0ull;
   static constexpr int kProbeLen = 8;  ///< home + 7 linear-probe slots
 
@@ -242,9 +219,6 @@ class Checker {
     return static_cast<std::size_t>(key * 0x9E3779B97F4A7C15ull) &
            (slots_.size() - 1);
   }
-  Lane& lane(int i) noexcept {
-    return lanes_[static_cast<std::size_t>(i) % lanes_.size()];
-  }
 
   static bool desc_matches(const CollDesc& mine,
                            const CollDesc& ref) noexcept {
@@ -255,31 +229,32 @@ class Checker {
   }
 
   /// Builds the located mismatch text and counts it (cold path).
-  std::string gate_mismatch(int world_rank, const char* name,
-                            std::int32_t comm, std::uint32_t seq,
-                            const CollDesc& mine, const GateEntry& ref);
+  std::string gate_mismatch(util::CounterBlock& ctr, int world_rank,
+                            const char* name, std::int32_t comm,
+                            std::uint32_t seq, const CollDesc& mine,
+                            const GateEntry& ref);
 
   /// Builds the located block-compare mismatch text and counts it.
-  std::string block_mismatch(int world_rank, const char* name,
-                             std::uint64_t block_bytes, const char* my_name,
-                             std::uint64_t my_bytes);
+  std::string block_mismatch(util::CounterBlock& ctr, int world_rank,
+                             const char* name, std::uint64_t block_bytes,
+                             const char* my_name, std::uint64_t my_bytes);
 
   /// First-arriver / racing-deposit path of coll_gate, under gate_mutex_.
-  std::string coll_gate_locked(int lane_idx, int world_rank,
+  std::string coll_gate_locked(util::CounterBlock& ctr, int world_rank,
                                const char* name, std::int32_t comm,
                                std::uint32_t seq, int expected,
                                const CollDesc& mine);
 
   /// Slow path under gate_mutex_: deposit/compare via the overflow map
   /// (all kProbeLen candidate slots were taken by other gates).
-  std::string gate_overflow(int lane_idx, int world_rank, const char* name,
-                            std::int32_t comm, std::uint32_t seq,
-                            int expected, const CollDesc& mine);
+  std::string gate_overflow(util::CounterBlock& ctr, int world_rank,
+                            const char* name, std::int32_t comm,
+                            std::uint32_t seq, int expected,
+                            const CollDesc& mine);
 
   Mode mode_;
   double deadlock_s_;
   std::vector<GateSlot> slots_;
-  std::vector<Lane> lanes_;
 
   std::mutex gate_mutex_;  ///< serializes deposits + the overflow map
   std::map<std::uint64_t, GateEntry> overflow_;
@@ -287,22 +262,14 @@ class Checker {
 
   mutable std::mutex diag_mutex_;
   std::vector<Diagnosis> diagnoses_;
-
-  std::atomic<std::uint64_t> coll_mismatches_{0};
-  std::atomic<std::uint64_t> block_mismatches_{0};
-  std::atomic<std::uint64_t> p2p_type_mismatches_{0};
-  std::atomic<std::uint64_t> p2p_truncations_{0};
-  std::atomic<std::uint64_t> deadlock_scans_{0};
-  std::atomic<std::uint64_t> recoveries_seen_{0};
 };
 
-inline std::string Checker::coll_gate(int lane_idx, int world_rank,
+inline std::string Checker::coll_gate(util::CounterBlock& ctr, int world_rank,
                                       const char* name, std::int32_t comm,
                                       std::uint32_t seq, int expected,
                                       const CollDesc& mine) {
-  Lane& ln = lane(lane_idx);
   if (expected <= 1) {  // self-collective: trivially matched
-    ++ln.coll_verified;
+    ctr.bump(util::Ctr::CheckCollVerified);
     return {};
   }
   const std::uint64_t key = gate_key(comm, seq);
@@ -327,9 +294,9 @@ inline std::string Checker::coll_gate(int lane_idx, int world_rank,
     if (s.key.load(std::memory_order_relaxed) != key) break;  // reclaimed
     std::string mismatch;
     if (desc_matches(mine, snap.ref)) [[likely]]
-      ++ln.coll_verified;
+      ctr.bump(util::Ctr::CheckCollVerified);
     else
-      mismatch = gate_mismatch(world_rank, name, comm, seq, mine, snap);
+      mismatch = gate_mismatch(ctr, world_rank, name, comm, seq, mine, snap);
     // Count the arrival only after the compare: the slot cannot be
     // reclaimed before all `expected` arrivals bumped the counter.
     if (s.arrived.fetch_add(1, std::memory_order_acq_rel) + 1 >= expected)
@@ -338,8 +305,7 @@ inline std::string Checker::coll_gate(int lane_idx, int world_rank,
   }
 
   // Not found: first arriver (common) or an overflow-parked gate (rare).
-  return coll_gate_locked(lane_idx, world_rank, name, comm, seq, expected,
-                          mine);
+  return coll_gate_locked(ctr, world_rank, name, comm, seq, expected, mine);
 }
 
 /// Stable display name for a CollColor ("barrier", "bcast", ...).

@@ -14,12 +14,7 @@ using util::require;
 
 namespace {
 
-// Single-writer counter bump: the owning PE thread is the only writer of its
-// PeTx slot, so a plain load+store keeps concurrent readers race-free without
-// a lock-prefixed RMW per message on the hot path.
-inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t d = 1) {
-  c.store(c.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
-}
+using util::Ctr;
 
 inline void bump32(std::atomic<std::uint32_t>& c) {
   c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
@@ -32,17 +27,6 @@ constexpr std::size_t kAggThreshold = 512;
 constexpr std::size_t kAggBinBytes = 16384;
 
 }  // namespace
-
-void CommCounters::merge(const CommCounters& o) noexcept {
-  sends += o.sends;
-  bytes += o.bytes;
-  aggregated += o.aggregated;
-  agg_envelopes += o.agg_envelopes;
-  flushes_size += o.flushes_size;
-  flushes_order += o.flushes_order;
-  flushes_idle += o.flushes_idle;
-  flushes_block += o.flushes_block;
-}
 
 Cluster::Cluster(const Config& config)
     : config_(config), net_(config.options) {
@@ -57,19 +41,17 @@ Cluster::Cluster(const Config& config)
 
   const int total = config.nodes * config.pes_per_node;
   pes_.reserve(total);
-  tx_.reserve(total + 1);
+  bins_.resize(static_cast<std::size_t>(total));
   for (int i = 0; i < total; ++i) {
     pes_.push_back(std::make_unique<Pe>(i, node_of(i), config.backend,
                                         pe_cfg));
-    tx_.push_back(std::make_unique<PeTx>());
-    tx_.back()->bins.resize(static_cast<std::size_t>(total));
+    bins_[static_cast<std::size_t>(i)].resize(static_cast<std::size_t>(total));
     // The aggregation bins owned by this PE are flushed whenever its loop
     // goes idle — the hook runs on the owning thread, so bins stay
     // single-writer.
     pes_.back()->add_idle_hook(
         [this, i] { flush_aggregation(i, FlushCause::Idle); });
   }
-  tx_.push_back(std::make_unique<PeTx>());  // sends from non-PE threads
   failed_ = std::make_unique<std::atomic<bool>[]>(
       static_cast<std::size_t>(total));
   for (int i = 0; i < total; ++i) failed_[i].store(false);
@@ -109,13 +91,10 @@ PeId Cluster::location(RankId rank) const {
   return locations_[rank].load(std::memory_order_acquire);
 }
 
-Cluster::PeTx* Cluster::owned_tx(const Message& msg) {
+bool Cluster::on_sender_pe(const Message& msg) const {
   Pe* cur = Pe::current();
-  if (cur == nullptr || msg.src_pe < 0 || msg.src_pe >= num_pes()) {
-    return nullptr;
-  }
-  if (pes_[msg.src_pe].get() != cur) return nullptr;  // other cluster / PE
-  return tx_[msg.src_pe].get();
+  return cur != nullptr && msg.src_pe >= 0 && msg.src_pe < num_pes() &&
+         pes_[msg.src_pe].get() == cur;  // not another cluster's or PE's
 }
 
 void Cluster::send(Message&& msg) {
@@ -143,39 +122,41 @@ void Cluster::send(Message&& msg) {
     divert(std::move(msg));
     return;
   }
-  PeTx* tx = owned_tx(msg);
-  if (tx != nullptr) {
-    bump(tx->sends);
-    bump(tx->bytes, msg.payload.size());
-  } else {
-    PeTx& shared = *tx_[static_cast<std::size_t>(num_pes())];
-    shared.sends.fetch_add(1, std::memory_order_relaxed);
-    shared.bytes.fetch_add(msg.payload.size(), std::memory_order_relaxed);
-  }
-  if (tx != nullptr && msg.kind == Message::Kind::UserData &&
-      msg.dst_pe != msg.src_pe && msg.payload.size() < kAggThreshold) {
-    bump(tx->aggregated);
-    append_to_bin(*tx, std::move(msg));
+  if (!on_sender_pe(msg)) {
+    shared_ctr_.add(Ctr::CommSends);
+    shared_ctr_.add(Ctr::CommBytes, msg.payload.size());
+    deliver(std::move(msg));
     return;
   }
-  if (tx != nullptr && tx->bins[static_cast<std::size_t>(msg.dst_pe)]
-                               .count.load(std::memory_order_relaxed) > 0) {
+  util::CounterBlock& ctr = pes_[msg.src_pe]->counters();
+  ctr.bump(Ctr::CommSends);
+  ctr.bump(Ctr::CommBytes, msg.payload.size());
+  if (msg.kind == Message::Kind::UserData && msg.dst_pe != msg.src_pe &&
+      msg.payload.size() < kAggThreshold) {
+    ctr.bump(Ctr::CommAggregated);
+    append_to_bin(std::move(msg));
+    return;
+  }
+  if (agg_bin(msg.src_pe, msg.dst_pe).count.load(
+          std::memory_order_relaxed) > 0) {
     // A non-bundled message is about to overtake the bin for the same
     // destination; flush first so the (sender, destination) FIFO holds.
-    bump(tx->flushes_order);
-    flush_bin(*tx, msg.src_pe, msg.dst_pe);
+    ctr.bump(Ctr::CommFlushesOrder);
+    flush_bin(msg.src_pe, msg.dst_pe);
   }
   deliver(std::move(msg));
 }
 
-void Cluster::append_to_bin(PeTx& tx, Message&& msg) {
+void Cluster::append_to_bin(Message&& msg) {
+  const PeId src = msg.src_pe;
   const PeId dst = msg.dst_pe;
-  AggBin& bin = tx.bins[static_cast<std::size_t>(dst)];
+  AggBin& bin = agg_bin(src, dst);
+  util::CounterBlock& ctr = pes_[src]->counters();
   const std::size_t entry = agg_entry_bytes(msg.payload.size());
   if (bin.count.load(std::memory_order_relaxed) > 0 &&
       bin.used + entry > bin.buf.size()) {
-    bump(tx.flushes_size);
-    flush_bin(tx, msg.src_pe, dst);
+    ctr.bump(Ctr::CommFlushesSize);
+    flush_bin(src, dst);
   }
   if (bin.buf.empty()) {
     bin.buf = Payload::acquire(std::max(kAggBinBytes, entry));
@@ -199,13 +180,13 @@ void Cluster::append_to_bin(PeTx& tx, Message&& msg) {
   bump32(bin.count);
   bin.payload_bytes += msg.payload.size();
   if (bin.used + sizeof(AggSubHeader) >= bin.buf.size()) {
-    bump(tx.flushes_size);
-    flush_bin(tx, msg.src_pe, dst);
+    ctr.bump(Ctr::CommFlushesSize);
+    flush_bin(src, dst);
   }
 }
 
-void Cluster::flush_bin(PeTx& tx, PeId src, PeId dst) {
-  AggBin& bin = tx.bins[static_cast<std::size_t>(dst)];
+void Cluster::flush_bin(PeId src, PeId dst) {
+  AggBin& bin = agg_bin(src, dst);
   const std::uint32_t n = bin.count.load(std::memory_order_relaxed);
   if (n == 0) return;
   Message env;
@@ -219,31 +200,30 @@ void Cluster::flush_bin(PeTx& tx, PeId src, PeId dst) {
   bin.used = 0;
   bin.count.store(0, std::memory_order_relaxed);
   bin.payload_bytes = 0;
-  bump(tx.agg_envelopes);
+  pes_[src]->counters().bump(Ctr::CommAggEnvelopes);
   deliver(std::move(env));
 }
 
 void Cluster::flush_aggregation(PeId src, FlushCause cause) {
   if (src < 0 || src >= num_pes()) return;
-  PeTx& tx = *tx_[src];
-  std::atomic<std::uint64_t>& counter =
-      cause == FlushCause::Idle    ? tx.flushes_idle
-      : cause == FlushCause::Block ? tx.flushes_block
-                                   : tx.flushes_order;
+  const std::vector<AggBin>& bins = bins_[static_cast<std::size_t>(src)];
+  util::CounterBlock& ctr = pes_[src]->counters();
+  const Ctr counter = cause == FlushCause::Idle    ? Ctr::CommFlushesIdle
+                      : cause == FlushCause::Block ? Ctr::CommFlushesBlock
+                                                   : Ctr::CommFlushesOrder;
   for (PeId dst = 0; dst < num_pes(); ++dst) {
-    if (tx.bins[static_cast<std::size_t>(dst)].count.load(
+    if (bins[static_cast<std::size_t>(dst)].count.load(
             std::memory_order_relaxed) == 0)
       continue;
-    bump(counter);
-    flush_bin(tx, src, dst);
+    ctr.bump(counter);
+    flush_bin(src, dst);
   }
 }
 
 std::size_t Cluster::pending_aggregated(PeId src) const {
   if (src < 0 || src >= num_pes()) return 0;
-  const PeTx& tx = *tx_[src];
   std::size_t n = 0;
-  for (const AggBin& bin : tx.bins) {
+  for (const AggBin& bin : bins_[static_cast<std::size_t>(src)]) {
     n += bin.count.load(std::memory_order_relaxed);
   }
   return n;
@@ -260,10 +240,10 @@ void Cluster::deliver(Message&& msg) {
       // software-overhead optimization and must not change the modelled
       // network cost (paper figure shapes depend on per-message latency).
       const auto n = static_cast<std::size_t>(msg.opcode);
-      internode_.fetch_add(n, std::memory_order_relaxed);
+      shared_ctr_.add(Ctr::CommInternode, n);
       net_.pace_n(n, n * sizeof(Message) + static_cast<std::size_t>(msg.seq));
     } else {
-      internode_.fetch_add(1, std::memory_order_relaxed);
+      shared_ctr_.add(Ctr::CommInternode);
       net_.pace(msg.size_bytes());
     }
   }
@@ -296,7 +276,7 @@ void Cluster::divert(Message&& msg) {
     return;
   }
   // Control and migration traffic addressed to a dead PE is lost with it.
-  dropped_.fetch_add(1, std::memory_order_relaxed);
+  shared_ctr_.add(Ctr::CommDropped);
   APV_WARN("cluster", "dropped %s message to failed PE %d",
            msg.kind == Message::Kind::Control ? "control" : "migration",
            msg.dst_pe);
@@ -383,60 +363,11 @@ void Cluster::stop_and_join() {
   started_ = false;
 }
 
-CommCounters Cluster::PeTx::snapshot() const {
-  CommCounters c;
-  c.sends = sends.load(std::memory_order_relaxed);
-  c.bytes = bytes.load(std::memory_order_relaxed);
-  c.aggregated = aggregated.load(std::memory_order_relaxed);
-  c.agg_envelopes = agg_envelopes.load(std::memory_order_relaxed);
-  c.flushes_size = flushes_size.load(std::memory_order_relaxed);
-  c.flushes_order = flushes_order.load(std::memory_order_relaxed);
-  c.flushes_idle = flushes_idle.load(std::memory_order_relaxed);
-  c.flushes_block = flushes_block.load(std::memory_order_relaxed);
-  return c;
-}
-
-CommCounters Cluster::counters(PeId pe) const {
-  require(pe >= 0 && pe < num_pes(), ErrorCode::InvalidArgument,
-          "PE id out of range");
-  return tx_[pe]->snapshot();
-}
-
-CommCounters Cluster::counters_total() const {
-  CommCounters total;
-  for (const auto& tx : tx_) total.merge(tx->snapshot());
-  return total;
-}
-
-util::Counters Cluster::stat_counters() const {
-  util::Counters out;
-  const CommCounters c = counters_total();
-  out.set("comm.sends", c.sends);
-  out.set("comm.bytes", c.bytes);
-  out.set("comm.aggregated", c.aggregated);
-  out.set("comm.agg_envelopes", c.agg_envelopes);
-  out.set("comm.flushes_size", c.flushes_size);
-  out.set("comm.flushes_order", c.flushes_order);
-  out.set("comm.flushes_idle", c.flushes_idle);
-  out.set("comm.flushes_block", c.flushes_block);
-  out.set("comm.internode", internode_.load(std::memory_order_relaxed));
-  out.set("comm.dropped", dropped_.load(std::memory_order_relaxed));
-  std::uint64_t ring = 0;
-  std::uint64_t overflow = 0;
-  for (const auto& pe : pes_) {
-    ring += pe->mailbox().ring_pushes();
-    overflow += pe->mailbox().overflow_pushes();
-  }
-  out.set("comm.mailbox_ring_pushes", ring);
-  out.set("comm.mailbox_overflow_pushes", overflow);
-  const PoolStats p = pool::stats();
-  out.set("pool.hits", p.hits);
-  out.set("pool.misses", p.misses);
-  out.set("pool.adopted", p.adopted);
-  out.set("pool.returns", p.returns);
-  out.set("pool.drops", p.drops);
-  out.set("pool.bytes_copied", p.bytes_copied);
-  return out;
+util::CounterValues Cluster::totals() const {
+  util::CounterValues v;
+  for (const auto& pe : pes_) v += pe->counters();
+  v += shared_ctr_;
+  return v;
 }
 
 }  // namespace apv::comm

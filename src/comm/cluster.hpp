@@ -10,33 +10,18 @@
 #include "comm/message.hpp"
 #include "comm/netmodel.hpp"
 #include "comm/pe.hpp"
+#include "util/counters.hpp"
 #include "util/options.hpp"
-#include "util/stats.hpp"
 
 namespace apv::comm {
 
-/// Per-source-PE transport counters (snapshot; see Cluster::counters).
-struct CommCounters {
-  std::uint64_t sends = 0;          ///< messages accepted from the layer above
-  std::uint64_t bytes = 0;          ///< payload bytes accepted
-  std::uint64_t aggregated = 0;     ///< messages that travelled bundled
-  std::uint64_t agg_envelopes = 0;  ///< aggregate envelopes shipped
-  std::uint64_t flushes_size = 0;   ///< bin flushes forced by the size cap
-  std::uint64_t flushes_order = 0;  ///< flushes that keep a message from
-                                    ///< overtaking binned ones
-  std::uint64_t flushes_idle = 0;   ///< flushes from the PE idle hook
-  std::uint64_t flushes_block = 0;  ///< flushes by a rank blocking on its PE
-
-  void merge(const CommCounters& o) noexcept;
-};
-
 /// Why the bins of a PE are flushed; each cause feeds one counter.
 enum class FlushCause : std::uint8_t {
-  Idle,   ///< the PE idle hook (flushes_idle)
-  Block,  ///< a rank about to block on the PE (flushes_block)
-  Order,  ///< per-sender FIFO (flushes_order): the MPI layer's inline
-          ///< fallback, and a rank shipping out, flush before the next
-          ///< message or the image takes another path
+  Idle,   ///< the PE idle hook (Ctr::CommFlushesIdle)
+  Block,  ///< a rank about to block on the PE (Ctr::CommFlushesBlock)
+  Order,  ///< per-sender FIFO (Ctr::CommFlushesOrder): the MPI layer's
+          ///< inline fallback, and a rank shipping out, flush before the
+          ///< next message or the image takes another path
 };
 
 /// The emulated machine: `nodes` OS processes × `pes_per_node` PEs each
@@ -60,16 +45,12 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  int num_nodes() const noexcept { return config_.nodes; }
   int pes_per_node() const noexcept { return config_.pes_per_node; }
   int num_pes() const noexcept { return static_cast<int>(pes_.size()); }
 
   Pe& pe(PeId id);
   NodeId node_of(PeId id) const noexcept {
     return id / config_.pes_per_node;
-  }
-  PeId first_pe_of(NodeId node) const noexcept {
-    return node * config_.pes_per_node;
   }
 
   const NetModel& net() const noexcept { return net_; }
@@ -124,8 +105,6 @@ class Cluster {
   /// Returns the number delivered.
   std::size_t flush_dead_letters();
   std::size_t dead_letter_count() const;
-  /// Control/migration messages lost because their destination PE died.
-  std::uint64_t dropped_messages() const noexcept { return dropped_.load(); }
 
   /// Launches one OS thread per PE running Pe::run_loop. Dispatchers must
   /// already be installed on every PE.
@@ -136,19 +115,13 @@ class Cluster {
 
   bool started() const noexcept { return started_; }
 
-  std::uint64_t messages_sent() const { return counters_total().sends; }
-  std::uint64_t internode_messages() const noexcept {
-    return internode_.load();
-  }
-
-  /// Transport counters for sends issued from one PE's loop thread. Sends
-  /// issued from any other thread land in a shared extra slot that only
-  /// counters_total() includes.
-  CommCounters counters(PeId pe) const;
-  CommCounters counters_total() const;
-  /// All transport + payload-pool counters as a flat named set (benchmark
-  /// surfacing; pool numbers are process-wide).
-  util::Counters stat_counters() const;
+  /// Every counter slot summed over the PEs' blocks and the cluster's
+  /// own (the one typed read of the counters; see util/counters.hpp).
+  util::CounterValues totals() const;
+  /// The cluster's own block: sends from threads that are no PE's loop
+  /// thread, and the delivery-side counts any thread makes. Write it with
+  /// add() only.
+  util::CounterBlock& shared_counters() noexcept { return shared_ctr_; }
 
  private:
   struct AggBin {
@@ -166,31 +139,14 @@ class Cluster {
           count(o.count.load(std::memory_order_relaxed)),
           payload_bytes(o.payload_bytes) {}
   };
-  // Counter discipline: tx_[i] (i < num_pes) is written ONLY by PE i's loop
-  // thread, so its counters are single-writer and bumped with plain
-  // load+store (no lock-prefixed RMW on the hot path). Sends issued from
-  // any other thread are attributed to the extra shared slot tx_[num_pes],
-  // which uses fetch_add.
-  struct alignas(64) PeTx {
-    std::vector<AggBin> bins;  // indexed by destination PE
-    std::atomic<std::uint64_t> sends{0};
-    std::atomic<std::uint64_t> bytes{0};
-    std::atomic<std::uint64_t> aggregated{0};
-    std::atomic<std::uint64_t> agg_envelopes{0};
-    std::atomic<std::uint64_t> flushes_size{0};
-    std::atomic<std::uint64_t> flushes_order{0};
-    std::atomic<std::uint64_t> flushes_idle{0};
-    std::atomic<std::uint64_t> flushes_block{0};
-
-    /// Every counter, read with relaxed loads.
-    CommCounters snapshot() const;
-  };
-
-  /// The tx state of msg.src_pe iff the calling thread is that PE's loop
-  /// thread of *this* cluster (bins are single-writer); nullptr otherwise.
-  PeTx* owned_tx(const Message& msg);
-  void append_to_bin(PeTx& tx, Message&& msg);
-  void flush_bin(PeTx& tx, PeId src, PeId dst);
+  /// True iff the calling thread is msg.src_pe's loop thread of *this*
+  /// cluster: only that thread may touch src's bins and bump its counters.
+  bool on_sender_pe(const Message& msg) const;
+  AggBin& agg_bin(PeId src, PeId dst) {
+    return bins_[static_cast<std::size_t>(src)][static_cast<std::size_t>(dst)];
+  }
+  void append_to_bin(Message&& msg);
+  void flush_bin(PeId src, PeId dst);
   /// The post-aggregation delivery path: divert-if-dead, counters,
   /// netmodel pacing, mailbox post.
   void deliver(Message&& msg);
@@ -199,18 +155,19 @@ class Cluster {
   Config config_;
   NetModel net_;
   std::vector<std::unique_ptr<Pe>> pes_;
-  std::vector<std::unique_ptr<PeTx>> tx_;
+  /// bins_[src][dst]: src's aggregation bins, written only by src's loop
+  /// thread.
+  std::vector<std::vector<AggBin>> bins_;
+  util::CounterBlock shared_ctr_;
   std::vector<std::thread> threads_;
   std::unique_ptr<std::atomic<PeId>[]> locations_;
   int num_ranks_ = 0;
   bool started_ = false;
-  std::atomic<std::uint64_t> internode_{0};
 
   std::unique_ptr<std::atomic<bool>[]> failed_;
   std::atomic<int> failed_count_{0};
   mutable std::mutex dead_mutex_;
   std::deque<Message> dead_letters_;
-  std::atomic<std::uint64_t> dropped_{0};
 };
 
 }  // namespace apv::comm

@@ -348,10 +348,6 @@ void reset_stats() noexcept {
   }
 }
 
-void count_copied(std::size_t bytes) noexcept {
-  g_copied.fetch_add(bytes, std::memory_order_relaxed);
-}
-
 }  // namespace pool
 
 }  // namespace apv::comm

@@ -91,9 +91,6 @@ class Payload {
 namespace pool {
 PoolStats stats() noexcept;
 void reset_stats() noexcept;
-/// Adds to the intermediate-copy counter (called by slow paths that have to
-/// duplicate payload bytes).
-void count_copied(std::size_t bytes) noexcept;
 }  // namespace pool
 
 }  // namespace apv::comm

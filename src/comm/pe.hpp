@@ -48,6 +48,9 @@ class Pe {
   PeId id() const noexcept { return id_; }
   NodeId node() const noexcept { return node_; }
   ult::Scheduler& scheduler() noexcept { return sched_; }
+  /// This PE's event counters (its scheduler's block; the loop thread
+  /// owns it).
+  util::CounterBlock& counters() noexcept { return sched_.counters(); }
 
   /// Installs the message dispatcher. Must happen before the loop starts.
   void set_dispatcher(Dispatcher dispatcher);

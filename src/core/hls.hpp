@@ -50,8 +50,6 @@ class HlsRegion {
   void* resolve(std::uint32_t handle, RankContext& rc, int process_id,
                 int pe_id);
 
-  std::size_t var_count() const noexcept { return vars_.size(); }
-
   /// Total bytes currently committed per level — the memory-overhead
   /// metric HLS exists to improve.
   std::size_t bytes_at(HlsLevel level) const;

@@ -153,7 +153,6 @@ class PieGlobalsMethod final : public PrivatizationMethod {
   void on_rank_departed(RankContext& rc) override;
   void on_rank_arrived(RankContext& rc) override;
 
-  PieFixupMode fixup_mode() const noexcept { return fixup_mode_; }
   bool share_readonly() const noexcept { return share_readonly_; }
   bool share_code() const noexcept { return share_code_; }
   /// Accumulated fix-up statistics across all ranks initialized so far.

@@ -61,7 +61,6 @@ RankContext* Privatizer::create_rank(const RankParams& params) {
       ult::Ult(static_cast<ult::Ult::Id>(params.world_rank), params.body,
                params.arg, stack, params.stack_size, params.backend);
   rc->ult->set_user_data(rc.get());
-  ++ranks_created_;
   return rc.release();
 }
 

@@ -79,13 +79,10 @@ class Privatizer {
   void rank_departed(RankContext* rc);
   void rank_arrived(RankContext* rc);
 
-  std::size_t ranks_created() const noexcept { return ranks_created_; }
-
  private:
   ProcessEnv env_;
   std::unique_ptr<PrivatizationMethod> method_;
   bool pie_share_readonly_ = false;
-  std::size_t ranks_created_ = 0;
 };
 
 }  // namespace apv::core

@@ -67,7 +67,4 @@ extern thread_local RankContext* tl_current_rank;
 extern thread_local std::byte* tl_tls_base;
 extern thread_local const std::uintptr_t* tl_current_got;
 
-/// The rank whose ULT is executing on the calling PE, or nullptr.
-inline RankContext* current_rank_context() noexcept { return tl_current_rank; }
-
 }  // namespace apv::core

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 
-#include "isomalloc/pack.hpp"
-
 namespace apv::ft {
 
 namespace {
 // Backstop for chain walks so a corrupted prev_epoch loop cannot hang the
-// store; real chains are bounded by ft.full_every (and the chain limit).
+// store; real chains are bounded by ft.full_every.
 constexpr std::size_t kMaxChainWalk = 4096;
 }  // namespace
 
@@ -27,13 +25,6 @@ void CheckpointStore::put_delta(int rank, std::uint32_t epoch,
                                 util::ByteBuffer image) {
   put_entry(rank, epoch, ImageKind::Delta, base_epoch, resident_pe, owners,
             std::move(image));
-  std::size_t length = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (chain_limit_ == 0) return;
-    length = chain_length_locked(rank, epoch);
-  }
-  if (length > chain_limit_) consolidate(rank, epoch);
 }
 
 void CheckpointStore::put_entry(int rank, std::uint32_t epoch,
@@ -76,75 +67,6 @@ void CheckpointStore::put_entry(int rank, std::uint32_t epoch,
   }
 }
 
-void CheckpointStore::consolidate(int rank, std::uint32_t tip) {
-  // Phase 1 (under lock): find the chain's full base and its oldest delta,
-  // and take ref-counted handles on their bytes.
-  comm::Payload base_bytes;
-  comm::Payload delta_bytes;
-  std::uint32_t base_epoch = 0;
-  std::uint32_t fold_epoch = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::uint32_t> chain;
-    std::uint32_t e = tip;
-    for (std::size_t guard = 0; guard < kMaxChainWalk; ++guard) {
-      const auto it = images_.find(Key{rank, e});
-      if (it == images_.end() || it->second.copies.empty()) return;
-      chain.push_back(e);
-      if (it->second.kind == ImageKind::Full) break;
-      e = it->second.prev_epoch;
-    }
-    if (chain.size() < 2 ||
-        images_.at(Key{rank, chain.back()}).kind != ImageKind::Full) {
-      return;
-    }
-    base_epoch = chain.back();
-    fold_epoch = chain[chain.size() - 2];
-    base_bytes = images_.at(Key{rank, base_epoch}).copies.front().data;
-    delta_bytes = images_.at(Key{rank, fold_epoch}).copies.front().data;
-  }
-
-  // Phase 2 (no lock): the actual fold — the expensive part runs off the
-  // store's critical section so concurrent checkpoints are not serialized
-  // behind it.
-  util::ByteBuffer folded;
-  iso::fold_delta_into_full(
-      util::ByteReader(base_bytes.data(), base_bytes.size()),
-      util::ByteReader(delta_bytes.data(), delta_bytes.size()), folded);
-  comm::Payload shared = comm::Payload::adopt(folded.take());
-
-  // Phase 3 (under lock): swap the folded image in, if the world has not
-  // changed underneath us (a lose_pe or retire may have raced the fold).
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = images_.find(Key{rank, fold_epoch});
-  if (it == images_.end() || it->second.kind != ImageKind::Delta ||
-      it->second.prev_epoch != base_epoch || it->second.copies.empty()) {
-    return;
-  }
-  Entry& entry = it->second;
-  entry.kind = ImageKind::Full;
-  entry.prev_epoch = 0;
-  for (Copy& c : entry.copies) {
-    c.data = shared;
-    c.meta.bytes = shared.size();
-    c.meta.is_delta = false;
-    c.meta.base_epoch = 0;
-  }
-  ++consolidations_;
-  // The old base is dead weight unless some other delta still chains to it.
-  bool referenced = false;
-  const auto lo = images_.lower_bound(Key{rank, 0});
-  const auto hi = images_.lower_bound(Key{rank + 1, 0});
-  for (auto i = lo; i != hi; ++i) {
-    if (i->second.kind == ImageKind::Delta &&
-        i->second.prev_epoch == base_epoch && i->first.second != fold_epoch) {
-      referenced = true;
-      break;
-    }
-  }
-  if (!referenced) images_.erase(Key{rank, base_epoch});
-}
-
 bool CheckpointStore::materializable_locked(int rank,
                                             std::uint32_t epoch) const {
   std::uint32_t e = epoch;
@@ -157,8 +79,9 @@ bool CheckpointStore::materializable_locked(int rank,
   return false;
 }
 
-std::size_t CheckpointStore::chain_length_locked(int rank,
-                                                 std::uint32_t epoch) const {
+std::size_t CheckpointStore::chain_length(int rank,
+                                          std::uint32_t epoch) const {
+  std::lock_guard<std::mutex> lock(mutex_);
   std::size_t deltas = 0;
   std::uint32_t e = epoch;
   for (std::size_t guard = 0; guard < kMaxChainWalk; ++guard) {
@@ -169,17 +92,6 @@ std::size_t CheckpointStore::chain_length_locked(int rank,
     e = it->second.prev_epoch;
   }
   return 0;
-}
-
-std::size_t CheckpointStore::chain_length(int rank,
-                                          std::uint32_t epoch) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return chain_length_locked(rank, epoch);
-}
-
-void CheckpointStore::set_chain_limit(std::size_t limit) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  chain_limit_ = limit;
 }
 
 std::uint32_t CheckpointStore::latest_epoch(int rank) const {
@@ -371,11 +283,6 @@ std::uint64_t CheckpointStore::puts() const {
 std::uint64_t CheckpointStore::fetches() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return fetches_;
-}
-
-std::uint64_t CheckpointStore::consolidations() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return consolidations_;
 }
 
 }  // namespace apv::ft

@@ -44,10 +44,8 @@ struct CheckpointMeta {
 /// only the pages dirtied since `base_epoch`. An epoch is *materializable*
 /// if it and every link back to a full base survive; has()/latest_epoch()
 /// answer in those terms, and the retire_* calls keep chain links alive
-/// while any retained epoch still depends on them. A chain-length bound
-/// (set_chain_limit) triggers in-store consolidation: the oldest delta is
-/// folded into its base (iso::fold_delta_into_full) outside the mutex,
-/// shortening the chain without touching any live slot.
+/// while any retained epoch still depends on them. The packer bounds every
+/// chain: each ft.full_every-th image of a rank is full.
 class CheckpointStore {
  public:
   /// Stores a full `image` once per owner in `owners` (self + buddy under
@@ -57,8 +55,7 @@ class CheckpointStore {
   void put(int rank, std::uint32_t epoch, comm::PeId resident_pe,
            const std::vector<comm::PeId>& owners, util::ByteBuffer image);
 
-  /// Stores a delta image that applies on top of (rank, base_epoch). May
-  /// trigger chain consolidation (the fold runs outside the mutex).
+  /// Stores a delta image that applies on top of (rank, base_epoch).
   void put_delta(int rank, std::uint32_t epoch, std::uint32_t base_epoch,
                  comm::PeId resident_pe,
                  const std::vector<comm::PeId>& owners,
@@ -104,10 +101,6 @@ class CheckpointStore {
   /// checkpoints version independently).
   void retire_rank_before(int rank, std::uint32_t epoch);
 
-  /// Bounds delta chain length (number of deltas on top of a full base);
-  /// longer chains are consolidated on put_delta. 0 disables (default).
-  void set_chain_limit(std::size_t limit);
-
   /// Number of deltas stacked on top of (rank, epoch)'s full base,
   /// counting the named epoch itself if it is a delta.
   std::size_t chain_length(int rank, std::uint32_t epoch) const;
@@ -116,7 +109,6 @@ class CheckpointStore {
   std::size_t total_bytes() const;
   std::uint64_t puts() const;
   std::uint64_t fetches() const;
-  std::uint64_t consolidations() const;
 
  private:
   enum class ImageKind : std::uint8_t { Full, Delta };
@@ -135,9 +127,7 @@ class CheckpointStore {
                  std::uint32_t prev_epoch, comm::PeId resident_pe,
                  const std::vector<comm::PeId>& owners,
                  util::ByteBuffer image);
-  void consolidate(int rank, std::uint32_t epoch);
   bool materializable_locked(int rank, std::uint32_t epoch) const;
-  std::size_t chain_length_locked(int rank, std::uint32_t epoch) const;
   void rebuild_newest_locked();
 
   mutable std::mutex mutex_;
@@ -146,10 +136,8 @@ class CheckpointStore {
   /// Per-rank newest materializable epoch. An entry may go stale only via
   /// lose_pe (which rebuilds it) — put/retire keep it exact.
   mutable std::map<int, std::uint32_t> newest_;
-  std::size_t chain_limit_ = 0;
   std::uint64_t puts_ = 0;
   mutable std::uint64_t fetches_ = 0;
-  std::uint64_t consolidations_ = 0;
 };
 
 }  // namespace apv::ft

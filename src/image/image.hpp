@@ -177,14 +177,6 @@ class ImageBuilder {
     return add_var(name, sizeof(T), alignof(T), &init, sizeof(T), flags);
   }
 
-  /// Declares a zero-initialized array variable of element type T.
-  template <typename T>
-  VarId add_array(const std::string& name, std::size_t count,
-                  VarFlags flags = {}) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return add_var(name, sizeof(T) * count, alignof(T), nullptr, 0, flags);
-  }
-
   FuncId add_function(const std::string& name, NativeFn fn);
   void add_constructor(CtorFn ctor);
   void add_shared_dep(const std::string& soname);

@@ -117,17 +117,9 @@ class ImageInstance {
     ctor_allocs_ = std::move(allocs);
   }
 
-  /// Whether the destructor frees the logged constructor allocations
-  /// (true for loader-owned instances; false for PieCopy, whose clones live
-  /// in the rank's slot heap).
-  bool owns_ctor_allocs() const noexcept { return owns_memory_; }
-
   /// Pointer-store records from constructors that used the logging API.
   const std::vector<PtrSlot>& ptr_slots() const noexcept { return ptr_slots_; }
   void log_ptr_slot(const PtrSlot& slot) { ptr_slots_.push_back(slot); }
-  void set_ptr_slots(std::vector<PtrSlot> slots) {
-    ptr_slots_ = std::move(slots);
-  }
 
  private:
   ImageInstance(const ProgramImage& image, InstanceOrigin origin,

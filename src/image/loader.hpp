@@ -106,8 +106,6 @@ class Loader {
   InstanceRegistry& registry() noexcept { return registry_; }
   const InstanceRegistry& registry() const noexcept { return registry_; }
 
-  int namespaces_in_use() const noexcept { return namespaces_; }
-
   /// Runs `image`'s static constructors against `inst`, logging heap
   /// allocations on the instance. Public so tests can exercise constructor
   /// behaviour directly.

@@ -173,58 +173,4 @@ void unpack_slot(const IsoArena& arena, SlotId slot, util::ByteBuffer& in) {
   unpack_slot(arena, slot, reader);
 }
 
-void fold_delta_into_full(util::ByteReader base, util::ByteReader delta,
-                          util::ByteBuffer& out) {
-  // Parse the full base stream.
-  require(base.remaining() >= 3 * sizeof(std::uint64_t),
-          ErrorCode::CorruptImage, "fold: truncated base");
-  const auto magic = base.get<std::uint64_t>();
-  require(magic == kPackMagic, ErrorCode::CorruptImage,
-          "fold: base is not a full image");
-  const auto slot_size = base.get<std::uint64_t>();
-  const auto base_len = base.get<std::uint64_t>();
-  require(base_len <= slot_size && base.remaining() >= base_len,
-          ErrorCode::CorruptImage, "fold: corrupt base payload");
-
-  // Parse the delta stream: regions and the furthest byte they reach.
-  const DeltaHeader h = read_delta_header(delta);
-  require(h.slot_size == slot_size, ErrorCode::CorruptImage,
-          "fold: slot size mismatch between base and delta");
-  struct Region {
-    std::uint64_t offset;
-    std::uint64_t len;
-    const std::byte* bytes;
-  };
-  std::vector<Region> regions;
-  regions.reserve(h.region_count);
-  std::uint64_t new_len = base_len;
-  for (std::uint64_t i = 0; i < h.region_count; ++i) {
-    require(delta.remaining() >= 2 * sizeof(std::uint64_t),
-            ErrorCode::CorruptImage, "fold: truncated delta region");
-    const auto offset = delta.get<std::uint64_t>();
-    const auto len = delta.get<std::uint64_t>();
-    require(offset + len <= slot_size && delta.remaining() >= len,
-            ErrorCode::CorruptImage, "fold: corrupt delta region");
-    regions.push_back({offset, len, delta.cursor()});
-    delta.skip(len);
-    new_len = std::max(new_len, offset + len);
-  }
-
-  // New full payload: base prefix, poison fill for bytes the base never
-  // carried (exactly what unpacking the base would have left there), then
-  // the delta regions on top.
-  std::vector<std::byte> payload(new_len);
-  base.get_bytes(payload.data(), base_len);
-  std::memset(payload.data() + base_len,
-              kPackPoisonByte, new_len - base_len);
-  for (const Region& r : regions) {
-    std::memcpy(payload.data() + r.offset, r.bytes, r.len);
-  }
-
-  out.put<std::uint64_t>(kPackMagic);
-  out.put<std::uint64_t>(slot_size);
-  out.put<std::uint64_t>(new_len);
-  out.put_bytes(payload.data(), payload.size());
-}
-
 }  // namespace apv::iso

@@ -27,9 +27,7 @@ enum class PackMode {
 
 /// Byte used to poison slot contents a packed image did not carry, so
 /// tests catch reliance on bytes a real cross-process migration would not
-/// have moved. Shared by unpack_slot and delta consolidation (which must
-/// fill the same gaps with the same value to keep folded and directly
-/// applied chains equivalent).
+/// have moved.
 inline constexpr unsigned char kPackPoisonByte = 0xDB;
 
 const char* pack_mode_name(PackMode mode) noexcept;
@@ -63,15 +61,6 @@ void unpack_slot(const IsoArena& arena, SlotId slot, util::ByteBuffer& in);
 /// non-null, writes the delta's base epoch. Does not consume the reader.
 bool packed_image_is_delta(const util::ByteReader& in,
                            std::uint64_t* base_epoch = nullptr) noexcept;
-
-/// Folds a delta stream into a full-image stream, producing a new full
-/// stream equivalent to unpacking `base` then `delta` into a fresh slot:
-/// the prefix grows to cover the delta's furthest region, gap bytes the
-/// base did not carry are filled with kPackPoisonByte, and delta regions
-/// are applied last. This is how the checkpoint store consolidates long
-/// chains off the hot path without touching any live slot.
-void fold_delta_into_full(util::ByteReader base, util::ByteReader delta,
-                          util::ByteBuffer& out);
 
 /// Number of payload bytes pack_slot would produce (excluding framing).
 /// Delta mode is data-dependent; query DirtyTracker instead.

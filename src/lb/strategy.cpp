@@ -214,7 +214,7 @@ double assignment_imbalance(const LbStats& stats,
   return *std::max_element(loads.begin(), loads.end()) / avg;
 }
 
-int migration_count(const LbStats& stats, const Assignment& assignment) {
+int moved_ranks(const LbStats& stats, const Assignment& assignment) {
   int moves = 0;
   for (int r = 0; r < stats.num_ranks(); ++r) {
     if (assignment[static_cast<std::size_t>(r)] !=

@@ -105,7 +105,7 @@ double assignment_imbalance(const LbStats& stats,
                             const Assignment& assignment);
 
 /// Number of ranks whose PE differs from the current placement.
-int migration_count(const LbStats& stats, const Assignment& assignment);
+int moved_ranks(const LbStats& stats, const Assignment& assignment);
 
 /// Victim selection for idle-PE rank stealing: the PE with the deepest
 /// ready-queue backlog, ties broken toward the lowest PE id. `ready_depth`

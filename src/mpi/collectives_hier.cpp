@@ -40,6 +40,8 @@
 
 namespace apv::mpi {
 
+using util::Ctr;
+
 /// The grouping of one communicator under a rank's placement view. Every
 /// member derives the identical topology (same membership list, same view),
 /// so group ids, leader choices, and fold orders agree without messages.
@@ -99,7 +101,7 @@ struct Nothing {
 /// (the depth-guarded gate checks only the outermost entry), and in abort
 /// mode it stops a size-divergent member before any shared-block fold or
 /// copy could overrun.
-void block_check(check::Checker* ck, int world_rank, int lane,
+void block_check(check::Checker* ck, int world_rank, util::CounterBlock& ctr,
                  GroupBlock& blk, std::int32_t color, std::uint64_t bytes,
                  const char* name) {
   if (ck == nullptr) [[likely]]
@@ -111,7 +113,7 @@ void block_check(check::Checker* ck, int world_rank, int lane,
     return;
   }
   const std::string diag =
-      ck->block_compare(lane, world_rank, blk.chk_name, blk.chk_color,
+      ck->block_compare(ctr, world_rank, blk.chk_name, blk.chk_color,
                         blk.chk_bytes, color, name, bytes);
   if (diag.empty()) [[likely]]
     return;
@@ -267,7 +269,7 @@ class Runtime::HierCall {
     template <class F = Nothing>
     bool arrive(F&& deposit = F{}) {
       std::lock_guard<std::mutex> lk(b_->m);
-      block_check(h_.rt.checker(), h_.rm.world_rank, h_.rm.resident_pe, *b_,
+      block_check(h_.rt.checker(), h_.rm.world_rank, *h_.pe().ctr, *b_,
                   h_.kind, h_.chk_bytes, h_.name);
       deposit(*b_);
       return ++b_->arrived == b_->expected;
@@ -451,7 +453,7 @@ class Runtime::HierCall {
       if (!op.commutative) {
         stage(b, sbuf, bytes);
       } else if (fold(b.acc, sbuf, bytes, op, dt, count)) {
-        ++pe().coll_local_combines;
+        pe().ctr->bump(Ctr::CollLocalCombines);
       }
     });
   }
@@ -480,7 +482,7 @@ class Runtime::HierCall {
   template <class In = Nothing, class Take = Nothing>
   void leader_meet(int from, int to, In&& in = In{}, Take&& take = Take{}) {
     Block lb(*this, kLeaderGroup, L);
-    ++pe().coll_shared_rendezvous;
+    pe().ctr->bump(Ctr::CollSharedRendezvous);
     bool releases = false;
     lb.arrive([&](GroupBlock& b) {
       if (from != kAllGroups && from != g) return;
@@ -519,7 +521,8 @@ class Runtime::HierCall {
       part.resize(blk->slots.back().size());
       fold_in_order(blk->slots, static_cast<std::size_t>(gsize), part.data(),
                     op, dt, count);
-      pe().coll_local_combines += static_cast<std::uint64_t>(gsize - 1);
+      pe().ctr->bump(Ctr::CollLocalCombines,
+                     static_cast<std::uint64_t>(gsize - 1));
     }
     leader_meet(
         kAllGroups, to,
@@ -550,7 +553,7 @@ class Runtime::HierCall {
   void gather(const void* sbuf, std::size_t sbytes, Dest&& dest) {
     const bool is_agent =
         deposit([&](GroupBlock& b) { stage(b, sbuf, sbytes); });
-    pe().coll_vec_bytes += sbytes;
+    pe().ctr->bump(Ctr::CollVecBytes, sbytes);
     if (!is_agent) return;
     leader_meet(
         kAllGroups, rg, [this](GroupBlock& b) { hand_in_members(b); },
@@ -577,7 +580,7 @@ class Runtime::HierCall {
     blk.arrive();
     if (me != agent) {
       withdraw([&](GroupBlock& b) {
-        pe().coll_vec_bytes += take_mine(b.slots[slot]);
+        pe().ctr->bump(Ctr::CollVecBytes, take_mine(b.slots[slot]));
       });
       return;
     }
@@ -601,7 +604,7 @@ class Runtime::HierCall {
     take_mine(mine[slot]);
     publish([&](GroupBlock& b) {
       for (std::size_t j = 0; j < mine.size(); ++j) {
-        if (j != slot) pe().coll_vec_bytes += mine[j].size();
+        if (j != slot) pe().ctr->bump(Ctr::CollVecBytes, mine[j].size());
       }
       b.slots = std::move(mine);
     });
@@ -708,7 +711,7 @@ bool Runtime::hier_scan(RankMpi& rm, const void* sbuf, void* rbuf, int count,
   for (int i = 1; i < gsize; ++i) {
     apply_op(rm, op, dt, slots[static_cast<std::size_t>(i - 1)].data(),
              slots[static_cast<std::size_t>(i)].data(), count);
-    ++h.pe().coll_local_combines;
+    h.pe().ctr->bump(Ctr::CollLocalCombines);
   }
 
   // Every agent hands its group total in at slot g and folds the totals of
@@ -805,7 +808,7 @@ bool Runtime::hier_allgather(RankMpi& rm, const void* sbuf,
   const std::size_t total = static_cast<std::size_t>(h.n) * sblock;
   const bool agent =
       h.deposit([&](GroupBlock& b) { h.stage(b, sbuf, sblock); });
-  h.pe().coll_vec_bytes += sblock;
+  h.pe().ctr->bump(Ctr::CollVecBytes, sblock);
   if (!agent) {
     h.withdraw([&](GroupBlock& b) { std::memcpy(rbuf, b.acc.data(), total); });
     return true;
@@ -836,7 +839,7 @@ bool Runtime::hier_alltoall(RankMpi& rm, const void* sbuf, std::size_t sblock,
   const std::size_t row = static_cast<std::size_t>(n) * sblock;
   const bool agent =
       h.deposit([&](GroupBlock& b) { h.stage(b, sbuf, row); });
-  h.pe().coll_vec_bytes += row;
+  h.pe().ctr->bump(Ctr::CollVecBytes, row);
 
   const std::size_t my_row = static_cast<std::size_t>(h.pos) * row;
   auto copy_row_out = [&](const std::byte* r) {

@@ -182,9 +182,10 @@ void Runtime::recover_from_failure(RankMpi& rm, comm::PeId victim,
   // Checker interplay: recovery traffic is kCollFtRecover-tagged (never
   // p2p-verified or gated), and check_seq lives on the host heap, so a
   // victim's rewind cannot fork its checker sequence from the survivors' —
-  // the checker stays armed across recovery with no false positives. Note
+  // the checker stays armed across recovery with no false positives. Count
   // the event so tests can assert the checker observed a recovery.
-  if (checker_ != nullptr) checker_->note_recovery();
+  if (checker_ != nullptr)
+    counters(rm.resident_pe).bump(util::Ctr::CheckRecoveriesSeen);
 
   for (std::size_t i = 1; i < survivors.size(); ++i) {
     do_send(rm, nullptr, 0, survivors[i], release_tag, kCommWorld);

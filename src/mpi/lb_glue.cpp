@@ -48,7 +48,7 @@ void Runtime::do_load_balance(RankMpi& rm, const std::string& strategy) {
                   stats, lb::Assignment(stats.rank_pe.begin(),
                                         stats.rank_pe.end())),
               lb::assignment_imbalance(stats, dest),
-              lb::migration_count(stats, dest));
+              lb::moved_ranks(stats, dest));
   }
 
   // Every rank computed the identical assignment, so this is the one safe

@@ -15,6 +15,7 @@
 namespace apv::mpi {
 
 using util::ApvError;
+using util::Ctr;
 using util::ErrorCode;
 using util::require;
 
@@ -57,22 +58,14 @@ Runtime::Runtime(const img::ProgramImage& image, RuntimeConfig config)
     dirty_tracker_ = std::make_unique<iso::DirtyTracker>(*arena_);
   }
   ckpt_full_every_ = static_cast<std::uint32_t>(opt.get_int("ft.full_every"));
-  // Chain-length bound for in-store consolidation. The periodic full image
-  // already caps chains at full_every - 1, so by default consolidation only
-  // engages when ft.max_chain is set tighter than that (or full_every is
-  // raised without bound).
-  ckpt_store_->set_chain_limit(
-      static_cast<std::size_t>(opt.get_int("ft.max_chain")));
   inline_enabled_ = opt.get_bool("comm.inline");
   coll_hier_ = opt.get_string("coll.algo") == "hier";
   // Runtime correctness checker (src/check).
   if (const std::string mode = opt.get_string("check.mode"); mode != "off") {
     const check::Mode cm =
         mode == "abort" ? check::Mode::Abort : check::Mode::Warn;
-    // One gate shard per PE: co-resident members of a collective hit the
-    // same shard uncontended on their shared loop thread.
     checker_ = std::make_unique<check::Checker>(
-        cm, opt.get_double("check.deadlock_s"), cluster_->num_pes());
+        cm, opt.get_double("check.deadlock_s"));
     check_on_ = true;
     fail_fast_ = cm == check::Mode::Abort;
   }
@@ -91,9 +84,11 @@ Runtime::Runtime(const img::ProgramImage& image, RuntimeConfig config)
   pe_state_.resize(static_cast<std::size_t>(cluster_->num_pes()));
   service_ewma_ns_ = std::make_unique<std::atomic<std::uint64_t>[]>(
       static_cast<std::size_t>(cluster_->num_pes()));
-  for (int p = 0; p < cluster_->num_pes(); ++p)
-    service_ewma_ns_[static_cast<std::size_t>(p)].store(
-        0, std::memory_order_relaxed);
+  for (int p = 0; p < cluster_->num_pes(); ++p) {
+    const auto i = static_cast<std::size_t>(p);
+    pe_state_[i].ctr = &cluster_->pe(p).counters();
+    service_ewma_ns_[i].store(0, std::memory_order_relaxed);
+  }
 
   // Per-node dynamic-linker and privatization state (each emulated OS
   // process loads and privatizes the program independently).
@@ -269,15 +264,6 @@ void* Runtime::rank_return(int world_rank) {
   return rank_state(world_rank).entry_ret;
 }
 
-std::uint64_t Runtime::total_context_switches() const {
-  std::uint64_t total = 0;
-  for (int p = 0; p < cluster_->num_pes(); ++p) {
-    total += const_cast<Runtime*>(this)->cluster_->pe(p).scheduler()
-                 .switch_count();
-  }
-  return total;
-}
-
 void Runtime::rank_body(void* arg) {
   auto* rm = static_cast<RankMpi*>(arg);
   Runtime& rt = rm->env->runtime();
@@ -354,8 +340,9 @@ void Runtime::wait_finish() {
         done = finish_cv_.wait_until(lock, std::min(deadline, scan_at),
                                      finished);
         if (done || std::chrono::steady_clock::now() >= deadline) break;
-        checker_->note_deadlock_scan();
-        const std::uint64_t switches = total_context_switches();
+        cluster_->shared_counters().add(Ctr::CheckDeadlockScans);
+        const std::uint64_t switches =
+            cluster_->totals()[Ctr::ContextSwitches];
         bool all_blocked = true;
         for (const auto& rm : ranks_) {
           // Acquire the ULT state FIRST (see ult.hpp): Blocked/Done is the
@@ -476,7 +463,8 @@ void Runtime::dump_stuck_state() {
   }
   std::fprintf(stderr, "[apv:mpi]   dead_letters=%zu dropped=%llu\n",
                cluster_->dead_letter_count(),
-               static_cast<unsigned long long>(cluster_->dropped_messages()));
+               static_cast<unsigned long long>(
+                   cluster_->totals()[Ctr::CommDropped]));
 }
 
 // ---------------------------------------------------------------------------
@@ -554,7 +542,7 @@ void Runtime::chase_rank(comm::PeId pe, comm::Message&& msg) {
   // sender's hop was already paid).
   msg.src_pe = pe;
   if (msg.kind == comm::Message::Kind::UserData)
-    forwards_.fetch_add(1, std::memory_order_relaxed);
+    counters(pe).bump(Ctr::Forwards);
   cluster_->send(std::move(msg));
 }
 
@@ -621,7 +609,7 @@ void Runtime::complete_recv(RankMpi& dst, const RecvPost& post,
                        tag < kInternalTagBase;
   if (stamped) {
     const check::P2pVerdict v = checker_->p2p_verify(
-        dst.resident_pe, esize, bytes, post.esize, post.max_bytes);
+        counters(dst.resident_pe), esize, bytes, post.esize, post.max_bytes);
     if (v != check::P2pVerdict::Ok) [[unlikely]] {
       std::string diag =
           p2p_mismatch(v, dst, post, src_world, tag, esize, bytes);
@@ -790,7 +778,7 @@ bool Runtime::try_inline_send(RankMpi& rm, int dst_world, int tag,
   // take the routed path, which queues behind it.
   if (rm.routed_sent_to(dst_world) !=
       dst.routed_delivered_from(rm.world_rank)) {
-    ++ps.inline_fifo_fallbacks;
+    ps.ctr->bump(Ctr::InlineFifoFallbacks);
     cluster_->flush_aggregation(pe, comm::FlushCause::Order);
     return false;
   }
@@ -807,7 +795,7 @@ bool Runtime::try_inline_send(RankMpi& rm, int dst_world, int tag,
     complete_recv(dst, *pit, rm.world_rank, tag, esize, data, bytes,
                   /*in_sender=*/true);
     dst.posted.erase(pit);
-    ++ps.inline_hits;
+    ps.ctr->bump(Ctr::InlineHits);
   } else {
     // Miss: no matching posted receive yet. Park a copy on the unexpected
     // queue directly — still no mailbox round-trip, but the bytes need a
@@ -816,9 +804,9 @@ bool Runtime::try_inline_send(RankMpi& rm, int dst_world, int tag,
                                     bytes);
     m.dst_pe = pe;
     dst.unexpected.push_back(std::move(m));
-    ++ps.inline_misses;
+    ps.ctr->bump(Ctr::InlineMisses);
   }
-  ps.inline_bytes += bytes;
+  ps.ctr->bump(Ctr::InlineBytes, bytes);
   wake_if_waiting(dst, lane);
   return true;
 }
@@ -1062,7 +1050,7 @@ void Runtime::handle_control(comm::PeId pe, comm::Message&& msg) {
       // restart the idle clock: the thief re-arms only after another full
       // idle period, which doubles as backoff.
       auto& ps = pe_state_[static_cast<std::size_t>(pe)];
-      ++ps.steal_fails;
+      ps.ctr->bump(Ctr::SchedStealFails);
       ps.steal_req_ns = 0;
       ps.idle_since_ns = 0;
       return;
@@ -1152,12 +1140,13 @@ void Runtime::ship(comm::PeId pe, RankMpi& rm, MigOp op) {
   mig.dst_rank = rm.world_rank;
   // The packed image moves into the payload — the bytes pack_slot produced
   // are the bytes the destination unpacks, with no intermediate copy.
-  migration_bytes_.fetch_add(buf.size(), std::memory_order_relaxed);
+  util::CounterBlock& ctr = counters(pe);
+  ctr.bump(Ctr::MigrationBytes, buf.size());
   mig.payload = comm::Payload::adopt(buf.take());
-  // Steals are deliberately not counted in migrations_: that counter means
-  // "explicit migrations the program asked for" (AMPI_Migrate / fault
-  // recovery), and steals are reported separately via sched_steals_out/in.
-  if (op == kMigPlain) migrations_.fetch_add(1, std::memory_order_relaxed);
+  // Steals are deliberately not counted in Ctr::Migrations: that counter
+  // means "explicit migrations the program asked for" (AMPI_Migrate / LB),
+  // and steals are reported separately (Ctr::SchedStealsOut/In).
+  if (op == kMigPlain) ctr.bump(Ctr::Migrations);
   // Update the location *before* the state ships so forwards head to the
   // destination and queue behind the migration message.
   cluster_->set_location(rm.world_rank, dest);
@@ -1219,7 +1208,7 @@ void Runtime::handle_migration_arrival(comm::PeId pe, comm::Message&& msg) {
     // A stolen rank arriving answers this PE's own steal request: settle
     // the in-flight marker and the idle clock (we have work now).
     auto& ps = pe_state_[static_cast<std::size_t>(pe)];
-    ++ps.steals_in;
+    ps.ctr->bump(Ctr::SchedStealsIn);
     ps.steal_req_ns = 0;
     ps.idle_since_ns = 0;
   }
@@ -1248,7 +1237,7 @@ void Runtime::maybe_steal(comm::PeId pe) {
     // dropped outright when the victim dies — the timeout, not a reply, is
     // what guarantees the thief recovers.
     if (now - ps.steal_req_ns < kStealTimeoutNs) return;
-    ++ps.steal_fails;
+    ps.ctr->bump(Ctr::SchedStealFails);
     ps.steal_req_ns = 0;
     ps.idle_since_ns = 0;
     return;
@@ -1299,7 +1288,7 @@ void Runtime::maybe_steal(comm::PeId pe) {
   const int victim = lb::pick_steal_victim(depth, service, pe,
                                            /*min_ready=*/1);
   if (victim < 0) return;
-  ++ps.steal_requests;
+  ps.ctr->bump(Ctr::SchedStealRequests);
   ps.steal_req_ns = now;
   // The thief id travels in the tag.
   cluster_->send(control(kCtlStealRequest, pe, victim, -1, pe));
@@ -1341,7 +1330,7 @@ void Runtime::handle_steal_request(comm::PeId pe, comm::PeId thief) {
     nack();
     return;
   }
-  ++ps.steals_out;
+  ps.ctr->bump(Ctr::SchedStealsOut);
   // From here this is a migration departure with dest=thief. Setting
   // migrate_dest reuses the existing wake guards: no late message arrival
   // or stale kCtlCollWake can re-ready the ULT while its image is in
@@ -1406,14 +1395,14 @@ bool Runtime::perform_checkpoint_pack(comm::PeId pe, comm::RankId rank,
   if (want_delta) {
     ckpt_store_->put_delta(rank, epoch, rm.last_ckpt_epoch, pe, owners,
                            std::move(buf));
-    ckpt_delta_images_.fetch_add(1, std::memory_order_relaxed);
-    ckpt_bytes_delta_.fetch_add(packed_bytes, std::memory_order_relaxed);
-    ckpt_pages_dirty_.fetch_add(dirty_pages, std::memory_order_relaxed);
+    ps.ctr->bump(Ctr::CkptImagesDelta);
+    ps.ctr->bump(Ctr::CkptBytesDelta, packed_bytes);
+    ps.ctr->bump(Ctr::CkptPagesDirty, dirty_pages);
     ++rm.ckpt_chain_len;
   } else {
     ckpt_store_->put(rank, epoch, pe, owners, std::move(buf));
-    ckpt_full_images_.fetch_add(1, std::memory_order_relaxed);
-    ckpt_bytes_full_.fetch_add(packed_bytes, std::memory_order_relaxed);
+    ps.ctr->bump(Ctr::CkptImagesFull);
+    ps.ctr->bump(Ctr::CkptBytesFull, packed_bytes);
     rm.ckpt_chain_len = 0;
     rm.force_full_ckpt = false;
   }
@@ -1501,8 +1490,8 @@ bool Runtime::perform_ft_adopt(comm::PeId pe, comm::RankId rank,
           "buddy checkpoint copy vanished during adoption");
   const std::size_t chain_bytes = overwrite(rm, chain);
   admit(pe, rm);
-  recoveries_.fetch_add(1, std::memory_order_relaxed);
-  recovery_bytes_.fetch_add(chain_bytes, std::memory_order_relaxed);
+  counters(pe).bump(Ctr::Recoveries);
+  counters(pe).bump(Ctr::RecoveryBytes, chain_bytes);
   APV_INFO("ft", "rank %d adopted by PE %d from buddy copy (epoch %u, "
                  "%zu image(s), %zu bytes)",
            rank, pe, epoch, chain.size(), chain_bytes);
@@ -1537,27 +1526,6 @@ core::VarAccess Runtime::bind_global(const RankMpi& rm,
   return privs_[static_cast<std::size_t>(node)]->bind(name);
 }
 
-util::Counters Runtime::ckpt_counters() const {
-  util::Counters c;
-  c.set("ckpt_images_full",
-        ckpt_full_images_.load(std::memory_order_relaxed));
-  c.set("ckpt_images_delta",
-        ckpt_delta_images_.load(std::memory_order_relaxed));
-  c.set("ckpt_bytes_full", ckpt_bytes_full_.load(std::memory_order_relaxed));
-  c.set("ckpt_bytes_delta",
-        ckpt_bytes_delta_.load(std::memory_order_relaxed));
-  c.set("ckpt_pages_dirty",
-        ckpt_pages_dirty_.load(std::memory_order_relaxed));
-  if (dirty_tracker_ != nullptr) {
-    c.set("ckpt_tracker_faults", dirty_tracker_->faults());
-    c.set("ckpt_tracker_predirtied", dirty_tracker_->pre_dirtied());
-  }
-  c.set("ckpt_store_puts", ckpt_store_->puts());
-  c.set("ckpt_store_fetches", ckpt_store_->fetches());
-  c.set("ckpt_store_consolidations", ckpt_store_->consolidations());
-  return c;
-}
-
 // ---------------------------------------------------------------------------
 // Runtime correctness checker glue
 
@@ -1572,8 +1540,8 @@ void Runtime::coll_gate_entry(RankMpi& rm, const char* name,
   d.op = opkind;
   d.esize = esize;
   d.bytes = bytes;
-  std::string mismatch = checker_->coll_gate(rm.resident_pe, rm.world_rank,
-                                             name, comm, seq, expected, d);
+  std::string mismatch = checker_->coll_gate(
+      counters(rm.resident_pe), rm.world_rank, name, comm, seq, expected, d);
   if (mismatch.empty()) [[likely]]
     return;
   checker_->record("collective-mismatch", rm.world_rank, mismatch);
@@ -1583,86 +1551,41 @@ void Runtime::coll_gate_entry(RankMpi& rm, const char* name,
     throw ApvError(ErrorCode::CheckFailed, mismatch);
 }
 
-util::Counters Runtime::check_counters() const {
-  return checker_ != nullptr ? checker_->counters() : util::Counters{};
-}
-
-util::Counters Runtime::sched_counters() const {
-  util::Counters c;
-  auto& cluster = const_cast<comm::Cluster&>(*cluster_);
-  std::uint64_t hi = 0, normal = 0, bulk = 0;
-  std::uint64_t preempts = 0, overruns = 0, remote = 0;
-  for (int p = 0; p < cluster.num_pes(); ++p) {
-    const ult::Scheduler& s = cluster.pe(p).scheduler();
-    hi += s.lane_dispatches(ult::Lane::High);
-    normal += s.lane_dispatches(ult::Lane::Normal);
-    bulk += s.lane_dispatches(ult::Lane::Bulk);
-    preempts += s.preempt_count();
-    overruns += s.overrun_count();
-    remote += s.remote_ready_count();
-  }
-  std::uint64_t reqs = 0, fails = 0, in = 0, out = 0;
-  for (const PeState& ps : pe_state_) {
-    reqs += ps.steal_requests;
-    fails += ps.steal_fails;
-    in += ps.steals_in;
-    out += ps.steals_out;
-  }
-  c.set("sched_dispatch_high", hi);
-  c.set("sched_dispatch_normal", normal);
-  c.set("sched_dispatch_bulk", bulk);
-  c.set("sched_preemptions", preempts);
-  c.set("sched_quantum_overruns", overruns);
-  c.set("sched_remote_readies", remote);
-  c.set("sched_steal_requests", reqs);
-  c.set("sched_steal_fails", fails);
-  c.set("sched_steals_in", in);
-  c.set("sched_steals_out", out);
-  return c;
-}
-
 util::Counters Runtime::all_counters() const {
   util::Counters c;
-  c.merge(cluster_->stat_counters());
-  c.merge(ckpt_counters());
-  c.merge(locality_counters());
-  c.merge(sched_counters());
-  c.merge(check_counters());
-  c.set("context_switches", total_context_switches());
-  c.set("migrations", migrations_.load(std::memory_order_relaxed));
-  c.set("migration_bytes", migration_bytes_.load(std::memory_order_relaxed));
-  c.set("forwards", forwards_.load(std::memory_order_relaxed));
-  c.set("recoveries", recoveries_.load(std::memory_order_relaxed));
-  c.set("recovery_bytes", recovery_bytes_.load(std::memory_order_relaxed));
+  const util::CounterValues totals = cluster_->totals();
+  for (std::size_t i = 0; i < util::kCtrCount; ++i) {
+    const auto id = static_cast<Ctr>(i);
+    c.set(std::string(util::counter_spec(id).name), totals[id]);
+  }
+  std::uint64_t ring = 0;
+  std::uint64_t overflow = 0;
+  for (int p = 0; p < cluster_->num_pes(); ++p) {
+    ring += cluster_->pe(p).mailbox().ring_pushes();
+    overflow += cluster_->pe(p).mailbox().overflow_pushes();
+  }
+  c.set("comm.mailbox_ring_pushes", ring);
+  c.set("comm.mailbox_overflow_pushes", overflow);
+  const comm::PoolStats pool = comm::pool::stats();
+  c.set("pool.hits", pool.hits);
+  c.set("pool.misses", pool.misses);
+  c.set("pool.adopted", pool.adopted);
+  c.set("pool.returns", pool.returns);
+  c.set("pool.drops", pool.drops);
+  c.set("pool.bytes_copied", pool.bytes_copied);
+  if (dirty_tracker_ != nullptr) {
+    c.set("ckpt_tracker_faults", dirty_tracker_->faults());
+    c.set("ckpt_tracker_predirtied", dirty_tracker_->pre_dirtied());
+  }
+  c.set("ckpt_store_puts", ckpt_store_->puts());
+  c.set("ckpt_store_fetches", ckpt_store_->fetches());
+  if (checker_ != nullptr)
+    c.set("check_diagnoses", checker_->diagnosis_count());
   return c;
 }
 
 void Runtime::dump_all_counters() const {
   std::fprintf(stderr, "[apv:counters] %s\n", all_counters().to_json().c_str());
-}
-
-util::Counters Runtime::locality_counters() const {
-  util::Counters c;
-  std::uint64_t hits = 0, misses = 0, bytes = 0, fifo = 0;
-  std::uint64_t local_combines = 0, shared_rdv = 0;
-  std::uint64_t vec_bytes = 0;
-  for (const PeState& ps : pe_state_) {
-    hits += ps.inline_hits;
-    misses += ps.inline_misses;
-    bytes += ps.inline_bytes;
-    fifo += ps.inline_fifo_fallbacks;
-    local_combines += ps.coll_local_combines;
-    shared_rdv += ps.coll_shared_rendezvous;
-    vec_bytes += ps.coll_vec_bytes;
-  }
-  c.set("inline_hits", hits);
-  c.set("inline_misses", misses);
-  c.set("inline_bytes", bytes);
-  c.set("inline_fifo_fallbacks", fifo);
-  c.set("coll_local_combines", local_combines);
-  c.set("coll_shared_rendezvous", shared_rdv);
-  c.set("coll_vec_bytes", vec_bytes);
-  return c;
 }
 
 }  // namespace apv::mpi

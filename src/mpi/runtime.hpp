@@ -105,47 +105,26 @@ class Runtime {
   /// Value returned by the rank's entry function.
   void* rank_return(int world_rank);
 
-  // --- job-wide statistics -------------------------------------------------
-  std::uint64_t migration_count() const noexcept { return migrations_; }
-  std::uint64_t migration_bytes() const noexcept { return migration_bytes_; }
-  std::uint64_t total_context_switches() const;
-
   // --- fault tolerance -----------------------------------------------------
   ft::CheckpointStore& checkpoint_store() noexcept { return *ckpt_store_; }
   /// The configured fault injector, or nullptr when ft.policy is "none".
   ft::FaultInjector* fault_injector() noexcept { return injector_.get(); }
-  /// Ranks adopted onto a new PE by failure recovery.
-  std::uint64_t recovery_count() const noexcept { return recoveries_; }
-  /// Checkpoint-image bytes fetched from buddy copies during recovery.
-  std::uint64_t recovery_bytes() const noexcept { return recovery_bytes_; }
   /// The arena's dirty-page tracker, or nullptr when ft.delta=off.
   iso::DirtyTracker* dirty_tracker() noexcept { return dirty_tracker_.get(); }
-  /// Checkpoint instrumentation (cumulative): image counts and bytes split
-  /// full vs delta, dirty pages packed, write-barrier faults, allocator
-  /// pre-dirty hits, and store put/fetch/consolidation counts.
-  util::Counters ckpt_counters() const;
 
-  /// Locality instrumentation (cumulative, summed over PEs): same-PE inline
-  /// delivery hits/misses/bytes, FIFO fallbacks to the routed path, and
-  /// hierarchical-collective local combines / agent meetings / vector bytes.
-  util::Counters locality_counters() const;
   /// Shared group blocks currently registered by hierarchical collectives.
   /// Every rank that attaches a block detaches it again, so this is 0
   /// whenever no collective is in flight.
   std::size_t live_group_blocks() const;
 
-  /// Scheduler instrumentation (cumulative, summed over PEs): per-lane
-  /// dispatch counts, preemptions, quantum overruns, cross-thread readies,
-  /// and the steal protocol's request/fail/in/out counts.
-  util::Counters sched_counters() const;
-
   // --- runtime correctness checker (src/check) -----------------------------
   /// The checker instance, or nullptr when check.mode=off.
   check::Checker* checker() noexcept { return checker_.get(); }
-  /// check_* counters; empty when the checker is off.
-  util::Counters check_counters() const;
-  /// Every subsystem's counters merged into one set: comm transport,
-  /// checkpointing, locality, scheduler, and checker.
+  /// Every counter by its dump name: each slot of the per-PE table
+  /// (util/counters.hpp) summed over the job, zeros included, plus the
+  /// counts whose writers no PE owns: mailbox ring and overflow pushes,
+  /// the payload pool, the dirty tracker, the checkpoint store and the
+  /// checker's diagnoses. Read one counter with cluster().totals().
   util::Counters all_counters() const;
   /// Prints all_counters() as one JSON line to stderr. Runs automatically
   /// at successful wait_finish when util.dump_counters=1.
@@ -252,6 +231,7 @@ class Runtime {
 
  private:
   struct PeState {
+    util::CounterBlock* ctr = nullptr;  ///< this PE's counters
     std::map<comm::RankId, RankMpi*> resident;
     RankMpi* running = nullptr;        // load-timing bookkeeping
     std::uint64_t slice_start_ns = 0;
@@ -261,20 +241,12 @@ class Runtime {
     // so the thief retries after the steal timeout).
     std::uint64_t idle_since_ns = 0;
     std::uint64_t steal_req_ns = 0;
-    std::uint64_t steal_requests = 0;
-    std::uint64_t steal_fails = 0;
-    std::uint64_t steals_in = 0;
-    std::uint64_t steals_out = 0;
-    // Locality counters, written only by this PE's loop thread (summed by
-    // locality_counters() after the fact).
-    std::uint64_t inline_hits = 0;
-    std::uint64_t inline_misses = 0;
-    std::uint64_t inline_bytes = 0;
-    std::uint64_t inline_fifo_fallbacks = 0;
-    std::uint64_t coll_local_combines = 0;
-    std::uint64_t coll_shared_rendezvous = 0;
-    std::uint64_t coll_vec_bytes = 0;  ///< bytes through vector shared blocks
   };
+
+  /// PE `pe`'s counter block. Bump it only on that PE's loop thread.
+  util::CounterBlock& counters(comm::PeId pe) {
+    return *pe_state_[static_cast<std::size_t>(pe)].ctr;
+  }
 
   static void rank_body(void* arg);
   void rank_finished(RankMpi& rm);
@@ -462,10 +434,6 @@ class Runtime {
   std::mutex finish_mutex_;
   std::condition_variable finish_cv_;
 
-  std::atomic<std::uint64_t> migrations_{0};
-  std::atomic<std::uint64_t> migration_bytes_{0};
-  std::atomic<std::uint64_t> forwards_{0};
-
   // Runtime correctness checker (check.mode != off). check_on_ caches
   // enabled() for the per-message fast path; fail_fast_ (abort mode) makes
   // wait_finish return on the first rank failure instead of draining the
@@ -483,17 +451,10 @@ class Runtime {
   // Fault tolerance: versioned buddy checkpoint store + optional injector.
   std::unique_ptr<ft::CheckpointStore> ckpt_store_;
   std::unique_ptr<ft::FaultInjector> injector_;
-  std::atomic<std::uint64_t> recoveries_{0};
-  std::atomic<std::uint64_t> recovery_bytes_{0};
 
   // Incremental checkpointing (ft.delta): write-barrier tracker + policy.
   std::unique_ptr<iso::DirtyTracker> dirty_tracker_;
   std::uint32_t ckpt_full_every_ = 8;  ///< ft.full_every: full-image cadence
-  std::atomic<std::uint64_t> ckpt_full_images_{0};
-  std::atomic<std::uint64_t> ckpt_delta_images_{0};
-  std::atomic<std::uint64_t> ckpt_bytes_full_{0};
-  std::atomic<std::uint64_t> ckpt_bytes_delta_{0};
-  std::atomic<std::uint64_t> ckpt_pages_dirty_{0};
 
   friend class Env;
 };

@@ -20,9 +20,17 @@ inline std::size_t lane_index(Lane lane) noexcept {
   return static_cast<std::size_t>(lane);
 }
 
-// Single-writer counter bump: plain load+store, no RMW on the hot path.
+// Owner-only depth bump: plain load+store, no RMW on the hot path.
 inline void bump(std::atomic<std::uint64_t>& c) noexcept {
   c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
+
+// Lane l's dispatches count in the l-th sched_dispatch_* slot.
+inline util::Ctr dispatch_counter(int lane) noexcept {
+  constexpr int kHigh = static_cast<int>(util::Ctr::SchedDispatchHigh);
+  static_assert(static_cast<int>(util::Ctr::SchedDispatchNormal) == kHigh + 1 &&
+                static_cast<int>(util::Ctr::SchedDispatchBulk) == kHigh + 2);
+  return static_cast<util::Ctr>(kHigh + lane);
 }
 
 inline int lowest_set(unsigned mask) noexcept {
@@ -130,7 +138,8 @@ void Scheduler::ready(Ult* t, Lane lane) {
   } while (!remote_head_.compare_exchange_weak(head, t,
                                                std::memory_order_release,
                                                std::memory_order_relaxed));
-  bump(remote_readies_);
+  // Any producer thread can be here at once: add, never bump.
+  counters_.add(util::Ctr::SchedRemoteReadies);
   ready_notify();
 }
 
@@ -179,7 +188,7 @@ Ult* Scheduler::pop_ready() {
   if (q.empty()) lane_mask_ &= ~(1u << l);
   local_n_.store(local_n_.load(std::memory_order_relaxed) - 1,
                  std::memory_order_relaxed);
-  bump(lane_dispatch_[static_cast<std::size_t>(l)]);
+  counters_.bump(dispatch_counter(l));
   return t;
 }
 
@@ -208,7 +217,7 @@ void Scheduler::enter(Ult* next) {
   for (auto& [id, hook] : hooks_) hook(next);
   next->set_state(UltState::Running);
   current_ = next;
-  bump(switches_);
+  counters_.bump(util::Ctr::ContextSwitches);
   if (preempt_armed_) slice_start_ns_ = util::wall_time_ns();
   sched_ctx_.switch_to(next->context());
   if (next->state() == UltState::Done) next->context().retire_fiber();
@@ -298,11 +307,11 @@ void Scheduler::preempt_check() {
   if (lane_mask_ == 0) {
     // Overran the quantum but nobody else is waiting: note it and let the
     // slice restart rather than paying a pointless switch.
-    bump(overruns_);
+    counters_.bump(util::Ctr::SchedQuantumOverruns);
     slice_start_ns_ = now;
     return;
   }
-  bump(preempts_);
+  counters_.bump(util::Ctr::SchedPreemptions);
   Ult* self = current_;
   self->set_ready_lane(Lane::Bulk);
   push_local(self, Lane::Bulk);

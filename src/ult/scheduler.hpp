@@ -13,6 +13,7 @@
 
 #include "ult/context.hpp"
 #include "ult/ult.hpp"
+#include "util/counters.hpp"
 
 namespace apv::ult {
 
@@ -140,29 +141,11 @@ class Scheduler {
   int add_switch_hook(SwitchHook hook);
   void remove_switch_hook(int id);
 
-  /// Total number of scheduler→ULT transfers performed. Single-writer
-  /// (the owner thread bumps in enter()); cross-thread readers (the
-  /// deadlock scanner summing all PEs) get a relaxed value-only snapshot —
-  /// the scanner compares totals across scans, it never consumes memory
-  /// the count "protects".
-  std::uint64_t switch_count() const noexcept {
-    return switches_.load(std::memory_order_relaxed);
-  }
-
-  // --- instrumentation (single-writer bumps; readable from any thread) ----
-  std::uint64_t lane_dispatches(Lane lane) const noexcept {
-    return lane_dispatch_[static_cast<std::size_t>(lane)].load(
-        std::memory_order_relaxed);
-  }
-  std::uint64_t preempt_count() const noexcept {
-    return preempts_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t overrun_count() const noexcept {
-    return overruns_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t remote_ready_count() const noexcept {
-    return remote_readies_.load(std::memory_order_relaxed);
-  }
+  /// This PE's event counters (util/counters.hpp); the block's owner is
+  /// the thread driving run_one. The scheduler counts context switches,
+  /// lane dispatches, preemptions, overruns and cross-thread readies in
+  /// it; comm::Pe hands it to the layers above.
+  util::CounterBlock& counters() noexcept { return counters_; }
 
  private:
   /// Binds the runqueue's owner to the calling thread on first drive.
@@ -184,7 +167,6 @@ class Scheduler {
   std::uint64_t quantum_ns_ = 0;
   Context sched_ctx_;
   Ult* current_ = nullptr;
-  std::atomic<std::uint64_t> switches_{0};
   std::uint64_t slice_start_ns_ = 0;
   int hi_streak_ = 0;
 
@@ -212,10 +194,7 @@ class Scheduler {
   std::condition_variable cv_;
   std::atomic<bool> sleeping_{false};
 
-  std::array<std::atomic<std::uint64_t>, kLaneCount> lane_dispatch_{};
-  std::atomic<std::uint64_t> preempts_{0};
-  std::atomic<std::uint64_t> overruns_{0};
-  std::atomic<std::uint64_t> remote_readies_{0};
+  util::CounterBlock counters_;
 
   std::vector<std::pair<int, SwitchHook>> hooks_;
   int next_hook_id_ = 0;

@@ -53,8 +53,6 @@ constexpr OptionSpec kOptions[] = {
      "incremental checkpoints: dirty-page deltas between full images"},
     {"ft.full_every", Int, "8", "", 1, nullptr,
      "every this many checkpoints is a full image"},
-    {"ft.max_chain", Int, "0", "", 0, nullptr,
-     "fold delta chains longer than this in the store (0 = no bound)"},
     {"iso.pack", String, "touched", "touched|full", kNoMin, nullptr,
      "migration/checkpoint images carry touched slot pages or the full slot"},
     {"pie.fixup", String, "scan", "scan|exact", kNoMin, nullptr,

@@ -25,9 +25,6 @@ class WallTimer {
     return static_cast<double>(wall_time_ns() - start_) * 1e-9;
   }
 
-  /// Nanoseconds elapsed since construction or the last reset().
-  std::uint64_t elapsed_ns() const noexcept { return wall_time_ns() - start_; }
-
   void reset() noexcept { start_ = wall_time_ns(); }
 
  private:

@@ -16,6 +16,7 @@
 #include "image/image.hpp"
 #include "mpi/runtime.hpp"
 #include "util/error.hpp"
+#include "util/counters.hpp"
 #include "util/stats.hpp"
 
 using namespace apv;
@@ -23,6 +24,7 @@ using mpi::Datatype;
 using mpi::Env;
 using mpi::Op;
 using mpi::OpKind;
+using util::Ctr;
 
 namespace {
 
@@ -42,7 +44,7 @@ struct CheckResult {
   bool threw = false;
   std::string what;
   std::vector<check::Diagnosis> diags;
-  util::Counters counters;
+  util::CounterValues counters;
   std::vector<std::intptr_t> rets;
 };
 
@@ -72,10 +74,8 @@ CheckResult run_check_job(EntryFn entry, const CheckJob& j) {
     res.threw = true;
     res.what = e.what();
   }
-  if (rt.checker() != nullptr) {
-    res.diags = rt.checker()->diagnoses();
-    res.counters = rt.checker()->counters();
-  }
+  if (rt.checker() != nullptr) res.diags = rt.checker()->diagnoses();
+  res.counters = rt.cluster().totals();
   for (int r = 0; r < j.vps; ++r)
     res.rets.push_back(reinterpret_cast<std::intptr_t>(rt.rank_return(r)));
   return res;
@@ -253,7 +253,7 @@ TEST(CheckCollective, WrongRootBcastWarnNaive) {
   EXPECT_FALSE(res.diags.empty());
   EXPECT_TRUE(any_diag_contains(res, "root"));
   EXPECT_TRUE(any_diag_contains(res, "bcast"));
-  EXPECT_GT(res.counters.get("check_coll_mismatches"), 0u);
+  EXPECT_GT(res.counters[Ctr::CheckCollMismatches], 0u);
 }
 
 TEST(CheckCollective, WrongRootBcastAbortNaive) {
@@ -298,7 +298,7 @@ TEST(CheckCollective, MismatchedGatherCountsAbortNaive) {
   EXPECT_TRUE(res.threw);
   EXPECT_TRUE(any_diag_contains(res, "gather"));
   EXPECT_TRUE(any_diag_contains(res, "bytes"));
-  EXPECT_GT(res.counters.get("check_coll_mismatches"), 0u);
+  EXPECT_GT(res.counters[Ctr::CheckCollMismatches], 0u);
 }
 
 TEST(CheckCollective, MismatchedGatherCountsAbortHier) {
@@ -371,7 +371,7 @@ TEST_P(CheckP2pPath, ShortRecvWarnDeliversTruncatedPrefix) {
   const auto res = run_check_job(&short_recv_main, j);
   EXPECT_FALSE(res.threw) << res.what;
   EXPECT_TRUE(any_diag_contains(res, "truncation"));
-  EXPECT_GT(res.counters.get("check_p2p_truncations"), 0u);
+  EXPECT_GT(res.counters[Ctr::CheckP2pTruncations], 0u);
   EXPECT_EQ(res.rets[1], 1);  // the 4-int prefix arrived bit-exact
 }
 
@@ -396,7 +396,7 @@ TEST_P(CheckP2pPath, TypeMismatchWarnRecordsElementSizes) {
   const auto res = run_check_job(&type_mismatch_main, j);
   EXPECT_FALSE(res.threw) << res.what;
   EXPECT_TRUE(any_diag_contains(res, "element size"));
-  EXPECT_GT(res.counters.get("check_p2p_type_mismatches"), 0u);
+  EXPECT_GT(res.counters[Ctr::CheckP2pTypeMismatches], 0u);
 }
 
 TEST_P(CheckP2pPath, TypeMismatchAbortFails) {
@@ -428,7 +428,7 @@ TEST(CheckDeadlock, SkipBarrierAbortNamesTheStuckCollective) {
   EXPECT_TRUE(res.threw);
   EXPECT_NE(res.what.find("barrier"), std::string::npos) << res.what;
   EXPECT_NE(res.what.find("deadlock"), std::string::npos) << res.what;
-  EXPECT_GT(res.counters.get("check_deadlock_scans"), 0u);
+  EXPECT_GT(res.counters[Ctr::CheckDeadlockScans], 0u);
 }
 
 TEST(CheckDeadlock, SkipBarrierWarnRecordsAndTimesOut) {
@@ -481,14 +481,14 @@ TEST_P(CheckCleanRun, AbortModeStaysSilentOnCorrectPrograms) {
     EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1);
   ASSERT_NE(rt.checker(), nullptr);
   EXPECT_EQ(rt.checker()->diagnosis_count(), 0u);
-  const util::Counters c = rt.check_counters();
-  EXPECT_GT(c.get("check_coll_verified"), 0u);
-  EXPECT_GT(c.get("check_p2p_verified"), 0u);
-  EXPECT_EQ(c.get("check_coll_mismatches"), 0u);
-  EXPECT_EQ(c.get("check_p2p_truncations"), 0u);
+  const util::CounterValues c = rt.cluster().totals();
+  EXPECT_GT(c[Ctr::CheckCollVerified], 0u);
+  EXPECT_GT(c[Ctr::CheckP2pVerified], 0u);
+  EXPECT_EQ(c[Ctr::CheckCollMismatches], 0u);
+  EXPECT_EQ(c[Ctr::CheckP2pTruncations], 0u);
   if (std::string(GetParam()) == "hier") {
-    EXPECT_GT(c.get("check_block_compares"), 0u);
-    EXPECT_EQ(c.get("check_block_mismatches"), 0u);
+    EXPECT_GT(c[Ctr::CheckBlockCompares], 0u);
+    EXPECT_EQ(c[Ctr::CheckBlockMismatches], 0u);
   }
   // The unified counter surface folds every subsystem into one map.
   const util::Counters all = rt.all_counters();
@@ -510,7 +510,7 @@ TEST(CheckOff, NoCheckerAndSeedTruncationSemantics) {
   const auto res = run_check_job(&short_recv_main, j);
   EXPECT_TRUE(res.threw);  // seed behaviour: truncation is an error
   EXPECT_TRUE(res.diags.empty());
-  EXPECT_EQ(res.counters.get("check_p2p_verified"), 0u);
+  EXPECT_EQ(res.counters[Ctr::CheckP2pVerified], 0u);
 }
 
 // --- negative-path FT regression: recovery under an armed checker -----------
@@ -558,13 +558,13 @@ TEST(CheckFaultTolerance, RecoveryUnderAbortCheckerHasNoFalsePositives) {
   rt.run();  // an armed checker must survive the kill + adoption unharmed
   for (int r = 0; r < 4; ++r)
     EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1);
-  EXPECT_GT(rt.recovery_count(), 0u);
+  const util::CounterValues c = rt.cluster().totals();
+  EXPECT_GT(c[Ctr::Recoveries], 0u);
   ASSERT_NE(rt.checker(), nullptr);
   EXPECT_EQ(rt.checker()->diagnosis_count(), 0u);
-  const util::Counters c = rt.check_counters();
-  EXPECT_GT(c.get("check_recoveries_seen"), 0u);
-  EXPECT_EQ(c.get("check_coll_mismatches"), 0u);
-  EXPECT_GT(c.get("check_coll_verified"), 0u);
+  EXPECT_GT(c[Ctr::CheckRecoveriesSeen], 0u);
+  EXPECT_EQ(c[Ctr::CheckCollMismatches], 0u);
+  EXPECT_GT(c[Ctr::CheckCollVerified], 0u);
 }
 
 // --- wait-graph analysis (unit) ---------------------------------------------

@@ -19,6 +19,7 @@
 
 using namespace apv;
 using comm::Message;
+using util::Ctr;
 
 namespace {
 
@@ -84,17 +85,21 @@ TEST(Aggregation, BundlesSmallMessagesPreservingOrder) {
 
   ASSERT_TRUE(wait_for([&] { return received.load() == kMessages; }));
   EXPECT_TRUE(in_order.load());
-  const comm::CommCounters c = cluster.counters(0);
-  EXPECT_EQ(c.sends, static_cast<std::uint64_t>(kMessages));
-  EXPECT_GT(c.aggregated, 0u);
-  EXPECT_GT(c.agg_envelopes, 0u);
-  EXPECT_LT(c.agg_envelopes, c.aggregated);  // bundling actually bundled
-  EXPECT_GT(c.flushes_order, 0u);            // the large messages forced it
+  const util::CounterBlock& c = cluster.pe(0).counters();
+  EXPECT_EQ(c.get(Ctr::CommSends), static_cast<std::uint64_t>(kMessages));
+  EXPECT_GT(c.get(Ctr::CommAggregated), 0u);
+  EXPECT_GT(c.get(Ctr::CommAggEnvelopes), 0u);
+  // bundling actually bundled
+  EXPECT_LT(c.get(Ctr::CommAggEnvelopes), c.get(Ctr::CommAggregated));
+  // the large messages forced it
+  EXPECT_GT(c.get(Ctr::CommFlushesOrder), 0u);
   // Fewer envelopes crossed the mailbox than logical messages were sent.
-  const util::Counters stats = cluster.stat_counters();
-  EXPECT_LT(stats.get("comm.mailbox_ring_pushes") +
-                stats.get("comm.mailbox_overflow_pushes"),
-            static_cast<std::uint64_t>(kMessages));
+  std::uint64_t posts = 0;
+  for (int p = 0; p < cluster.num_pes(); ++p) {
+    const comm::Mailbox& mb = cluster.pe(p).mailbox();
+    posts += mb.ring_pushes() + mb.overflow_pushes();
+  }
+  EXPECT_LT(posts, static_cast<std::uint64_t>(kMessages));
   cluster.stop_and_join();
 }
 
@@ -259,7 +264,7 @@ TEST(ZeroCopy, RoutedDeliveryCopiesNoPayloadBytes) {
     const comm::PoolStats s = comm::pool::stats();
     EXPECT_GT(s.hits, 0u);
     EXPECT_EQ(s.bytes_copied, 0u);
-    EXPECT_EQ(rt.all_counters().get("comm.aggregated"), c.aggregated);
+    EXPECT_EQ(rt.cluster().totals()[Ctr::CommAggregated], c.aggregated);
   }
 }
 
@@ -273,8 +278,8 @@ TEST(ZeroCopy, IntraPeInlineDeliverySkipsThePool) {
   EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(1)), 1);
   const comm::PoolStats s = comm::pool::stats();
   EXPECT_EQ(s.bytes_copied, 0u);
-  const util::Counters lc = rt.locality_counters();
-  EXPECT_GT(lc.get("inline_hits") + lc.get("inline_misses"), 0u);
+  const util::CounterValues v = rt.cluster().totals();
+  EXPECT_GT(v[Ctr::InlineHits] + v[Ctr::InlineMisses], 0u);
 }
 
 // Acceptance: migration ships the packed image by moving the buffer — pack
@@ -287,6 +292,6 @@ TEST(ZeroCopy, MigrationMovesThePackedImage) {
   rt.run();
   for (int r = 0; r < 2; ++r)
     EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1);
-  EXPECT_EQ(rt.migration_count(), 2u);
+  EXPECT_EQ(rt.cluster().totals()[Ctr::Migrations], 2u);
   EXPECT_EQ(comm::pool::stats().bytes_copied, 0u);
 }

@@ -22,11 +22,12 @@
 #include "isomalloc/pack.hpp"
 #include "isomalloc/slot_heap.hpp"
 #include "mpi/runtime.hpp"
+#include "util/counters.hpp"
 #include "util/error.hpp"
 #include "util/sanitizers.hpp"
-#include "util/stats.hpp"
 
 using namespace apv;
+using util::Ctr;
 
 namespace {
 
@@ -216,7 +217,7 @@ TEST(DeadLetter, UserMessagesFollowRecoveredRank) {
   ctl.kind = comm::Message::Kind::Control;
   ctl.dst_pe = 1;
   cluster.send(std::move(ctl));
-  EXPECT_EQ(cluster.dropped_messages(), 1u);
+  EXPECT_EQ(cluster.totals()[Ctr::CommDropped], 1u);
 
   // Re-home rank 1 onto the survivor and flush: the message is delivered.
   cluster.set_location(1, 0);
@@ -382,17 +383,17 @@ double run_ft_jacobi(core::Method method, bool inject,
   }
   mpi::Runtime rt(image, cfg);
   rt.run();
-  const util::Counters ckpt = rt.ckpt_counters();
+  const util::CounterValues v = rt.cluster().totals();
   if (std::strcmp(delta, "off") != 0) {
     // Epoch 1 is a full base; the later epochs ride the dirty bitmap.
-    EXPECT_GT(ckpt.get("ckpt_images_delta"), 0u);
+    EXPECT_GT(v[Ctr::CkptImagesDelta], 0u);
   } else {
-    EXPECT_EQ(ckpt.get("ckpt_images_delta"), 0u);
-    EXPECT_EQ(ckpt.get("ckpt_bytes_delta"), 0u);
+    EXPECT_EQ(v[Ctr::CkptImagesDelta], 0u);
+    EXPECT_EQ(v[Ctr::CkptBytesDelta], 0u);
   }
   if (inject) {
-    EXPECT_GT(rt.recovery_count(), 0u);
-    EXPECT_GT(rt.recovery_bytes(), 0u);
+    EXPECT_GT(v[Ctr::Recoveries], 0u);
+    EXPECT_GT(v[Ctr::RecoveryBytes], 0u);
     EXPECT_EQ(rt.cluster().num_live_pes(), 3);
     EXPECT_NE(rt.fault_injector(), nullptr);
     if (rt.fault_injector() != nullptr) {
@@ -471,9 +472,9 @@ void* two_rank_kill_main(void* arg) {
 
 namespace {
 
-// Builds genuine pack streams (the store's consolidation path parses and
-// folds them, so synthetic bytes will not do): a 1 MB slot with a heap and
-// one patterned allocation, mutated under the dirty tracker between epochs.
+// Builds genuine pack streams (the chains are unpacked into a slot, so
+// synthetic bytes will not do): a 1 MB slot with a heap and one patterned
+// allocation, mutated under the dirty tracker between epochs.
 struct DeltaChainRig {
   iso::IsoArena arena{{.slot_size = std::size_t{1} << 20, .max_slots = 2}};
   iso::DirtyTracker tracker{arena};
@@ -575,33 +576,6 @@ TEST(CheckpointStore, DeltaChainMaterializesAndRetireKeepsLinks) {
   for (const auto& m : store.copies(0)) EXPECT_EQ(m.epoch, 4u);
 }
 
-TEST(CheckpointStore, ConsolidationFoldsOldestDeltaIntoBase) {
-  DeltaChainRig rig;
-  ft::CheckpointStore store;
-  store.set_chain_limit(1);
-  store.put(0, 1, 0, {0, 1}, rig.pack_full());
-  store.put_delta(0, 2, 1, 0, {0, 1}, rig.mutate_and_pack_delta(1, 20));
-  EXPECT_EQ(store.consolidations(), 0u);
-
-  // The second delta pushes the chain past the limit: epoch 2 is folded
-  // into its base off the hot path and the orphaned base is dropped.
-  store.put_delta(0, 3, 2, 0, {0, 1}, rig.mutate_and_pack_delta(2, 30));
-  EXPECT_EQ(store.consolidations(), 1u);
-  EXPECT_EQ(store.chain_length(0, 3), 1u);
-  EXPECT_FALSE(store.has(0, 1));
-  for (const auto& m : store.copies(0)) {
-    if (m.epoch == 2) {
-      EXPECT_FALSE(m.is_delta) << "epoch 2 was not folded";
-    }
-  }
-
-  const std::vector<unsigned char> expect = rig.snapshot_prefix();
-  std::vector<comm::Payload> chain;
-  ASSERT_TRUE(store.fetch_chain(0, 3, chain));
-  ASSERT_EQ(chain.size(), 2u);
-  rig.verify_chain_restores(chain, expect);
-}
-
 TEST(CheckpointStore, BrokenChainFallsBackAndBuddySurvivesOneLoss) {
   const auto img = [](const char* s) {
     util::ByteBuffer b;
@@ -685,14 +659,14 @@ TEST(DeltaCheckpoint, FirstImageFullThenDeltas) {
     EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 0)
         << "rank " << r;
   }
-  const util::Counters c = rt.ckpt_counters();
-  EXPECT_EQ(c.get("ckpt_images_full"), 2u);   // epoch 1, both ranks
-  EXPECT_EQ(c.get("ckpt_images_delta"), 4u);  // epochs 2-3, both ranks
-  EXPECT_GT(c.get("ckpt_bytes_full"), 0u);
-  EXPECT_GT(c.get("ckpt_bytes_delta"), 0u);
-  EXPECT_GT(c.get("ckpt_pages_dirty"), 0u);
+  const util::CounterValues v = rt.cluster().totals();
+  EXPECT_EQ(v[Ctr::CkptImagesFull], 2u);   // epoch 1, both ranks
+  EXPECT_EQ(v[Ctr::CkptImagesDelta], 4u);  // epochs 2-3, both ranks
+  EXPECT_GT(v[Ctr::CkptBytesFull], 0u);
+  EXPECT_GT(v[Ctr::CkptBytesDelta], 0u);
+  EXPECT_GT(v[Ctr::CkptPagesDirty], 0u);
   // Steady state: the average delta is smaller than the average full image.
-  EXPECT_LT(c.get("ckpt_bytes_delta") / 4, c.get("ckpt_bytes_full") / 2);
+  EXPECT_LT(v[Ctr::CkptBytesDelta] / 4, v[Ctr::CkptBytesFull] / 2);
 }
 
 TEST(DeltaCheckpoint, MigrationForcesFullBaseThenDeltasResume) {
@@ -706,9 +680,9 @@ TEST(DeltaCheckpoint, MigrationForcesFullBaseThenDeltasResume) {
   }
   // Epochs 1 and 3 are full (initial base, then the post-migration rebase);
   // epochs 2 and 4 are deltas — the tracker re-armed after the migration.
-  const util::Counters c = rt.ckpt_counters();
-  EXPECT_EQ(c.get("ckpt_images_full"), 4u);
-  EXPECT_EQ(c.get("ckpt_images_delta"), 4u);
+  const util::CounterValues v = rt.cluster().totals();
+  EXPECT_EQ(v[Ctr::CkptImagesFull], 4u);
+  EXPECT_EQ(v[Ctr::CkptImagesDelta], 4u);
 }
 
 TEST(DeltaCheckpoint, DeltaOffRecoveryMatchesDeltaOn) {
@@ -772,9 +746,9 @@ TEST(Recovery, KillMidDeltaChainRestoresBothMutations) {
     EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1)
         << "rank " << r;
   }
-  EXPECT_EQ(rt.recovery_count(), 1u);
-  const util::Counters c = rt.ckpt_counters();
-  EXPECT_GT(c.get("ckpt_images_delta"), 0u);
+  const util::CounterValues v = rt.cluster().totals();
+  EXPECT_EQ(v[Ctr::Recoveries], 1u);
+  EXPECT_GT(v[Ctr::CkptImagesDelta], 0u);
 }
 
 TEST(Recovery, TwoRankEpochKillWithAggregation) {
@@ -795,7 +769,7 @@ TEST(Recovery, TwoRankEpochKillWithAggregation) {
       EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1)
           << "rep " << rep << " rank " << r;
     }
-    EXPECT_EQ(rt.recovery_count(), 1u) << "rep " << rep;
+    EXPECT_EQ(rt.cluster().totals()[Ctr::Recoveries], 1u) << "rep " << rep;
     EXPECT_EQ(rt.cluster().num_live_pes(), 1) << "rep " << rep;
   }
 }

@@ -542,54 +542,6 @@ TEST(Pack, DeltaChainRestoresBitIdenticalBytes) {
   EXPECT_EQ(past_byte, 0xDBu);
 }
 
-TEST(Pack, FoldedDeltaMatchesDirectChainApplication) {
-  iso::IsoArena arena(small_arena());
-  iso::DirtyTracker tracker(arena);
-  const iso::SlotId slot = arena.acquire_slot();
-  iso::SlotHeap* heap =
-      iso::SlotHeap::format(arena.slot_base(slot), arena.slot_size());
-  constexpr std::size_t kBytes = 32 << 10;
-  auto* a = static_cast<unsigned char*>(heap->alloc(kBytes));
-  fill_pattern(a, kBytes, 3);
-
-  util::ByteBuffer base;
-  iso::pack_slot(arena, slot, iso::PackMode::Touched, base);
-  tracker.arm(slot);
-  fill_pattern(a + 8192, 2048, 4);
-  const std::size_t prefix =
-      iso::packed_payload_size(arena, slot, iso::PackMode::Touched);
-  const auto regions = tracker.dirty_regions(slot, prefix);
-  util::ByteBuffer delta;
-  iso::pack_slot_delta(arena, slot, regions, /*base_epoch=*/7, delta);
-  tracker.disarm(slot);
-
-  util::ByteBuffer folded;
-  iso::fold_delta_into_full(util::ByteReader(base), util::ByteReader(delta),
-                            folded);
-  EXPECT_FALSE(iso::packed_image_is_delta(util::ByteReader(folded)));
-
-  // Apply the chain directly, snapshot the whole slot (raw: the snapshot
-  // spans quarantined free heap, and the wrecks are test machinery)...
-  util::raw_memset(arena.slot_base(slot), 0xEE, arena.slot_size());
-  base.rewind();
-  iso::unpack_slot(arena, slot, base);
-  delta.rewind();
-  iso::unpack_slot(arena, slot, delta);
-  std::vector<unsigned char> direct(arena.slot_size());
-  util::raw_memcpy(direct.data(), arena.slot_base(slot), arena.slot_size());
-
-  // ...then unpack the folded image into a re-wrecked slot: every byte of
-  // the slot must match, poison included.
-  util::raw_memset(arena.slot_base(slot), 0xCC, arena.slot_size());
-  folded.rewind();
-  iso::unpack_slot(arena, slot, folded);
-  std::vector<unsigned char> refolded(arena.slot_size());
-  util::raw_memcpy(refolded.data(), arena.slot_base(slot), arena.slot_size());
-  EXPECT_EQ(std::memcmp(direct.data(), refolded.data(), arena.slot_size()),
-            0);
-  EXPECT_TRUE(iso::SlotHeap::at(arena.slot_base(slot))->check_integrity());
-}
-
 TEST(Pack, DeltaModeRefusedByFullPackEntryPoints) {
   iso::IsoArena arena(small_arena());
   const iso::SlotId slot = arena.acquire_slot();

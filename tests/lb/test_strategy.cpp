@@ -84,8 +84,8 @@ TEST(GreedyRefineLb, GoodBalanceWithFewMigrations) {
     const lb::LbStats stats = skewed_stats(64, 8, seed);
     const lb::Assignment greedy = lb::GreedyLb().assign(stats);
     const lb::Assignment refine = lb::GreedyRefineLb().assign(stats);
-    EXPECT_LE(lb::migration_count(stats, refine),
-              lb::migration_count(stats, greedy))
+    EXPECT_LE(lb::moved_ranks(stats, refine),
+              lb::moved_ranks(stats, greedy))
         << "seed " << seed;
     EXPECT_LT(lb::assignment_imbalance(stats, refine), 1.6) << seed;
   }
@@ -98,9 +98,7 @@ TEST(GreedyRefineLb, AlreadyBalancedMeansNoMigrations) {
     stats.rank_load.push_back(1.0);
     stats.rank_pe.push_back(r % 4);
   }
-  EXPECT_EQ(lb::migration_count(stats,
-                                lb::GreedyRefineLb().assign(stats)),
-            0);
+  EXPECT_EQ(lb::moved_ranks(stats, lb::GreedyRefineLb().assign(stats)), 0);
 }
 
 TEST(RotateLb, MovesEveryRankByExactlyOnePe) {
@@ -145,7 +143,7 @@ TEST(Helpers, ImbalanceAndMigrationCount) {
               2.0, 1e-12);
   const lb::Assignment moved = {0, 1};
   EXPECT_NEAR(lb::assignment_imbalance(stats, moved), 1.5, 1e-12);
-  EXPECT_EQ(lb::migration_count(stats, moved), 1);
+  EXPECT_EQ(lb::moved_ranks(stats, moved), 1);
   EXPECT_EQ(stats.pe_loads()[0], 4.0);
 }
 

@@ -12,10 +12,11 @@
 
 #include "image/image.hpp"
 #include "mpi/runtime.hpp"
-#include "util/stats.hpp"
+#include "util/counters.hpp"
 
 using namespace apv;
 using mpi::Datatype;
+using util::Ctr;
 using mpi::Env;
 using mpi::Op;
 using mpi::OpKind;
@@ -165,12 +166,13 @@ std::string shape_name(const ::testing::TestParamInfo<HierCase>& info) {
 }
 
 // Hier runs meet in shared blocks; naive ones never do.
-void expect_meetings(const mpi::Runtime& rt, bool hier) {
-  const util::Counters lc = rt.locality_counters();
+void expect_meetings(mpi::Runtime& rt, bool hier) {
+  const std::uint64_t meetings =
+      rt.cluster().totals()[Ctr::CollSharedRendezvous];
   if (hier) {
-    EXPECT_GT(lc.get("coll_shared_rendezvous"), 0u);
+    EXPECT_GT(meetings, 0u);
   } else {
-    EXPECT_EQ(lc.get("coll_shared_rendezvous"), 0u);
+    EXPECT_EQ(meetings, 0u);
   }
 }
 
@@ -211,11 +213,12 @@ TEST_P(HierSweep, AllCollectivesAgree) {
   // Every group-block attachment was detached again.
   EXPECT_EQ(rt.live_group_blocks(), 0u);
   expect_meetings(rt, c.hier);
-  const util::Counters lc = rt.locality_counters();
+  const std::uint64_t combines =
+      rt.cluster().totals()[Ctr::CollLocalCombines];
   if (c.hier && c.ranks_per_pe > 1) {
-    EXPECT_GT(lc.get("coll_local_combines"), 0u);
+    EXPECT_GT(combines, 0u);
   } else if (!c.hier) {
-    EXPECT_EQ(lc.get("coll_local_combines"), 0u);
+    EXPECT_EQ(combines, 0u);
   }
 }
 
@@ -452,11 +455,11 @@ TEST_P(VectorSweep, AllVectorCollectivesAgree) {
   }
   EXPECT_EQ(rt.live_group_blocks(), 0u);
   // Contributions moved through shared group blocks (hier only).
-  const util::Counters lc = rt.locality_counters();
+  const std::uint64_t vec_bytes = rt.cluster().totals()[Ctr::CollVecBytes];
   if (c.hier) {
-    EXPECT_GT(lc.get("coll_vec_bytes"), 0u);
+    EXPECT_GT(vec_bytes, 0u);
   } else {
-    EXPECT_EQ(lc.get("coll_vec_bytes"), 0u);
+    EXPECT_EQ(vec_bytes, 0u);
   }
   expect_meetings(rt, c.hier);
 }
@@ -532,7 +535,7 @@ TEST_P(FlatFallback, LargeBlocksGatherAndScatter) {
         << "rank " << r;
   }
   EXPECT_EQ(rt.live_group_blocks(), 0u);
-  EXPECT_EQ(rt.locality_counters().get("coll_vec_bytes"), 0u);
+  EXPECT_EQ(rt.cluster().totals()[Ctr::CollVecBytes], 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Algo, FlatFallback, ::testing::Bool(),
@@ -598,7 +601,7 @@ TEST(VectorFaultTolerance, KillBetweenVectorCollectivesRecovers) {
   for (int r = 0; r < 4; ++r)
     EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1)
         << "rank " << r;
-  EXPECT_GT(rt.recovery_count(), 0u);
+  EXPECT_GT(rt.cluster().totals()[Ctr::Recoveries], 0u);
   ASSERT_NE(rt.checker(), nullptr);
   EXPECT_EQ(rt.checker()->diagnosis_count(), 0u);
 }

@@ -10,11 +10,12 @@
 
 #include "image/image.hpp"
 #include "mpi/runtime.hpp"
-#include "util/stats.hpp"
+#include "util/counters.hpp"
 
 using namespace apv;
 using mpi::Datatype;
 using mpi::Env;
+using util::Ctr;
 
 namespace {
 
@@ -127,8 +128,11 @@ void* inline_pingpong_main(void* arg) {
   return reinterpret_cast<void*>(ok);
 }
 
+// Returns {rank 0's result, inline hits + misses}. sched.* options left
+// unpinned come from the environment (APV_SCHED_STEAL, APV_SCHED_PREEMPT).
 std::vector<std::intptr_t> run_fifo_job(EntryFn entry, int vps, int pes,
-                                        bool inline_on) {
+                                        bool inline_on,
+                                        bool pin_steal_off = false) {
   img::ImageBuilder b("inlinejob");
   b.add_global<int>("unused", 0);
   b.add_function("mpi_main", entry);
@@ -140,13 +144,14 @@ std::vector<std::intptr_t> run_fifo_job(EntryFn entry, int vps, int pes,
   cfg.method = core::Method::PIEglobals;
   cfg.slot_bytes = std::size_t{8} << 20;
   if (!inline_on) cfg.options.set("comm.inline", "off");
+  if (pin_steal_off) cfg.options.set("sched.steal", "off");
   mpi::Runtime rt(image, cfg);
   rt.run();
   std::vector<std::intptr_t> out;
   out.push_back(reinterpret_cast<std::intptr_t>(rt.rank_return(0)));
-  const util::Counters lc = rt.locality_counters();
-  out.push_back(static_cast<std::intptr_t>(lc.get("inline_hits") +
-                                           lc.get("inline_misses")));
+  const util::CounterValues v = rt.cluster().totals();
+  out.push_back(
+      static_cast<std::intptr_t>(v[Ctr::InlineHits] + v[Ctr::InlineMisses]));
   return out;
 }
 
@@ -158,9 +163,14 @@ std::vector<std::intptr_t> run_fifo_job(EntryFn entry, int vps, int pes,
 TEST(InlineDelivery, FifoAcrossMigrationAndAggregation) {
   // 8 ranks block-mapped on 2 PEs: sender 1 starts co-resident with the
   // receiver, sender 4 starts remote; the migration swaps the roles.
-  const auto res = run_fifo_job(&fifo_main, 8, 2, /*inline_on=*/true);
-  EXPECT_EQ(res[0], 1);
-  EXPECT_GT(res[1], 0);  // the inline path actually engaged
+  EXPECT_EQ(run_fifo_job(&fifo_main, 8, 2, /*inline_on=*/true)[0], 1);
+  // A steal can move the co-resident sender off the receiver's PE before
+  // it sends: that run keeps FIFO but never goes inline. Whether the
+  // inline path engages is therefore checked on a run without steals.
+  const auto pinned = run_fifo_job(&fifo_main, 8, 2, /*inline_on=*/true,
+                                   /*pin_steal_off=*/true);
+  EXPECT_EQ(pinned[0], 1);
+  EXPECT_GT(pinned[1], 0);  // the inline path actually engaged
 }
 
 // Escape hatch: comm.inline=off must reproduce the seed's routed-only
@@ -173,9 +183,9 @@ TEST(InlineDelivery, FifoWithInlineDisabledMatchesSeed) {
 
 namespace {
 
-// Two ranks on one PE ping-pong; returns the locality counters. A null
+// Two ranks on one PE ping-pong; returns the job's counters. A null
 // `inline_opt` leaves comm.inline at its default.
-util::Counters same_pe_pingpong(const char* inline_opt) {
+util::CounterValues same_pe_pingpong(const char* inline_opt) {
   img::ImageBuilder b("inlinepp");
   b.add_global<int>("unused", 0);
   b.add_function("mpi_main", &inline_pingpong_main);
@@ -190,7 +200,7 @@ util::Counters same_pe_pingpong(const char* inline_opt) {
   mpi::Runtime rt(image, cfg);
   rt.run();
   EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(0)), 1);
-  return rt.locality_counters();
+  return rt.cluster().totals();
 }
 
 }  // namespace
@@ -198,12 +208,12 @@ util::Counters same_pe_pingpong(const char* inline_opt) {
 // Pure same-PE ping-pong: every send after the first posted receive should
 // hit the inline path (posted-receive match, no unexpected queueing).
 TEST(InlineDelivery, SamePePingPongUsesInlinePath) {
-  const util::Counters lc = same_pe_pingpong(nullptr);
-  EXPECT_GT(lc.get("inline_hits") + lc.get("inline_misses"), 0u);
-  EXPECT_EQ(lc.get("inline_fifo_fallbacks"), 0u);
+  const util::CounterValues v = same_pe_pingpong(nullptr);
+  EXPECT_GT(v[Ctr::InlineHits] + v[Ctr::InlineMisses], 0u);
+  EXPECT_EQ(v[Ctr::InlineFifoFallbacks], 0u);
 }
 
 // Every on spelling keeps the inline path, not only the literal "on".
 TEST(InlineDelivery, TrueSpellingKeepsInlinePath) {
-  EXPECT_GT(same_pe_pingpong("true").get("inline_hits"), 0u);
+  EXPECT_GT(same_pe_pingpong("true")[Ctr::InlineHits], 0u);
 }

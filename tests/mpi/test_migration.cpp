@@ -6,9 +6,11 @@
 
 #include "mpi/runtime.hpp"
 #include "test_programs.hpp"
+#include "util/counters.hpp"
 #include "util/error.hpp"
 
 using namespace apv;
+using util::Ctr;
 
 namespace {
 
@@ -79,8 +81,9 @@ TEST_P(MigratePerMethod, StatePreservedAcrossPes) {
     EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1)
         << "rank " << r;
   }
-  EXPECT_EQ(rt.migration_count(), 4u);
-  EXPECT_GT(rt.migration_bytes(), 0u);
+  const util::CounterValues v = rt.cluster().totals();
+  EXPECT_EQ(v[Ctr::Migrations], 4u);
+  EXPECT_GT(v[Ctr::MigrationBytes], 0u);
   // Every move leaves the rank's state and the location table agreeing.
   for (int r = 0; r < 4; ++r) {
     EXPECT_EQ(rt.rank_state(r).resident_pe, rt.cluster().location(r))
@@ -159,7 +162,7 @@ TEST(LoadBalance, RotateMovesEveryRank) {
     EXPECT_EQ(rt.rank_state(r).resident_pe, rt.cluster().location(r))
         << "rank " << r;
   }
-  EXPECT_EQ(rt.migration_count(), 4u);
+  EXPECT_EQ(rt.cluster().totals()[Ctr::Migrations], 4u);
 }
 
 TEST(LoadBalance, GreedyRefineSeparatesHeavyRank) {

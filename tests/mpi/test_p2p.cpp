@@ -9,11 +9,12 @@
 #include "image/image.hpp"
 #include "mpi/runtime.hpp"
 #include "util/error.hpp"
-#include "util/stats.hpp"
+#include "util/counters.hpp"
 
 using namespace apv;
 using mpi::Datatype;
 using mpi::Env;
+using util::Ctr;
 
 namespace {
 
@@ -24,7 +25,7 @@ using EntryFn = void* (*)(void*);
 std::vector<std::intptr_t> run_job(EntryFn entry, int vps, int pes = 1,
                                    core::Method method =
                                        core::Method::PIEglobals,
-                                   util::Counters* counters = nullptr) {
+                                   util::CounterValues* counters = nullptr) {
   img::ImageBuilder b("p2pjob");
   b.add_global<int>("unused", 0);
   b.add_function("mpi_main", entry);
@@ -37,7 +38,7 @@ std::vector<std::intptr_t> run_job(EntryFn entry, int vps, int pes = 1,
   cfg.slot_bytes = std::size_t{8} << 20;
   mpi::Runtime rt(image, cfg);
   rt.run();
-  if (counters != nullptr) *counters = rt.all_counters();
+  if (counters != nullptr) *counters = rt.cluster().totals();
   std::vector<std::intptr_t> out;
   for (int r = 0; r < vps; ++r)
     out.push_back(reinterpret_cast<std::intptr_t>(rt.rank_return(r)));
@@ -98,12 +99,11 @@ void* small_ping_pong(void* arg) {
 // blocking on the reply ships it: rank 0 blocks after every ping, so each
 // one leaves by a block flush rather than by its PE going idle.
 TEST(P2P, BlockingSenderFlushesItsBins) {
-  util::Counters c;
+  util::CounterValues c;
   const auto r = run_job(&small_ping_pong, 2, 2, core::Method::PIEglobals, &c);
   EXPECT_EQ(r[0], kSmallPings);
   EXPECT_EQ(r[1], kSmallPings);
-  EXPECT_GE(c.get("comm.flushes_block"),
-            static_cast<std::uint64_t>(kSmallPings));
+  EXPECT_GE(c[Ctr::CommFlushesBlock], static_cast<std::uint64_t>(kSmallPings));
 }
 
 namespace {

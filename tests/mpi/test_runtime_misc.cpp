@@ -8,11 +8,13 @@
 
 #include "image/image.hpp"
 #include "mpi/runtime.hpp"
+#include "util/counters.hpp"
 #include "util/error.hpp"
 
 using namespace apv;
 using mpi::Datatype;
 using mpi::Env;
+using util::Ctr;
 
 namespace {
 
@@ -209,7 +211,8 @@ TEST(RuntimeMisc, StatisticsAccumulate) {
       });
   mpi::Runtime rt(image, base_cfg(4, 2));
   rt.run();
-  EXPECT_GT(rt.cluster().messages_sent(), 0u);
-  EXPECT_GT(rt.total_context_switches(), 0u);
-  EXPECT_EQ(rt.migration_count(), 0u);
+  const util::CounterValues v = rt.cluster().totals();
+  EXPECT_GT(v[Ctr::CommSends], 0u);
+  EXPECT_GT(v[Ctr::ContextSwitches], 0u);
+  EXPECT_EQ(v[Ctr::Migrations], 0u);
 }

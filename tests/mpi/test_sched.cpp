@@ -10,11 +10,12 @@
 
 #include "image/image.hpp"
 #include "mpi/runtime.hpp"
-#include "util/stats.hpp"
+#include "util/counters.hpp"
 
 using namespace apv;
 using mpi::Datatype;
 using mpi::Env;
+using util::Ctr;
 
 namespace {
 
@@ -56,7 +57,7 @@ void* ring_mix_main(void* arg) {
 
 struct MixResult {
   std::vector<std::intptr_t> returns;
-  util::Counters sched;
+  util::CounterValues sched;
 };
 
 MixResult run_ring_mix(const char* policy, bool preempt) {
@@ -74,7 +75,7 @@ MixResult run_ring_mix(const char* policy, bool preempt) {
   MixResult res;
   for (int r = 0; r < cfg.vps; ++r)
     res.returns.push_back(reinterpret_cast<std::intptr_t>(rt.rank_return(r)));
-  res.sched = rt.sched_counters();
+  res.sched = rt.cluster().totals();
   return res;
 }
 
@@ -92,13 +93,13 @@ TEST(SchedPolicy, PrioAndFifoProduceIdenticalResults) {
     EXPECT_EQ(prio.returns[r], fifo.returns[r]) << "rank " << r;
 
   // Small cross-PE p2p must actually engage the high lane under prio…
-  EXPECT_GT(prio.sched.get("sched_dispatch_high"), 0u);
+  EXPECT_GT(prio.sched[Ctr::SchedDispatchHigh], 0u);
   // …and fifo must collapse everything onto the Normal lane.
-  EXPECT_EQ(fifo.sched.get("sched_dispatch_high"), 0u);
-  EXPECT_EQ(fifo.sched.get("sched_dispatch_bulk"), 0u);
-  EXPECT_GT(fifo.sched.get("sched_dispatch_normal"), 0u);
-  EXPECT_EQ(fifo.sched.get("sched_preemptions"), 0u);
-  EXPECT_EQ(fifo.sched.get("sched_steals_in"), 0u);
+  EXPECT_EQ(fifo.sched[Ctr::SchedDispatchHigh], 0u);
+  EXPECT_EQ(fifo.sched[Ctr::SchedDispatchBulk], 0u);
+  EXPECT_GT(fifo.sched[Ctr::SchedDispatchNormal], 0u);
+  EXPECT_EQ(fifo.sched[Ctr::SchedPreemptions], 0u);
+  EXPECT_EQ(fifo.sched[Ctr::SchedStealsIn], 0u);
 }
 
 // Preemption changes interleaving, not answers; fifo forces it off even
@@ -111,7 +112,7 @@ TEST(SchedPolicy, PreemptionPreservesResults) {
     EXPECT_EQ(base.returns[r], pre.returns[r]) << "rank " << r;
     EXPECT_EQ(base.returns[r], fifo.returns[r]) << "rank " << r;
   }
-  EXPECT_EQ(fifo.sched.get("sched_preemptions"), 0u);
+  EXPECT_EQ(fifo.sched[Ctr::SchedPreemptions], 0u);
 }
 
 namespace {
@@ -142,9 +143,9 @@ TEST(SchedPreempt, ComputeHogsGetPreempted) {
   rt.run();
   for (int r = 0; r < cfg.vps; ++r)
     EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1);
-  const util::Counters c = rt.sched_counters();
-  EXPECT_GT(c.get("sched_preemptions"), 0u);
-  EXPECT_GT(c.get("sched_dispatch_bulk"), 0u);  // demotions land in Bulk
+  const util::CounterValues c = rt.cluster().totals();
+  EXPECT_GT(c[Ctr::SchedPreemptions], 0u);
+  EXPECT_GT(c[Ctr::SchedDispatchBulk], 0u);  // demotions land in Bulk
 }
 
 namespace {
@@ -197,9 +198,9 @@ TEST(SchedPreempt, CheckerCleanUnderPreemption) {
   cfg.options.set_int("sched.quantum_us", 50);
   mpi::Runtime rt(image, cfg);
   rt.run();  // an abort-mode violation would throw out of run()
-  const util::Counters c = rt.check_counters();
-  EXPECT_EQ(c.get("check_coll_mismatches"), 0u);
-  EXPECT_GT(rt.sched_counters().get("sched_preemptions"), 0u);
+  const util::CounterValues c = rt.cluster().totals();
+  EXPECT_EQ(c[Ctr::CheckCollMismatches], 0u);
+  EXPECT_GT(c[Ctr::SchedPreemptions], 0u);
 }
 
 namespace {
@@ -244,10 +245,10 @@ TEST(SchedSteal, IdlePeStealsFromCrowdedNeighbor) {
     EXPECT_EQ(rt.rank_state(r).resident_pe, rt.cluster().location(r))
         << "rank " << r;
   }
-  const util::Counters c = rt.sched_counters();
-  EXPECT_GE(c.get("sched_steal_requests"), 1u);
-  EXPECT_GE(c.get("sched_steals_in"), 1u);
-  EXPECT_EQ(c.get("sched_steals_in"), c.get("sched_steals_out"));
+  const util::CounterValues c = rt.cluster().totals();
+  EXPECT_GE(c[Ctr::SchedStealRequests], 1u);
+  EXPECT_GE(c[Ctr::SchedStealsIn], 1u);
+  EXPECT_EQ(c[Ctr::SchedStealsIn], c[Ctr::SchedStealsOut]);
 }
 
 namespace {

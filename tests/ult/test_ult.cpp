@@ -13,10 +13,12 @@
 #include <vector>
 
 #include "ult/scheduler.hpp"
+#include "util/counters.hpp"
 #include "util/error.hpp"
 
 using namespace apv;
 using ult::ContextBackend;
+using util::Ctr;
 
 namespace {
 
@@ -209,9 +211,10 @@ TEST(Scheduler, SwitchCountAdvances) {
   Recorder rec;
   ult::Ult a(1, &appender_a, &rec, s1.data(), s1.size());
   sched.ready(&a);
-  const auto before = sched.switch_count();
+  const auto before = sched.counters().get(Ctr::ContextSwitches);
   sched.run_until_quiescent();
-  EXPECT_EQ(sched.switch_count(), before + 2);  // initial run + post-yield
+  // initial run + post-yield
+  EXPECT_EQ(sched.counters().get(Ctr::ContextSwitches), before + 2);
 }
 
 TEST(Scheduler, UltSideCallsOutsideUltThrow) {
@@ -307,9 +310,9 @@ TEST(SchedulerLanes, HighBeforeNormalBeforeBulk) {
   sched.ready(&h, ult::Lane::High);
   sched.run_until_quiescent();
   EXPECT_EQ(rec.log, "hnb");
-  EXPECT_EQ(sched.lane_dispatches(ult::Lane::High), 1u);
-  EXPECT_EQ(sched.lane_dispatches(ult::Lane::Normal), 1u);
-  EXPECT_EQ(sched.lane_dispatches(ult::Lane::Bulk), 1u);
+  EXPECT_EQ(sched.counters().get(Ctr::SchedDispatchHigh), 1u);
+  EXPECT_EQ(sched.counters().get(Ctr::SchedDispatchNormal), 1u);
+  EXPECT_EQ(sched.counters().get(Ctr::SchedDispatchBulk), 1u);
 }
 
 TEST(SchedulerLanes, FifoConfigCollapsesLanes) {
@@ -329,9 +332,9 @@ TEST(SchedulerLanes, FifoConfigCollapsesLanes) {
   // Seed-exact FIFO: arrival order wins, hints ignored, everything counts
   // as a Normal-lane dispatch.
   EXPECT_EQ(rec.log, "bnh");
-  EXPECT_EQ(sched.lane_dispatches(ult::Lane::High), 0u);
-  EXPECT_EQ(sched.lane_dispatches(ult::Lane::Normal), 3u);
-  EXPECT_EQ(sched.lane_dispatches(ult::Lane::Bulk), 0u);
+  EXPECT_EQ(sched.counters().get(Ctr::SchedDispatchHigh), 0u);
+  EXPECT_EQ(sched.counters().get(Ctr::SchedDispatchNormal), 3u);
+  EXPECT_EQ(sched.counters().get(Ctr::SchedDispatchBulk), 0u);
 }
 
 TEST(SchedulerLanes, StarvationEscapeYieldsToLowerLane) {
@@ -359,28 +362,69 @@ TEST(SchedulerLanes, StarvationEscapeYieldsToLowerLane) {
   EXPECT_EQ(rec.log, "hhnhhh");
 }
 
+namespace {
+struct RunLog {
+  std::vector<int> ids;  // appended only by the scheduler's owner thread
+};
+struct LoggedId {
+  RunLog* log;
+  int id;
+};
+void log_id(void* arg) {
+  auto* t = static_cast<LoggedId*>(arg);
+  t->log->ids.push_back(t->id);
+}
+}  // namespace
+
+// Several producer threads ready ULTs at once. Every ready is counted
+// (producers race on the counter, so a single-writer bump would lose some),
+// and the drain keeps each producer's own order.
 TEST(SchedulerLanes, CrossThreadReadyIsFifoAndCounted) {
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 256;
+  constexpr int kN = kProducers * kPerProducer;
+  constexpr int kRounds = 4;
   ult::Scheduler sched;
   EXPECT_FALSE(sched.run_one());  // binds the owner to this thread
-  Recorder rec;
-  constexpr int kN = 4;
   std::vector<std::vector<char>> stacks(kN, std::vector<char>(32 << 10));
-  Tagged tags[kN] = {{&rec, '0'}, {&rec, '1'}, {&rec, '2'}, {&rec, '3'}};
-  std::vector<std::unique_ptr<ult::Ult>> ults;
-  for (int i = 0; i < kN; ++i) {
-    ults.push_back(std::make_unique<ult::Ult>(
-        i, &tag_once, &tags[i], stacks[static_cast<std::size_t>(i)].data(),
-        stacks[static_cast<std::size_t>(i)].size()));
+  for (int round = 1; round <= kRounds; ++round) {
+    RunLog log;
+    std::vector<LoggedId> args(kN);
+    std::vector<std::unique_ptr<ult::Ult>> ults;
+    for (int i = 0; i < kN; ++i) {
+      const auto si = static_cast<std::size_t>(i);
+      args[si] = {&log, i};
+      ults.push_back(std::make_unique<ult::Ult>(
+          i, &log_id, &args[si], stacks[si].data(), stacks[si].size()));
+    }
+    std::atomic<int> waiting{kProducers};
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        waiting.fetch_sub(1);
+        while (waiting.load() > 0) {
+        }
+        for (int i = 0; i < kPerProducer; ++i)
+          sched.ready(ults[static_cast<std::size_t>(p * kPerProducer + i)]
+                          .get());
+      });
+    }
+    for (auto& t : producers) t.join();
+    EXPECT_EQ(sched.ready_count(), static_cast<std::size_t>(kN));
+    EXPECT_EQ(sched.counters().get(Ctr::SchedRemoteReadies),
+              static_cast<std::uint64_t>(round * kN))
+        << "round " << round;
+    sched.run_until_quiescent();
+    // The MPSC push stack is LIFO internally; the drain must restore each
+    // producer's FIFO.
+    ASSERT_EQ(log.ids.size(), static_cast<std::size_t>(kN));
+    std::vector<int> next(kProducers, 0);
+    for (const int id : log.ids) {
+      const int p = id / kPerProducer;
+      EXPECT_EQ(id % kPerProducer, next[static_cast<std::size_t>(p)]++)
+          << "producer " << p;
+    }
   }
-  std::thread producer([&] {
-    for (auto& u : ults) sched.ready(u.get());
-  });
-  producer.join();
-  EXPECT_EQ(sched.ready_count(), static_cast<std::size_t>(kN));
-  EXPECT_EQ(sched.remote_ready_count(), static_cast<std::uint64_t>(kN));
-  sched.run_until_quiescent();
-  // The MPSC push stack is LIFO internally; the drain must restore FIFO.
-  EXPECT_EQ(rec.log, "0123");
 }
 
 TEST(SchedulerLanes, UnqueueRemovesWithoutRunning) {
@@ -429,7 +473,7 @@ TEST(SchedulerPreempt, OverQuantumHogYieldsToWaiter) {
   sched.ready(&victim);
   sched.run_until_quiescent();
   EXPECT_EQ(rec.log, "Hvh");
-  EXPECT_GE(sched.preempt_count(), 1u);
+  EXPECT_GE(sched.counters().get(Ctr::SchedPreemptions), 1u);
 }
 
 TEST(SchedulerPreempt, OverrunWithEmptyQueueKeepsRunning) {
@@ -445,8 +489,8 @@ TEST(SchedulerPreempt, OverrunWithEmptyQueueKeepsRunning) {
   // Nobody else is ready: the hog keeps its slice uninterrupted (an
   // overrun is recorded, no preemption).
   EXPECT_EQ(rec.log, "Hh");
-  EXPECT_EQ(sched.preempt_count(), 0u);
-  EXPECT_GE(sched.overrun_count(), 1u);
+  EXPECT_EQ(sched.counters().get(Ctr::SchedPreemptions), 0u);
+  EXPECT_GE(sched.counters().get(Ctr::SchedQuantumOverruns), 1u);
 }
 
 TEST(SchedulerPreempt, DisarmedPointIsNoop) {
@@ -460,7 +504,7 @@ TEST(SchedulerPreempt, DisarmedPointIsNoop) {
   sched.ready(&victim);
   sched.run_until_quiescent();
   EXPECT_EQ(rec.log, "Hhv");  // hog ran to completion despite the point
-  EXPECT_EQ(sched.preempt_count(), 0u);
+  EXPECT_EQ(sched.counters().get(Ctr::SchedPreemptions), 0u);
 }
 
 TEST(Scheduler, ManyUltsLongRun) {

@@ -1,5 +1,5 @@
-// Unit tests for the util substrate: statistics, options, byte buffers,
-// alignment helpers, RNG.
+// Unit tests for the util substrate: statistics, options, the counter
+// table, byte buffers, alignment helpers, RNG.
 
 #include <gtest/gtest.h>
 
@@ -7,10 +7,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "mpi/runtime.hpp"
+#include "test_programs.hpp"
 #include "util/bytes.hpp"
+#include "util/counters.hpp"
 #include "util/error.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
@@ -200,7 +204,7 @@ TEST(Options, DeletedKnobsAreUndeclared) {
         "transport.job", "transport.arena_mb", "transport.hb_ms",
         "transport.hb_timeout_ms", "transport.liveness_ms",
         "transport.send_timeout_ms", "transport.rendezvous_ms",
-        "transport.max_ranks"})
+        "transport.max_ranks", "ft.max_chain"})
     expect_rejected([key] { Options().set(key, "1"); }, key);
 }
 
@@ -233,6 +237,50 @@ TEST(Options, ReadmeTableMatchesDeclarations) {
   }
   for (const auto& [key, row] : rows)
     ADD_FAILURE() << "README row for an undeclared option: " << row;
+}
+
+TEST(Counters, TableNamesAreNonEmptyAndUnique) {
+  std::set<std::string_view> names;
+  for (const CounterSpec& s : kCounterTable) {
+    EXPECT_FALSE(s.name.empty());
+    EXPECT_FALSE(s.doc.empty()) << s.name;
+    EXPECT_TRUE(names.insert(s.name).second) << "duplicate " << s.name;
+  }
+}
+
+// A small job's all_counters() names every table slot, zeros included,
+// with the value the typed read gives, plus the counters no PE owns.
+TEST(Counters, AllCountersNamesEverySlotAtItsTypedValue) {
+  namespace mpi = apv::mpi;
+  const apv::img::ProgramImage image = apv::test::build_hello();
+  mpi::RuntimeConfig cfg;
+  cfg.pes_per_node = 2;
+  cfg.vps = 4;
+  cfg.method = apv::core::Method::PIEglobals;
+  cfg.slot_bytes = std::size_t{8} << 20;
+  cfg.options.set("check.mode", "warn");  // for check_diagnoses
+  cfg.options.set("ft.delta", "on");      // for the dirty tracker's counts
+  mpi::Runtime rt(image, cfg);
+  rt.run();
+  const Counters all = rt.all_counters();
+  const CounterValues typed = rt.cluster().totals();
+  for (std::size_t i = 0; i < kCtrCount; ++i) {
+    const auto c = static_cast<Ctr>(i);
+    const std::string name(counter_spec(c).name);
+    const auto it = all.all().find(name);
+    ASSERT_NE(it, all.all().end()) << name;
+    EXPECT_EQ(it->second, typed[c]) << name;
+  }
+  const char* const component_local[] = {
+      "comm.mailbox_ring_pushes", "comm.mailbox_overflow_pushes",
+      "pool.hits", "pool.misses", "pool.adopted", "pool.returns",
+      "pool.drops", "pool.bytes_copied", "ckpt_tracker_faults",
+      "ckpt_tracker_predirtied", "ckpt_store_puts", "ckpt_store_fetches",
+      "check_diagnoses"};
+  for (const char* name : component_local)
+    EXPECT_EQ(all.all().count(name), 1u) << name;
+  EXPECT_EQ(all.all().size(), kCtrCount + std::size(component_local));
+  EXPECT_GT(typed[Ctr::ContextSwitches], 0u);
 }
 
 TEST(Bytes, AlignUp) {
