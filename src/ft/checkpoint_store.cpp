@@ -56,124 +56,79 @@ void CheckpointStore::put_entry(int rank, std::uint32_t epoch,
     entry.copies.push_back(std::move(c));
   }
   ++puts_;
-  if (entry.copies.empty()) {
-    images_.erase(key);
-    return;
-  }
-  auto it = newest_.find(rank);
-  if ((it == newest_.end() || it->second < epoch) &&
-      materializable_locked(rank, epoch)) {
-    newest_[rank] = epoch;
-  }
+  if (entry.copies.empty()) images_.erase(key);
 }
 
-bool CheckpointStore::materializable_locked(int rank,
-                                            std::uint32_t epoch) const {
+template <class Visit>
+bool CheckpointStore::walk_chain_locked(int rank, std::uint32_t epoch,
+                                        Visit&& visit) const {
   std::uint32_t e = epoch;
   for (std::size_t guard = 0; guard < kMaxChainWalk; ++guard) {
     const auto it = images_.find(Key{rank, e});
     if (it == images_.end() || it->second.copies.empty()) return false;
+    visit(e, it->second);
     if (it->second.kind == ImageKind::Full) return true;
     e = it->second.prev_epoch;
   }
   return false;
 }
 
+std::pair<CheckpointStore::Images::const_iterator,
+          CheckpointStore::Images::const_iterator>
+CheckpointStore::rank_range_locked(int rank) const {
+  return {images_.lower_bound(Key{rank, 0}),
+          images_.lower_bound(Key{rank + 1, 0})};
+}
+
 std::size_t CheckpointStore::chain_length(int rank,
                                           std::uint32_t epoch) const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t deltas = 0;
-  std::uint32_t e = epoch;
-  for (std::size_t guard = 0; guard < kMaxChainWalk; ++guard) {
-    const auto it = images_.find(Key{rank, e});
-    if (it == images_.end() || it->second.copies.empty()) return 0;
-    if (it->second.kind == ImageKind::Full) return deltas;
-    ++deltas;
-    e = it->second.prev_epoch;
-  }
-  return 0;
+  const bool whole = walk_chain_locked(
+      rank, epoch, [&deltas](std::uint32_t, const Entry& entry) {
+        if (entry.kind == ImageKind::Delta) ++deltas;
+      });
+  return whole ? deltas : 0;
 }
 
 std::uint32_t CheckpointStore::latest_epoch(int rank) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = newest_.find(rank);
-  if (it != newest_.end() && materializable_locked(rank, it->second)) {
-    return it->second;
+  const auto [lo, hi] = rank_range_locked(rank);
+  for (auto i = hi; i != lo;) {
+    --i;
+    const std::uint32_t epoch = i->first.second;
+    if (walk_chain_locked(rank, epoch, [](std::uint32_t, const Entry&) {}))
+      return epoch;
   }
-  // Index miss (the rank lost images since): rescan this rank's range once
-  // and re-prime the index.
-  std::uint32_t best = 0;
-  const auto lo = images_.lower_bound(Key{rank, 0});
-  const auto hi = images_.lower_bound(Key{rank + 1, 0});
-  for (auto i = lo; i != hi; ++i) {
-    if (!i->second.copies.empty() &&
-        materializable_locked(rank, i->first.second)) {
-      best = std::max(best, i->first.second);
-    }
-  }
-  if (best != 0) {
-    newest_[rank] = best;
-  } else {
-    newest_.erase(rank);
-  }
-  return best;
+  return 0;
 }
 
 bool CheckpointStore::has(int rank, std::uint32_t epoch) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return materializable_locked(rank, epoch);
-}
-
-bool CheckpointStore::fetch(int rank, std::uint32_t epoch,
-                            util::ByteBuffer& out) const {
-  comm::Payload view;
-  if (!fetch_view(rank, epoch, view)) return false;
-  // The unavoidable copy happens here, outside the critical section; the
-  // refcount keeps the chunk alive even if the copy is retired meanwhile.
-  out.clear();
-  out.put_bytes(view.data(), view.size());
-  out.rewind();
-  return true;
-}
-
-bool CheckpointStore::fetch_view(int rank, std::uint32_t epoch,
-                                 comm::Payload& out) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = images_.find(Key{rank, epoch});
-  if (it == images_.end() || it->second.copies.empty()) return false;
-  out = it->second.copies.front().data;
-  ++fetches_;
-  return true;
+  return walk_chain_locked(rank, epoch, [](std::uint32_t, const Entry&) {});
 }
 
 bool CheckpointStore::fetch_chain(int rank, std::uint32_t epoch,
                                   std::vector<comm::Payload>& out) const {
   out.clear();
   std::lock_guard<std::mutex> lock(mutex_);
-  std::uint32_t e = epoch;
-  for (std::size_t guard = 0; guard < kMaxChainWalk; ++guard) {
-    const auto it = images_.find(Key{rank, e});
-    if (it == images_.end() || it->second.copies.empty()) {
-      out.clear();
-      return false;
-    }
-    out.push_back(it->second.copies.front().data);
-    if (it->second.kind == ImageKind::Full) {
-      std::reverse(out.begin(), out.end());
-      ++fetches_;
-      return true;
-    }
-    e = it->second.prev_epoch;
+  const bool whole = walk_chain_locked(
+      rank, epoch, [&out](std::uint32_t, const Entry& entry) {
+        out.push_back(entry.copies.front().data);
+      });
+  if (!whole) {
+    out.clear();
+    return false;
   }
-  out.clear();
-  return false;
+  std::reverse(out.begin(), out.end());
+  ++fetches_;
+  return true;
 }
 
 std::vector<CheckpointMeta> CheckpointStore::copies(int rank) const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<CheckpointMeta> out;
-  const auto lo = images_.lower_bound(Key{rank, 0});
-  const auto hi = images_.lower_bound(Key{rank + 1, 0});
+  const auto [lo, hi] = rank_range_locked(rank);
   for (auto i = lo; i != hi; ++i) {
     for (const Copy& c : i->second.copies) out.push_back(c.meta);
   }
@@ -192,70 +147,36 @@ void CheckpointStore::lose_pe(comm::PeId pe) {
                  copies.end());
     it = copies.empty() ? images_.erase(it) : std::next(it);
   }
-  rebuild_newest_locked();
-}
-
-void CheckpointStore::rebuild_newest_locked() {
-  newest_.clear();
-  for (const auto& [key, entry] : images_) {
-    if (entry.copies.empty()) continue;
-    if (!materializable_locked(key.first, key.second)) continue;
-    auto [it, inserted] = newest_.try_emplace(key.first, key.second);
-    if (!inserted) it->second = std::max(it->second, key.second);
-  }
 }
 
 void CheckpointStore::retire_before(std::uint32_t epoch) {
   std::lock_guard<std::mutex> lock(mutex_);
-  // Chain-aware retention: an old epoch survives if a kept epoch's delta
-  // chain still passes through it (deltas are useless without their base).
-  std::set<Key> keep;
-  for (const auto& [key, entry] : images_) {
-    if (key.second < epoch) continue;
-    std::uint32_t e = key.second;
-    for (std::size_t guard = 0; guard < kMaxChainWalk; ++guard) {
-      const auto it = images_.find(Key{key.first, e});
-      if (it == images_.end()) break;
-      if (e < epoch) keep.insert(Key{key.first, e});
-      if (it->second.kind == ImageKind::Full) break;
-      e = it->second.prev_epoch;
-    }
-  }
-  for (auto it = images_.begin(); it != images_.end();) {
-    const bool drop = it->first.second < epoch && keep.count(it->first) == 0;
-    it = drop ? images_.erase(it) : std::next(it);
-  }
-  for (auto it = newest_.begin(); it != newest_.end();) {
-    it = materializable_locked(it->first, it->second) ? std::next(it)
-                                                     : newest_.erase(it);
-  }
+  retire_locked(images_.cbegin(), images_.cend(), epoch);
 }
 
 void CheckpointStore::retire_rank_before(int rank, std::uint32_t epoch) {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::set<std::uint32_t> keep;
-  const auto lo = images_.lower_bound(Key{rank, 0});
-  const auto hi = images_.lower_bound(Key{rank + 1, 0});
+  const auto [lo, hi] = rank_range_locked(rank);
+  retire_locked(lo, hi, epoch);
+}
+
+void CheckpointStore::retire_locked(Images::const_iterator lo,
+                                    Images::const_iterator hi,
+                                    std::uint32_t epoch) {
+  // Chain-aware retention: an old epoch survives if a kept epoch's delta
+  // chain still passes through it (deltas are useless without their base).
+  std::set<Key> keep;
   for (auto i = lo; i != hi; ++i) {
+    const int rank = i->first.first;
     if (i->first.second < epoch) continue;
-    std::uint32_t e = i->first.second;
-    for (std::size_t guard = 0; guard < kMaxChainWalk; ++guard) {
-      const auto it = images_.find(Key{rank, e});
-      if (it == images_.end()) break;
-      if (e < epoch) keep.insert(e);
-      if (it->second.kind == ImageKind::Full) break;
-      e = it->second.prev_epoch;
-    }
+    walk_chain_locked(rank, i->first.second,
+                      [&keep, rank, epoch](std::uint32_t e, const Entry&) {
+                        if (e < epoch) keep.insert(Key{rank, e});
+                      });
   }
-  for (auto it = images_.lower_bound(Key{rank, 0});
-       it != images_.end() && it->first.first == rank;) {
-    const bool drop =
-        it->first.second < epoch && keep.count(it->first.second) == 0;
-    it = drop ? images_.erase(it) : std::next(it);
-  }
-  const auto nit = newest_.find(rank);
-  if (nit != newest_.end() && !materializable_locked(rank, nit->second)) {
-    newest_.erase(nit);
+  for (auto i = lo; i != hi;) {
+    const bool drop = i->first.second < epoch && keep.count(i->first) == 0;
+    i = drop ? images_.erase(i) : std::next(i);
   }
 }
 

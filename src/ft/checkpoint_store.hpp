@@ -37,8 +37,8 @@ struct CheckpointMeta {
 ///
 /// Copies are ref-counted comm::Payload handles: the buddy "duplicate" in
 /// put() shares the chunk (the emulator's shared address space stands in
-/// for RDMA, so replication is a refcount bump, not a memcpy), and fetch()
-/// hands out views / copies *outside* the store mutex.
+/// for RDMA, so replication is a refcount bump, not a memcpy), and
+/// fetch_chain() hands out views that stay valid *outside* the store mutex.
 ///
 /// Epochs form delta chains: put() stores a full image, put_delta() stores
 /// only the pages dirtied since `base_epoch`. An epoch is *materializable*
@@ -62,23 +62,12 @@ class CheckpointStore {
                  util::ByteBuffer image);
 
   /// Newest epoch of `rank` that can be materialized (all chain links back
-  /// to a full base survive); 0 if none. O(1) via a per-rank newest-epoch
-  /// index; falls back to a rescan only after a loss invalidated the index
-  /// entry.
+  /// to a full base survive); 0 if none. Scans the rank's epochs from the
+  /// newest down.
   std::uint32_t latest_epoch(int rank) const;
 
   /// True if (rank, epoch) survives and its whole chain is materializable.
   bool has(int rank, std::uint32_t epoch) const;
-
-  /// Copies the stored stream of (rank, epoch) into `out` (cleared and
-  /// rewound); the copy happens outside the store mutex. For deltas this
-  /// is that epoch's *delta stream* — use fetch_chain to materialize.
-  /// Returns false if every copy is gone.
-  bool fetch(int rank, std::uint32_t epoch, util::ByteBuffer& out) const;
-
-  /// Zero-copy: hands out a ref-counted view of (rank, epoch)'s stored
-  /// stream. Returns false if gone.
-  bool fetch_view(int rank, std::uint32_t epoch, comm::Payload& out) const;
 
   /// Zero-copy chain fetch: views of every stream needed to materialize
   /// (rank, epoch), in application order (full base first, then deltas by
@@ -122,20 +111,28 @@ class CheckpointStore {
     std::vector<Copy> copies;
   };
   using Key = std::pair<int, std::uint32_t>;  ///< (rank, epoch)
+  using Images = std::map<Key, Entry>;
 
   void put_entry(int rank, std::uint32_t epoch, ImageKind kind,
                  std::uint32_t prev_epoch, comm::PeId resident_pe,
                  const std::vector<comm::PeId>& owners,
                  util::ByteBuffer image);
-  bool materializable_locked(int rank, std::uint32_t epoch) const;
-  void rebuild_newest_locked();
+  /// Walks (rank, epoch)'s chain back to its full base, calling
+  /// `visit(epoch, entry)` on each surviving link, newest first. True if
+  /// the walk reached a full base: the epoch is materializable.
+  template <class Visit>
+  bool walk_chain_locked(int rank, std::uint32_t epoch, Visit&& visit) const;
+  /// `rank`'s images, as a [first, last) range of images_.
+  std::pair<Images::const_iterator, Images::const_iterator> rank_range_locked(
+      int rank) const;
+  /// Drops the images in [lo, hi) older than `epoch`, except chain links
+  /// an image of that range at `epoch` or newer still depends on.
+  void retire_locked(Images::const_iterator lo, Images::const_iterator hi,
+                     std::uint32_t epoch);
 
   mutable std::mutex mutex_;
-  std::map<Key, Entry> images_;
+  Images images_;
   std::set<comm::PeId> dead_owners_;
-  /// Per-rank newest materializable epoch. An entry may go stale only via
-  /// lose_pe (which rebuilds it) — put/retire keep it exact.
-  mutable std::map<int, std::uint32_t> newest_;
   std::uint64_t puts_ = 0;
   mutable std::uint64_t fetches_ = 0;
 };

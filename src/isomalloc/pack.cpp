@@ -53,23 +53,18 @@ const char* pack_mode_name(PackMode mode) noexcept {
   switch (mode) {
     case PackMode::FullSlot: return "full";
     case PackMode::Touched: return "touched";
-    case PackMode::Delta: return "delta";
   }
   return "?";
 }
 
 std::size_t packed_payload_size(const IsoArena& arena, SlotId slot,
                                 PackMode mode) {
-  require(mode != PackMode::Delta, ErrorCode::InvalidArgument,
-          "packed_payload_size: delta size is data-dependent");
   return mode == PackMode::FullSlot ? arena.slot_size()
                                     : touched_bytes(arena, slot);
 }
 
 void pack_slot(const IsoArena& arena, SlotId slot, PackMode mode,
                util::ByteBuffer& out) {
-  require(mode != PackMode::Delta, ErrorCode::InvalidArgument,
-          "pack_slot: use pack_slot_delta for delta images");
   const std::size_t len = packed_payload_size(arena, slot, mode);
   out.put<std::uint64_t>(kPackMagic);
   out.put<std::uint64_t>(arena.slot_size());

@@ -19,10 +19,6 @@ enum class PackMode {
   /// paper's future-work optimization of migrating only the regions that
   /// can differ; requires the slot to be SlotHeap-formatted at its base.
   Touched,
-  /// Only the pages dirtied since a named base epoch (DirtyTracker
-  /// bitmap). Produced by pack_slot_delta — pack_slot refuses this mode
-  /// because a delta needs the region list and base epoch as inputs.
-  Delta,
 };
 
 /// Byte used to poison slot contents a packed image did not carry, so
@@ -63,7 +59,6 @@ bool packed_image_is_delta(const util::ByteReader& in,
                            std::uint64_t* base_epoch = nullptr) noexcept;
 
 /// Number of payload bytes pack_slot would produce (excluding framing).
-/// Delta mode is data-dependent; query DirtyTracker instead.
 std::size_t packed_payload_size(const IsoArena& arena, SlotId slot,
                                 PackMode mode);
 

@@ -228,22 +228,6 @@ int moved_ranks(const LbStats& stats, const Assignment& assignment) {
 // reads taken by the caller, possibly already stale); this function must
 // therefore only ever *rank* PEs, never assume a depth is still accurate.
 // The chosen victim re-validates before surrendering a rank.
-int pick_steal_victim(const std::vector<std::size_t>& ready_depth, int self,
-                      std::size_t min_ready) {
-  int victim = -1;
-  std::size_t best = 0;
-  for (std::size_t p = 0; p < ready_depth.size(); ++p) {
-    if (static_cast<int>(p) == self) continue;
-    const std::size_t d = ready_depth[p];
-    if (d < min_ready) continue;
-    if (d > best) {
-      best = d;
-      victim = static_cast<int>(p);
-    }
-  }
-  return victim;
-}
-
 int pick_steal_victim(const std::vector<std::size_t>& ready_depth,
                       const std::vector<std::uint64_t>& service_ns, int self,
                       std::size_t min_ready) {
@@ -261,9 +245,9 @@ int pick_steal_victim(const std::vector<std::size_t>& ready_depth,
     const std::uint64_t svc =
         p < service_ns.size() && service_ns[p] > 0 ? service_ns[p] : 1;
     const std::uint64_t wait = static_cast<std::uint64_t>(d) * svc;
-    // Strictly-greater keeps the depth overload's lowest-id tie-break;
-    // equal waits further prefer the deeper queue (more slack for the
-    // victim to re-validate a surrender).
+    // Strictly-greater keeps the lowest-id tie-break; equal waits first
+    // prefer the deeper queue (more slack for the victim to re-validate a
+    // surrender).
     if (wait > best_wait || (wait == best_wait && d > best_depth)) {
       best_wait = wait;
       best_depth = d;

@@ -107,25 +107,20 @@ double assignment_imbalance(const LbStats& stats,
 /// Number of ranks whose PE differs from the current placement.
 int moved_ranks(const LbStats& stats, const Assignment& assignment);
 
-/// Victim selection for idle-PE rank stealing: the PE with the deepest
-/// ready-queue backlog, ties broken toward the lowest PE id. `ready_depth`
+/// Victim selection for idle-PE rank stealing: ranks PEs by *estimated
+/// queue wait time* — ready-queue depth × the PE's recent per-ULT service
+/// time (an EWMA of run-slice durations, in ns) — instead of raw depth. A
+/// queue of 8 quick ULTs can clear before a queue of 3 hogs; the thief
+/// wants the backlog that will take longest to drain, because that is where
+/// a stolen rank buys the most. PEs whose service estimate is 0 or missing
+/// (nothing measured yet; `service_ns` may be shorter than `ready_depth`,
+/// or empty) fall back to a neutral 1 ns, so depth alone ranks them. Equal
+/// waits go to the deeper queue, then to the lowest PE id. `ready_depth`
 /// is indexed by PE (callers zero out dead PEs and themselves); a PE
 /// qualifies only with at least `min_ready` queued ranks — stealing the
-/// victim's sole runnable rank would just relocate the imbalance. Returns
-/// -1 when no PE qualifies.
-int pick_steal_victim(const std::vector<std::size_t>& ready_depth, int self,
-                      std::size_t min_ready = 1);
-
-/// Latency-aware victim selection: ranks PEs by *estimated queue wait time*
-/// — ready-queue depth × the PE's recent per-ULT service time (an EWMA of
-/// run-slice durations, in ns) — instead of raw depth. A queue of 8 quick
-/// ULTs can clear before a queue of 3 hogs; the thief wants the backlog
-/// that will take longest to drain, because that is where a stolen rank
-/// buys the most. PEs whose service estimate is still 0 (nothing measured
-/// yet) fall back to a neutral 1 ns so depth alone ranks them. Same
-/// advisory-snapshot contract as the depth-only overload: the victim
-/// re-validates before surrendering anything. Returns -1 when no PE has at
-/// least `min_ready` queued ranks.
+/// victim's sole runnable rank would just relocate the imbalance. The
+/// inputs are advisory snapshots: the victim re-validates before
+/// surrendering anything. Returns -1 when no PE qualifies.
 int pick_steal_victim(const std::vector<std::size_t>& ready_depth,
                       const std::vector<std::uint64_t>& service_ns, int self,
                       std::size_t min_ready = 1);

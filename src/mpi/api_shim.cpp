@@ -84,9 +84,7 @@ int api_waitany(Env* e, int n, Request* reqs, Status* status) {
     }
     require(any_active, ErrorCode::InvalidArgument,
             "waitany with no active requests");
-    r.waiting = true;
-    ult::current_scheduler()->suspend();
-    r.waiting = false;
+    rt(e).block_current(r);
   }
 }
 
@@ -101,11 +99,7 @@ bool api_iprobe(Env* e, int src, int tag, CommId comm, Status* status) {
 Status api_probe(Env* e, int src, int tag, CommId comm) {
   RankMpi& r = rm(e);
   Status status;
-  while (!rt(e).do_iprobe(r, src, tag, comm, &status)) {
-    r.waiting = true;
-    ult::current_scheduler()->suspend();
-    r.waiting = false;
-  }
+  while (!rt(e).do_iprobe(r, src, tag, comm, &status)) rt(e).block_current(r);
   return status;
 }
 

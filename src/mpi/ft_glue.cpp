@@ -8,9 +8,10 @@
 //                                    user message from before E is in
 //                                    flight; everything is matched or
 //                                    queued in rank state
-//   pack                           — each rank's PE packs its slot; the
-//                                    store places the image in the owner's
-//                                    and the buddy PE's memory
+//   pack                           — each rank parks, and its PE packs
+//                                    its slot; the store places the image
+//                                    in the owner's and the buddy PE's
+//                                    memory
 //   commit point                   — every rank asks the FaultInjector
 //                                    whether a PE dies at E (idempotent:
 //                                    all ranks get the same answer)
@@ -57,9 +58,10 @@ int Runtime::do_checkpoint_all(RankMpi& rm) {
 
   do_barrier(rm, kCommWorld);
 
-  rm.ckpt_pending = true;
-  command_self(rm, kCtlFtCheckpoint, epoch);
-  while (rm.ckpt_pending) block_current(rm);
+  const comm::PeId pe = rm.resident_pe;
+  block_current(rm, [this, &rm, pe, epoch] {
+    pack_checkpoint(pe, rm, epoch, /*buddy=*/true);
+  });
 
   if (!rm.restored) {
     const comm::PeId victim =
@@ -86,7 +88,7 @@ int Runtime::do_checkpoint_all(RankMpi& rm) {
       require(any_survivor, ErrorCode::BadState,
               "fault killed the PE hosting every rank: no survivor left to "
               "run recovery");
-      park_until_rewound(rm);
+      park_until_rewound(rm, [&rm] { rm.restore_pending = true; });
     }
     recover_from_failure(rm, victim, epoch);
     // Survivors were already at the epoch state when the fault was
@@ -125,22 +127,18 @@ void Runtime::recover_from_failure(RankMpi& rm, comm::PeId victim,
     do_recv(rm, nullptr, 0, survivors[i], gather_tag, kCommWorld);
   }
 
-  // Wait for each lost rank to reach its own commit point, pack its epoch
-  // image (the store places the buddy copy synchronously), and park. The
-  // victim PE must stay alive through this: it may still be receiving
-  // barrier tokens of this very epoch — we exited the dissemination barrier
-  // knowing only that our own receives completed, not that the victim's
-  // did. Declaring the PE dead first would divert those tokens to the
-  // dead-letter queue (or strand them: a sender parked in a yield loop
-  // holds its aggregation bins), and the victim would never finish the
-  // barrier, never pack, and never park.
+  // Wait for each lost rank to pack its epoch image (the store places the
+  // buddy copy synchronously), reach its own commit point, and park: its
+  // park continuation raises restore_pending once its ULT has switched
+  // out. The victim PE must stay alive through this: it may still be
+  // receiving barrier tokens of this very epoch — we exited the
+  // dissemination barrier knowing only that our own receives completed,
+  // not that the victim's did. Declaring the PE dead first would divert
+  // those tokens to the dead-letter queue (or strand them: a sender parked
+  // in a yield loop holds its aggregation bins), and the victim would
+  // never finish the barrier, never pack, and never park.
   for (int lost : victims) {
-    RankMpi& lm = rank_state(lost);
-    while (!(lm.restore_pending &&
-             lm.rc->ult->state() == ult::UltState::Blocked &&
-             ckpt_store_->has(lost, epoch))) {
-      do_yield(rm);
-    }
+    while (!rank_state(lost).restore_pending) do_yield(rm);
   }
 
   // Every victim now has a buddy copy and a suspended ULT ready for
@@ -148,6 +146,15 @@ void Runtime::recover_from_failure(RankMpi& rm, comm::PeId victim,
   // drains whatever backlog it already accepted and halts; new traffic is
   // diverted.
   cluster_->fail_pe(victim);
+  // Wait for that loop to exit. Its thread was the last to touch what
+  // adoption takes over: the slot bytes holding each parked ULT, its
+  // resident map, the privatization method's per-rank hooks. run_loop's
+  // final running_ store (release) against this load (acquire), carried on
+  // by the adopt messages below, orders those touches before the adopters'
+  // plain-byte unpack and map surgery. The wait is bounded: every rank on
+  // the dead PE is a parked victim, so its loop drains and halts without
+  // needing anything from us.
+  while (cluster_->pe(victim).running()) do_yield(rm);
   // Its memory is gone — and with it every checkpoint copy it owned.
   ckpt_store_->lose_pe(victim);
 

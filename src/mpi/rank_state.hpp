@@ -93,20 +93,18 @@ struct RankMpi {
   /// rank context); thrown from the rank's next do_wait/do_test/resume.
   std::string pending_check;
 
-  bool waiting = false;  ///< ULT suspended inside a wait/recv loop
+  bool waiting = false;  ///< parked in Runtime::block_current, until resumed
   bool finished = false;
   void* entry_ret = nullptr;
   bool failed = false;
   std::string failure;
 
-  comm::PeId migrate_dest = comm::kInvalidPe;
-  bool ckpt_pending = false;     ///< checkpoint pack requested, not yet done
-  /// Restore unpack requested, not yet done. Atomic because the recovery
-  /// leader polls it from another PE while the victim (on its dying PE's
-  /// thread) raises it just before parking for adoption; everything else
-  /// the leader consumes afterwards is published by the victim ULT's
-  /// Blocked state (release/acquire, see ult.hpp) and the checkpoint
-  /// store's mutex.
+  /// An FT victim parked for adoption: raised by its park continuation,
+  /// once its epoch image is stored and its ULT has switched out; cleared
+  /// when its adopter resumes it. While raised, no message wakes the rank
+  /// and its PE steals nothing. Atomic because the recovery leader polls it
+  /// from another PE; what adoption consumes afterwards is published by the
+  /// dead PE's loop exit (Pe::running) and the checkpoint store's mutex.
   std::atomic<bool> restore_pending{false};
   bool restored = false;  ///< set by checkpoint-restore before resuming
   /// Monotonic checkpoint epoch counter. Lives here (ordinary heap, not in

@@ -426,11 +426,11 @@ void Runtime::dump_stuck_state() {
     const ult::UltState st = rm->rc->ult->state();
     std::fprintf(stderr,
                  "[apv:mpi]   rank %d on PE %d: state=%s waiting=%d "
-                 "ckpt_pending=%d restore_pending=%d restored=%d "
+                 "restore_pending=%d restored=%d "
                  "posted=%zu unexpected=%zu epoch=%u\n",
                  rm->world_rank, rm->resident_pe, ult::ult_state_name(st),
-                 rm->waiting ? 1 : 0, rm->ckpt_pending ? 1 : 0,
-                 rm->restore_pending ? 1 : 0, rm->restored ? 1 : 0,
+                 rm->waiting ? 1 : 0, rm->restore_pending ? 1 : 0,
+                 rm->restored ? 1 : 0,
                  rm->posted.size(), rm->unexpected.size(), rm->ft_epoch);
     if (st == ult::UltState::Done) continue;
     // Provenance for the wedged rank: where it last entered a collective
@@ -646,18 +646,14 @@ bool Runtime::try_match(RankMpi& rm, comm::Message& msg) {
 }
 
 void Runtime::wake_if_waiting(RankMpi& rm, ult::Lane lane) {
-  if (!rm.waiting) return;
-  // A rank parked for a control operation must not be woken by ordinary
-  // message arrivals: its ULT is about to be packed (migration,
-  // checkpoint, steal departure) or its current stack frames are about to
-  // be rewound (restore). The control handler performs the wake itself.
-  if (rm.migrate_dest != comm::kInvalidPe) return;
-  if (rm.ckpt_pending || rm.restore_pending) return;
+  // An FT victim parked for adoption waits for its image, not a message:
+  // a stale wake (a late kCtlCollWake) must not resume it on its dying PE.
+  if (!rm.waiting || rm.restore_pending) return;
   if (rm.rc->ult->state() != ult::UltState::Blocked) return;
   cluster_->pe(rm.resident_pe).scheduler().ready(rm.rc->ult, lane);
 }
 
-void Runtime::block_current(RankMpi& rm) {
+void Runtime::block_current(RankMpi& rm, std::function<void()> then) {
   rm.waiting = true;
   ult::Scheduler* sched = ult::current_scheduler();
   require(sched != nullptr && sched->current() == rm.rc->ult,
@@ -666,7 +662,7 @@ void Runtime::block_current(RankMpi& rm) {
   // ship it now rather than when the PE next goes idle. A burst still
   // leaves as one bundle per destination.
   cluster_->flush_aggregation(rm.resident_pe, comm::FlushCause::Block);
-  sched->suspend();
+  sched->suspend(std::move(then));
   rm.waiting = false;
   throw_pending_check(rm);
 }
@@ -765,13 +761,10 @@ bool Runtime::try_inline_send(RankMpi& rm, int dst_world, int tag,
   RankMpi& dst = rank_state(dst_world);
   // resident_pe is only advanced on the owning loop thread (migration
   // arrival, FT adoption both run there), so on a match the state below is
-  // ours; in-flight windows are excluded by the flag checks that follow.
+  // ours. A rank leaving this PE is shipped by its park continuation before
+  // anything else runs here, so it never shows up co-resident mid-move.
   if (dst.resident_pe != pe) return false;  // state still in flight to us
-  // A rank parked for a control operation must not have its queues touched:
-  // they are about to be handed to another PE or rewound.
-  if (dst.migrate_dest != comm::kInvalidPe || dst.ckpt_pending ||
-      dst.restore_pending || dst.finished)
-    return false;
+  if (dst.finished) return false;
   // Per-(sender, destination) FIFO: if any routed message from us to this
   // rank is still in a bin, a mailbox, or being forwarded, an inline copy
   // would overtake it. Flush our bins (so in-flight traffic drains) and
@@ -966,25 +959,12 @@ comm::Message Runtime::control(CtlOp op, comm::PeId src, comm::PeId dst,
   return m;
 }
 
-void Runtime::command_self(RankMpi& rm, CtlOp op, std::uint32_t epoch) {
-  // Post straight into the resident PE's mailbox (this rank runs on that
-  // very thread) instead of routing through Cluster::send: a concurrent
-  // fail_pe on this PE must not divert the rank's own command — the dying
-  // PE drains its mailbox before halting, so a posted command always
-  // executes (the recovery leader's wait for a victim's pack relies on it).
-  const comm::PeId pe = rm.resident_pe;
-  cluster_->pe(pe).post(control(op, pe, pe, rm.world_rank,
-                                static_cast<std::int32_t>(epoch)));
-}
-
-void Runtime::park_until_rewound(RankMpi& rm) {
-  // This suspension never "returns" here: the unpack rewinds the ULT's
-  // stack to the checkpoint suspension, and execution resumes inside
-  // do_checkpoint or do_checkpoint_all with rm.restored set instead.
-  rm.restore_pending = true;
-  rm.waiting = true;
-  ult::current_scheduler()->suspend();
-  rm.waiting = false;
+void Runtime::park_until_rewound(RankMpi& rm, std::function<void()> then) {
+  // This suspension never "returns" here: the unpack (`then` for a
+  // restore, the adopter for an FT victim) rewinds the ULT's stack to the
+  // checkpoint suspension, and execution resumes inside do_checkpoint or
+  // do_checkpoint_all with rm.restored set instead.
+  block_current(rm, std::move(then));
   throw ApvError(ErrorCode::Internal,
                  "rank resumed past its rewound stack frame");
 }
@@ -1004,42 +984,29 @@ void Runtime::do_migrate_to(RankMpi& rm, comm::PeId dest) {
           std::string(core::method_name(priv.kind())) +
               " cannot migrate ranks: its segment copies were allocated by "
               "the dynamic linker, not Isomalloc");
-  rm.migrate_dest = dest;
-  command_self(rm, kCtlDoMigrate);
-  // Suspend; the PE packs and ships us, and the destination PE resumes us.
-  while (rm.migrate_dest != comm::kInvalidPe) block_current(rm);
+  // Park; our PE ships us, and the destination PE resumes us.
+  const comm::PeId pe = rm.resident_pe;
+  block_current(rm, [this, &rm, pe, dest] { ship(pe, rm, dest, kMigPlain); });
 }
 
 void Runtime::handle_control(comm::PeId pe, comm::Message&& msg) {
-  const auto epoch = static_cast<std::uint32_t>(msg.tag);
-  bool done = true;
   switch (msg.opcode) {
-    case kCtlDoMigrate:
-      done = perform_migration_departure(pe, msg.dst_rank);
-      break;
-    case kCtlDoCheckpoint:
-      done = perform_checkpoint_pack(pe, msg.dst_rank, epoch, /*buddy=*/false);
-      break;
-    case kCtlDoRestore:
-      done = perform_restore_unpack(pe, msg.dst_rank, epoch);
-      break;
-    case kCtlFtCheckpoint:
-      done = perform_checkpoint_pack(pe, msg.dst_rank, epoch, /*buddy=*/true);
-      break;
     case kCtlFtAdopt:
-      done = perform_ft_adopt(pe, msg.dst_rank, epoch);
-      break;
+      perform_ft_adopt(pe, msg.dst_rank, static_cast<std::uint32_t>(msg.tag));
+      return;
     case kCtlCollWake: {
       auto& ps = pe_state_[static_cast<std::size_t>(pe)];
       auto it = ps.resident.find(msg.dst_rank);
-      if (it == ps.resident.end()) {
-        // The rank moved on (migration/adoption). A wake that arrives after
-        // the rank already observed its release flag is a harmless no-op
-        // wherever it lands.
-        chase_rank(pe, std::move(msg));
+      if (it != ps.resident.end()) {
+        wake_if_waiting(*it->second, ult::Lane::High);
         return;
       }
-      wake_if_waiting(*it->second, ult::Lane::High);
+      // The rank moved on (migration/adoption). A wake that arrives after
+      // the rank already observed its release flag is a harmless no-op
+      // wherever it lands; one for a rank on its way here is dropped, as
+      // every arrival readies the rank, which then re-checks its flag.
+      if (cluster_->location(msg.dst_rank) != pe)
+        chase_rank(pe, std::move(msg));
       return;
     }
     case kCtlStealRequest:
@@ -1057,12 +1024,6 @@ void Runtime::handle_control(comm::PeId pe, comm::Message&& msg) {
     }
     default:
       throw ApvError(ErrorCode::Internal, "unknown control opcode");
-  }
-  if (!done) {
-    // The rank operation is not ready yet: requeue the command behind this
-    // PE's mailbox.
-    msg.src_pe = pe;
-    cluster_->pe(pe).post(std::move(msg));
   }
 }
 
@@ -1090,14 +1051,6 @@ void Runtime::wake_coll_member(comm::PeId my_pe, RankMpi& member) {
                          member.world_rank));
 }
 
-namespace {
-// A control operation on a suspended rank must observe the ULT actually
-// suspended; if the rank was spuriously woken, the command is requeued.
-bool rank_parked(const RankMpi& rm) {
-  return rm.rc->ult->state() == ult::UltState::Blocked;
-}
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Rank movement
 //
@@ -1113,7 +1066,7 @@ void Runtime::leave(comm::PeId pe, RankMpi& rm) {
   pe_state_[static_cast<std::size_t>(pe)].resident.erase(rm.world_rank);
 }
 
-void Runtime::ship(comm::PeId pe, RankMpi& rm, MigOp op) {
+void Runtime::ship(comm::PeId pe, RankMpi& rm, comm::PeId dest, MigOp op) {
   // Settle busy-time accounting before the rank can run elsewhere: if the
   // open slice still names this rank, a later idle-hook close here would
   // race the destination PE's switch hook writing the same busy_time_s
@@ -1131,7 +1084,6 @@ void Runtime::ship(comm::PeId pe, RankMpi& rm, MigOp op) {
   util::ByteBuffer buf;
   iso::pack_slot(*arena_, rm.rc->slot, pack_mode_, buf);
 
-  const comm::PeId dest = rm.migrate_dest;
   comm::Message mig;
   mig.kind = comm::Message::Kind::Migration;
   mig.opcode = op;
@@ -1183,27 +1135,14 @@ void Runtime::resume_restored(comm::PeId pe, RankMpi& rm) {
   // The ULT (stack, context, heap) is now exactly as it was inside the
   // checkpoint suspension. Flag the resume as a restore and wake it.
   rm.restored = true;
-  rm.ckpt_pending = false;
   rm.restore_pending = false;
   cluster_->pe(pe).scheduler().ready(rm.rc->ult, ult::Lane::High);
-}
-
-bool Runtime::perform_migration_departure(comm::PeId pe, comm::RankId rank) {
-  auto& ps = pe_state_[static_cast<std::size_t>(pe)];
-  auto it = ps.resident.find(rank);
-  require(it != ps.resident.end(), ErrorCode::Internal,
-          "migration departure for non-resident rank");
-  RankMpi& rm = *it->second;
-  if (!rank_parked(rm)) return false;
-  ship(pe, rm, kMigPlain);
-  return true;
 }
 
 void Runtime::handle_migration_arrival(comm::PeId pe, comm::Message&& msg) {
   RankMpi& rm = rank_state(msg.dst_rank);
   overwrite(rm, {&msg.payload, 1});
   admit(pe, rm);
-  rm.migrate_dest = comm::kInvalidPe;
   if (msg.opcode == kMigSteal) {
     // A stolen rank arriving answers this PE's own steal request: settle
     // the in-flight marker and the idle clock (we have work now).
@@ -1249,11 +1188,9 @@ void Runtime::maybe_steal(comm::PeId pe) {
     return;
   }
   for (const auto& [rank, rm] : ps.resident) {
-    // FT interplay: while any resident is mid-checkpoint or parked for
-    // restore/adoption (a dying PE's victims among them), this PE is in a
-    // recovery protocol, not idle — pulling a foreign rank in now could
-    // land it on a PE about to be declared dead.
-    if (rm->ckpt_pending || rm->restore_pending) {
+    // FT interplay: a resident parked for adoption means this PE is about
+    // to be declared dead, not idle — a rank pulled in now would die here.
+    if (rm->restore_pending) {
       ps.idle_since_ns = 0;
       return;
     }
@@ -1309,16 +1246,15 @@ void Runtime::handle_steal_request(comm::PeId pe, comm::PeId thief) {
     return;
   }
   ult::Scheduler& sched = cluster_->pe(pe).scheduler();
-  // Candidates: ready (queued, not running, not blocked), not entangled in
-  // a collective (group blocks and gate shards hold per-PE references), not
-  // under any control operation, and not this PE's only resident. The
-  // busiest candidate goes — it is the one most worth running elsewhere.
+  // Candidates: ready (queued, not running, not blocked), not parked in a
+  // blocking call (a rank its park continuation readied, as a checkpoint
+  // pack does, still counts as waiting until it resumes), not entangled in
+  // a collective (group blocks and gate shards hold per-PE references), and
+  // not this PE's only resident. The busiest candidate goes — it is the one
+  // most worth running elsewhere.
   RankMpi* best = nullptr;
   for (const auto& [rank, rm] : ps.resident) {
     if (rm->finished || rm->failed || rm->waiting) continue;
-    if (rm->migrate_dest != comm::kInvalidPe || rm->ckpt_pending ||
-        rm->restore_pending)
-      continue;
     if (rm->coll_depth > 0) continue;
     if (rm->rc->ult->state() != ult::UltState::Ready) continue;
     if (best == nullptr || rm->busy_time() > best->busy_time()) best = rm;
@@ -1331,35 +1267,30 @@ void Runtime::handle_steal_request(comm::PeId pe, comm::PeId thief) {
     return;
   }
   ps.ctr->bump(Ctr::SchedStealsOut);
-  // From here this is a migration departure with dest=thief. Setting
-  // migrate_dest reuses the existing wake guards: no late message arrival
-  // or stale kCtlCollWake can re-ready the ULT while its image is in
-  // flight. The arrival side clears it and requeues the rank.
-  best->migrate_dest = thief;
-  ship(pe, *best, kMigSteal);
+  // Once shipped the rank is no longer resident here, so a late message or
+  // kCtlCollWake chases it instead of readying it.
+  ship(pe, *best, thief, kMigSteal);
   APV_DEBUG("mpi", "PE %d: rank %d stolen by idle PE %d", pe,
             best->world_rank, thief);
 }
 
 int Runtime::do_checkpoint(RankMpi& rm) {
   rm.restored = false;
-  rm.ckpt_pending = true;
-  command_self(rm, kCtlDoCheckpoint, ++rm.ft_epoch);
-  while (rm.ckpt_pending) block_current(rm);
+  const std::uint32_t epoch = ++rm.ft_epoch;
+  const comm::PeId pe = rm.resident_pe;
+  block_current(rm, [this, &rm, pe, epoch] {
+    pack_checkpoint(pe, rm, epoch, /*buddy=*/false);
+  });
   // After a restore, execution rewinds to the suspension above and resumes
   // here with rm.restored set — the setjmp/longjmp shape of
   // checkpoint-based fault tolerance.
   return rm.restored ? 1 : 0;
 }
 
-bool Runtime::perform_checkpoint_pack(comm::PeId pe, comm::RankId rank,
-                                      std::uint32_t epoch, bool buddy) {
-  auto& ps = pe_state_[static_cast<std::size_t>(pe)];
-  auto it = ps.resident.find(rank);
-  require(it != ps.resident.end(), ErrorCode::Internal,
-          "checkpoint for non-resident rank");
-  RankMpi& rm = *it->second;
-  if (!rank_parked(rm)) return false;
+void Runtime::pack_checkpoint(comm::PeId pe, RankMpi& rm, std::uint32_t epoch,
+                              bool buddy) {
+  const comm::RankId rank = rm.world_rank;
+  util::CounterBlock& ctr = counters(pe);
   const iso::SlotId slot = rm.rc->slot;
   // Delta is eligible only when tracking covered the whole interval since
   // the previous image: the tracker is armed, nothing rewrote the slot
@@ -1395,14 +1326,14 @@ bool Runtime::perform_checkpoint_pack(comm::PeId pe, comm::RankId rank,
   if (want_delta) {
     ckpt_store_->put_delta(rank, epoch, rm.last_ckpt_epoch, pe, owners,
                            std::move(buf));
-    ps.ctr->bump(Ctr::CkptImagesDelta);
-    ps.ctr->bump(Ctr::CkptBytesDelta, packed_bytes);
-    ps.ctr->bump(Ctr::CkptPagesDirty, dirty_pages);
+    ctr.bump(Ctr::CkptImagesDelta);
+    ctr.bump(Ctr::CkptBytesDelta, packed_bytes);
+    ctr.bump(Ctr::CkptPagesDirty, dirty_pages);
     ++rm.ckpt_chain_len;
   } else {
     ckpt_store_->put(rank, epoch, pe, owners, std::move(buf));
-    ps.ctr->bump(Ctr::CkptImagesFull);
-    ps.ctr->bump(Ctr::CkptBytesFull, packed_bytes);
+    ctr.bump(Ctr::CkptImagesFull);
+    ctr.bump(Ctr::CkptBytesFull, packed_bytes);
     rm.ckpt_chain_len = 0;
     rm.force_full_ckpt = false;
   }
@@ -1417,35 +1348,26 @@ bool Runtime::perform_checkpoint_pack(comm::PeId pe, comm::RankId rank,
   // Snapshot taken: clear the bitmap and restart write tracking so the
   // next epoch's delta covers exactly the writes from here on.
   if (dirty_tracker_ != nullptr) dirty_tracker_->arm(slot);
-  rm.ckpt_pending = false;
   cluster_->pe(pe).scheduler().ready(rm.rc->ult, ult::Lane::High);
-  return true;
 }
 
 int Runtime::do_restore(RankMpi& rm) {
-  const std::uint32_t epoch = ckpt_store_->latest_epoch(rm.world_rank);
+  const int rank = rm.world_rank;
+  const std::uint32_t epoch = ckpt_store_->latest_epoch(rank);
   require(epoch != 0, ErrorCode::NotFound,
-          "no checkpoint taken for rank " + std::to_string(rm.world_rank));
-  command_self(rm, kCtlDoRestore, epoch);
-  park_until_rewound(rm);
-}
-
-bool Runtime::perform_restore_unpack(comm::PeId pe, comm::RankId rank,
-                                     std::uint32_t epoch) {
-  auto& ps = pe_state_[static_cast<std::size_t>(pe)];
-  auto it = ps.resident.find(rank);
-  require(it != ps.resident.end(), ErrorCode::Internal,
-          "restore for non-resident rank");
-  RankMpi& rm = *it->second;
-  if (!rank_parked(rm)) return false;
+          "no checkpoint taken for rank " + std::to_string(rank));
   // Materialize the epoch: the full base first, then each delta in order.
   std::vector<comm::Payload> chain;
   require(ckpt_store_->fetch_chain(rank, epoch, chain), ErrorCode::NotFound,
           "checkpoint image lost for rank " + std::to_string(rank) +
               " epoch " + std::to_string(epoch));
-  overwrite(rm, chain);
-  resume_restored(pe, rm);
-  return true;
+  // The continuation owns the chain: the unpack abandons this frame, so
+  // nothing left on it would ever be destroyed.
+  const comm::PeId pe = rm.resident_pe;
+  park_until_rewound(rm, [this, &rm, pe, chain = std::move(chain)] {
+    overwrite(rm, chain);
+    resume_restored(pe, rm);
+  });
 }
 
 comm::PeId Runtime::buddy_of(comm::PeId pe) const {
@@ -1457,28 +1379,14 @@ comm::PeId Runtime::buddy_of(comm::PeId pe) const {
   return pe;  // single live PE: no distinct buddy exists
 }
 
-bool Runtime::perform_ft_adopt(comm::PeId pe, comm::RankId rank,
+void Runtime::perform_ft_adopt(comm::PeId pe, comm::RankId rank,
                                std::uint32_t epoch) {
   RankMpi& rm = rank_state(rank);
-  // The victim packs and parks on the dying PE's thread while we run here;
-  // retry (requeue behind our own mailbox) until its epoch image exists and
-  // the ULT is genuinely suspended.
-  if (!(rm.restore_pending && rank_parked(rm) &&
-        ckpt_store_->has(rank, epoch)))
-    return false;
-  const comm::PeId old_pe = rm.resident_pe;
-  // The dying PE's loop may still be draining the backlog it accepted
-  // before the leader declared it dead — and its thread was the last to
-  // touch everything adoption takes over: the slot bytes holding the parked
-  // ULT (its scheduler read the Ult's atomic state when parking it), the
-  // resident-map entry, the privatization method's per-rank hooks. Requeue
-  // until that loop has exited: run_loop's final running_ store (release)
-  // against this acquire load is the happens-before edge that licenses the
-  // plain-byte unpack and map surgery below (found by TSan). The wait is
-  // bounded — every rank on the dead PE is a parked victim, so its loop
-  // drains and halts without needing anything from us.
-  if (cluster_->pe(old_pe).running()) return false;
-  leave(old_pe, rm);
+  // The recovery leader sent this only once the victim had parked with its
+  // epoch image stored and the dead PE's loop had exited, so the parked
+  // ULT, the dead PE's resident map and the privatizer's per-rank state
+  // are ours to take over (recover_from_failure has the ordering).
+  leave(rm.resident_pe, rm);
 
   // Pull the surviving buddy chain over and unpack it over the slot (full
   // base, then deltas in order): the rank is now bit-for-bit at the epoch
@@ -1496,7 +1404,6 @@ bool Runtime::perform_ft_adopt(comm::PeId pe, comm::RankId rank,
                  "%zu image(s), %zu bytes)",
            rank, pe, epoch, chain.size(), chain_bytes);
   resume_restored(pe, rm);
-  return true;
 }
 
 void Runtime::do_compute(RankMpi& rm, double seconds) {

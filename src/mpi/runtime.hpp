@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -44,13 +45,10 @@ struct RuntimeConfig {
 };
 
 /// Control-message opcodes (comm::Message::opcode when kind == Control).
+/// A rank never sends one to itself: what it asks of its own PE runs as its
+/// park continuation (Runtime::block_current).
 enum CtlOp : int {
-  kCtlDoMigrate = 1,    ///< source PE: pack + ship the suspended rank
-  kCtlDoCheckpoint,     ///< PE: pack the suspended rank (single copy);
-                        ///< msg.tag carries the epoch
-  kCtlDoRestore,        ///< PE: unpack the epoch image (msg.tag) over the slot
-  kCtlFtCheckpoint,     ///< PE: pack + store on self and buddy (msg.tag=epoch)
-  kCtlFtAdopt,          ///< new host PE: adopt a victim rank from its buddy
+  kCtlFtAdopt = 1,      ///< new host PE: adopt a victim rank from its buddy
                         ///< checkpoint copy (msg.tag=epoch)
   kCtlCollWake,         ///< wake dst_rank if parked in a group-block wait;
                         ///< processed on its resident PE thread so the wake
@@ -208,6 +206,14 @@ class Runtime {
   int do_checkpoint_all(RankMpi& rm);
   void do_compute(RankMpi& rm, double seconds);
 
+  /// Parks the calling rank until something readies it; every blocking
+  /// call parks here. Flushes its PE's aggregation bins first: its peers
+  /// may be waiting on what it just sent. `then`, if given, runs on the
+  /// PE's thread once the ULT has switched out (Scheduler::suspend), before
+  /// the PE dispatches anything else: it ships, packs or overwrites the
+  /// parked rank, and readies it unless it is handed elsewhere.
+  void block_current(RankMpi& rm, std::function<void()> then = nullptr);
+
   const CommInfo& comm_info(CommId id) const { return comms_->info(id); }
 
   /// Per-message resolution path: memoizes the registry lookup in the
@@ -339,8 +345,6 @@ class Runtime {
   /// The grouping of `comm` under rm's placement view (cached per epoch).
   std::shared_ptr<const CommTopo> comm_topo(RankMpi& rm, CommId comm);
 
-  /// Suspends the calling ULT until woken by the dispatcher.
-  void block_current(RankMpi& rm);
   /// Throws a CheckFailed diagnosis the dispatcher parked on rm (it cannot
   /// throw into rank context itself); no-op when none is pending.
   void throw_pending_check(RankMpi& rm);
@@ -355,20 +359,20 @@ class Runtime {
   /// A runtime control envelope (`tag` carries the epoch or the thief id).
   static comm::Message control(CtlOp op, comm::PeId src, comm::PeId dst,
                                comm::RankId rank = -1, std::int32_t tag = 0);
-  /// Posts a command about `rm` to its own PE's mailbox.
-  void command_self(RankMpi& rm, CtlOp op, std::uint32_t epoch = 0);
-  /// Parks the calling rank until a restore or an adoption rewinds its
-  /// stack to the checkpoint suspension; never returns.
-  [[noreturn]] void park_until_rewound(RankMpi& rm);
+  /// Parks the calling rank (block_current with `then`) until a restore or
+  /// an adoption rewinds its stack to the checkpoint suspension; never
+  /// returns.
+  [[noreturn]] void park_until_rewound(RankMpi& rm,
+                                       std::function<void()> then);
 
   // --- rank movement: every move is built from these steps ----------------
   /// Takes `rm` off `pe`: the privatizer's departure hook and the resident
   /// map.
   void leave(comm::PeId pe, RankMpi& rm);
-  /// Moves the parked `rm` from `pe` to rm.migrate_dest: settles the run
-  /// slice, flushes `pe`'s aggregation bins, leaves, packs, publishes the
-  /// new location, then sends the image as `op`.
-  void ship(comm::PeId pe, RankMpi& rm, MigOp op);
+  /// Moves the parked `rm` from `pe` to `dest`: settles the run slice,
+  /// flushes `pe`'s aggregation bins, leaves, packs, publishes the new
+  /// location, then sends the image as `op`.
+  void ship(comm::PeId pe, RankMpi& rm, comm::PeId dest, MigOp op);
   /// Rewrites rm's slot wholesale from `images` (a full base first, then
   /// deltas in order), with the write barrier disarmed and the next
   /// checkpoint forced full. Returns the bytes unpacked.
@@ -380,19 +384,18 @@ class Runtime {
   /// image inside its checkpoint suspension, flagged as restored.
   void resume_restored(comm::PeId pe, RankMpi& rm);
 
-  // Control-command handlers for a parked rank. Each returns false, having
-  // changed nothing, while the rank is not ready for it (not parked yet;
-  // for adoption, also no epoch image yet or its old PE still running);
-  // handle_control then requeues the command it received.
-  bool perform_migration_departure(comm::PeId pe, comm::RankId rank);
-  bool perform_checkpoint_pack(comm::PeId pe, comm::RankId rank,
-                               std::uint32_t epoch, bool buddy);
-  bool perform_restore_unpack(comm::PeId pe, comm::RankId rank,
-                              std::uint32_t epoch);
-  bool perform_ft_adopt(comm::PeId pe, comm::RankId rank, std::uint32_t epoch);
+  /// Packs the parked `rm` on `pe` as checkpoint `epoch`, stored on `pe`
+  /// and, when `buddy`, on buddy_of(pe) too; then readies it. Runs as the
+  /// rank's park continuation.
+  void pack_checkpoint(comm::PeId pe, RankMpi& rm, std::uint32_t epoch,
+                       bool buddy);
+  /// kCtlFtAdopt on the new host `pe`: moves FT victim `rank` off its dead
+  /// PE, overwrites its slot with its `epoch` buddy chain and resumes it.
+  void perform_ft_adopt(comm::PeId pe, comm::RankId rank, std::uint32_t epoch);
   /// Survivor-side recovery protocol (ft_glue.cpp): survivor barrier, then
-  /// the leader declares the PE dead, re-places the lost ranks via the LB
-  /// strategy, and dispatches adopt commands to their new hosts.
+  /// the leader declares the PE dead, waits for its loop to exit,
+  /// re-places the lost ranks via the LB strategy, and dispatches adopt
+  /// commands to their new hosts.
   void recover_from_failure(RankMpi& rm, comm::PeId victim,
                             std::uint32_t epoch);
   /// The next live PE after `pe` (cyclic): where its buddy copies go.

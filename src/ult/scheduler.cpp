@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -223,6 +224,7 @@ void Scheduler::enter(Ult* next) {
   if (next->state() == UltState::Done) next->context().retire_fiber();
   current_ = nullptr;
   g_current_scheduler = outer;
+  if (then_) std::exchange(then_, nullptr)();
 }
 
 bool Scheduler::run_one() {
@@ -282,8 +284,12 @@ void Scheduler::yield() {
   if (self->unwind_requested()) throw UltUnwind{};
 }
 
-void Scheduler::suspend() {
+void Scheduler::suspend(std::function<void()> then) {
   Ult* self = current_;
+  require(self != nullptr, ErrorCode::BadState, "suspend outside a ULT");
+  // Swapped, not moved: the ULT's copy must be empty for certain, since a
+  // checkpoint packs this frame and a restore destroys it again.
+  then_.swap(then);
   leave_current(UltState::Blocked);
   // Resumed (see yield() for why `self` and not `this`). A stop-drain
   // resume turns this suspend point into the unwind origin.

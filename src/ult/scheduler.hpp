@@ -27,7 +27,11 @@ using SwitchHook = std::function<void(Ult* next)>;
 /// Cooperative, message-driven scheduler for one PE.
 ///
 /// One OS thread drives run_one()/idle_wait(); ULTs of this scheduler call
-/// yield()/suspend() from inside their bodies. The ready queue is a
+/// yield()/suspend() from inside their bodies. suspend() may hand the
+/// scheduler a continuation that runs on this thread right after the ULT
+/// has switched out: the one place code sees a ULT parked for certain, so
+/// the layers above pack, ship or overwrite a parked ULT there rather than
+/// asking the loop to do it later. The ready queue is a
 /// three-lane runqueue (High/Normal/Bulk, bitmap-selected, lowest lane
 /// first with an anti-starvation escape) with two enqueue paths:
 ///
@@ -116,8 +120,13 @@ class Scheduler {
   void yield();
 
   /// Returns to the scheduler loop without requeueing; somebody must later
-  /// ready() this ULT for it to run again.
-  void suspend();
+  /// ready() this ULT for it to run again. `then`, if given, runs on the
+  /// scheduler's thread as the last step of the dispatch that ran this
+  /// ULT: after it has switched out (state Blocked, current() == nullptr)
+  /// and before any other ready ULT runs. It may ready() this ULT or hand
+  /// its stack to another thread; the ULT's frames, where `then` was
+  /// built, may be gone by the time it returns, so it owns its captures.
+  void suspend(std::function<void()> then = nullptr);
 
   /// Terminates the current ULT. Called by the entry thunk when the body
   /// returns; may also be called explicitly.
@@ -198,6 +207,8 @@ class Scheduler {
 
   std::vector<std::pair<int, SwitchHook>> hooks_;
   int next_hook_id_ = 0;
+
+  std::function<void()> then_;  ///< suspend's continuation, run by enter()
 };
 
 /// The scheduler driving the calling OS thread right now (set for the

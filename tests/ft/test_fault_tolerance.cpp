@@ -163,11 +163,11 @@ TEST(CheckpointStore, BuddyCopiesAndVersioning) {
   // Losing one owner leaves the buddy copy serving fetches.
   store.lose_pe(1);
   EXPECT_TRUE(store.has(0, 2));
-  util::ByteBuffer out;
-  ASSERT_TRUE(store.fetch(0, 2, out));
-  char got[sizeof payload2];
-  out.get_bytes(got, sizeof got);
-  EXPECT_EQ(std::memcmp(got, payload2, sizeof got), 0);
+  std::vector<comm::Payload> chain;
+  ASSERT_TRUE(store.fetch_chain(0, 2, chain));
+  ASSERT_EQ(chain.size(), 1u);
+  ASSERT_EQ(chain[0].size(), sizeof payload2);
+  EXPECT_EQ(std::memcmp(chain[0].data(), payload2, sizeof payload2), 0);
 
   // Losing the second owner destroys the last copy, and a dead PE can
   // never be written again.
@@ -601,11 +601,11 @@ TEST(CheckpointStore, BrokenChainFallsBackAndBuddySurvivesOneLoss) {
   buddy.lose_pe(0);
   EXPECT_TRUE(buddy.has(1, 2));
   EXPECT_EQ(buddy.latest_epoch(1), 2u);
-  util::ByteBuffer out;
-  ASSERT_TRUE(buddy.fetch(1, 2, out));
-  char got[6];
-  out.get_bytes(got, sizeof got);
-  EXPECT_STREQ(got, "delta");
+  std::vector<comm::Payload> chain;
+  ASSERT_TRUE(buddy.fetch_chain(1, 2, chain));
+  ASSERT_EQ(chain.size(), 2u);
+  EXPECT_STREQ(reinterpret_cast<const char*>(chain[0].data()), "base");
+  EXPECT_STREQ(reinterpret_cast<const char*>(chain[1].data()), "delta");
 }
 
 // --- delta checkpoints (runtime) ---------------------------------------------

@@ -542,17 +542,6 @@ TEST(Pack, DeltaChainRestoresBitIdenticalBytes) {
   EXPECT_EQ(past_byte, 0xDBu);
 }
 
-TEST(Pack, DeltaModeRefusedByFullPackEntryPoints) {
-  iso::IsoArena arena(small_arena());
-  const iso::SlotId slot = arena.acquire_slot();
-  iso::SlotHeap::format(arena.slot_base(slot), arena.slot_size());
-  util::ByteBuffer buf;
-  EXPECT_THROW(iso::pack_slot(arena, slot, iso::PackMode::Delta, buf),
-               ApvError);
-  EXPECT_THROW(iso::packed_payload_size(arena, slot, iso::PackMode::Delta),
-               ApvError);
-}
-
 TEST(Pack, DeltaRegionBeyondSlotRejected) {
   iso::IsoArena arena(small_arena());
   const iso::SlotId slot = arena.acquire_slot();

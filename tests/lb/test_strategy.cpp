@@ -147,33 +147,35 @@ TEST(Helpers, ImbalanceAndMigrationCount) {
   EXPECT_EQ(stats.pe_loads()[0], 4.0);
 }
 
+// With no service time measured (an empty service vector) the ranking is
+// pure ready depth.
 TEST(StealVictim, DeepestBacklogWins) {
-  EXPECT_EQ(lb::pick_steal_victim({0, 3, 7, 2}, 0), 2);
-  EXPECT_EQ(lb::pick_steal_victim({9, 3, 7, 2}, 3), 0);
+  EXPECT_EQ(lb::pick_steal_victim({0, 3, 7, 2}, {}, 0), 2);
+  EXPECT_EQ(lb::pick_steal_victim({9, 3, 7, 2}, {}, 3), 0);
 }
 
 TEST(StealVictim, TiesBreakTowardLowestPe) {
-  EXPECT_EQ(lb::pick_steal_victim({0, 5, 5, 5}, 0), 1);
+  EXPECT_EQ(lb::pick_steal_victim({0, 5, 5, 5}, {}, 0), 1);
 }
 
 TEST(StealVictim, SelfNeverPicked) {
   // PE 2 has the deepest queue but is asking for itself.
-  EXPECT_EQ(lb::pick_steal_victim({0, 1, 9}, 2), 1);
+  EXPECT_EQ(lb::pick_steal_victim({0, 1, 9}, {}, 2), 1);
 }
 
 TEST(StealVictim, MinReadyFilters) {
   // Stealing a victim's only runnable rank just relocates the imbalance.
-  EXPECT_EQ(lb::pick_steal_victim({0, 1, 1}, 0, 2), -1);
-  EXPECT_EQ(lb::pick_steal_victim({0, 1, 2}, 0, 2), 2);
+  EXPECT_EQ(lb::pick_steal_victim({0, 1, 1}, {}, 0, 2), -1);
+  EXPECT_EQ(lb::pick_steal_victim({0, 1, 2}, {}, 0, 2), 2);
 }
 
 TEST(StealVictim, NoQualifierReturnsMinusOne) {
-  EXPECT_EQ(lb::pick_steal_victim({0, 0, 0}, 1), -1);
-  EXPECT_EQ(lb::pick_steal_victim({}, 0), -1);
-  EXPECT_EQ(lb::pick_steal_victim({4}, 0), -1);  // alone in the cluster
+  EXPECT_EQ(lb::pick_steal_victim({0, 0, 0}, {}, 1), -1);
+  EXPECT_EQ(lb::pick_steal_victim({}, {}, 0), -1);
+  EXPECT_EQ(lb::pick_steal_victim({4}, {}, 0), -1);  // alone in the cluster
 }
 
-// --- latency-aware overload: rank by depth x recent service time ----------
+// --- rank by depth x recent service time -----------------------------------
 
 TEST(StealVictimLatency, LongestEstimatedWaitWins) {
   // PE 2 is deepest, but its ULTs are quick (7 x 100ns = 700ns of work);
@@ -185,7 +187,7 @@ TEST(StealVictimLatency, LongestEstimatedWaitWins) {
 
 TEST(StealVictimLatency, UnmeasuredPesFallBackToDepth) {
   // All-zero service estimates (nothing has run yet): pure depth ranking,
-  // identical to the depth-only overload.
+  // as with no estimates at all.
   EXPECT_EQ(lb::pick_steal_victim({0, 3, 7, 2}, {0, 0, 0, 0}, 0), 2);
   // A measured slow PE outranks an unmeasured deeper one: 2 x 5000ns beats
   // a neutral 7 x 1ns.

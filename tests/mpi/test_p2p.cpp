@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 
 #include "image/image.hpp"
 #include "mpi/runtime.hpp"
@@ -77,6 +78,22 @@ TEST(P2P, BlockingRoundTrip) {
 namespace {
 constexpr int kSmallPings = 50;
 
+// The blocking calls a rank can wait for its reply in.
+enum class Park { Recv, ProbeRecv, IrecvWaitany };
+
+template <Park kPark>
+void recv_one(Env* env, int* v, int peer, int tag) {
+  if constexpr (kPark == Park::IrecvWaitany) {
+    mpi::Request req = env->irecv(v, 1, Datatype::Int, peer, tag);
+    mpi::Status st;
+    EXPECT_EQ(env->waitany(1, &req, &st), 0);
+    return;
+  }
+  if constexpr (kPark == Park::ProbeRecv) env->probe(peer, tag);
+  env->recv(v, 1, Datatype::Int, peer, tag);
+}
+
+template <Park kPark>
 void* small_ping_pong(void* arg) {
   ENV();
   const int peer = 1 - env->rank();
@@ -84,9 +101,9 @@ void* small_ping_pong(void* arg) {
   for (int i = 0; i < kSmallPings; ++i) {
     if (env->rank() == 0) {
       env->send(&v, 1, Datatype::Int, peer, 12);
-      env->recv(&v, 1, Datatype::Int, peer, 13);
+      recv_one<kPark>(env, &v, peer, 13);
     } else {
-      env->recv(&v, 1, Datatype::Int, peer, 12);
+      recv_one<kPark>(env, &v, peer, 12);
       ++v;
       env->send(&v, 1, Datatype::Int, peer, 13);
     }
@@ -97,13 +114,23 @@ void* small_ping_pong(void* arg) {
 
 // A small inter-PE message waits in its PE's aggregation bin. The sender
 // blocking on the reply ships it: rank 0 blocks after every ping, so each
-// one leaves by a block flush rather than by its PE going idle.
+// one leaves by a block flush rather than by its PE going idle — whichever
+// blocking call it waits in.
 TEST(P2P, BlockingSenderFlushesItsBins) {
-  util::CounterValues c;
-  const auto r = run_job(&small_ping_pong, 2, 2, core::Method::PIEglobals, &c);
-  EXPECT_EQ(r[0], kSmallPings);
-  EXPECT_EQ(r[1], kSmallPings);
-  EXPECT_GE(c[Ctr::CommFlushesBlock], static_cast<std::uint64_t>(kSmallPings));
+  const std::pair<const char*, EntryFn> programs[] = {
+      {"recv", &small_ping_pong<Park::Recv>},
+      {"probe+recv", &small_ping_pong<Park::ProbeRecv>},
+      {"irecv+waitany", &small_ping_pong<Park::IrecvWaitany>},
+  };
+  for (const auto& [name, entry] : programs) {
+    SCOPED_TRACE(name);
+    util::CounterValues c;
+    const auto r = run_job(entry, 2, 2, core::Method::PIEglobals, &c);
+    EXPECT_EQ(r[0], kSmallPings);
+    EXPECT_EQ(r[1], kSmallPings);
+    EXPECT_GE(c[Ctr::CommFlushesBlock],
+              static_cast<std::uint64_t>(kSmallPings));
+  }
 }
 
 namespace {

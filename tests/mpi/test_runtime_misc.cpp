@@ -130,6 +130,30 @@ TEST(RuntimeMisc, RestoreUsesLatestCheckpointGeneration) {
   EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(1)), 1);
 }
 
+namespace {
+void* restore_without_ckpt_main(void* arg) {
+  ENV();
+  try {
+    env->runtime().do_restore(env->state());
+  } catch (const util::ApvError& e) {
+    // The failed restore throws here, in the rank, and the rank goes on.
+    env->barrier();
+    return reinterpret_cast<void*>(
+        static_cast<std::intptr_t>(e.code() == util::ErrorCode::NotFound));
+  }
+  return nullptr;
+}
+}  // namespace
+
+TEST(RuntimeMisc, RestoreWithoutCheckpointThrowsIntoTheRank) {
+  const img::ProgramImage image =
+      entry_image("nockpt", &restore_without_ckpt_main);
+  mpi::Runtime rt(image, base_cfg(2, 2));
+  rt.run();
+  EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(0)), 1);
+  EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(1)), 1);
+}
+
 TEST(RuntimeMisc, MissingEntryRejectedEarly) {
   img::ImageBuilder b("noentry");
   b.add_global<int>("x", 0);

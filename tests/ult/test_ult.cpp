@@ -180,6 +180,59 @@ TEST(Scheduler, SuspendNeedsExplicitResume) {
   EXPECT_EQ(t.state(), ult::UltState::Done);
 }
 
+namespace {
+struct ThenRig {
+  ult::Scheduler* sched = nullptr;
+  ult::Ult* parker = nullptr;
+  std::string log;
+  ult::UltState parker_state = ult::UltState::Running;
+  bool current_was_null = false;
+};
+
+void then_parker(void* arg) {
+  auto* rig = static_cast<ThenRig*>(arg);
+  rig->log += 'p';
+  rig->sched->suspend([rig] {
+    rig->log += 't';
+    rig->parker_state = rig->parker->state();
+    rig->current_was_null = rig->sched->current() == nullptr;
+    rig->sched->ready(rig->parker);
+  });
+  rig->log += 'P';
+}
+
+void then_bystander(void* arg) { static_cast<ThenRig*>(arg)->log += 'b'; }
+}  // namespace
+
+TEST(Scheduler, SuspendThenRunsAfterSwitchOut) {
+  ult::Scheduler sched;
+  std::vector<char> s1(32 << 10), s2(32 << 10), s3(32 << 10);
+  ThenRig rig;
+  rig.sched = &sched;
+  ult::Ult parker(1, &then_parker, &rig, s1.data(), s1.size());
+  ult::Ult bystander(2, &then_bystander, &rig, s2.data(), s2.size());
+  rig.parker = &parker;
+  sched.ready(&parker);
+  sched.ready(&bystander);
+  sched.run_until_quiescent();
+  // The continuation runs once the parker has switched out and before the
+  // bystander queued ahead of it; its ready() then resumes the parker.
+  EXPECT_EQ(rig.log, "ptbP");
+  EXPECT_EQ(rig.parker_state, ult::UltState::Blocked);
+  EXPECT_TRUE(rig.current_was_null);
+  EXPECT_EQ(parker.state(), ult::UltState::Done);
+
+  // Outside a ULT the call throws, and its continuation never runs — not
+  // even after the next dispatch.
+  bool ran = false;
+  EXPECT_THROW(sched.suspend([&ran] { ran = true; }), util::ApvError);
+  ult::Ult later(3, &then_bystander, &rig, s3.data(), s3.size());
+  sched.ready(&later);
+  sched.run_until_quiescent();
+  EXPECT_EQ(rig.log, "ptbPb");
+  EXPECT_FALSE(ran);
+}
+
 TEST(Scheduler, RunOneReturnsFalseWhenEmpty) {
   ult::Scheduler sched;
   EXPECT_FALSE(sched.run_one());
