@@ -98,6 +98,12 @@ bool Cluster::on_sender_pe(const Message& msg) const {
 }
 
 void Cluster::send(Message&& msg) {
+  const std::byte* data = msg.payload.data();
+  const std::size_t bytes = msg.payload.size();
+  send(std::move(msg), data, bytes);
+}
+
+void Cluster::send(Message&& msg, const void* data, std::size_t bytes) {
   require(msg.dst_pe >= 0 && msg.dst_pe < num_pes(),
           ErrorCode::InvalidArgument, "message to invalid PE");
   if (msg.src_pe == kInvalidPe) {
@@ -114,27 +120,34 @@ void Cluster::send(Message&& msg) {
   // wake their destination rank on the High scheduler lane. The bit rides
   // the envelope (and survives bundling via kAggHipriBit); it never changes
   // routing, pacing, or aggregation.
-  if (msg.kind != Message::Kind::UserData ||
-      msg.payload.size() <= kHipriBytes) {
+  if (msg.kind != Message::Kind::UserData || bytes <= kHipriBytes) {
     msg.prio = 1;
   }
+  // A message that travels on its own needs a payload of its own; one the
+  // caller has not given it yet is acquired and filled here.
+  const auto own_payload = [&] {
+    if (bytes > 0 && msg.payload.empty())
+      msg.payload = Payload::copy_of(data, bytes);
+  };
   if (failed_[msg.dst_pe].load(std::memory_order_acquire)) {
+    own_payload();
     divert(std::move(msg));
     return;
   }
   if (!on_sender_pe(msg)) {
     shared_ctr_.add(Ctr::CommSends);
-    shared_ctr_.add(Ctr::CommBytes, msg.payload.size());
+    shared_ctr_.add(Ctr::CommBytes, bytes);
+    own_payload();
     deliver(std::move(msg));
     return;
   }
   util::CounterBlock& ctr = pes_[msg.src_pe]->counters();
   ctr.bump(Ctr::CommSends);
-  ctr.bump(Ctr::CommBytes, msg.payload.size());
+  ctr.bump(Ctr::CommBytes, bytes);
   if (msg.kind == Message::Kind::UserData && msg.dst_pe != msg.src_pe &&
-      msg.payload.size() < kAggThreshold) {
+      bytes < kAggThreshold) {
     ctr.bump(Ctr::CommAggregated);
-    append_to_bin(std::move(msg));
+    append_to_bin(msg, data, bytes);
     return;
   }
   if (agg_bin(msg.src_pe, msg.dst_pe).count.load(
@@ -144,15 +157,17 @@ void Cluster::send(Message&& msg) {
     ctr.bump(Ctr::CommFlushesOrder);
     flush_bin(msg.src_pe, msg.dst_pe);
   }
+  own_payload();
   deliver(std::move(msg));
 }
 
-void Cluster::append_to_bin(Message&& msg) {
+void Cluster::append_to_bin(const Message& msg, const void* data,
+                            std::size_t bytes) {
   const PeId src = msg.src_pe;
   const PeId dst = msg.dst_pe;
   AggBin& bin = agg_bin(src, dst);
   util::CounterBlock& ctr = pes_[src]->counters();
-  const std::size_t entry = agg_entry_bytes(msg.payload.size());
+  const std::size_t entry = agg_entry_bytes(bytes);
   if (bin.count.load(std::memory_order_relaxed) > 0 &&
       bin.used + entry > bin.buf.size()) {
     ctr.bump(Ctr::CommFlushesSize);
@@ -168,17 +183,15 @@ void Cluster::append_to_bin(Message&& msg) {
   h.comm_id = msg.comm_id;
   h.tag = msg.tag;
   h.seq = msg.seq;
-  h.bytes = static_cast<std::uint32_t>(msg.payload.size());
+  h.bytes = static_cast<std::uint32_t>(bytes);
   if (msg.prio != 0) h.bytes |= kAggHipriBit;
   h.esize = msg.esize;
   std::memcpy(bin.buf.data() + bin.used, &h, sizeof h);
-  if (!msg.payload.empty()) {
-    std::memcpy(bin.buf.data() + bin.used + sizeof h, msg.payload.data(),
-                msg.payload.size());
-  }
+  if (bytes > 0)
+    std::memcpy(bin.buf.data() + bin.used + sizeof h, data, bytes);
   bin.used += entry;
   bump32(bin.count);
-  bin.payload_bytes += msg.payload.size();
+  bin.payload_bytes += bytes;
   if (bin.used + sizeof(AggSubHeader) >= bin.buf.size()) {
     ctr.bump(Ctr::CommFlushesSize);
     flush_bin(src, dst);

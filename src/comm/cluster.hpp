@@ -76,6 +76,12 @@ class Cluster {
   /// longer exists.
   void send(Message&& msg);
 
+  /// send() for a message whose payload is still in the caller's buffer
+  /// (`msg.payload` empty; the `bytes` bytes at `data` are its payload).
+  /// The bytes are copied once: straight into the aggregation bin when the
+  /// message is bundled, else into a pooled payload acquired for it.
+  void send(Message&& msg, const void* data, std::size_t bytes);
+
   /// Flushes the aggregation bins owned by `src`, counting each nonempty
   /// bin under `cause`. Called from `src`'s own PE thread (the idle hook
   /// does this automatically once started).
@@ -145,7 +151,7 @@ class Cluster {
   AggBin& agg_bin(PeId src, PeId dst) {
     return bins_[static_cast<std::size_t>(src)][static_cast<std::size_t>(dst)];
   }
-  void append_to_bin(Message&& msg);
+  void append_to_bin(const Message& msg, const void* data, std::size_t bytes);
   void flush_bin(PeId src, PeId dst);
   /// The post-aggregation delivery path: divert-if-dead, counters,
   /// netmodel pacing, mailbox post.

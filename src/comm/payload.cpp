@@ -81,9 +81,14 @@ struct GlobalFreelist {
 };
 GlobalFreelist g_freelists[kNumClasses];
 
-// Per-thread chunk cache: the steady-state acquire/release path touches no
-// lock at all — a PE thread ping-ponging small messages recycles through
-// its own cache. Spills/refills hit the global list in batches of one.
+// Per-thread chunk cache. A thread that releases about as many chunks of a
+// class as it acquires (a PE in a symmetric exchange) recycles through its
+// own cache and takes no lock. A one-way flow (chunks acquired on one PE,
+// released on another) drains one cache and fills the other, so a cache
+// refills from and spills to the shared list kBatch chunks at a time, under
+// one lock per batch rather than one per chunk.
+constexpr int kBatch = kThreadCacheCap / 2;
+
 struct ThreadCache {
   Payload::Chunk* slots[kNumClasses][kThreadCacheCap] = {};
   int counts[kNumClasses] = {};
@@ -107,47 +112,61 @@ struct ThreadCache {
       delete stats_block;
     }
     for (int c = 0; c < kNumClasses; ++c) {
+      spill(c, counts[c]);
+      // What the shared list had no room for is freed.
       for (int i = 0; i < counts[c]; ++i) {
-        GlobalFreelist& gl = g_freelists[c];
-        std::lock_guard<std::mutex> lock(gl.mutex);
-        if (gl.count < kGlobalCap) {
-          // Cached chunks are quarantined (poisoned) — spilling keeps them so.
-          slots[c][i]->next_free = gl.head;
-          gl.head = slots[c][i];
-          ++gl.count;
-        } else {
-          APV_ASAN_UNPOISON(slots[c][i]->mem, slots[c][i]->capacity);
-          delete slots[c][i];
-        }
+        APV_ASAN_UNPOISON(slots[c][i]->mem, slots[c][i]->capacity);
+        delete slots[c][i];
       }
       counts[c] = 0;
     }
+  }
+
+  // Moves up to kBatch chunks of class `cls` from the shared list into this
+  // (empty) cache; false if the shared list had none.
+  bool refill(int cls) {
+    GlobalFreelist& gl = g_freelists[cls];
+    int& n = counts[cls];
+    std::lock_guard<std::mutex> lock(gl.mutex);
+    for (; n < kBatch && gl.head != nullptr; ++n, --gl.count) {
+      Payload::Chunk* c = gl.head;
+      gl.head = c->next_free;
+      c->next_free = nullptr;
+      slots[cls][n] = c;
+    }
+    return n > 0;
+  }
+
+  // Moves the `n` oldest cached chunks of class `cls` to the shared list,
+  // or as many as it has room for; returns how many moved. Cached chunks
+  // are quarantined (poisoned), and the move keeps them so.
+  int spill(int cls, int n) {
+    GlobalFreelist& gl = g_freelists[cls];
+    Payload::Chunk** s = slots[cls];
+    int moved = 0;
+    {
+      std::lock_guard<std::mutex> lock(gl.mutex);
+      moved = std::min(n, kGlobalCap - gl.count);
+      for (int i = 0; i < moved; ++i) {
+        s[i]->next_free = gl.head;
+        gl.head = s[i];
+      }
+      gl.count += moved;
+    }
+    counts[cls] -= moved;
+    for (int i = 0; i < counts[cls]; ++i) s[i] = s[i + moved];
+    return moved;
   }
 };
 thread_local ThreadCache t_cache;
 
 Payload::Chunk* pool_get(int cls) {
   ThreadCache& tc = t_cache;
-  if (tc.counts[cls] > 0) {
-    bump(tc.stats_block->hits);
-    Payload::Chunk* c = tc.slots[cls][--tc.counts[cls]];
-    APV_ASAN_UNPOISON(c->mem, c->capacity);  // leaving quarantine
-    return c;
-  }
-  GlobalFreelist& gl = g_freelists[cls];
-  {
-    std::lock_guard<std::mutex> lock(gl.mutex);
-    if (gl.head != nullptr) {
-      Payload::Chunk* c = gl.head;
-      gl.head = c->next_free;
-      --gl.count;
-      c->next_free = nullptr;
-      bump(tc.stats_block->hits);
-      APV_ASAN_UNPOISON(c->mem, c->capacity);  // leaving quarantine
-      return c;
-    }
-  }
-  return nullptr;
+  if (tc.counts[cls] == 0 && !tc.refill(cls)) return nullptr;
+  bump(tc.stats_block->hits);
+  Payload::Chunk* c = tc.slots[cls][--tc.counts[cls]];
+  APV_ASAN_UNPOISON(c->mem, c->capacity);  // leaving quarantine
+  return c;
 }
 
 void pool_put(Payload::Chunk* c) {
@@ -160,25 +179,16 @@ void pool_put(Payload::Chunk* c) {
   // Chunk header (a separate heap object), so pooling itself never touches
   // the poisoned buffer.
   APV_ASAN_POISON(c->mem, c->capacity);
-  if (tc.counts[cls] < kThreadCacheCap) {
-    tc.slots[cls][tc.counts[cls]++] = c;
-    bump(tc.stats_block->returns);
+  if (tc.counts[cls] == kThreadCacheCap && tc.spill(cls, kBatch) == 0) {
+    // Cache and shared list both full: this release is a drop, and the
+    // chunks already cached stay counted as returns.
+    g_drops.fetch_add(1, std::memory_order_relaxed);
+    APV_ASAN_UNPOISON(c->mem, c->capacity);  // clean shadow for ::delete
+    delete c;
     return;
   }
-  GlobalFreelist& gl = g_freelists[cls];
-  {
-    std::lock_guard<std::mutex> lock(gl.mutex);
-    if (gl.count < kGlobalCap) {
-      c->next_free = gl.head;
-      gl.head = c;
-      ++gl.count;
-      bump(tc.stats_block->returns);
-      return;
-    }
-  }
-  g_drops.fetch_add(1, std::memory_order_relaxed);
-  APV_ASAN_UNPOISON(c->mem, c->capacity);  // hand clean shadow back to ::delete
-  delete c;
+  tc.slots[cls][tc.counts[cls]++] = c;
+  bump(tc.stats_block->returns);
 }
 
 }  // namespace
@@ -257,14 +267,19 @@ Payload Payload::acquire(std::size_t n) {
     p.size_ = n;
     return p;
   }
-  // Larger than the largest class: fresh vector backing.
+  // Larger than the largest class: fresh vector backing, counted as the
+  // miss it is (not as an adoption).
   g_misses.fetch_add(1, std::memory_order_relaxed);
-  return adopt(std::vector<std::byte>(n));
+  return wrap(std::vector<std::byte>(n));
 }
 
 Payload Payload::adopt(std::vector<std::byte>&& bytes) {
   if (bytes.empty()) return Payload{};
   g_adopted.fetch_add(1, std::memory_order_relaxed);
+  return wrap(std::move(bytes));
+}
+
+Payload Payload::wrap(std::vector<std::byte>&& bytes) {
   Chunk* c = new Chunk;
   c->vec = std::move(bytes);
   c->capacity = c->vec.size();
@@ -272,6 +287,12 @@ Payload Payload::adopt(std::vector<std::byte>&& bytes) {
   p.chunk_ = c;
   p.data_ = c->vec.data();
   p.size_ = c->vec.size();
+  return p;
+}
+
+Payload Payload::copy_of(const void* data, std::size_t n) {
+  Payload p = acquire(n);
+  if (n > 0) std::memcpy(p.data_, data, n);
   return p;
 }
 

@@ -9,7 +9,8 @@ namespace apv::comm {
 /// Counters for the payload buffer pool (process-wide, all clusters).
 struct PoolStats {
   std::uint64_t hits = 0;          ///< acquires served from a freelist
-  std::uint64_t misses = 0;        ///< acquires that had to allocate
+  std::uint64_t misses = 0;        ///< acquires that had to allocate (every
+                                   ///< one above the largest size class too)
   std::uint64_t adopted = 0;       ///< buffers wrapped around an existing vector
   std::uint64_t returns = 0;       ///< chunks recycled into a freelist
   std::uint64_t drops = 0;         ///< chunks freed because a freelist was full
@@ -53,6 +54,10 @@ class Payload {
   /// when a size-class chunk is free, freshly allocated otherwise.
   static Payload acquire(std::size_t n);
 
+  /// acquire(n) filled with the `n` bytes at `data`: the one copy a
+  /// message's bytes make on their way from a user buffer to the receiver.
+  static Payload copy_of(const void* data, std::size_t n);
+
   /// Wraps an existing byte vector without copying (migration images).
   static Payload adopt(std::vector<std::byte>&& bytes);
 
@@ -80,6 +85,8 @@ class Payload {
   std::vector<std::byte> take_vector();
 
  private:
+  /// A vector-backed handle over `bytes` (nonempty), uncounted.
+  static Payload wrap(std::vector<std::byte>&& bytes);
   void release() noexcept;
 
   Chunk* chunk_ = nullptr;

@@ -708,14 +708,13 @@ inline void preempt_point() {
   if (ult::Scheduler* s = ult::current_scheduler()) s->preempt_point();
 }
 
-// A user-data envelope from `src`, not yet addressed to a PE. esize is one
-// unconditional store, verified only when stamped on both sides and the
-// checker is armed. The payload is one pooled buffer filled once from the
-// user's bytes; from here it moves (or is view-shared) unmodified to the
-// matching receive. Zero-byte tokens skip the pool (empty Payload).
+// A user-data envelope from `src`, not yet addressed to a PE and without
+// its payload. esize is one unconditional store, verified only when stamped
+// on both sides and the checker is armed. The user's bytes are copied once,
+// into the payload or the aggregation bin; from there they move (or are
+// view-shared) unmodified to the matching receive.
 comm::Message user_envelope(const RankMpi& src, int dst_world, int tag,
-                            CommId comm, std::uint32_t esize,
-                            const void* data, std::size_t bytes) {
+                            CommId comm, std::uint32_t esize) {
   comm::Message m;
   m.kind = comm::Message::Kind::UserData;
   m.src_pe = src.resident_pe;
@@ -724,10 +723,6 @@ comm::Message user_envelope(const RankMpi& src, int dst_world, int tag,
   m.comm_id = comm;
   m.tag = tag;
   m.esize = esize;
-  if (bytes > 0) {
-    m.payload = comm::Payload::acquire(bytes);
-    std::memcpy(m.payload.data(), data, bytes);
-  }
   return m;
 }
 }  // namespace
@@ -738,11 +733,10 @@ void Runtime::do_send(RankMpi& rm, const void* buf, std::size_t bytes,
   preempt_point();
   const int dst_world = comm_info(rm, comm).world_of(dst_local);
   if (try_inline_send(rm, dst_world, tag, buf, bytes, comm, esize)) return;
-  comm::Message m =
-      user_envelope(rm, dst_world, tag, comm, esize, buf, bytes);
+  comm::Message m = user_envelope(rm, dst_world, tag, comm, esize);
   m.dst_pe = cluster_->location(dst_world);
   m.seq = ++rm.routed_sent_to(dst_world);
-  cluster_->send(std::move(m));
+  cluster_->send(std::move(m), buf, bytes);
 }
 
 bool Runtime::try_inline_send(RankMpi& rm, int dst_world, int tag,
@@ -793,9 +787,9 @@ bool Runtime::try_inline_send(RankMpi& rm, int dst_world, int tag,
     // Miss: no matching posted receive yet. Park a copy on the unexpected
     // queue directly — still no mailbox round-trip, but the bytes need a
     // buffer of their own now.
-    comm::Message m = user_envelope(rm, dst_world, tag, comm, esize, data,
-                                    bytes);
+    comm::Message m = user_envelope(rm, dst_world, tag, comm, esize);
     m.dst_pe = pe;
+    m.payload = comm::Payload::copy_of(data, bytes);
     dst.unexpected.push_back(std::move(m));
     ps.ctr->bump(Ctr::InlineMisses);
   }

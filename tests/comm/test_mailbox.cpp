@@ -1,12 +1,16 @@
 // Transport primitive tests: pooled payload buffers (refcount, adoption,
-// views, recycling) and the MPSC ring mailbox (FIFO per producer across the
-// ring/overflow boundary, concurrent stress).
+// views, recycling, a one-way cross-thread flow) and the MPSC ring mailbox
+// (FIFO per producer across the ring/overflow boundary, concurrent stress).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <map>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -41,6 +45,88 @@ TEST(Payload, PoolRecyclesChunks) {
   const comm::PoolStats s = comm::pool::stats();
   EXPECT_GT(s.hits, 0u);
   EXPECT_EQ(s.bytes_copied, 0u);
+}
+
+// A one-way stream, as between two PEs: thread A acquires 4 KiB chunks and
+// hands them through a queue to thread B, which releases them. A's cache
+// only drains and B's only fills, so both trade chunks with the shared list
+// in batches. At most 64 chunks are live (acquired, not yet released), and
+// B takes one only when all 64 are queued (or A is done), so round 1 reaches
+// the highest pool demand the stream can have; round 3 allocates nothing.
+TEST(Payload, OneWayCrossThreadFlowRecycles) {
+  constexpr int kRounds = 3;
+  constexpr int kPerRound = 200;
+  constexpr int kMaxLive = 64;
+  constexpr std::size_t kBytes = 4096;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE(round);
+    std::mutex mu;
+    std::condition_variable cv;
+    std::deque<Payload> queue;
+    std::set<const std::byte*> live;  // chunks acquired and not yet released
+    bool a_done = false;
+    bool handed_out_twice = false;
+    bool bytes_ok = true;
+    comm::pool::reset_stats();
+    std::thread a([&] {
+      for (int i = 0; i < kPerRound; ++i) {
+        {
+          std::unique_lock<std::mutex> lock(mu);
+          cv.wait(lock, [&] {
+            return static_cast<int>(live.size()) < kMaxLive;
+          });
+        }
+        Payload p = Payload::acquire(kBytes);
+        std::memset(p.data(), i, kBytes);
+        std::lock_guard<std::mutex> lock(mu);
+        if (!live.insert(p.data()).second) handed_out_twice = true;
+        queue.push_back(std::move(p));
+        a_done = i + 1 == kPerRound;
+        cv.notify_all();
+      }
+    });
+    std::thread b([&] {
+      for (int i = 0; i < kPerRound; ++i) {
+        Payload p;
+        {
+          std::unique_lock<std::mutex> lock(mu);
+          cv.wait(lock, [&] {
+            return static_cast<int>(queue.size()) == kMaxLive || a_done;
+          });
+          p = std::move(queue.front());
+          queue.pop_front();
+        }
+        if (p.data()[0] != static_cast<std::byte>(i) ||
+            p.data()[kBytes - 1] != static_cast<std::byte>(i))
+          bytes_ok = false;
+        const std::byte* chunk = p.data();
+        p.clear();  // released on this thread
+        std::lock_guard<std::mutex> lock(mu);
+        live.erase(chunk);
+        cv.notify_all();
+      }
+    });
+    a.join();
+    b.join();
+    EXPECT_FALSE(handed_out_twice);
+    EXPECT_TRUE(bytes_ok);
+    const comm::PoolStats s = comm::pool::stats();
+    // Every acquire counts once, as a hit or a miss; every release of a
+    // pooled chunk once, as a return or a drop, batch spills included.
+    EXPECT_EQ(s.hits + s.misses, static_cast<std::uint64_t>(kPerRound));
+    EXPECT_EQ(s.returns + s.drops, static_cast<std::uint64_t>(kPerRound));
+    if (round == kRounds - 1) {
+      EXPECT_EQ(s.misses, 0u);
+    }
+  }
+
+  // An acquire above the largest class allocates: one miss, no adoption.
+  comm::pool::reset_stats();
+  Payload big = Payload::acquire((std::size_t{1} << 20) + 1);
+  const comm::PoolStats s = comm::pool::stats();
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.adopted, 0u);
 }
 
 TEST(Payload, AdoptAndTakeVectorAreZeroCopy) {

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -236,13 +238,88 @@ img::ProgramImage entry_image(const char* name, img::NativeFn fn) {
   return b.build();
 }
 
+// Send sizes on both sides of the hipri cutoff (256 B) and of the
+// aggregation threshold (512 B: smaller sends travel bundled), plus one
+// class-sized send.
+constexpr std::size_t kEdgeSizes[] = {0,   1,   255, 256, 257,
+                                      511, 512, 513, 4096};
+constexpr std::size_t kBundledBelow = 512;
+constexpr int kEdgePasses = 20;
+
+std::byte edge_byte(int n, std::size_t i) {
+  return static_cast<std::byte>(
+      (static_cast<std::size_t>(n) * 131 + i * 7 + 1) & 0xff);
+}
+
+// Rank 0 streams kEdgePasses passes of kEdgeSizes to rank 1, which checks
+// each message's size and every byte, in send order.
+void* size_edge_stream(void* arg) {
+  auto* env = static_cast<mpi::Env*>(arg);
+  std::vector<std::byte> buf(4096);
+  std::intptr_t ok = 1;
+  int n = 0;
+  for (int pass = 0; pass < kEdgePasses; ++pass) {
+    for (const std::size_t bytes : kEdgeSizes) {
+      const int count = static_cast<int>(bytes);
+      if (env->rank() == 0) {
+        for (std::size_t i = 0; i < bytes; ++i) buf[i] = edge_byte(n, i);
+        env->send(buf.data(), count, mpi::Datatype::Byte, 1, 3);
+      } else {
+        std::fill(buf.begin(), buf.end(), std::byte{0xee});
+        const mpi::Status st =
+            env->recv(buf.data(), static_cast<int>(buf.size()),
+                      mpi::Datatype::Byte, 0, 3);
+        if (st.count_bytes != count) ok = 0;
+        for (std::size_t i = 0; i < bytes; ++i) {
+          if (buf[i] != edge_byte(n, i)) ok = 0;
+        }
+      }
+      ++n;
+    }
+  }
+  return reinterpret_cast<void*>(ok);
+}
+
 }  // namespace
 
-// Acceptance: routed delivery hands the sender's pooled buffer to the
-// receiver — the pool observes hits and zero payload-to-payload copies —
-// within a PE (same-PE inline fast path disabled), and across PEs both for
-// small messages, which travel bundled and arrive as views into their
-// aggregate envelope, and for large ones, which are sent directly.
+// A cross-PE stream over the size edges arrives intact and in order, and
+// each bundled send is written straight into its aggregation bin: the pool
+// serves only the unbundled sends and the bins' envelopes.
+TEST(Aggregation, SendSizeEdgesAcrossPes) {
+  const img::ProgramImage image = entry_image("agg_edges", &size_edge_stream);
+  mpi::RuntimeConfig cfg = transport_cfg(2, 2, core::Method::None);
+  // A steal could put both ranks on one PE, where sends go inline.
+  cfg.options.set("sched.steal", "off");
+  mpi::Runtime rt(image, cfg);
+  comm::pool::reset_stats();
+  rt.run();
+  EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(1)), 1);
+
+  std::uint64_t bundled = 0;
+  std::uint64_t bytes = 0;
+  for (const std::size_t b : kEdgeSizes) {
+    if (b < kBundledBelow) ++bundled;
+    bytes += b;
+  }
+  bundled *= kEdgePasses;
+  bytes *= kEdgePasses;
+  const std::uint64_t sends = std::size(kEdgeSizes) * kEdgePasses;
+  const util::CounterValues v = rt.cluster().totals();
+  EXPECT_EQ(v[Ctr::CommSends], sends);
+  EXPECT_EQ(v[Ctr::CommAggregated], bundled);
+  EXPECT_EQ(v[Ctr::CommBytes], bytes);
+  const comm::PoolStats s = comm::pool::stats();
+  EXPECT_EQ(s.hits + s.misses, sends - bundled + v[Ctr::CommAggEnvelopes]);
+  EXPECT_EQ(s.bytes_copied, 0u);
+}
+
+// Acceptance: routed delivery copies a message's bytes once, out of the
+// sender's buffer, and hands that copy to the receiver — the pool observes
+// hits and zero payload-to-payload copies. That holds within a PE (same-PE
+// inline fast path disabled), where the copy is a pooled payload, and
+// across PEs both for small messages, which are written straight into
+// their aggregation bin and arrive as views into its envelope, and for
+// large ones, which travel in a pooled payload of their own.
 TEST(ZeroCopy, RoutedDeliveryCopiesNoPayloadBytes) {
   struct Case {
     const char* name;
