@@ -19,9 +19,9 @@ namespace apv::comm {
 enum class FlushCause : std::uint8_t {
   Idle,   ///< the PE idle hook (Ctr::CommFlushesIdle)
   Block,  ///< a rank about to block on the PE (Ctr::CommFlushesBlock)
-  Order,  ///< per-sender FIFO (Ctr::CommFlushesOrder): the MPI layer's
-          ///< inline fallback, and a rank shipping out, flush before the
-          ///< next message or the image takes another path
+  Order,  ///< per-sender FIFO (Ctr::CommFlushesOrder): a same-PE send
+          ///< held behind a routed one that may still sit in the bins,
+          ///< and a rank shipping out before its image takes another path
 };
 
 /// The emulated machine: `nodes` OS processes × `pes_per_node` PEs each

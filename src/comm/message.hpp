@@ -60,7 +60,9 @@ struct Message {
   std::int32_t tag = 0;
   std::int32_t opcode = 0;    ///< Control/Migration sub-op; Aggregate count
   std::uint64_t seq = 0;      ///< UserData: the sender's per-(src, dst) rank
-                              ///< routed count, the delivery order;
+                              ///< send count, routed and same-PE sends
+                              ///< alike — the order the receiver's
+                              ///< mpi::MatchQueues lands them in;
                               ///< Aggregate: summed bundled payload bytes
   std::uint32_t esize = 0;    ///< sender-declared element size (runtime
                               ///< checker stamp); 0 = unstamped, never

@@ -26,6 +26,15 @@ std::size_t nbytes(int count, Datatype dt) {
   return static_cast<std::size_t>(count) * datatype_size(dt);
 }
 
+// User traffic keeps below the internal tag space, where collectives and
+// runtime control messages live: a user receive there could take them.
+bool user_tag(int tag) { return tag >= 0 && tag <= kMaxUserTag; }
+
+void require_recv_tag(int tag) {
+  require(tag == kAnyTag || user_tag(tag), ErrorCode::InvalidArgument,
+          "user tag out of range");
+}
+
 int api_comm_rank(Env* e, CommId comm) {
   return rt(e).comm_info(comm).local_of(rm(e).world_rank);
 }
@@ -36,14 +45,14 @@ int api_comm_size(Env* e, CommId comm) {
 
 void api_send(Env* e, const void* buf, int count, Datatype dt, int dst,
               int tag, CommId comm) {
-  require(tag >= 0 && tag <= kMaxUserTag, ErrorCode::InvalidArgument,
-          "user tag out of range");
+  require(user_tag(tag), ErrorCode::InvalidArgument, "user tag out of range");
   rt(e).do_send(rm(e), buf, nbytes(count, dt), dst, tag, comm,
                 static_cast<std::uint32_t>(datatype_size(dt)));
 }
 
 Status api_recv(Env* e, void* buf, int count, Datatype dt, int src, int tag,
                 CommId comm) {
+  require_recv_tag(tag);
   return rt(e).do_recv(rm(e), buf, nbytes(count, dt), src, tag, comm,
                        static_cast<std::uint32_t>(datatype_size(dt)));
 }
@@ -61,6 +70,7 @@ Request api_isend(Env* e, const void* buf, int count, Datatype dt, int dst,
 
 Request api_irecv(Env* e, void* buf, int count, Datatype dt, int src, int tag,
                   CommId comm) {
+  require_recv_tag(tag);
   return rt(e).do_irecv(rm(e), buf, nbytes(count, dt), src, tag, comm,
                         static_cast<std::uint32_t>(datatype_size(dt)));
 }
@@ -93,10 +103,12 @@ bool api_test(Env* e, Request* req, Status* status) {
 }
 
 bool api_iprobe(Env* e, int src, int tag, CommId comm, Status* status) {
+  require_recv_tag(tag);
   return rt(e).do_iprobe(rm(e), src, tag, comm, status);
 }
 
 Status api_probe(Env* e, int src, int tag, CommId comm) {
+  require_recv_tag(tag);
   RankMpi& r = rm(e);
   Status status;
   while (!rt(e).do_iprobe(r, src, tag, comm, &status)) rt(e).block_current(r);

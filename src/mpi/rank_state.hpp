@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
@@ -10,6 +9,7 @@
 
 #include "comm/message.hpp"
 #include "core/rank_context.hpp"
+#include "mpi/match.hpp"
 #include "mpi/types.hpp"
 
 namespace apv::mpi {
@@ -17,18 +17,6 @@ namespace apv::mpi {
 class Env;
 class CommInfo;
 struct CommTopo;  // hierarchical-collective grouping (collectives_hier.cpp)
-
-/// One posted (pending) receive.
-struct RecvPost {
-  Request req = kRequestNull;
-  void* buf = nullptr;
-  std::size_t max_bytes = 0;
-  int src = kAnySource;  ///< communicator-local, or kAnySource
-  int tag = kAnyTag;
-  CommId comm = kCommWorld;
-  std::uint32_t esize = 0;  ///< receiver-declared element size (checker);
-                            ///< 0 = untyped, size verification only
-};
 
 /// State of one nonblocking operation.
 struct RequestState {
@@ -50,14 +38,9 @@ struct RankMpi {
   comm::PeId resident_pe = comm::kInvalidPe;
 
   std::vector<RequestState> requests;
-  /// Posted receives, matched front-to-back. A deque: the common case
-  /// (streamed sends against pre-posted windows) matches and erases at the
-  /// front, which must not shift the rest of the window.
-  std::deque<RecvPost> posted;
-  std::deque<comm::Message> unexpected;
-  /// Routed messages that arrived ahead of an older one from the same
-  /// sender (see Runtime::deliver_user); usually empty.
-  std::vector<comm::Message> early;
+  /// Point-to-point matching: posted receives, unexpected and held
+  /// messages, and the per-peer sequence counts that order them.
+  MatchQueues match;
 
   /// Per-communicator collective sequence numbers (order of collective
   /// calls is identical across members, so these agree and disambiguate
@@ -158,30 +141,6 @@ struct RankMpi {
   /// mutex off the per-message path.
   std::vector<const CommInfo*> comm_info_cache;
 
-  /// Per-pair FIFO state. routed_sent_[d] counts messages this rank pushed
-  /// into the routed transport (mailbox / aggregation bins) toward world
-  /// rank d, and stamps each one's seq; routed_delivered_[s] counts routed
-  /// messages from world rank s that reached this rank's queues, which
-  /// take them in seq order. Inline delivery to d is legal only when the
-  /// pair's counts agree — no routed message still in flight that an
-  /// inline copy could overtake.
-  /// Both vectors are only ever touched on the owning rank's resident PE
-  /// thread (the sender reads its peer's delivered count only when the peer
-  /// is co-resident). uint32 wrap is harmless: only equality is tested.
-  std::vector<std::uint32_t> routed_sent_;
-  std::vector<std::uint32_t> routed_delivered_;
-
-  std::uint32_t& routed_sent_to(int world) {
-    if (static_cast<std::size_t>(world) >= routed_sent_.size())
-      routed_sent_.resize(static_cast<std::size_t>(world) + 1, 0);
-    return routed_sent_[static_cast<std::size_t>(world)];
-  }
-  std::uint32_t& routed_delivered_from(int world) {
-    if (static_cast<std::size_t>(world) >= routed_delivered_.size())
-      routed_delivered_.resize(static_cast<std::size_t>(world) + 1, 0);
-    return routed_delivered_[static_cast<std::size_t>(world)];
-  }
-
   std::uint32_t& check_seq_for(CommId comm) {
     if (static_cast<std::size_t>(comm) >= check_seq.size())
       check_seq.resize(static_cast<std::size_t>(comm) + 1, 0);
@@ -221,12 +180,6 @@ struct RankMpi {
  private:
   std::size_t req_hint_ = 0;  ///< next alloc_request probe position
 };
-
-/// Internal tag space: collectives and runtime control traffic use tags
-/// with bit 30 set; user tags must stay below this. A wildcard-tag receive
-/// never matches an internal tag.
-inline constexpr int kInternalTagBase = 1 << 30;
-inline constexpr int kMaxUserTag = (1 << 30) - 1;
 
 /// Composes an internal collective tag: op (5 bits), round (6 bits),
 /// per-comm collective sequence (14 bits, wraps — safe because at most a

@@ -427,11 +427,12 @@ void Runtime::dump_stuck_state() {
     std::fprintf(stderr,
                  "[apv:mpi]   rank %d on PE %d: state=%s waiting=%d "
                  "restore_pending=%d restored=%d "
-                 "posted=%zu unexpected=%zu epoch=%u\n",
+                 "posted=%zu unexpected=%zu held=%zu epoch=%u\n",
                  rm->world_rank, rm->resident_pe, ult::ult_state_name(st),
                  rm->waiting ? 1 : 0, rm->restore_pending ? 1 : 0,
-                 rm->restored ? 1 : 0,
-                 rm->posted.size(), rm->unexpected.size(), rm->ft_epoch);
+                 rm->restored ? 1 : 0, rm->match.num_posted(),
+                 rm->match.num_unexpected(), rm->match.num_held(),
+                 rm->ft_epoch);
     if (st == ult::UltState::Done) continue;
     // Provenance for the wedged rank: where it last entered a collective
     // and what it last posted — usually enough to name the mismatch without
@@ -497,35 +498,18 @@ void Runtime::deliver_user(comm::PeId pe, comm::Message&& msg) {
     return;
   }
   RankMpi& rm = *it->second;
-  // Per-sender FIFO: a routed message carries the sender's per-pair count
-  // as its seq. After this rank migrates, an older message forwarded from
-  // the old PE can arrive after a newer one sent straight here; the newer
-  // one waits in rm.early until its predecessors land.
-  const auto next_from = [&rm](const comm::Message& m) {
-    return static_cast<std::uint32_t>(m.seq) ==
-           rm.routed_delivered_from(m.src_rank) + 1;
-  };
-  if (msg.src_rank >= 0 && !next_from(msg)) {
-    rm.early.push_back(std::move(msg));
+  // The envelope priority bit (stamped in Cluster::send, preserved through
+  // aggregation) picks the wake lane: latency-critical arrivals resume
+  // their rank ahead of Normal/Bulk work already queued here.
+  const ult::Lane lane = msg.prio != 0 ? ult::Lane::High : ult::Lane::Normal;
+  const void* data = msg.payload.data();
+  const std::size_t bytes = msg.payload.size();
+  if (rm.match.arrive(std::move(msg), data, bytes, completer(rm, false)) ==
+      MatchQueues::Arrival::Held) {
+    counters(pe).bump(Ctr::P2pHeld);
     return;
   }
-  for (;;) {
-    // Final routed delivery: the pair's FIFO counters agree again once this
-    // lands in the rank's queues, re-enabling the inline fast path.
-    if (msg.src_rank >= 0) ++rm.routed_delivered_from(msg.src_rank);
-    // The envelope priority bit (stamped in Cluster::send, preserved
-    // through aggregation) picks the wake lane: latency-critical arrivals
-    // resume their rank ahead of Normal/Bulk work already queued here.
-    const ult::Lane lane =
-        msg.prio != 0 ? ult::Lane::High : ult::Lane::Normal;
-    if (!try_match(rm, msg)) rm.unexpected.push_back(std::move(msg));
-    wake_if_waiting(rm, lane);
-    // That delivery may have put a held message in order.
-    const auto e = std::find_if(rm.early.begin(), rm.early.end(), next_from);
-    if (e == rm.early.end()) return;
-    msg = std::move(*e);
-    rm.early.erase(e);
-  }
+  wake_if_waiting(rm, lane);
 }
 
 void Runtime::chase_rank(comm::PeId pe, comm::Message&& msg) {
@@ -546,20 +530,6 @@ void Runtime::chase_rank(comm::PeId pe, comm::Message&& msg) {
   cluster_->send(std::move(msg));
 }
 
-bool Runtime::match_fields(RankMpi& rm, const RecvPost& post, CommId comm,
-                           int tag, int src_world) const {
-  if (post.comm != comm) return false;
-  if (post.tag != tag) {
-    // Wildcard receives never match internal (collective/control) tags.
-    if (post.tag != kAnyTag || tag >= kInternalTagBase) return false;
-  }
-  if (post.src != kAnySource) {
-    const int src_local = comm_info(rm, comm).local_of(src_world);
-    if (post.src != src_local) return false;
-  }
-  return true;
-}
-
 namespace {
 [[noreturn]] void throw_truncation(std::size_t got, std::size_t cap) {
   throw util::ApvError(ErrorCode::InvalidArgument,
@@ -570,15 +540,17 @@ namespace {
 }  // namespace
 
 std::string Runtime::p2p_mismatch(check::P2pVerdict v, const RankMpi& dst,
-                                  const RecvPost& post, int src_world,
-                                  int tag, std::uint32_t esize,
+                                  const RecvPost& post,
+                                  const comm::Message& msg,
                                   std::size_t bytes) {
   const bool truncation = v == check::P2pVerdict::Truncation;
+  const int src_world = msg.src_rank;
   std::string diag =
       std::string(truncation ? "p2p truncation" : "p2p type mismatch") +
       ": rank " + std::to_string(dst.world_rank) +
       " recv(src=" + std::to_string(comm_info(post.comm).local_of(src_world)) +
-      ", tag=" + std::to_string(tag) + ", comm=" + std::to_string(post.comm) +
+      ", tag=" + std::to_string(msg.tag) +
+      ", comm=" + std::to_string(post.comm) +
       ") ";
   if (truncation) {
     diag += "has a " + std::to_string(post.max_bytes) +
@@ -587,7 +559,7 @@ std::string Runtime::p2p_mismatch(check::P2pVerdict v, const RankMpi& dst,
   } else {
     diag += "declared element size " + std::to_string(post.esize) +
             " but rank " + std::to_string(src_world) + " declared " +
-            std::to_string(esize);
+            std::to_string(msg.esize);
   }
   checker_->record(truncation ? "p2p-truncation" : "p2p-type-mismatch",
                    dst.world_rank, diag);
@@ -595,9 +567,8 @@ std::string Runtime::p2p_mismatch(check::P2pVerdict v, const RankMpi& dst,
 }
 
 void Runtime::complete_recv(RankMpi& dst, const RecvPost& post,
-                            int src_world, int tag, std::uint32_t esize,
-                            const void* data, std::size_t bytes,
-                            bool in_sender) {
+                            const comm::Message& msg, const void* data,
+                            std::size_t bytes, bool in_sender) {
   std::size_t copy_bytes = bytes;
   // Match-time type/size verification. Only user traffic both sides stamped
   // (internal collective fragments stay esize=0). The routed match runs on
@@ -605,14 +576,14 @@ void Runtime::complete_recv(RankMpi& dst, const RecvPost& post,
   // is parked on dst.pending_check and thrown from the rank's next
   // do_wait/do_test/resume instead. The inline hit runs in the sender's
   // own ULT, so abort mode throws there before dst's buffer is touched.
-  const bool stamped = check_on_ && esize != 0 && post.esize != 0 &&
-                       tag < kInternalTagBase;
+  const bool stamped = check_on_ && msg.esize != 0 && post.esize != 0 &&
+                       msg.tag < kInternalTagBase;
   if (stamped) {
-    const check::P2pVerdict v = checker_->p2p_verify(
-        counters(dst.resident_pe), esize, bytes, post.esize, post.max_bytes);
+    const check::P2pVerdict v =
+        checker_->p2p_verify(counters(dst.resident_pe), msg.esize, bytes,
+                             post.esize, post.max_bytes);
     if (v != check::P2pVerdict::Ok) [[unlikely]] {
-      std::string diag =
-          p2p_mismatch(v, dst, post, src_world, tag, esize, bytes);
+      std::string diag = p2p_mismatch(v, dst, post, msg, bytes);
       if (checker_->mode() == check::Mode::Abort) {
         if (in_sender) throw ApvError(ErrorCode::CheckFailed, diag);
         if (dst.pending_check.empty()) dst.pending_check = std::move(diag);
@@ -629,20 +600,9 @@ void Runtime::complete_recv(RankMpi& dst, const RecvPost& post,
   if (copy_bytes > 0) std::memcpy(post.buf, data, copy_bytes);
   RequestState& rs = dst.requests[static_cast<std::size_t>(post.req)];
   rs.complete = true;
-  rs.status.source = comm_info(dst, post.comm).local_of(src_world);
-  rs.status.tag = tag;
+  rs.status.source = comm_info(dst, post.comm).local_of(msg.src_rank);
+  rs.status.tag = msg.tag;
   rs.status.count_bytes = static_cast<int>(copy_bytes);
-}
-
-bool Runtime::try_match(RankMpi& rm, comm::Message& msg) {
-  for (auto it = rm.posted.begin(); it != rm.posted.end(); ++it) {
-    if (!match_fields(rm, *it, msg.comm_id, msg.tag, msg.src_rank)) continue;
-    complete_recv(rm, *it, msg.src_rank, msg.tag, msg.esize,
-                  msg.payload.data(), msg.payload.size(), /*in_sender=*/false);
-    rm.posted.erase(it);
-    return true;
-  }
-  return false;
 }
 
 void Runtime::wake_if_waiting(RankMpi& rm, ult::Lane lane) {
@@ -708,22 +668,10 @@ inline void preempt_point() {
   if (ult::Scheduler* s = ult::current_scheduler()) s->preempt_point();
 }
 
-// A user-data envelope from `src`, not yet addressed to a PE and without
-// its payload. esize is one unconditional store, verified only when stamped
-// on both sides and the checker is armed. The user's bytes are copied once,
-// into the payload or the aggregation bin; from there they move (or are
-// view-shared) unmodified to the matching receive.
-comm::Message user_envelope(const RankMpi& src, int dst_world, int tag,
-                            CommId comm, std::uint32_t esize) {
-  comm::Message m;
-  m.kind = comm::Message::Kind::UserData;
-  m.src_pe = src.resident_pe;
-  m.src_rank = src.world_rank;
-  m.dst_rank = dst_world;
-  m.comm_id = comm;
-  m.tag = tag;
-  m.esize = esize;
-  return m;
+// The world rank of a receive's communicator-local source (kAnySource
+// stays a wildcard); throws InvalidArgument for a rank outside `comm`.
+int world_source(const CommInfo& comm, int src) {
+  return src == kAnySource ? kAnySource : comm.world_of(src);
 }
 }  // namespace
 
@@ -731,94 +679,79 @@ void Runtime::do_send(RankMpi& rm, const void* buf, std::size_t bytes,
                       int dst_local, int tag, CommId comm,
                       std::uint32_t esize) {
   preempt_point();
-  const int dst_world = comm_info(rm, comm).world_of(dst_local);
-  if (try_inline_send(rm, dst_world, tag, buf, bytes, comm, esize)) return;
-  comm::Message m = user_envelope(rm, dst_world, tag, comm, esize);
-  m.dst_pe = cluster_->location(dst_world);
-  m.seq = ++rm.routed_sent_to(dst_world);
+  // esize is one unconditional store, verified only when stamped on both
+  // sides and the checker is armed. The user's bytes are copied once, into
+  // the payload or the aggregation bin (a same-PE hit: straight into the
+  // receive); from there they move (or are view-shared) unmodified to the
+  // matching receive.
+  comm::Message m;
+  m.kind = comm::Message::Kind::UserData;
+  m.src_pe = rm.resident_pe;
+  m.src_rank = rm.world_rank;
+  m.dst_rank = comm_info(rm, comm).world_of(dst_local);
+  m.comm_id = comm;
+  m.tag = tag;
+  m.esize = esize;
+  m.seq = rm.match.next_seq(m.dst_rank);
+  if (try_inline_send(rm, m, buf, bytes)) return;
+  m.dst_pe = cluster_->location(m.dst_rank);
   cluster_->send(std::move(m), buf, bytes);
 }
 
-bool Runtime::try_inline_send(RankMpi& rm, int dst_world, int tag,
-                              const void* data, std::size_t bytes,
-                              CommId comm, std::uint32_t esize) {
+bool Runtime::try_inline_send(RankMpi& rm, comm::Message& m,
+                              const void* data, std::size_t bytes) {
   if (!inline_enabled_) return false;
   const comm::PeId pe = rm.resident_pe;
   // Only from the destination PE's own loop thread: everything below (the
-  // peer's posted/unexpected queues, the wake) is single-writer state owned
-  // by that thread.
+  // peer's match queues, the wake) is single-writer state owned by that
+  // thread.
   comm::Pe* cur = comm::Pe::current();
   if (cur == nullptr || cur != &cluster_->pe(pe)) return false;
-  if (cluster_->location(dst_world) != pe) return false;  // not co-resident
+  if (cluster_->location(m.dst_rank) != pe) return false;  // not co-resident
   if (cluster_->pe_failed(pe)) return false;  // keep FT divert semantics
-  auto& ps = pe_state_[static_cast<std::size_t>(pe)];
-  RankMpi& dst = rank_state(dst_world);
+  RankMpi& dst = rank_state(m.dst_rank);
   // resident_pe is only advanced on the owning loop thread (migration
   // arrival, FT adoption both run there), so on a match the state below is
   // ours. A rank leaving this PE is shipped by its park continuation before
   // anything else runs here, so it never shows up co-resident mid-move.
   if (dst.resident_pe != pe) return false;  // state still in flight to us
   if (dst.finished) return false;
-  // Per-(sender, destination) FIFO: if any routed message from us to this
-  // rank is still in a bin, a mailbox, or being forwarded, an inline copy
-  // would overtake it. Flush our bins (so in-flight traffic drains) and
-  // take the routed path, which queues behind it.
-  if (rm.routed_sent_to(dst_world) !=
-      dst.routed_delivered_from(rm.world_rank)) {
-    ps.ctr->bump(Ctr::InlineFifoFallbacks);
+  util::CounterBlock& ctr = counters(pe);
+  // Hit: one user-buffer -> user-buffer copy, no payload, no mailbox. Miss:
+  // the bytes are copied into a payload on the unexpected queue. Held: a
+  // routed message from us to this rank is still in a bin, a mailbox or
+  // being forwarded; the copy waits in the hold until that one lands, and
+  // flushing our bins lets it drain.
+  const MatchQueues::Arrival arrival =
+      dst.match.arrive(std::move(m), data, bytes, completer(dst, true));
+  ctr.bump(arrival == MatchQueues::Arrival::Matched ? Ctr::InlineHits
+                                                    : Ctr::InlineMisses);
+  ctr.bump(Ctr::InlineBytes, bytes);
+  if (arrival == MatchQueues::Arrival::Held) {
+    ctr.bump(Ctr::P2pHeld);
     cluster_->flush_aggregation(pe, comm::FlushCause::Order);
-    return false;
+    return true;
   }
   // The inline path bypasses Cluster::send's prio stamp; apply the same
   // small-payload cutoff to the wake lane directly.
-  const ult::Lane lane =
-      bytes <= comm::kHipriBytes ? ult::Lane::High : ult::Lane::Normal;
-  const auto pit = std::find_if(
-      dst.posted.begin(), dst.posted.end(), [&](const RecvPost& p) {
-        return match_fields(dst, p, comm, tag, rm.world_rank);
-      });
-  if (pit != dst.posted.end()) {
-    // Hit: one user-buffer -> user-buffer copy, no payload, no mailbox.
-    complete_recv(dst, *pit, rm.world_rank, tag, esize, data, bytes,
-                  /*in_sender=*/true);
-    dst.posted.erase(pit);
-    ps.ctr->bump(Ctr::InlineHits);
-  } else {
-    // Miss: no matching posted receive yet. Park a copy on the unexpected
-    // queue directly — still no mailbox round-trip, but the bytes need a
-    // buffer of their own now.
-    comm::Message m = user_envelope(rm, dst_world, tag, comm, esize);
-    m.dst_pe = pe;
-    m.payload = comm::Payload::copy_of(data, bytes);
-    dst.unexpected.push_back(std::move(m));
-    ps.ctr->bump(Ctr::InlineMisses);
-  }
-  ps.ctr->bump(Ctr::InlineBytes, bytes);
-  wake_if_waiting(dst, lane);
+  wake_if_waiting(dst, bytes <= comm::kHipriBytes ? ult::Lane::High
+                                                  : ult::Lane::Normal);
   return true;
 }
 
 Request Runtime::do_irecv(RankMpi& rm, void* buf, std::size_t max_bytes,
                           int src, int tag, CommId comm,
                           std::uint32_t esize) {
+  const int src_world = world_source(comm_info(rm, comm), src);
   const Request req = rm.alloc_request(RequestState::Kind::Recv);
-  RecvPost post{req, buf, max_bytes, src, tag, comm, esize};
+  const RecvPost post{req, buf, max_bytes, src_world, tag, comm, esize};
   if (check_on_ && tag < kInternalTagBase) {
     // Wait-graph provenance: what this rank is (about to be) blocked on.
-    rm.last_post_src = src == kAnySource
-                           ? kAnySource
-                           : comm_info(rm, comm).world_of(src);
+    rm.last_post_src = src_world;
     rm.last_post_tag = tag;
     rm.last_post_comm = comm;
   }
-  for (auto it = rm.unexpected.begin(); it != rm.unexpected.end(); ++it) {
-    if (!match_fields(rm, post, it->comm_id, it->tag, it->src_rank)) continue;
-    complete_recv(rm, post, it->src_rank, it->tag, it->esize,
-                  it->payload.data(), it->payload.size(), /*in_sender=*/false);
-    rm.unexpected.erase(it);
-    return req;
-  }
-  rm.posted.push_back(post);
+  rm.match.post(post, completer(rm, false));
   return req;
 }
 
@@ -860,17 +793,16 @@ bool Runtime::do_iprobe(RankMpi& rm, int src, int tag, CommId comm,
                         Status* status) {
   preempt_point();
   throw_pending_check(rm);
-  RecvPost probe{kRequestNull, nullptr, 0, src, tag, comm};
-  for (const comm::Message& msg : rm.unexpected) {
-    if (!match_fields(rm, probe, msg.comm_id, msg.tag, msg.src_rank)) continue;
-    if (status != nullptr) {
-      status->source = comm_info(rm, comm).local_of(msg.src_rank);
-      status->tag = msg.tag;
-      status->count_bytes = static_cast<int>(msg.payload.size());
-    }
-    return true;
+  const CommInfo& ci = comm_info(rm, comm);
+  const comm::Message* msg = rm.match.probe(
+      RecvPost{kRequestNull, nullptr, 0, world_source(ci, src), tag, comm});
+  if (msg == nullptr) return false;
+  if (status != nullptr) {
+    status->source = ci.local_of(msg->src_rank);
+    status->tag = msg->tag;
+    status->count_bytes = static_cast<int>(msg->payload.size());
   }
-  return false;
+  return true;
 }
 
 void Runtime::do_yield(RankMpi& rm) {

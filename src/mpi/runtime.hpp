@@ -267,22 +267,28 @@ class Runtime {
   /// the rank's recorded location, or back into `pe`'s own mailbox while
   /// that location still says `pe` (its image is in flight to us).
   void chase_rank(comm::PeId pe, comm::Message&& msg);
-  bool try_match(RankMpi& rm, comm::Message& msg);
-  bool match_fields(RankMpi& rm, const RecvPost& post, CommId comm, int tag,
-                    int src_world) const;
-  /// Completes `dst`'s matched receive `post` with `bytes` from world rank
-  /// `src_world` (routed match on the dispatcher, or inline hit when
-  /// `in_sender`: the sender's own ULT, which may throw a mismatch
-  /// diagnosis straight away instead of parking it on dst.pending_check).
-  void complete_recv(RankMpi& dst, const RecvPost& post, int src_world,
-                     int tag, std::uint32_t esize, const void* data,
+  /// Completes `dst`'s matched receive `post` with message `msg`, whose
+  /// bytes are `data`/`bytes` (a match on the dispatcher or at post time,
+  /// or an inline hit when `in_sender`: the sender's own ULT, which may
+  /// throw a mismatch diagnosis straight away instead of parking it on
+  /// dst.pending_check).
+  void complete_recv(RankMpi& dst, const RecvPost& post,
+                     const comm::Message& msg, const void* data,
                      std::size_t bytes, bool in_sender);
+  /// complete_recv for `dst`, as the completion MatchQueues calls.
+  auto completer(RankMpi& dst, bool in_sender) {
+    return [this, &dst, in_sender](const RecvPost& post,
+                                   const comm::Message& msg,
+                                   const void* data, std::size_t bytes) {
+      complete_recv(dst, post, msg, data, bytes, in_sender);
+    };
+  }
   /// A stamped p2p pair the checker found mismatched at match time (`v`):
-  /// world rank `src_world` sent `bytes` of element size `esize` into
-  /// `dst`'s receive `post`. Records the located diagnosis and returns it.
+  /// `msg` carried `bytes` into `dst`'s receive `post`. Records the located
+  /// diagnosis and returns it.
   std::string p2p_mismatch(check::P2pVerdict v, const RankMpi& dst,
-                           const RecvPost& post, int src_world, int tag,
-                           std::uint32_t esize, std::size_t bytes);
+                           const RecvPost& post, const comm::Message& msg,
+                           std::size_t bytes);
   void wake_if_waiting(RankMpi& rm,
                        ult::Lane lane = ult::Lane::Normal);
 
@@ -296,13 +302,13 @@ class Runtime {
   /// (kMigSteal), or answer kCtlStealNack when nothing is stealable.
   void handle_steal_request(comm::PeId pe, comm::PeId thief);
 
-  /// Same-PE inline delivery: when the destination rank is co-resident and
-  /// no routed message for the pair is in flight, match against its posted
-  /// receives and copy user-buffer -> user-buffer directly (miss: park a
-  /// pooled copy on its unexpected queue), bypassing the mailbox entirely.
-  /// Returns false when the routed path must be used instead.
-  bool try_inline_send(RankMpi& rm, int dst_world, int tag, const void* data,
-                       std::size_t bytes, CommId comm, std::uint32_t esize);
+  /// Same-PE inline delivery: when the destination rank is co-resident,
+  /// hands the stamped envelope `m` and the sender's bytes straight to its
+  /// MatchQueues (hit: one user-buffer -> user-buffer copy; miss or hold: a
+  /// pooled copy), bypassing the mailbox entirely. Returns false, with `m`
+  /// untouched, when the routed path must be used instead.
+  bool try_inline_send(RankMpi& rm, comm::Message& m, const void* data,
+                       std::size_t bytes);
   /// Wakes a collective peer parked in a group-block wait: directly when it
   /// is resident on the calling PE thread, else via a kCtlCollWake control
   /// message processed on its own PE thread (cross-thread ready() would

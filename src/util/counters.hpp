@@ -63,14 +63,14 @@ enum class CtrWriter : std::uint8_t {
   X(SchedStealsIn, "sched_steals_in", Owner, "ranks this PE stole")          \
   X(SchedStealsOut, "sched_steals_out", Owner,                               \
     "ranks shipped to a thief")                                              \
-  /* locality: same-PE inline delivery, hierarchical collectives */          \
+  /* locality: same-PE inline delivery, p2p holds, hier collectives */       \
   X(InlineHits, "inline_hits", Owner,                                        \
     "same-PE sends copied straight into a posted receive")                   \
   X(InlineMisses, "inline_misses", Owner,                                    \
-    "same-PE sends parked on the receiver's unexpected queue")               \
+    "same-PE sends copied into a payload: queued unexpected, or held")       \
   X(InlineBytes, "inline_bytes", Owner, "bytes of inline hits and misses")   \
-  X(InlineFifoFallbacks, "inline_fifo_fallbacks", Owner,                     \
-    "same-PE sends routed because a routed one was still in flight")         \
+  X(P2pHeld, "p2p_held", Owner,                                              \
+    "user messages held until an older one from their sender landed")        \
   X(CollLocalCombines, "coll_local_combines", Owner,                         \
     "contributions folded inside a PE's shared group block")                 \
   X(CollSharedRendezvous, "coll_shared_rendezvous", Owner,                   \

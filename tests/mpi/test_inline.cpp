@@ -210,7 +210,7 @@ util::CounterValues same_pe_pingpong(const char* inline_opt) {
 TEST(InlineDelivery, SamePePingPongUsesInlinePath) {
   const util::CounterValues v = same_pe_pingpong(nullptr);
   EXPECT_GT(v[Ctr::InlineHits] + v[Ctr::InlineMisses], 0u);
-  EXPECT_EQ(v[Ctr::InlineFifoFallbacks], 0u);
+  EXPECT_EQ(v[Ctr::P2pHeld], 0u);
 }
 
 // Every on spelling keeps the inline path, not only the literal "on".

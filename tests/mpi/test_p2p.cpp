@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "image/image.hpp"
@@ -356,25 +357,88 @@ TEST(P2P, TruncationIsAnError) {
 }
 
 namespace {
-void* bad_tag_main(void* arg) {
+// Runs `entry` as a vps-rank job with a 3 s job timeout (and check.mode set
+// when `check_mode` is given); returns the job's failure, "" if none.
+std::string job_failure(EntryFn entry, int vps,
+                        const char* check_mode = nullptr) {
+  img::ImageBuilder b("p2pfail");
+  b.add_global<int>("unused", 0);
+  b.add_function("mpi_main", entry);
+  const img::ProgramImage image = b.build();
+  mpi::RuntimeConfig cfg;
+  cfg.vps = vps;
+  cfg.method = core::Method::None;
+  cfg.slot_bytes = std::size_t{8} << 20;
+  cfg.options.set("mpi.timeout_s", "3");
+  if (check_mode != nullptr) cfg.options.set("check.mode", check_mode);
+  mpi::Runtime rt(image, cfg);
+  try {
+    rt.run();
+  } catch (const util::ApvError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+constexpr int kInternalSpaceTag = 1 << 30;
+
+void* bad_send_tag_main(void* arg) {
   ENV();
   int v = 0;
-  env->send(&v, 1, Datatype::Int, env->rank(), 1 << 30);  // internal space
+  env->send(&v, 1, Datatype::Int, env->rank(), kInternalSpaceTag);
+  return nullptr;
+}
+
+void* bad_recv_tag_main(void* arg) {
+  ENV();
+  int v = 0;
+  env->recv(&v, 1, Datatype::Int, env->rank(), kInternalSpaceTag);
+  return nullptr;
+}
+
+void* bad_irecv_tag_main(void* arg) {
+  ENV();
+  int v = 0;
+  mpi::Request req =
+      env->irecv(&v, 1, Datatype::Int, env->rank(), kInternalSpaceTag);
+  env->wait(req);
+  return nullptr;
+}
+
+void* bad_iprobe_tag_main(void* arg) {
+  ENV();
+  mpi::Status st;
+  env->iprobe(env->rank(), kInternalSpaceTag, mpi::kCommWorld, &st);
   return nullptr;
 }
 }  // namespace
 
+// A user receive or probe in the internal tag space could take collective
+// and control traffic, so every p2p entry refuses an internal tag.
 TEST(P2P, UserTagsCannotEnterInternalSpace) {
-  img::ImageBuilder b("badtag");
-  b.add_global<int>("unused", 0);
-  b.add_function("mpi_main", &bad_tag_main);
-  const img::ProgramImage image = b.build();
-  mpi::RuntimeConfig cfg;
-  cfg.vps = 1;
-  cfg.method = core::Method::None;
-  cfg.slot_bytes = std::size_t{8} << 20;
-  mpi::Runtime rt(image, cfg);
-  EXPECT_THROW(rt.run(), util::ApvError);
+  for (const EntryFn entry : {&bad_send_tag_main, &bad_recv_tag_main,
+                              &bad_irecv_tag_main, &bad_iprobe_tag_main}) {
+    const std::string failure = job_failure(entry, 1);
+    EXPECT_NE(failure.find("InvalidArgument"), std::string::npos) << failure;
+  }
+}
+
+namespace {
+void* recv_from_outside_main(void* arg) {
+  ENV();
+  if (env->rank() == 1) {
+    int v = 0;
+    env->recv(&v, 1, Datatype::Int, /*src=*/5, 0);  // 2-rank world
+  }
+  return nullptr;
+}
+}  // namespace
+
+// The source is translated to a world rank when the receive is posted, so
+// a rank outside the communicator is refused at once, checker or not.
+TEST(P2P, ReceiveFromOutsideTheCommunicatorThrows) {
+  const std::string failure = job_failure(&recv_from_outside_main, 2, "off");
+  EXPECT_NE(failure.find("InvalidArgument"), std::string::npos) << failure;
 }
 
 namespace {
