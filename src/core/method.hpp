@@ -102,13 +102,15 @@ class PrivatizationMethod {
   virtual void destroy_rank(RankContext& rc) = 0;
 
   /// Called on the *source* process's method when one of its ranks
-  /// migrates away (before the slot is packed). Default: nothing.
+  /// migrates away (before a move between nodes packs the slot). Default:
+  /// nothing.
   virtual void on_rank_departed(RankContext& rc) { (void)rc; }
 
   /// Called on the *destination* process's method after a migrated rank's
-  /// slot has been unpacked and rc.process repointed. Rebinds any
-  /// process-local references (e.g. the primary instance, function GOT
-  /// entries) to this process. Default: nothing.
+  /// slot has arrived (unpacked, for a move between nodes) and rc.process
+  /// has been repointed. Rebinds any process-local references (e.g. the
+  /// primary instance, function GOT entries) to this process. Default:
+  /// nothing.
   virtual void on_rank_arrived(RankContext& rc) { (void)rc; }
 };
 

@@ -1,6 +1,7 @@
 #include "isomalloc/arena.hpp"
 
 #include <sys/mman.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
@@ -15,11 +16,19 @@ using util::ApvError;
 using util::ErrorCode;
 using util::require;
 
+namespace {
+std::size_t page_bytes() noexcept {
+  return static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+}  // namespace
+
 IsoArena::IsoArena(const Config& config) : config_(config) {
   require(config.slot_size >= (std::size_t{64} << 10),
           ErrorCode::InvalidArgument, "slot_size must be >= 64 KiB");
   require(config.max_slots >= 1, ErrorCode::InvalidArgument,
           "max_slots must be >= 1");
+  require(config.slot_size % page_bytes() == 0, ErrorCode::InvalidArgument,
+          "slot_size must be a multiple of the page size");
   reserved_bytes_ = config.slot_size * config.max_slots;
   void* p = mmap(nullptr, reserved_bytes_, PROT_NONE,
                  MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
@@ -77,10 +86,26 @@ void IsoArena::release_slot(SlotId slot) {
   // shadow poison fires first, turning the raw SIGSEGV into a readable
   // use-after-poison report with the offending stack.
   APV_ASAN_POISON(p, config_.slot_size);
-  madvise(p, config_.slot_size, MADV_DONTNEED);
+  discard_from(slot, 0);
   mprotect(p, config_.slot_size, PROT_NONE);
   in_use_[slot] = false;
   --used_count_;
+}
+
+void IsoArena::discard_from(SlotId slot, std::size_t offset) const {
+  require(offset <= config_.slot_size, ErrorCode::InvalidArgument,
+          "discard offset beyond slot");
+  std::byte* base = static_cast<std::byte*>(slot_base(slot));
+  const std::size_t page = page_bytes();
+  const std::size_t whole = (offset + page - 1) / page * page;
+  // Raw: the partial page can hold quarantined free-block bytes under ASan.
+  util::raw_memset(base + offset, 0, whole - offset);
+  if (whole < config_.slot_size &&
+      madvise(base + whole, config_.slot_size - whole, MADV_DONTNEED) != 0) {
+    throw ApvError(ErrorCode::Internal,
+                   std::string("madvise discard failed: ") +
+                       std::strerror(errno));
+  }
 }
 
 void* IsoArena::slot_base(SlotId slot) const {

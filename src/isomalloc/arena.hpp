@@ -45,6 +45,12 @@ class IsoArena {
   /// re-protected so stale pointers fault loudly.
   void release_slot(SlotId slot);
 
+  /// Returns the slot's bytes from `offset` to its end to what a fresh
+  /// mapping holds: zeroes the rest of the page containing `offset`, then
+  /// drops every whole page after it (MADV_DONTNEED), so those bytes read
+  /// zero and hold no physical memory.
+  void discard_from(SlotId slot, std::size_t offset) const;
+
   /// Low address of the given slot's range.
   void* slot_base(SlotId slot) const;
 

@@ -62,7 +62,7 @@ class DirtyTracker {
   void arm(SlotId slot);
 
   /// Stops tracking `slot` and restores PROT_READ|PROT_WRITE over it. Must
-  /// be called before any bulk rewrite of the slot (unpack, poison, release)
+  /// be called before any bulk rewrite of the slot (unpack, release)
   /// — those writes belong to the runtime, not the application, and would
   /// otherwise fault-storm through the barrier. Idempotent.
   void disarm(SlotId slot);
@@ -76,7 +76,7 @@ class DirtyTracker {
 
   /// Maximal runs of dirty pages in [0, limit_bytes), clamped to the limit.
   /// `limit_bytes` is the pack prefix (touched bytes) — dirty pages beyond
-  /// it hold no live data and materialize as poison on unpack anyway.
+  /// it hold no live data, and an unpack releases them (they read zero).
   std::vector<DirtyRegion> dirty_regions(SlotId slot,
                                          std::size_t limit_bytes) const;
 

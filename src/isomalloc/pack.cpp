@@ -5,7 +5,6 @@
 
 #include "isomalloc/slot_heap.hpp"
 #include "util/error.hpp"
-#include "util/sanitizers.hpp"
 
 namespace apv::iso {
 
@@ -115,8 +114,8 @@ void unpack_slot(const IsoArena& arena, SlotId slot, util::ByteReader& in) {
 
   if (magic == kDeltaMagic) {
     // Delta: the slot must already hold the materialized predecessor; only
-    // the listed regions change. No poisoning — the base image's unpack
-    // already poisoned everything its prefix did not carry.
+    // the listed regions change. The base image's unpack already released
+    // everything its prefix did not carry.
     const DeltaHeader h = read_delta_header(in);
     require(h.slot_size == arena.slot_size(), ErrorCode::CorruptImage,
             "unpack delta: slot size mismatch");
@@ -148,16 +147,11 @@ void unpack_slot(const IsoArena& arena, SlotId slot, util::ByteReader& in) {
           "unpack_slot: region exceeds slot");
   require(in.remaining() >= len, ErrorCode::CorruptImage,
           "unpack_slot: truncated payload");
-  // Poison a window beyond the carried prefix: a real migration lands in a
-  // fresh address space, so nothing outside the packed bytes survives, and
-  // tests must catch reliance on such bytes. The window is capped so that
-  // poisoning (a testing aid) does not dominate the measured migration
-  // cost of mostly-empty large slots.
-  constexpr std::uint64_t kPoisonWindow = std::uint64_t{4} << 20;
-  const std::uint64_t poison =
-      std::min<std::uint64_t>(kPoisonWindow, arena.slot_size() - len);
-  util::raw_memset(base + len, kPackPoisonByte, poison);
   in.get_bytes_raw(base, len);
+  // A real migration lands in a fresh address space, so nothing outside the
+  // packed bytes survives: release the rest of the slot, which then reads
+  // zero and holds no pages.
+  arena.discard_from(slot, len);
   // The shadow no longer matches the rewritten heap: clear it across the
   // slot and re-quarantine the free blocks the image carried.
   SlotHeap::asan_reconcile_if_present(base, arena.slot_size());

@@ -21,11 +21,6 @@ enum class PackMode {
   Touched,
 };
 
-/// Byte used to poison slot contents a packed image did not carry, so
-/// tests catch reliance on bytes a real cross-process migration would not
-/// have moved.
-inline constexpr unsigned char kPackPoisonByte = 0xDB;
-
 const char* pack_mode_name(PackMode mode) noexcept;
 
 /// Serializes a slot's memory into `out`. The byte stream is
@@ -43,11 +38,12 @@ void pack_slot_delta(const IsoArena& arena, SlotId slot,
                      std::uint64_t base_epoch, util::ByteBuffer& out);
 
 /// Restores a slot's memory from a stream produced by pack_slot or
-/// pack_slot_delta (dispatches on the magic). For a full image, bytes
-/// outside the packed prefix are poisoned (kPackPoisonByte) first. For a
-/// delta, the slot must already hold the materialized predecessor image;
-/// only the listed regions are overwritten. Chains therefore apply as:
-/// full base, then each delta in epoch order.
+/// pack_slot_delta (dispatches on the magic). For a full image, the bytes
+/// past the packed prefix are released (IsoArena::discard_from): they read
+/// zero, as in the fresh address space a real migration lands in, and hold
+/// no physical memory. For a delta, the slot must already hold the
+/// materialized predecessor image; only the listed regions are overwritten.
+/// Chains therefore apply as: full base, then each delta in epoch order.
 void unpack_slot(const IsoArena& arena, SlotId slot, util::ByteReader& in);
 
 /// Compatibility overload reading from a ByteBuffer's cursor.

@@ -97,9 +97,9 @@ struct RankMpi {
   /// Incremental-checkpoint bookkeeping (host heap, same rationale as
   /// ft_epoch). last_ckpt_epoch names the delta base; ckpt_chain_len counts
   /// deltas since the last full image; force_full_ckpt is raised whenever
-  /// the slot's bytes were rewritten wholesale (migration arrival, restore,
-  /// adoption) — the dirty bitmap is void then and the next image must be a
-  /// full base.
+  /// the slot's bytes were rewritten wholesale (the arrival of a move
+  /// between nodes, restore, adoption) — the dirty bitmap is void then and
+  /// the next image must be a full base.
   std::uint32_t last_ckpt_epoch = 0;
   std::uint32_t ckpt_chain_len = 0;
   bool force_full_ckpt = true;

@@ -154,9 +154,9 @@ Runtime::Runtime(const img::ProgramImage& image, RuntimeConfig config)
     for (auto& rm : ranks_) rm->placement_view = initial;
   }
 
-  // Stealing rides the packed-image migration machinery; methods whose
-  // segments the dynamic linker allocated (PiPglobals, FSglobals) cannot
-  // move ranks at all, so stealing silently stands down for them.
+  // Stealing rides the migration machinery; methods whose segments the
+  // dynamic linker allocated (PiPglobals, FSglobals) cannot move ranks at
+  // all, so stealing silently stands down for them.
   if (steal_on_ && !privs_[0]->supports_migration()) {
     steal_on_ = false;
     APV_DEBUG("mpi", "rank stealing disabled: %s does not support migration",
@@ -981,10 +981,19 @@ void Runtime::wake_coll_member(comm::PeId my_pe, RankMpi& member) {
 // Rank movement
 //
 // Every move of a rank's state is built from the same steps: migrate_to and
-// LB epochs (ship, then overwrite + admit on arrival), steals (ship as
-// kMigSteal), checkpoint restore (overwrite in place) and FT adoption
-// (leave the dead PE, overwrite, admit). A fix to one kind of move is a fix
-// to all of them.
+// LB epochs (ship, then admit on arrival), steals (ship as kMigSteal),
+// checkpoint restore (overwrite in place) and FT adoption (leave the dead
+// PE, overwrite, admit). A fix to one kind of move is a fix to all of them.
+//
+// Only a move between nodes carries an image (carries_image): the PEs of one
+// node are threads of one process, where the rank's slot already sits at its
+// own addresses, so a move within a node ships the envelope alone and the
+// arrival admits the rank without touching its slot. The write barrier
+// stays armed across such a move, and the next checkpoint may be a delta.
+
+bool Runtime::carries_image(comm::PeId from, comm::PeId to) const {
+  return cluster_->node_of(from) != cluster_->node_of(to);
+}
 
 void Runtime::leave(comm::PeId pe, RankMpi& rm) {
   privs_[static_cast<std::size_t>(cluster_->node_of(pe))]->rank_departed(
@@ -1007,20 +1016,22 @@ void Runtime::ship(comm::PeId pe, RankMpi& rm, comm::PeId dest, MigOp op) {
   cluster_->flush_aggregation(pe, comm::FlushCause::Order);
   leave(pe, rm);
 
-  util::ByteBuffer buf;
-  iso::pack_slot(*arena_, rm.rc->slot, pack_mode_, buf);
-
   comm::Message mig;
   mig.kind = comm::Message::Kind::Migration;
   mig.opcode = op;
   mig.src_pe = pe;
   mig.dst_pe = dest;
   mig.dst_rank = rm.world_rank;
-  // The packed image moves into the payload — the bytes pack_slot produced
-  // are the bytes the destination unpacks, with no intermediate copy.
   util::CounterBlock& ctr = counters(pe);
-  ctr.bump(Ctr::MigrationBytes, buf.size());
-  mig.payload = comm::Payload::adopt(buf.take());
+  if (carries_image(pe, dest)) {
+    // The packed image moves into the payload — the bytes pack_slot
+    // produced are the bytes the destination unpacks, with no intermediate
+    // copy.
+    util::ByteBuffer buf;
+    iso::pack_slot(*arena_, rm.rc->slot, pack_mode_, buf);
+    ctr.bump(Ctr::MigrationBytes, buf.size());
+    mig.payload = comm::Payload::adopt(buf.take());
+  }
   // Steals are deliberately not counted in Ctr::Migrations: that counter
   // means "explicit migrations the program asked for" (AMPI_Migrate / LB),
   // and steals are reported separately (Ctr::SchedStealsOut/In).
@@ -1067,7 +1078,7 @@ void Runtime::resume_restored(comm::PeId pe, RankMpi& rm) {
 
 void Runtime::handle_migration_arrival(comm::PeId pe, comm::Message&& msg) {
   RankMpi& rm = rank_state(msg.dst_rank);
-  overwrite(rm, {&msg.payload, 1});
+  if (carries_image(msg.src_pe, pe)) overwrite(rm, {&msg.payload, 1});
   admit(pe, rm);
   if (msg.opcode == kMigSteal) {
     // A stolen rank arriving answers this PE's own steal request: settle
@@ -1086,8 +1097,8 @@ void Runtime::handle_migration_arrival(comm::PeId pe, comm::Message&& msg) {
 // The thief half runs as an idle hook on an empty PE; the victim half runs
 // as a control handler on the loaded PE's own thread, so the whole protocol
 // only ever touches scheduler/resident state from its owning thread. The
-// transfer itself is the ordinary packed-image migration — a stolen rank
-// keeps the "ranks only run on their resident PE" invariant at every step.
+// transfer itself is the ordinary migration (ship) — a stolen rank keeps
+// the "ranks only run on their resident PE" invariant at every step.
 
 namespace {
 // A thief gives up on a steal request unanswered for this long (5 ms).

@@ -298,8 +298,8 @@ class Runtime {
   /// and request one rank (kCtlStealRequest). At most one request in flight.
   void maybe_steal(comm::PeId pe);
   /// Victim half: pick the busiest ready, unentangled resident rank,
-  /// dequeue and ship it to the thief via the packed-image migration path
-  /// (kMigSteal), or answer kCtlStealNack when nothing is stealable.
+  /// dequeue and ship it to the thief (kMigSteal), or answer
+  /// kCtlStealNack when nothing is stealable.
   void handle_steal_request(comm::PeId pe, comm::PeId thief);
 
   /// Same-PE inline delivery: when the destination rank is co-resident,
@@ -375,9 +375,14 @@ class Runtime {
   /// Takes `rm` off `pe`: the privatizer's departure hook and the resident
   /// map.
   void leave(comm::PeId pe, RankMpi& rm);
+  /// Whether a move from PE `from` to PE `to` carries the rank's slot
+  /// image: only between nodes. The PEs of one node share one address
+  /// space, where the slot already sits at its own addresses.
+  bool carries_image(comm::PeId from, comm::PeId to) const;
   /// Moves the parked `rm` from `pe` to `dest`: settles the run slice,
-  /// flushes `pe`'s aggregation bins, leaves, packs, publishes the new
-  /// location, then sends the image as `op`.
+  /// flushes `pe`'s aggregation bins, leaves, packs when carries_image,
+  /// publishes the new location, then sends the migration envelope as
+  /// `op`.
   void ship(comm::PeId pe, RankMpi& rm, comm::PeId dest, MigOp op);
   /// Rewrites rm's slot wholesale from `images` (a full base first, then
   /// deltas in order), with the write barrier disarmed and the next

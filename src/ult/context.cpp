@@ -32,6 +32,7 @@ using util::ErrorCode;
 using util::require;
 
 #if APV_SANITIZER_FIBERS
+#if APV_ASAN
 namespace {
 // Bounds of the calling OS thread's stack, for native (scheduler-side)
 // contexts: create_native may run on a different thread than the one that
@@ -49,6 +50,7 @@ void capture_thread_stack(const void** bottom, std::size_t* size) noexcept {
   *size = sz;
 }
 }  // namespace
+#endif
 
 void Context::fiber_entry_shim(void* self) {
   auto* ctx = static_cast<Context*>(self);
@@ -128,16 +130,21 @@ void Context::create(void* stack_base, std::size_t stack_size, EntryFn entry,
   // Route the entry through the shim (ASan's first-entry finish call);
   // the real entry/arg live in the Context, which unpacks at the same
   // virtual address after migration, so the indirection migrates cleanly.
+  // Locals, not the parameters: a parameter reassigned before getcontext
+  // below trips -Wclobbered.
   san_entry_ = entry;
   san_arg_ = arg;
-  entry = &Context::fiber_entry_shim;
-  arg = this;
+  const EntryFn first_entry = &Context::fiber_entry_shim;
+  void* const first_arg = this;
 #if APV_TSAN
   if (tsan_fiber_owned_ && tsan_fiber_ != nullptr)
     __tsan_destroy_fiber(tsan_fiber_);  // context reused for a fresh ULT
   tsan_fiber_ = __tsan_create_fiber(0);
   tsan_fiber_owned_ = true;
 #endif
+#else
+  const EntryFn first_entry = entry;
+  void* const first_arg = arg;
 #endif
 
   if (backend == ContextBackend::Ucontext) {
@@ -146,8 +153,8 @@ void Context::create(void* stack_base, std::size_t stack_size, EntryFn entry,
     uc_.uc_stack.ss_sp = stack_base;
     uc_.uc_stack.ss_size = stack_size;
     uc_.uc_link = nullptr;
-    uc_entry_ = entry;
-    uc_arg_ = arg;
+    uc_entry_ = first_entry;
+    uc_arg_ = first_arg;
     const auto addr = reinterpret_cast<std::uintptr_t>(this);
     makecontext(&uc_, reinterpret_cast<void (*)()>(ucontext_entry_shim), 2,
                 static_cast<unsigned>(addr >> 32),
@@ -166,12 +173,12 @@ void Context::create(void* stack_base, std::size_t stack_size, EntryFn entry,
   std::memcpy(reinterpret_cast<char*>(frame), &mxcsr, 4);
   std::memcpy(reinterpret_cast<char*>(frame) + 4, &fcw, 2);
   std::memset(reinterpret_cast<char*>(frame) + 6, 0, 2);
-  frame[1] = 0;                                        // r15
-  frame[2] = 0;                                        // r14
-  frame[3] = reinterpret_cast<std::uintptr_t>(entry);  // r13
-  frame[4] = reinterpret_cast<std::uintptr_t>(arg);    // r12
-  frame[5] = 0;                                        // rbx
-  frame[6] = 0;                                        // rbp
+  frame[1] = 0;                                              // r15
+  frame[2] = 0;                                              // r14
+  frame[3] = reinterpret_cast<std::uintptr_t>(first_entry);  // r13
+  frame[4] = reinterpret_cast<std::uintptr_t>(first_arg);    // r12
+  frame[5] = 0;                                              // rbx
+  frame[6] = 0;                                              // rbp
   frame[7] = reinterpret_cast<std::uintptr_t>(&apv_context_trampoline_asm);
   asm_sp_ = frame;
 #else

@@ -94,7 +94,8 @@ APV_NO_SANITIZE_ADDRESS inline void raw_memcpy(void* dst, const void* src,
 #endif
 }
 
-/// memset equivalent of raw_memcpy (poison-window fills during unpack).
+/// memset equivalent of raw_memcpy (zeroing a slot's partial tail page past
+/// an unpacked prefix, IsoArena::discard_from).
 APV_NO_SANITIZE_ADDRESS inline void raw_memset(void* dst, int value,
                                                std::size_t n) noexcept {
 #if APV_ASAN

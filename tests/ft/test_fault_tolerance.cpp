@@ -634,13 +634,14 @@ void* migrate_delta_main(void* arg) {
   int rc = env->checkpoint_all();  // epoch 1: full
   data[0] += 1;
   rc += env->checkpoint_all();  // epoch 2: delta
-  // Migration rewrites the slot wholesale on the destination: the dirty
-  // bitmap is void, so the next image must fall back to a full base.
+  // A move between nodes rewrites the slot wholesale on the destination:
+  // the dirty bitmap is void, so the next image falls back to a full base.
+  // A move within a node leaves the slot and its bitmap alone.
   env->migrate_to((env->my_pe() + 1) % env->num_pes());
   data[1] += 1;
-  rc += env->checkpoint_all();  // epoch 3: full again
+  rc += env->checkpoint_all();  // epoch 3: full again, or a delta
   data[2] += 1;
-  rc += env->checkpoint_all();  // epoch 4: delta (tracker re-armed)
+  rc += env->checkpoint_all();  // epoch 4: delta
   const bool ok = rc == 0 && data[0] == me * 7 + 1 &&
                   data[1] == me * 7 + 2 && data[2] == me * 7 + 3;
   env->rank_free(data);
@@ -683,6 +684,25 @@ TEST(DeltaCheckpoint, MigrationForcesFullBaseThenDeltasResume) {
   const util::CounterValues v = rt.cluster().totals();
   EXPECT_EQ(v[Ctr::CkptImagesFull], 4u);
   EXPECT_EQ(v[Ctr::CkptImagesDelta], 4u);
+}
+
+TEST(DeltaCheckpoint, MoveWithinNodeKeepsDeltaChain) {
+  const img::ProgramImage image =
+      build_entry("migdelta", &migrate_delta_main);
+  mpi::Runtime rt(image,
+                  cfg_pes(core::Method::PIEglobals, 2, 2, /*nodes=*/1));
+  rt.run();
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1)
+        << "rank " << r;
+  }
+  // Only epoch 1 is full: the move copied nothing and left the write
+  // barrier armed, so epochs 2-4 are all deltas.
+  const util::CounterValues v = rt.cluster().totals();
+  EXPECT_EQ(v[Ctr::Migrations], 2u);
+  EXPECT_EQ(v[Ctr::MigrationBytes], 0u);
+  EXPECT_EQ(v[Ctr::CkptImagesFull], 2u);
+  EXPECT_EQ(v[Ctr::CkptImagesDelta], 6u);
 }
 
 TEST(DeltaCheckpoint, DeltaOffRecoveryMatchesDeltaOn) {
@@ -749,6 +769,67 @@ TEST(Recovery, KillMidDeltaChainRestoresBothMutations) {
   const util::CounterValues v = rt.cluster().totals();
   EXPECT_EQ(v[Ctr::Recoveries], 1u);
   EXPECT_GT(v[Ctr::CkptImagesDelta], 0u);
+}
+
+namespace {
+
+// Three ranks on 1 node x 3 PEs. Each moves to the next PE between epochs
+// 2 and 3, a move that copies nothing, so its epoch-3 delta is packed on
+// its new PE on top of a base and a delta packed on its old one. PE 1 dies
+// at epoch 3: rank 0, which moved onto it, is adopted from that mixed chain.
+void* move_then_kill_main(void* arg) {
+  auto* env = static_cast<mpi::Env*>(arg);
+  const int me = env->rank();
+  constexpr std::size_t kInts = std::size_t{1} << 16;
+  int* data = env->rank_alloc_array<int>(kInts);
+  for (std::size_t i = 0; i < kInts; ++i) {
+    data[i] = me * 1000 + static_cast<int>(i);
+  }
+  const int r1 = env->checkpoint_all();  // epoch 1: full base
+  for (std::size_t i = 0; i < kInts; i += 997) data[i] += 7;
+  const int r2 = env->checkpoint_all();  // epoch 2: delta
+  env->migrate_to((env->my_pe() + 1) % env->num_pes());
+  for (std::size_t i = 0; i < kInts; i += 1009) data[i] += 11;
+  const int r3 = env->checkpoint_all();  // epoch 3: delta; PE 1 dies here
+  bool ok = r1 == 0 && r2 == 0 && r3 == 1;
+  for (std::size_t i = 0; i < kInts && ok; ++i) {
+    int want = me * 1000 + static_cast<int>(i);
+    if (i % 997 == 0) want += 7;
+    if (i % 1009 == 0) want += 11;
+    if (data[i] != want) ok = false;
+  }
+  env->rank_free(data);
+  env->barrier();
+  return reinterpret_cast<void*>(static_cast<std::intptr_t>(ok ? 1 : 0));
+}
+
+}  // namespace
+
+TEST(Recovery, KillAfterMoveWithinNodeRestoresMixedChain) {
+  const img::ProgramImage image =
+      build_entry("movekill", &move_then_kill_main);
+  mpi::RuntimeConfig cfg =
+      cfg_pes(core::Method::PIEglobals, 3, 3, /*nodes=*/1);
+  cfg.options.set("ft.policy", "epoch");
+  cfg.options.set("ft.pe", "1");
+  cfg.options.set("ft.epoch", "3");
+  // A steal while the ranks change places could leave PE 1 without the
+  // rank whose mixed chain this test adopts.
+  cfg.options.set("sched.steal", "off");
+  mpi::Runtime rt(image, cfg);
+  rt.run();
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1)
+        << "rank " << r;
+    EXPECT_NE(rt.rank_state(r).resident_pe, 1) << "rank " << r;
+  }
+  const util::CounterValues v = rt.cluster().totals();
+  EXPECT_EQ(v[Ctr::Recoveries], 1u);
+  EXPECT_EQ(v[Ctr::MigrationBytes], 0u);
+  // One full base per rank; every later image, the adopted chain's too, is
+  // a delta.
+  EXPECT_EQ(v[Ctr::CkptImagesFull], 3u);
+  EXPECT_EQ(v[Ctr::CkptImagesDelta], 6u);
 }
 
 TEST(Recovery, TwoRankEpochKillWithAggregation) {

@@ -3,6 +3,8 @@
 // structural validation), and slot pack/unpack.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
@@ -76,6 +78,9 @@ TEST(Arena, ExhaustionThrows) {
 TEST(Arena, BadConfigRejected) {
   EXPECT_THROW(iso::IsoArena({.slot_size = 1024, .max_slots = 4}), ApvError);
   EXPECT_THROW(iso::IsoArena({.slot_size = 1 << 20, .max_slots = 0}),
+               ApvError);
+  // Slots must start on page boundaries to be committed and released.
+  EXPECT_THROW(iso::IsoArena({.slot_size = (1 << 20) + 512, .max_slots = 2}),
                ApvError);
 }
 
@@ -291,7 +296,7 @@ TEST(Pack, TouchedIsSmallerThanFull) {
             arena.slot_size());
 }
 
-TEST(Pack, UnpackPoisonsBeyondCarriedPrefix) {
+TEST(Pack, UnpackClearsBeyondCarriedPrefix) {
   iso::IsoArena arena(small_arena());
   const iso::SlotId slot = arena.acquire_slot();
   iso::SlotHeap* heap =
@@ -299,9 +304,9 @@ TEST(Pack, UnpackPoisonsBeyondCarriedPrefix) {
   heap->alloc(256);
   util::ByteBuffer buf;
   iso::pack_slot(arena, slot, iso::PackMode::Touched, buf);
-  // Scribble past the high-water mark, then unpack: the scribble must be
-  // overwritten with the pack-poison byte (a real migration would never
-  // have carried it). The raw helpers bypass ASan: that region is free
+  // Scribble past the high-water mark, then unpack: the scribble must read
+  // zero, as fresh memory does (a real migration would never have carried
+  // it). The raw helpers bypass ASan: that region is free
   // heap, quarantined under -DAPV_SANITIZE=address, and the scribble is
   // deliberate test machinery, not a rank access.
   char* past = static_cast<char*>(arena.slot_base(slot)) +
@@ -310,9 +315,55 @@ TEST(Pack, UnpackPoisonsBeyondCarriedPrefix) {
   util::raw_memcpy(past, &scribble, 1);
   buf.rewind();
   iso::unpack_slot(arena, slot, buf);
-  unsigned char got = 0;
+  unsigned char got = 0xFF;
   util::raw_memcpy(&got, past, 1);
-  EXPECT_EQ(got, 0xDBu);
+  EXPECT_EQ(got, 0u);
+}
+
+// The bytes a full image did not carry go back to the kernel on unpack: a
+// rank restored to an image older than its heap's growth keeps none of the
+// pages it grew into.
+TEST(Pack, UnpackReleasesPagesPastCarriedPrefix) {
+  iso::IsoArena arena(small_arena());
+  const iso::SlotId slot = arena.acquire_slot();
+  iso::SlotHeap* heap =
+      iso::SlotHeap::format(arena.slot_base(slot), arena.slot_size());
+  heap->alloc(256);
+  util::ByteBuffer buf;
+  iso::pack_slot(arena, slot, iso::PackMode::Touched, buf);
+  const std::size_t carried =
+      iso::packed_payload_size(arena, slot, iso::PackMode::Touched);
+
+  // Grow past the image's high-water mark and write every grown page.
+  constexpr std::size_t kGrow = 256 << 10;
+  auto* grown = static_cast<unsigned char*>(heap->alloc(kGrow));
+  ASSERT_NE(grown, nullptr);
+  std::memset(grown, 0x5A, kGrow);
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  auto* base = static_cast<unsigned char*>(arena.slot_base(slot));
+  unsigned char* first = base + (carried + page - 1) / page * page;
+  const std::size_t pages =
+      static_cast<std::size_t>(grown + kGrow - first) / page;
+  ASSERT_GT(pages, 0u);
+  const auto resident_pages = [&] {
+    std::vector<unsigned char> vec(pages);
+    EXPECT_EQ(mincore(first, pages * page, vec.data()), 0);
+    return std::count_if(vec.begin(), vec.end(),
+                         [](unsigned char v) { return (v & 1) != 0; });
+  };
+  ASSERT_EQ(resident_pages(), static_cast<std::ptrdiff_t>(pages));
+
+  buf.rewind();
+  iso::unpack_slot(arena, slot, buf);
+  EXPECT_EQ(resident_pages(), 0);
+  // Everything past the carried prefix reads zero: the rest of its last
+  // page, and the released pages. Raw reads: the unpacked heap's trailing
+  // free block is quarantined under -DAPV_SANITIZE=address.
+  std::vector<unsigned char> got(
+      static_cast<std::size_t>(first + pages * page - (base + carried)));
+  util::raw_memcpy(got.data(), base + carried, got.size());
+  EXPECT_TRUE(std::all_of(got.begin(), got.end(),
+                          [](unsigned char v) { return v == 0; }));
 }
 
 TEST(Pack, CorruptStreamRejected) {
@@ -534,12 +585,12 @@ TEST(Pack, DeltaChainRestoresBitIdenticalBytes) {
   util::raw_memcpy(got.data(), arena.slot_base(slot), prefix);
   EXPECT_EQ(std::memcmp(expect.data(), got.data(), prefix), 0);
   EXPECT_TRUE(iso::SlotHeap::at(arena.slot_base(slot))->check_integrity());
-  // Bytes the chain never carried are poison, not the wrecked 0xEE.
+  // Bytes the chain never carried read zero, not the wrecked 0xEE.
   const auto* past =
       static_cast<unsigned char*>(arena.slot_base(slot)) + prefix + 64;
-  unsigned char past_byte = 0;
+  unsigned char past_byte = 0xFF;
   util::raw_memcpy(&past_byte, past, 1);
-  EXPECT_EQ(past_byte, 0xDBu);
+  EXPECT_EQ(past_byte, 0u);
 }
 
 TEST(Pack, DeltaRegionBeyondSlotRejected) {

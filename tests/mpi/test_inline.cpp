@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <vector>
 
@@ -171,6 +173,104 @@ TEST(InlineDelivery, FifoAcrossMigrationAndAggregation) {
                                    /*pin_steal_off=*/true);
   EXPECT_EQ(pinned[0], 1);
   EXPECT_GT(pinned[1], 0);  // the inline path actually engaged
+}
+
+namespace {
+
+// Forward-and-hold shape, on 1 node x 3 PEs with no steals and no
+// preemption (ranks 0 and 1 on PE 0, rank 2 on PE 1, rank 3 on PE 2).
+// Sender 3 bins kRouted small sends to receiver 0 on PE 0 and keeps its
+// bin unflushed by spinning. Receiver 0 then moves to PE 1, and rank 1
+// spins on PE 0 so that PE 0 drains nothing. Sender 3 moves to PE 1 too,
+// which flushes its bin into PE 0's mailbox, and sends kInline more
+// messages inline: those must be held behind the routed ones, which PE 0
+// forwards to PE 1 once rank 1 stops spinning.
+constexpr int kRouted = 3;
+constexpr int kInline = 3;
+constexpr int kHoldSender = 3;
+
+std::atomic<int> g_routed_sent{0};
+std::atomic<int> g_receiver_left{0};
+std::atomic<int> g_old_pe_spinning{0};
+std::atomic<int> g_release{0};
+
+// Spins without yielding, so the calling rank's PE runs nothing else.
+// False if `flag` stayed 0 for 30 s.
+bool spin_until(const std::atomic<int>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (flag.load(std::memory_order_acquire) == 0) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+  }
+  return true;
+}
+
+void* forward_hold_main(void* arg) {
+  auto* env = static_cast<Env*>(arg);
+  const int me = env->rank();
+  std::intptr_t ok = 1;
+  if (me == kHoldSender) {
+    for (int i = 0; i < kRouted; ++i)
+      env->send(&i, 1, Datatype::Int, 0, /*tag=*/7);
+    g_routed_sent.store(1, std::memory_order_release);
+    if (!spin_until(g_old_pe_spinning)) ok = 0;
+    env->migrate_to(1);  // flushes PE 2's bins into PE 0's mailbox
+    for (int i = kRouted; i < kRouted + kInline; ++i)
+      env->send(&i, 1, Datatype::Int, 0, /*tag=*/7);
+    g_release.store(1, std::memory_order_release);
+  } else if (me == 0) {
+    if (!spin_until(g_routed_sent)) ok = 0;
+    g_receiver_left.store(1, std::memory_order_release);
+    env->migrate_to(1);
+    for (int i = 0; i < kRouted + kInline; ++i) {
+      int v = -1;
+      const mpi::Status st =
+          env->recv(&v, 1, Datatype::Int, mpi::kAnySource, /*tag=*/7);
+      if (st.source != kHoldSender || v != i) ok = 0;  // per-sender FIFO
+    }
+  } else if (me == 1) {
+    // The receiver's migration runs as its park continuation before this
+    // rank is dispatched again, so the flag means it has left PE 0.
+    while (g_receiver_left.load(std::memory_order_acquire) == 0) env->yield();
+    g_old_pe_spinning.store(1, std::memory_order_release);
+    if (!spin_until(g_release)) ok = 0;
+  }
+  env->barrier();
+  return reinterpret_cast<void*>(ok);
+}
+
+}  // namespace
+
+// A routed message still in flight to the receiver's old PE is forwarded,
+// and the sender's later inline sends wait for it in the hold: per-sender
+// FIFO across a move within a node, with both mechanisms forced to engage.
+TEST(InlineDelivery, FifoForwardAndHoldAcrossMoveWithinNode) {
+  g_routed_sent = 0;
+  g_receiver_left = 0;
+  g_old_pe_spinning = 0;
+  g_release = 0;
+  img::ImageBuilder b("fwdhold");
+  b.add_global<int>("unused", 0);
+  b.add_function("mpi_main", &forward_hold_main);
+  const img::ProgramImage image = b.build();
+  mpi::RuntimeConfig cfg;
+  cfg.nodes = 1;
+  cfg.pes_per_node = 3;
+  cfg.vps = 4;
+  cfg.method = core::Method::PIEglobals;
+  cfg.slot_bytes = std::size_t{8} << 20;
+  cfg.options.set("sched.steal", "off");
+  cfg.options.set("sched.preempt", "off");
+  mpi::Runtime rt(image, cfg);
+  rt.run();
+  for (int r = 0; r < cfg.vps; ++r) {
+    EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1)
+        << "rank " << r;
+  }
+  const util::CounterValues v = rt.cluster().totals();
+  EXPECT_GE(v[Ctr::Forwards], 1u);
+  EXPECT_GE(v[Ctr::P2pHeld], 1u);
+  EXPECT_EQ(v[Ctr::MigrationBytes], 0u);
 }
 
 // Escape hatch: comm.inline=off must reproduce the seed's routed-only

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <tuple>
 
 #include "mpi/runtime.hpp"
 #include "test_programs.hpp"
@@ -34,8 +36,10 @@ void* migrate_main(void* arg) {
   const int me = env->rank();
   const bool privatized =
       env->rank_context().method != core::Method::None;
+  // Unprivatized, the global is one copy per process, which the ranks of a
+  // multi-PE node would write from several threads at once.
   auto g = env->global<int>("my_value");
-  g.set(1000 + me);
+  if (privatized) g.set(1000 + me);
 
   const int n = 4096;
   int* heap_data = env->rank_alloc_array<int>(n);
@@ -70,12 +74,17 @@ img::ProgramImage build_migrate(bool tag_tls = false) {
 
 }  // namespace
 
-class MigratePerMethod : public ::testing::TestWithParam<core::Method> {};
+// (method, nodes): 4 PEs either as 4 nodes, where every move packs and
+// unpacks the slot, or as 1 node, where the slot already sits at its
+// addresses on every PE and a move copies nothing.
+class MigratePerMethod
+    : public ::testing::TestWithParam<std::tuple<core::Method, int>> {};
 
 TEST_P(MigratePerMethod, StatePreservedAcrossPes) {
-  const bool tagged = GetParam() == core::Method::TLSglobals;
-  const img::ProgramImage image = build_migrate(tagged);
-  mpi::Runtime rt(image, cfg_pes(GetParam(), 4, 4));
+  const auto [method, nodes] = GetParam();
+  const img::ProgramImage image =
+      build_migrate(method == core::Method::TLSglobals);
+  mpi::Runtime rt(image, cfg_pes(method, 4, 4, nodes));
   rt.run();
   for (int r = 0; r < 4; ++r) {
     EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1)
@@ -83,7 +92,11 @@ TEST_P(MigratePerMethod, StatePreservedAcrossPes) {
   }
   const util::CounterValues v = rt.cluster().totals();
   EXPECT_EQ(v[Ctr::Migrations], 4u);
-  EXPECT_GT(v[Ctr::MigrationBytes], 0u);
+  if (nodes == 1) {
+    EXPECT_EQ(v[Ctr::MigrationBytes], 0u);
+  } else {
+    EXPECT_GT(v[Ctr::MigrationBytes], 0u);
+  }
   // Every move leaves the rank's state and the location table agreeing.
   for (int r = 0; r < 4; ++r) {
     EXPECT_EQ(rt.rank_state(r).resident_pe, rt.cluster().location(r))
@@ -91,13 +104,30 @@ TEST_P(MigratePerMethod, StatePreservedAcrossPes) {
   }
 }
 
+namespace {
+std::string method_param_name(
+    const ::testing::TestParamInfo<std::tuple<core::Method, int>>& info) {
+  return core::method_name(std::get<0>(info.param));
+}
+}  // namespace
+
 INSTANTIATE_TEST_SUITE_P(
     MigratableMethods, MigratePerMethod,
-    ::testing::Values(core::Method::None, core::Method::TLSglobals,
-                      core::Method::Swapglobals, core::Method::PIEglobals),
-    [](const ::testing::TestParamInfo<core::Method>& info) {
-      return core::method_name(info.param);
-    });
+    ::testing::Combine(::testing::Values(core::Method::None,
+                                         core::Method::TLSglobals,
+                                         core::Method::Swapglobals,
+                                         core::Method::PIEglobals),
+                       ::testing::Values(4)),
+    method_param_name);
+
+// Swapglobals is absent: it cannot run more than one PE per process.
+INSTANTIATE_TEST_SUITE_P(
+    WithinNode, MigratePerMethod,
+    ::testing::Combine(::testing::Values(core::Method::None,
+                                         core::Method::TLSglobals,
+                                         core::Method::PIEglobals),
+                       ::testing::Values(1)),
+    method_param_name);
 
 class MigrateRefusedPerMethod : public ::testing::TestWithParam<core::Method> {
 };

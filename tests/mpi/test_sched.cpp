@@ -249,6 +249,9 @@ TEST(SchedSteal, IdlePeStealsFromCrowdedNeighbor) {
   EXPECT_GE(c[Ctr::SchedStealRequests], 1u);
   EXPECT_GE(c[Ctr::SchedStealsIn], 1u);
   EXPECT_EQ(c[Ctr::SchedStealsIn], c[Ctr::SchedStealsOut]);
+  // Both PEs share one node: the crowding moves and the steals ship no
+  // image.
+  EXPECT_EQ(c[Ctr::MigrationBytes], 0u);
 }
 
 namespace {
@@ -278,13 +281,11 @@ void* steal_ckpt_main(void* arg) {
   return reinterpret_cast<void*>(ok);
 }
 
-}  // namespace
-
-TEST(SchedSteal, StealsDuringCheckpointsKeepStateIntact) {
+void run_steal_ckpt(int nodes) {
   img::ProgramImage image = build_entry("stealckpt", &steal_ckpt_main);
   mpi::RuntimeConfig cfg;
-  cfg.nodes = 2;
-  cfg.pes_per_node = 1;
+  cfg.nodes = nodes;
+  cfg.pes_per_node = 2 / nodes;
   cfg.vps = 6;
   cfg.method = core::Method::PIEglobals;
   cfg.slot_bytes = std::size_t{8} << 20;
@@ -296,6 +297,21 @@ TEST(SchedSteal, StealsDuringCheckpointsKeepStateIntact) {
   for (int r = 0; r < cfg.vps; ++r)
     EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1)
         << "rank " << r;
+  const util::CounterValues c = rt.cluster().totals();
+  if (nodes == 1) {
+    EXPECT_EQ(c[Ctr::MigrationBytes], 0u);
+  }
+}
+
+}  // namespace
+
+// Two PEs as 2 nodes (steals pack and unpack) and as 1 node (steals copy
+// nothing and leave the write barrier armed between checkpoints).
+TEST(SchedSteal, StealsDuringCheckpointsKeepStateIntact) {
+  for (const int nodes : {2, 1}) {
+    SCOPED_TRACE(nodes == 2 ? "2 nodes x 1 PE" : "1 node x 2 PEs");
+    run_steal_ckpt(nodes);
+  }
 }
 
 namespace {
