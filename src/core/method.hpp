@@ -101,6 +101,11 @@ class PrivatizationMethod {
   /// Releases per-rank state created by init_rank.
   virtual void destroy_rank(RankContext& rc) = 0;
 
+  /// Bytes at the top of every rank's slot that the method maps itself
+  /// (PIEglobals' code window). The Privatizer formats the slot heap below
+  /// them, so no packed image reaches them. Default: none.
+  virtual std::size_t slot_tail_bytes() const noexcept { return 0; }
+
   /// Called on the *source* process's method when one of its ranks
   /// migrates away (before a move between nodes packs the slot). Default:
   /// nothing.

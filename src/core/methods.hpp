@@ -128,22 +128,30 @@ struct PieFixupStats {
 };
 
 /// PIEglobals (paper §3.3): dlopen once per process, locate segments via
-/// dl_iterate_phdr, copy code+data per rank *via Isomalloc*, fix up GOT
-/// and constructor-written pointers, clone constructor heap allocations,
-/// and combine with TLSglobals for TLS variables. The only new method that
-/// supports dynamic rank migration.
+/// dl_iterate_phdr, give every rank its own code and data segments inside
+/// its Isomalloc slot, fix up GOT and constructor-written pointers, clone
+/// constructor heap allocations, and combine with TLSglobals for TLS
+/// variables. The only new method that supports dynamic rank migration.
 ///
 /// Options: pie.fixup = "scan" (default) | "exact";
-///          pie.share_readonly (bool, default false) — do not duplicate
-///          const globals (memory-footprint future-work ablation);
-///          pie.share_code (bool, default false) — map every rank's code
-///          from the single primary copy instead of duplicating it (the
-///          paper's future-work mmap-from-one-descriptor optimization:
-///          removes the code-bloat memory cost and the code-segment
-///          migration payload, at the price of per-rank code addresses no
-///          longer being distinct).
+///          pie.share_code (bool, default true) — the paper's future-work
+///          "mmap from one descriptor": init_process writes the code once,
+///          from the primary, into one sealed memfd per process, and each
+///          rank maps it read-only and private into a window at the top of
+///          its own slot. Code addresses stay distinct per rank, the pages
+///          are shared, and the slot heap ends below the window, so no
+///          migration or checkpoint image carries code; a rank arriving
+///          from another process maps this process's descriptor again.
+///          Off copies the code into each rank's slot heap (the paper's
+///          implementation, which figures 5 and 8 measure).
+/// (pie.share_readonly is the Privatizer's: it only changes bind_var.)
 class PieGlobalsMethod final : public PrivatizationMethod {
  public:
+  PieGlobalsMethod() = default;
+  ~PieGlobalsMethod() override;  // closes the code descriptor
+  PieGlobalsMethod(const PieGlobalsMethod&) = delete;
+  PieGlobalsMethod& operator=(const PieGlobalsMethod&) = delete;
+
   Method kind() const noexcept override { return Method::PIEglobals; }
   void init_process(ProcessEnv& env) override;
   void init_rank(RankContext& rc) override;
@@ -152,9 +160,10 @@ class PieGlobalsMethod final : public PrivatizationMethod {
   void destroy_rank(RankContext& rc) override;
   void on_rank_departed(RankContext& rc) override;
   void on_rank_arrived(RankContext& rc) override;
+  std::size_t slot_tail_bytes() const noexcept override {
+    return window_bytes_;
+  }
 
-  bool share_readonly() const noexcept { return share_readonly_; }
-  bool share_code() const noexcept { return share_code_; }
   /// Accumulated fix-up statistics across all ranks initialized so far.
   const PieFixupStats& fixup_stats() const noexcept { return stats_; }
 
@@ -162,8 +171,8 @@ class PieGlobalsMethod final : public PrivatizationMethod {
   ProcessEnv* env_ = nullptr;
   const img::ImageInstance* primary_ = nullptr;
   PieFixupMode fixup_mode_ = PieFixupMode::Scan;
-  bool share_readonly_ = false;
-  bool share_code_ = false;
+  int code_fd_ = -1;             // the code memfd; -1 copies code per rank
+  std::size_t window_bytes_ = 0;  // code size rounded up to whole pages
   PieFixupStats stats_;
 };
 

@@ -1,19 +1,28 @@
 // PIEglobals (paper §3.3): the production-worthy method. dlopen the PIE
-// once per process, locate its segments via dl_iterate_phdr, copy code and
-// data per rank through Isomalloc, fix up pointers into the original
-// segments, replicate constructor heap allocations, and combine with
-// TLSglobals for TLS variables. Migration works because every copied byte
-// lives in the rank's Isomalloc slot.
+// once per process, locate its segments via dl_iterate_phdr, give each rank
+// its own code and data through Isomalloc, fix up pointers into the
+// original segments, replicate constructor heap allocations, and combine
+// with TLSglobals for TLS variables. Migration works because every
+// privatized byte lives in the rank's Isomalloc slot: the data and
+// constructor copies in its heap, the code either copied into the heap or
+// mapped from the process's code descriptor at the top of the slot.
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 
 #include "core/access.hpp"
 #include "core/methods.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
 namespace apv::core {
 
+using util::ApvError;
 using util::ErrorCode;
 using util::require;
 
@@ -69,7 +78,42 @@ std::size_t fixup_scan_region(std::byte* region, std::size_t len,
   return rewrites;
 }
 
+[[noreturn]] void throw_errno(const char* what) {
+  throw ApvError(ErrorCode::Internal,
+                 std::string(what) + ": " + std::strerror(errno));
+}
+
+// One sealed memfd holding `len` bytes of code, padded with zeroes to
+// `file_bytes` so that every page of a window maps inside the file.
+int code_descriptor(const std::byte* code, std::size_t len,
+                    std::size_t file_bytes) {
+  const int fd = memfd_create("apv-pie-code", MFD_CLOEXEC | MFD_ALLOW_SEALING);
+  if (fd < 0) throw_errno("PIEglobals: memfd_create");
+  try {
+    if (ftruncate(fd, static_cast<off_t>(file_bytes)) != 0)
+      throw_errno("PIEglobals: code descriptor ftruncate");
+    for (std::size_t off = 0; off < len;) {
+      const ssize_t n =
+          pwrite(fd, code + off, len - off, static_cast<off_t>(off));
+      if (n <= 0) throw_errno("PIEglobals: code descriptor write");
+      off += static_cast<std::size_t>(n);
+    }
+    // Written once: from here the bytes and the size are fixed.
+    if (fcntl(fd, F_ADD_SEALS,
+              F_SEAL_SHRINK | F_SEAL_GROW | F_SEAL_WRITE | F_SEAL_SEAL) != 0)
+      throw_errno("PIEglobals: code descriptor seal");
+  } catch (...) {
+    close(fd);
+    throw;
+  }
+  return fd;
+}
+
 }  // namespace
+
+PieGlobalsMethod::~PieGlobalsMethod() {
+  if (code_fd_ >= 0) close(code_fd_);
+}
 
 void PieGlobalsMethod::init_process(ProcessEnv& env) {
   env_ = &env;
@@ -79,8 +123,6 @@ void PieGlobalsMethod::init_process(ProcessEnv& env) {
   fixup_mode_ = env.options.get_string("pie.fixup") == "exact"
                     ? PieFixupMode::Exact
                     : PieFixupMode::Scan;
-  share_readonly_ = env.options.get_bool("pie.share_readonly");
-  share_code_ = env.options.get_bool("pie.share_code");
 
   // dl_iterate_phdr before and after dlopen to locate the new binary's
   // segments (§3.3). Opened once per OS process — not once per rank — to
@@ -114,6 +156,18 @@ void PieGlobalsMethod::init_process(ProcessEnv& env) {
   require(primary_ != nullptr, ErrorCode::Internal,
           "PIEglobals: primary instance not found");
   (void)prim;
+
+  if (env.options.get_bool("pie.share_code")) {
+    // The code goes into one descriptor, once; every rank of this process
+    // maps it at the top of its own slot (init_rank, on_rank_arrived).
+    const std::size_t code_size = env.image->code_size();
+    const std::size_t window = util::align_up(
+        code_size, static_cast<std::size_t>(sysconf(_SC_PAGESIZE)));
+    require(window < env.arena->slot_size(), ErrorCode::InvalidArgument,
+            "PIEglobals: the code segment does not fit in an isomalloc slot");
+    code_fd_ = code_descriptor(primary_->code_base(), code_size, window);
+    window_bytes_ = window;
+  }
 }
 
 void PieGlobalsMethod::init_rank(RankContext& rc) {
@@ -121,13 +175,15 @@ void PieGlobalsMethod::init_rank(RankContext& rc) {
   const std::size_t code_size = image.code_size();
   const std::size_t data_size = image.data_size();
 
-  // 1. Copy the segments into the rank's Isomalloc slot. Under the
-  //    share_code optimization (future work in the paper: map code from a
-  //    single descriptor) the immutable code segment is shared from the
-  //    primary and only the writable data segment is duplicated.
+  // 1. Give the rank its own segments in its Isomalloc slot. The data
+  //    segment is copied into the slot heap. The code is mapped from the
+  //    process's descriptor into the window above the heap (pie.share_code,
+  //    the paper's future work: map code from a single descriptor), or
+  //    copied into the heap like the data.
   std::byte* code;
-  if (share_code_) {
-    code = primary_->code_base();
+  if (code_fd_ >= 0) {
+    code = static_cast<std::byte*>(
+        env_->arena->map_tail(rc.slot, code_fd_, window_bytes_));
   } else {
     code = static_cast<std::byte*>(rc.heap->alloc(code_size, 4096));
     std::memcpy(code, primary_->code_base(), code_size);
@@ -136,7 +192,7 @@ void PieGlobalsMethod::init_rank(RankContext& rc) {
   std::memcpy(data, primary_->data_base(), data_size);
 
   RemapTable remap;
-  if (!share_code_) remap.add(primary_->code_base(), code_size, code);
+  remap.add(primary_->code_base(), code_size, code);
   remap.add(primary_->data_base(), data_size, data);
 
   // 2. Replicate constructor-time heap allocations into the slot heap and
@@ -231,8 +287,11 @@ void PieGlobalsMethod::on_rank_departed(RankContext& rc) {
 
 void PieGlobalsMethod::on_rank_arrived(RankContext& rc) {
   // Segments arrived in the slot at identical virtual addresses (the
-  // Isomalloc invariant); register them with this process so function
-  // pointers and pieglobals_find resolve here too.
+  // Isomalloc invariant). No image carried the code window: it is mapped
+  // from this process's own descriptor, at the same address (a rank moving
+  // within the process already maps it). Register the segments with this
+  // process so function pointers and pieglobals_find resolve here too.
+  if (code_fd_ >= 0) env_->arena->map_tail(rc.slot, code_fd_, window_bytes_);
   env_->loader->registry().add(rc.pie_instance.get());
 }
 

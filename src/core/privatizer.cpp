@@ -33,9 +33,9 @@ RankContext* Privatizer::create_rank(const RankParams& params) {
   require(params.body != nullptr, ErrorCode::InvalidArgument,
           "rank needs a body function");
   const iso::SlotId slot = env_.arena->acquire_slot();
-  iso::SlotHeap* heap =
-      iso::SlotHeap::format(env_.arena->slot_base(slot),
-                            env_.arena->slot_size());
+  iso::SlotHeap* heap = iso::SlotHeap::format(
+      env_.arena->slot_base(slot),
+      env_.arena->slot_size() - method_->slot_tail_bytes());
   auto rc = std::make_unique<RankContext>();
   rc->world_rank = params.world_rank;
   rc->method = method_->kind();

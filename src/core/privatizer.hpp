@@ -41,9 +41,10 @@ class Privatizer {
     ult::ContextBackend backend = ult::default_context_backend();
   };
 
-  /// Creates a virtual rank: acquires an Isomalloc slot, formats its heap,
-  /// runs the method's per-rank privatization, and places the rank's ULT
-  /// (and its stack) inside the slot. The ULT is *not* scheduled yet.
+  /// Creates a virtual rank: acquires an Isomalloc slot, formats its heap
+  /// below the method's slot tail, runs the method's per-rank
+  /// privatization, and places the rank's ULT (and its stack) inside the
+  /// slot. The ULT is *not* scheduled yet.
   RankContext* create_rank(const RankParams& params);
 
   /// Tears a rank down and releases its slot. The ULT must not be Running.

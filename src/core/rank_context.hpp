@@ -18,8 +18,10 @@ namespace apv::core {
 /// The RankContext object itself is per-process runtime metadata (like
 /// AMPI's rank control structures); everything it points to that must
 /// survive migration — the ULT, its stack, the rank heap, and under
-/// PIEglobals the private code/data segments and TLS block — lives inside
-/// the rank's Isomalloc slot and travels with it.
+/// PIEglobals the private data segment and TLS block — lives inside the
+/// rank's Isomalloc slot and travels with it. PIEglobals' code sits in the
+/// slot too, at the rank's own addresses: copied into the heap, or mapped
+/// at the slot's top, where each process maps it again on arrival.
 struct RankContext {
   int world_rank = -1;
   Method method = Method::None;

@@ -38,6 +38,7 @@ IsoArena::IsoArena(const Config& config) : config_(config) {
   }
   base_ = static_cast<std::byte*>(p);
   in_use_.assign(config.max_slots, false);
+  tails_.assign(config.max_slots, Tail{});
   APV_DEBUG("iso", "arena reserved %zu MiB at %p (%zu slots x %zu MiB)",
             reserved_bytes_ >> 20, p, config.max_slots,
             config.slot_size >> 20);
@@ -82,6 +83,18 @@ void IsoArena::release_slot(SlotId slot) {
   require(slot < in_use_.size() && in_use_[slot], ErrorCode::InvalidArgument,
           "release of slot not in use");
   std::byte* p = base_ + static_cast<std::size_t>(slot) * config_.slot_size;
+  if (const std::size_t tail = tails_[slot].len; tail != 0) {
+    // The anonymous reservation goes back over the mapped tail, so the
+    // next tenant of the slot never inherits the file mapping.
+    if (mmap(p + config_.slot_size - tail, tail, PROT_NONE,
+             MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_FIXED, -1,
+             0) == MAP_FAILED) {
+      throw ApvError(ErrorCode::Internal,
+                     std::string("mmap re-reserve failed: ") +
+                         std::strerror(errno));
+    }
+    tails_[slot] = Tail{};
+  }
   // Drop the physical pages and make stale accesses fault. Under ASan the
   // shadow poison fires first, turning the raw SIGSEGV into a readable
   // use-after-poison report with the offending stack.
@@ -106,6 +119,30 @@ void IsoArena::discard_from(SlotId slot, std::size_t offset) const {
                    std::string("madvise discard failed: ") +
                        std::strerror(errno));
   }
+}
+
+void* IsoArena::map_tail(SlotId slot, int fd, std::size_t len) {
+  require(len > 0 && len < config_.slot_size && len % page_bytes() == 0,
+          ErrorCode::InvalidArgument,
+          "map_tail: length must be a page multiple below the slot size");
+  std::byte* at =
+      static_cast<std::byte*>(slot_base(slot)) + config_.slot_size - len;
+  Tail& tail = tails_[slot];
+  require(tail.len == 0 || tail.len == len, ErrorCode::InvalidArgument,
+          "map_tail: slot already has a tail of another length");
+  if (tail.fd == fd) return at;
+  if (mmap(at, len, PROT_READ, MAP_PRIVATE | MAP_FIXED, fd, 0) == MAP_FAILED) {
+    throw ApvError(ErrorCode::OutOfMemory,
+                   std::string("mmap tail failed: ") + std::strerror(errno));
+  }
+  tail = {len, fd};
+  return at;
+}
+
+std::size_t IsoArena::slot_extent(SlotId slot) const {
+  require(slot < config_.max_slots, ErrorCode::InvalidArgument,
+          "slot id out of range");
+  return config_.slot_size - tails_[slot].len;
 }
 
 void* IsoArena::slot_base(SlotId slot) const {

@@ -8,8 +8,8 @@
 namespace apv::iso {
 
 /// Index of a slot within the arena. Each virtual rank owns exactly one
-/// slot for its migratable state (ULT stack, rank heap, privatized
-/// code/data segments under PIEglobals).
+/// slot for its migratable state (ULT stack, rank heap, privatized data
+/// segment under PIEglobals, and its code window or code copy).
 using SlotId = std::uint32_t;
 
 inline constexpr SlotId kInvalidSlot = ~SlotId{0};
@@ -42,14 +42,27 @@ class IsoArena {
   SlotId acquire_slot();
 
   /// Returns a slot to the free pool; its pages are discarded and
-  /// re-protected so stale pointers fault loudly.
+  /// re-protected so stale pointers fault loudly. A mapped tail gets the
+  /// anonymous reservation back, so the next tenant never inherits it.
   void release_slot(SlotId slot);
 
   /// Returns the slot's bytes from `offset` to its end to what a fresh
   /// mapping holds: zeroes the rest of the page containing `offset`, then
   /// drops every whole page after it (MADV_DONTNEED), so those bytes read
-  /// zero and hold no physical memory.
+  /// zero and hold no physical memory. Pages of a mapped tail lose only
+  /// their private copies and read the file's bytes again.
   void discard_from(SlotId slot, std::size_t offset) const;
+
+  /// Maps the first `len` bytes (a page multiple) of `fd` read-only and
+  /// copy-on-write over the top `len` bytes of the slot, replacing what
+  /// was there or the tail mapped before, and returns the tail's address.
+  /// A tail that `fd` already backs stays as it is. The slot's extent ends
+  /// below the tail. `fd` must stay open while it backs a tail.
+  void* map_tail(SlotId slot, int fd, std::size_t len);
+
+  /// Bytes of the slot below its mapped tail (the whole slot when none is
+  /// mapped): the most a slot heap or a packed image of the slot covers.
+  std::size_t slot_extent(SlotId slot) const;
 
   /// Low address of the given slot's range.
   void* slot_base(SlotId slot) const;
@@ -72,6 +85,13 @@ class IsoArena {
   mutable std::mutex mutex_;
   std::vector<bool> in_use_;
   std::size_t used_count_ = 0;
+  // Each slot's mapped tail. Written by map_tail and release_slot, read by
+  // pack: all act for the slot's current owner, one at a time.
+  struct Tail {
+    std::size_t len = 0;  // 0: no tail
+    int fd = -1;
+  };
+  std::vector<Tail> tails_;
 };
 
 }  // namespace apv::iso

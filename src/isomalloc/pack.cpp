@@ -22,7 +22,7 @@ std::size_t touched_bytes(const IsoArena& arena, SlotId slot) {
   // high-water offset and are live heap metadata, so the carried prefix
   // must cover them.
   SlotHeap* heap = SlotHeap::at(arena.slot_base(slot));
-  return std::min(arena.slot_size(),
+  return std::min(arena.slot_extent(slot),
                   heap->high_water() + SlotHeap::kCarrySlackBytes);
 }
 
@@ -58,7 +58,7 @@ const char* pack_mode_name(PackMode mode) noexcept {
 
 std::size_t packed_payload_size(const IsoArena& arena, SlotId slot,
                                 PackMode mode) {
-  return mode == PackMode::FullSlot ? arena.slot_size()
+  return mode == PackMode::FullSlot ? arena.slot_extent(slot)
                                     : touched_bytes(arena, slot);
 }
 
@@ -83,8 +83,8 @@ void pack_slot_delta(const IsoArena& arena, SlotId slot,
   out.put<std::uint64_t>(regions.size());
   const auto* base = static_cast<const std::byte*>(arena.slot_base(slot));
   for (const DirtyRegion& r : regions) {
-    require(r.offset + r.len <= arena.slot_size(), ErrorCode::InvalidArgument,
-            "pack_slot_delta: region exceeds slot");
+    require(r.offset + r.len <= arena.slot_extent(slot),
+            ErrorCode::InvalidArgument, "pack_slot_delta: region exceeds slot");
     out.put<std::uint64_t>(r.offset);
     out.put<std::uint64_t>(r.len);
     // Dirtied pages can span quarantined freed blocks; copy past the shadow.
@@ -124,8 +124,8 @@ void unpack_slot(const IsoArena& arena, SlotId slot, util::ByteReader& in) {
               ErrorCode::CorruptImage, "unpack delta: truncated region");
       const auto offset = in.get<std::uint64_t>();
       const auto len = in.get<std::uint64_t>();
-      require(offset + len <= arena.slot_size(), ErrorCode::CorruptImage,
-              "unpack delta: region exceeds slot");
+      require(offset + len <= arena.slot_extent(slot),
+              ErrorCode::CorruptImage, "unpack delta: region exceeds slot");
       require(in.remaining() >= len, ErrorCode::CorruptImage,
               "unpack delta: truncated region payload");
       in.get_bytes_raw(base + offset, len);
@@ -143,14 +143,14 @@ void unpack_slot(const IsoArena& arena, SlotId slot, util::ByteReader& in) {
   require(slot_size == arena.slot_size(), ErrorCode::CorruptImage,
           "unpack_slot: slot size mismatch between source and destination");
   const auto len = in.get<std::uint64_t>();
-  require(len <= arena.slot_size(), ErrorCode::CorruptImage,
+  require(len <= arena.slot_extent(slot), ErrorCode::CorruptImage,
           "unpack_slot: region exceeds slot");
   require(in.remaining() >= len, ErrorCode::CorruptImage,
           "unpack_slot: truncated payload");
   in.get_bytes_raw(base, len);
   // A real migration lands in a fresh address space, so nothing outside the
   // packed bytes survives: release the rest of the slot, which then reads
-  // zero and holds no pages.
+  // zero and holds no pages (a mapped tail reads its file again).
   arena.discard_from(slot, len);
   // The shadow no longer matches the rewritten heap: clear it across the
   // slot and re-quarantine the free blocks the image carried.

@@ -12,8 +12,9 @@ namespace apv::iso {
 
 /// How much of a slot a migration message carries.
 enum class PackMode {
-  /// The entire slot, committed or not. Simple and always correct; cost is
-  /// proportional to slot size regardless of actual usage.
+  /// The slot's whole extent (everything below a mapped tail), committed
+  /// or not. Simple and always correct; cost is proportional to slot size
+  /// regardless of actual usage.
   FullSlot,
   /// Only the "touched" prefix [0, SlotHeap::high_water()). This is the
   /// paper's future-work optimization of migrating only the regions that
@@ -25,7 +26,8 @@ const char* pack_mode_name(PackMode mode) noexcept;
 
 /// Serializes a slot's memory into `out`. The byte stream is
 /// self-describing (magic, slot size, region list) and is validated on
-/// unpack. The slot remains intact after packing.
+/// unpack. The slot remains intact after packing. No mode carries a mapped
+/// tail (IsoArena::map_tail): it is the destination's to map.
 void pack_slot(const IsoArena& arena, SlotId slot, PackMode mode,
                util::ByteBuffer& out);
 

@@ -57,8 +57,9 @@ constexpr OptionSpec kOptions[] = {
      "migration/checkpoint images carry touched slot pages or the full slot"},
     {"pie.fixup", String, "scan", "scan|exact", kNoMin, nullptr,
      "PIEglobals fix-up: scan segments, or rewrite GOT + recorded slots"},
-    {"pie.share_code", Bool, "off", "", kNoMin, nullptr,
-     "PIEglobals: ranks share one code segment instead of a copy each"},
+    {"pie.share_code", Bool, "on", "", kNoMin, nullptr,
+     "PIEglobals: each rank maps one code descriptor at its own address; "
+     "off copies the code into every slot"},
     {"pie.share_readonly", Bool, "off", "", kNoMin, nullptr,
      "PIEglobals: ranks share read-only data instead of a copy each"},
     {"tls.compiler", String, "gcc", "", kNoMin, nullptr,

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "core/access.hpp"
 #include "core/funcptr.hpp"
@@ -14,6 +19,8 @@
 #include "core/privatizer.hpp"
 #include "image/loader.hpp"
 #include "isomalloc/arena.hpp"
+#include "isomalloc/pack.hpp"
+#include "proc_maps.hpp"
 #include "util/error.hpp"
 
 using namespace apv;
@@ -390,14 +397,59 @@ TEST(PieFixup, ExactModePreservesTheBait) {
   priv.destroy_rank(rc);
 }
 
-TEST(PieShareCode, SharedCodeSkipsDuplication) {
+TEST(PieShareCode, EachRankMapsTheCodeAtItsOwnAddress) {
   util::Options opts;
   opts.set_bool("pie.share_code", true);
   Fixture fx(core::Method::PIEglobals, opts);
-  core::RankContext* rc = fx.make_rank(0);
-  EXPECT_EQ(rc->instance->code_base(), fx.priv->primary().code_base());
-  // Data still private.
-  EXPECT_NE(rc->instance->data_base(), fx.priv->primary().data_base());
-  EXPECT_TRUE(fx.arena.contains(rc->slot, rc->instance->data_base()));
-  fx.priv->destroy_rank(rc);
+  const img::ImageInstance& prim = fx.priv->primary();
+  const std::size_t code_size = fx.image.code_size();
+  core::RankContext* r0 = fx.make_rank(0);
+  core::RankContext* r1 = fx.make_rank(1);
+  std::byte* code0 = r0->instance->code_base();
+  std::byte* code1 = r1->instance->code_base();
+
+  EXPECT_NE(code0, code1);
+  for (core::RankContext* rc : {r0, r1}) {
+    std::byte* code = rc->instance->code_base();
+    const auto* base = static_cast<std::byte*>(fx.arena.slot_base(rc->slot));
+    // Inside the rank's own slot, past everything an image of it carries.
+    EXPECT_TRUE(fx.arena.contains(rc->slot, code));
+    EXPECT_TRUE(fx.arena.contains(rc->slot, code + code_size - 1));
+    const auto at = static_cast<std::size_t>(code - base);
+    EXPECT_LE(rc->heap->capacity(), at);  // the heap ends below the window
+    EXPECT_GE(at, rc->heap->high_water() + iso::SlotHeap::kCarrySlackBytes);
+    EXPECT_GE(at, iso::packed_payload_size(fx.arena, rc->slot,
+                                           iso::PackMode::FullSlot));
+    // The primary's bytes, from the one descriptor; pieglobals_find maps
+    // them back to the primary.
+    EXPECT_EQ(std::memcmp(code, prim.code_base(), code_size), 0);
+    EXPECT_NE(test::mapping_at(code).path.find("apv-pie-code"),
+              std::string::npos);
+    EXPECT_EQ(core::pieglobals_find(fx.loader.registry(), code + 0x80),
+              prim.code_base() + 0x80);
+  }
+
+  // A write through rank 0's window (made writable the way the write
+  // barrier's disarm does) stays rank 0's.
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  ASSERT_EQ(mprotect(code0, page, PROT_READ | PROT_WRITE), 0);
+  code0[0x10] = ~code0[0x10];
+  EXPECT_NE(code0[0x10], prim.code_base()[0x10]);
+  EXPECT_EQ(code1[0x10], prim.code_base()[0x10]);
+
+  // Released and acquired again, the slot's top is the anonymous
+  // reservation once more: zeroes, no file behind them.
+  const iso::SlotId slot0 = r0->slot;
+  fx.priv->destroy_rank(r0);
+  const iso::SlotId again = fx.arena.acquire_slot();
+  ASSERT_EQ(again, slot0);
+  EXPECT_EQ(fx.arena.slot_extent(again), fx.arena.slot_size());
+  const test::Mapping top = test::mapping_at(code0);
+  EXPECT_TRUE(top.found);
+  EXPECT_EQ(top.inode, 0u);
+  EXPECT_EQ(top.path, "");
+  EXPECT_TRUE(std::all_of(code0, code0 + code_size,
+                          [](std::byte b) { return b == std::byte{0}; }));
+  fx.arena.release_slot(again);
+  fx.priv->destroy_rank(r1);
 }

@@ -9,7 +9,9 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <string>
 #include <thread>
+#include <tuple>
 
 #include "apps/jacobi.hpp"
 #include "comm/cluster.hpp"
@@ -22,6 +24,7 @@
 #include "isomalloc/pack.hpp"
 #include "isomalloc/slot_heap.hpp"
 #include "mpi/runtime.hpp"
+#include "proc_maps.hpp"
 #include "util/counters.hpp"
 #include "util/error.hpp"
 #include "util/sanitizers.hpp"
@@ -359,8 +362,9 @@ INSTANTIATE_TEST_SUITE_P(
 namespace {
 
 // `delta` is the ft.delta spelling; anything but "off" arms delta images.
+// `share_code` is pie.share_code (PIEglobals: code mapped, not copied).
 double run_ft_jacobi(core::Method method, bool inject,
-                     const char* delta = "on") {
+                     const char* delta = "on", bool share_code = true) {
   apps::JacobiParams params;
   params.nx = 12;
   params.ny = 12;
@@ -374,6 +378,7 @@ double run_ft_jacobi(core::Method method, bool inject,
 
   mpi::RuntimeConfig cfg = cfg_pes(method, 4, 4);
   cfg.options.set("ft.delta", delta);
+  cfg.options.set_bool("pie.share_code", share_code);
   if (inject) {
     // Kill PE 1 at the second checkpoint (iteration 4 of 8): half the
     // solve runs on the degraded machine.
@@ -407,6 +412,24 @@ double run_ft_jacobi(core::Method method, bool inject,
       EXPECT_NE(rt.rank_state(r).resident_pe, 1) << "rank " << r;
     }
   }
+  if (method == core::Method::PIEglobals && share_code) {
+    // Every code window maps the descriptor of the node its rank is on, an
+    // adopted rank's too: one file per node.
+    const auto node_of = [&rt](int r) {
+      return rt.cluster().node_of(rt.rank_state(r).resident_pe);
+    };
+    const auto code_file = [&rt](int r) {
+      return test::mapping_at(rt.rank_state(r).rc->instance->code_base())
+          .inode;
+    };
+    for (int a = 0; a < cfg.vps; ++a) {
+      EXPECT_NE(code_file(a), 0u) << "rank " << a;
+      for (int b = a + 1; b < cfg.vps; ++b) {
+        EXPECT_EQ(code_file(a) == code_file(b), node_of(a) == node_of(b))
+            << "ranks " << a << " and " << b;
+      }
+    }
+  }
   const double residual = apps::jacobi_result(rt.rank_return(0));
   EXPECT_TRUE(std::isfinite(residual));
   EXPECT_GT(residual, 0.0);
@@ -415,11 +438,17 @@ double run_ft_jacobi(core::Method method, bool inject,
 
 }  // namespace
 
-class RecoveryPerMethod : public ::testing::TestWithParam<core::Method> {};
+// (method, pie.share_code): PIEglobals recovers with its code mapped from
+// each node's descriptor and with the code copied into every image.
+class RecoveryPerMethod
+    : public ::testing::TestWithParam<std::tuple<core::Method, bool>> {};
 
 TEST_P(RecoveryPerMethod, KillOnePeAndRecoverBitIdentical) {
-  const double clean = run_ft_jacobi(GetParam(), /*inject=*/false);
-  const double recovered = run_ft_jacobi(GetParam(), /*inject=*/true);
+  const auto [method, share_code] = GetParam();
+  const double clean =
+      run_ft_jacobi(method, /*inject=*/false, "on", share_code);
+  const double recovered =
+      run_ft_jacobi(method, /*inject=*/true, "on", share_code);
   // Recovery rewinds every rank to the last epoch and replays: arithmetic
   // is unchanged, so the residual must match the fault-free run exactly.
   EXPECT_EQ(recovered, clean);
@@ -427,9 +456,15 @@ TEST_P(RecoveryPerMethod, KillOnePeAndRecoverBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     MigratableMethods, RecoveryPerMethod,
-    ::testing::Values(core::Method::TLSglobals, core::Method::PIEglobals),
-    [](const ::testing::TestParamInfo<core::Method>& info) {
-      return core::method_name(info.param);
+    ::testing::Values(std::make_tuple(core::Method::TLSglobals, false),
+                      std::make_tuple(core::Method::PIEglobals, false),
+                      std::make_tuple(core::Method::PIEglobals, true)),
+    [](const ::testing::TestParamInfo<std::tuple<core::Method, bool>>& info) {
+      const core::Method method = std::get<0>(info.param);
+      std::string name = core::method_name(method);
+      if (method == core::Method::PIEglobals)
+        name += std::get<1>(info.param) ? "_mapcode" : "_copycode";
+      return name;
     });
 
 // --- recovery under small-message aggregation -------------------------------

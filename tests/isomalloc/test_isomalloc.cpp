@@ -415,6 +415,77 @@ TEST(Pack, CarrySlackCoversTrailingFreeBlockExactly) {
   EXPECT_TRUE(back->check_integrity());
 }
 
+TEST(Pack, MappedTailStaysOutOfEveryImage) {
+  // A file mapped over the slot's top (PIEglobals' code window) is the
+  // destination's to map: neither pack mode carries it, an unpack only
+  // drops private copies of its pages, and release gives the slot back
+  // whole.
+  iso::IsoArena arena(small_arena());
+  const iso::SlotId slot = arena.acquire_slot();
+  const iso::SlotId other = arena.acquire_slot();
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  const std::size_t tail_len = 2 * page;
+  const int fd = memfd_create("tail", MFD_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(ftruncate(fd, static_cast<off_t>(tail_len)), 0);
+  const std::vector<char> file(tail_len, 'c');
+  ASSERT_EQ(pwrite(fd, file.data(), tail_len, 0),
+            static_cast<ssize_t>(tail_len));
+  auto* tail = static_cast<char*>(arena.map_tail(slot, fd, tail_len));
+  const std::size_t extent = arena.slot_size() - tail_len;
+  EXPECT_EQ(tail, static_cast<char*>(arena.slot_base(slot)) + extent);
+  EXPECT_EQ(arena.slot_extent(slot), extent);
+  EXPECT_EQ(arena.slot_extent(other), arena.slot_size());
+
+  // A heap filled to its end still packs no byte of the tail, although
+  // its carry slack reaches past the extent.
+  iso::SlotHeap* heap = iso::SlotHeap::format(arena.slot_base(slot), extent);
+  for (const std::size_t size : {4096, 256, 16}) {
+    while (heap->try_alloc(size) != nullptr) {
+    }
+  }
+  ASSERT_GT(heap->high_water() + iso::SlotHeap::kCarrySlackBytes, extent);
+  EXPECT_EQ(iso::packed_payload_size(arena, slot, iso::PackMode::Touched),
+            extent);
+  EXPECT_EQ(iso::packed_payload_size(arena, slot, iso::PackMode::FullSlot),
+            extent);
+
+  // A private write into the tail is gone after an unpack in place; the
+  // file's bytes show through again.
+  ASSERT_EQ(mprotect(tail, page, PROT_READ | PROT_WRITE), 0);
+  tail[0] = 'x';
+  util::ByteBuffer buf;
+  iso::pack_slot(arena, slot, iso::PackMode::FullSlot, buf);
+  buf.rewind();
+  iso::unpack_slot(arena, slot, buf);
+  EXPECT_EQ(tail[0], 'c');
+  EXPECT_EQ(tail[tail_len - 1], 'c');
+
+  // Mapping the same file again leaves the tail as it is (a rank moving
+  // within its process); another file replaces it.
+  tail[0] = 'y';
+  EXPECT_EQ(arena.map_tail(slot, fd, tail_len), tail);
+  EXPECT_EQ(tail[0], 'y');
+  const int fd2 = memfd_create("tail2", MFD_CLOEXEC);
+  ASSERT_GE(fd2, 0);
+  ASSERT_EQ(ftruncate(fd2, static_cast<off_t>(tail_len)), 0);
+  ASSERT_EQ(pwrite(fd2, "d", 1, 0), 1);
+  EXPECT_EQ(arena.map_tail(slot, fd2, tail_len), tail);
+  EXPECT_EQ(tail[0], 'd');
+
+  // An image reaching into the tail is refused.
+  util::ByteBuffer whole;
+  iso::pack_slot(arena, other, iso::PackMode::FullSlot, whole);
+  whole.rewind();
+  EXPECT_THROW(iso::unpack_slot(arena, slot, whole), ApvError);
+
+  arena.release_slot(slot);
+  EXPECT_EQ(arena.slot_extent(slot), arena.slot_size());
+  close(fd);
+  close(fd2);
+  arena.release_slot(other);
+}
+
 // ---------------------------------------------------------------------------
 // Dirty tracking (mprotect write barrier)
 

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "mpi/runtime.hpp"
 #include "test_programs.hpp"
@@ -65,26 +66,34 @@ void* migrate_main(void* arg) {
   return reinterpret_cast<void*>(ok);
 }
 
+// A 256 KiB code segment: under PIEglobals, large enough that a move
+// carrying the code copy reads plainly above one that does not.
+constexpr std::size_t kMigrateCodeBytes = std::size_t{256} << 10;
+
 img::ProgramImage build_migrate(bool tag_tls = false) {
   img::ImageBuilder b("migrate");
   b.add_global<int>("my_value", 0, {.is_tls = tag_tls});
   b.add_function("mpi_main", &migrate_main);
+  b.set_code_size(kMigrateCodeBytes);
   return b.build();
 }
 
 }  // namespace
 
-// (method, nodes): 4 PEs either as 4 nodes, where every move packs and
-// unpacks the slot, or as 1 node, where the slot already sits at its
-// addresses on every PE and a move copies nothing.
-class MigratePerMethod
-    : public ::testing::TestWithParam<std::tuple<core::Method, int>> {};
+// (method, nodes, pie.share_code): 4 PEs either as 4 nodes, where every
+// move packs and unpacks the slot, or as 1 node, where the slot already
+// sits at its addresses on every PE and a move copies nothing. PIEglobals
+// runs with its code mapped from one descriptor and copied per rank.
+using MigrateParam = std::tuple<core::Method, int, bool>;
+class MigratePerMethod : public ::testing::TestWithParam<MigrateParam> {};
 
 TEST_P(MigratePerMethod, StatePreservedAcrossPes) {
-  const auto [method, nodes] = GetParam();
+  const auto [method, nodes, share_code] = GetParam();
   const img::ProgramImage image =
       build_migrate(method == core::Method::TLSglobals);
-  mpi::Runtime rt(image, cfg_pes(method, 4, 4, nodes));
+  mpi::RuntimeConfig cfg = cfg_pes(method, 4, 4, nodes);
+  cfg.options.set_bool("pie.share_code", share_code);
+  mpi::Runtime rt(image, cfg);
   rt.run();
   for (int r = 0; r < 4; ++r) {
     EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1)
@@ -106,28 +115,58 @@ TEST_P(MigratePerMethod, StatePreservedAcrossPes) {
 
 namespace {
 std::string method_param_name(
-    const ::testing::TestParamInfo<std::tuple<core::Method, int>>& info) {
-  return core::method_name(std::get<0>(info.param));
+    const ::testing::TestParamInfo<MigrateParam>& info) {
+  const core::Method method = std::get<0>(info.param);
+  std::string name = core::method_name(method);
+  if (method == core::Method::PIEglobals)
+    name += std::get<2>(info.param) ? "_mapcode" : "_copycode";
+  return name;
+}
+
+// Every migratable method at `nodes` nodes, PIEglobals in both code modes.
+auto migratable_at(int nodes, bool with_swapglobals) {
+  std::vector<MigrateParam> params{{core::Method::None, nodes, false},
+                                   {core::Method::TLSglobals, nodes, false}};
+  if (with_swapglobals)
+    params.emplace_back(core::Method::Swapglobals, nodes, false);
+  params.emplace_back(core::Method::PIEglobals, nodes, false);
+  params.emplace_back(core::Method::PIEglobals, nodes, true);
+  return ::testing::ValuesIn(params);
 }
 }  // namespace
 
-INSTANTIATE_TEST_SUITE_P(
-    MigratableMethods, MigratePerMethod,
-    ::testing::Combine(::testing::Values(core::Method::None,
-                                         core::Method::TLSglobals,
-                                         core::Method::Swapglobals,
-                                         core::Method::PIEglobals),
-                       ::testing::Values(4)),
-    method_param_name);
+INSTANTIATE_TEST_SUITE_P(MigratableMethods, MigratePerMethod,
+                         migratable_at(4, true), method_param_name);
 
 // Swapglobals is absent: it cannot run more than one PE per process.
-INSTANTIATE_TEST_SUITE_P(
-    WithinNode, MigratePerMethod,
-    ::testing::Combine(::testing::Values(core::Method::None,
-                                         core::Method::TLSglobals,
-                                         core::Method::PIEglobals),
-                       ::testing::Values(1)),
-    method_param_name);
+INSTANTIATE_TEST_SUITE_P(WithinNode, MigratePerMethod,
+                         migratable_at(1, false), method_param_name);
+
+// With the code mapped from one descriptor per node, a move between nodes
+// leaves the code behind: each of its images is lighter than the copy
+// mode's by at least the code segment.
+TEST(MigratePieCode, MapModeMovesCarryNoCode) {
+  const img::ProgramImage image = build_migrate();
+  const auto migration_bytes = [&image](bool share_code) {
+    mpi::RuntimeConfig cfg = cfg_pes(core::Method::PIEglobals, 4, 4);
+    cfg.options.set_bool("pie.share_code", share_code);
+    // A steal ships an image too, so the byte counts would not compare.
+    cfg.options.set("sched.steal", "off");
+    mpi::Runtime rt(image, cfg);
+    rt.run();
+    for (int r = 0; r < 4; ++r) {
+      EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1)
+          << "rank " << r;
+    }
+    const util::CounterValues v = rt.cluster().totals();
+    EXPECT_EQ(v[Ctr::Migrations], 4u);
+    return v[Ctr::MigrationBytes];
+  };
+  const std::uint64_t copy_bytes = migration_bytes(false);
+  const std::uint64_t map_bytes = migration_bytes(true);
+  EXPECT_GT(map_bytes, 0u);
+  EXPECT_GE(copy_bytes, map_bytes + 4 * kMigrateCodeBytes);
+}
 
 class MigrateRefusedPerMethod : public ::testing::TestWithParam<core::Method> {
 };

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 
 #include "image/image.hpp"
 #include "mpi/runtime.hpp"
@@ -239,4 +241,31 @@ TEST(RuntimeMisc, StatisticsAccumulate) {
   EXPECT_GT(v[Ctr::CommSends], 0u);
   EXPECT_GT(v[Ctr::ContextSwitches], 0u);
   EXPECT_EQ(v[Ctr::Migrations], 0u);
+}
+
+namespace {
+std::ptrdiff_t open_fds() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                       std::filesystem::directory_iterator{});
+}
+}  // namespace
+
+// Each node's PIEglobals privatizer holds one code descriptor while the
+// job lives, and closes it with the job: three jobs leave no fd behind.
+TEST(RuntimeMisc, TeardownClosesEveryCodeDescriptor) {
+  const img::ProgramImage image = entry_image(
+      "fds", +[](void* arg) -> void* {
+        static_cast<Env*>(arg)->barrier();
+        return nullptr;
+      });
+  mpi::RuntimeConfig cfg = base_cfg(4);
+  cfg.nodes = 2;
+  cfg.options.set_bool("pie.share_code", true);
+  const std::ptrdiff_t before = open_fds();
+  for (int job = 0; job < 3; ++job) {
+    mpi::Runtime rt(image, cfg);
+    EXPECT_GE(open_fds(), before + 2) << "job " << job;
+    rt.run();
+  }
+  EXPECT_EQ(open_fds(), before);
 }
