@@ -115,14 +115,6 @@ void Cluster::send(Message&& msg, const void* data, std::size_t bytes) {
       msg.src_pe = cur->id();
     }
   }
-  // Message-class priority: runtime-internal traffic (control, migration,
-  // FT/checker plumbing) and small p2p payloads are latency-critical — they
-  // wake their destination rank on the High scheduler lane. The bit rides
-  // the envelope (and survives bundling via kAggHipriBit); it never changes
-  // routing, pacing, or aggregation.
-  if (msg.kind != Message::Kind::UserData || bytes <= kHipriBytes) {
-    msg.prio = 1;
-  }
   // A message that travels on its own needs a payload of its own; one the
   // caller has not given it yet is acquired and filled here.
   const auto own_payload = [&] {
@@ -184,7 +176,6 @@ void Cluster::append_to_bin(const Message& msg, const void* data,
   h.tag = msg.tag;
   h.seq = msg.seq;
   h.bytes = static_cast<std::uint32_t>(bytes);
-  if (msg.prio != 0) h.bytes |= kAggHipriBit;
   h.esize = msg.esize;
   std::memcpy(bin.buf.data() + bin.used, &h, sizeof h);
   if (bytes > 0)

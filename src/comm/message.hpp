@@ -20,12 +20,6 @@ using RankId = int;
 
 inline constexpr PeId kInvalidPe = -1;
 
-/// UserData payloads at or below this many bytes are latency-critical:
-/// Cluster::send stamps them prio=1, and the MPI layer's same-PE inline
-/// path, which bypasses Cluster::send, wakes their receiver on the same
-/// High lane.
-inline constexpr std::size_t kHipriBytes = 256;
-
 /// Wire message between PEs. The comm layer routes by destination PE only;
 /// the fields after `dst_pe` are interpreted by the layer above (apv::mpi):
 /// point-to-point payloads, collective fragments, migration payloads, and
@@ -48,10 +42,6 @@ struct Message {
   };
 
   Kind kind = Kind::UserData;
-  std::uint8_t prio = 0;      ///< 1 = latency-critical (control/FT/checker
-                              ///< traffic, p2p up to kHipriBytes);
-                              ///< selects the High scheduler lane at delivery
-                              ///< — never changes routing or aggregation
   PeId src_pe = kInvalidPe;
   PeId dst_pe = kInvalidPe;
   RankId src_rank = -1;
@@ -88,18 +78,10 @@ struct AggSubHeader {
   std::int32_t comm_id;
   std::int32_t tag;
   std::uint64_t seq;
-  std::uint32_t bytes;     ///< payload bytes following this header; the top
-                           ///< bit is kAggHipriBit (bundled payloads are far
-                           ///< below 2 GiB, so the bit is always free)
+  std::uint32_t bytes;     ///< payload bytes following this header
   std::uint32_t esize;     ///< sender-declared element size (checker stamp)
 };
 static_assert(sizeof(AggSubHeader) == 32);
-
-/// High bit of AggSubHeader::bytes: the bundled message carried prio=1.
-/// Keeps the sub-header at 32 bytes while letting the priority bit survive
-/// aggregation (hipri messages still ride bundles — priority selects the
-/// wake lane at delivery, it does not bypass batching).
-inline constexpr std::uint32_t kAggHipriBit = 1u << 31;
 
 inline constexpr std::size_t kAggAlign = 8;
 
@@ -118,10 +100,8 @@ void unbundle(Message&& agg, Fn&& fn) {
   while (off + sizeof(AggSubHeader) <= total) {
     AggSubHeader h;
     std::memcpy(&h, agg.payload.data() + off, sizeof h);
-    const std::uint32_t bytes = h.bytes & ~kAggHipriBit;
     Message m;
     m.kind = Message::Kind::UserData;
-    m.prio = (h.bytes & kAggHipriBit) ? 1 : 0;
     m.src_pe = agg.src_pe;
     m.dst_pe = agg.dst_pe;
     m.src_rank = h.src_rank;
@@ -130,9 +110,9 @@ void unbundle(Message&& agg, Fn&& fn) {
     m.tag = h.tag;
     m.seq = h.seq;
     m.esize = h.esize;
-    if (bytes > 0)
-      m.payload = Payload::view(agg.payload, off + sizeof h, bytes);
-    off += agg_entry_bytes(bytes);
+    if (h.bytes > 0)
+      m.payload = Payload::view(agg.payload, off + sizeof h, h.bytes);
+    off += agg_entry_bytes(h.bytes);
     fn(std::move(m));
   }
 }

@@ -21,9 +21,14 @@ namespace {
 Runtime& rt(Env* e) { return e->runtime(); }
 RankMpi& rm(Env* e) { return e->state(); }
 
-std::size_t nbytes(int count, Datatype dt) {
+// Every entry that takes an element count refuses a negative one here.
+int checked_count(int count) {
   require(count >= 0, ErrorCode::InvalidArgument, "negative count");
-  return static_cast<std::size_t>(count) * datatype_size(dt);
+  return count;
+}
+
+std::size_t nbytes(int count, Datatype dt) {
+  return static_cast<std::size_t>(checked_count(count)) * datatype_size(dt);
 }
 
 // User traffic keeps below the internal tag space, where collectives and
@@ -63,7 +68,7 @@ Request api_isend(Env* e, const void* buf, int count, Datatype dt, int dst,
   // complete the moment it is posted (like a buffered MPI_Ibsend).
   api_send(e, buf, count, dt, dst, tag, comm);
   RankMpi& r = rm(e);
-  const Request req = r.alloc_request(RequestState::Kind::Send);
+  const Request req = r.alloc_request();
   r.requests[static_cast<std::size_t>(req)].complete = true;
   return req;
 }
@@ -133,52 +138,57 @@ void api_bcast(Env* e, void* buf, int count, Datatype dt, int root,
 
 void api_reduce(Env* e, const void* sbuf, void* rbuf, int count, Datatype dt,
                 Op op, int root, CommId comm) {
-  rt(e).do_reduce(rm(e), sbuf, rbuf, count, dt, op, root, comm);
+  rt(e).do_reduce(rm(e), sbuf, rbuf, checked_count(count), dt, op, root,
+                  comm);
 }
 
 void api_allreduce(Env* e, const void* sbuf, void* rbuf, int count,
                    Datatype dt, Op op, CommId comm) {
-  rt(e).do_allreduce(rm(e), sbuf, rbuf, count, dt, op, comm);
+  rt(e).do_allreduce(rm(e), sbuf, rbuf, checked_count(count), dt, op, comm);
 }
 
 void api_scan(Env* e, const void* sbuf, void* rbuf, int count, Datatype dt,
               Op op, CommId comm) {
-  rt(e).do_scan(rm(e), sbuf, rbuf, count, dt, op, comm);
+  rt(e).do_scan(rm(e), sbuf, rbuf, checked_count(count), dt, op, comm);
 }
 
 void api_gather(Env* e, const void* sbuf, int scount, Datatype sdt,
                 void* rbuf, int rcount, Datatype rdt, int root, CommId comm) {
-  rt(e).do_gather(rm(e), sbuf, scount, sdt, rbuf, rcount, rdt, root, comm);
+  rt(e).do_gather(rm(e), sbuf, checked_count(scount), sdt, rbuf,
+                  checked_count(rcount), rdt, root, comm);
 }
 
 void api_gatherv(Env* e, const void* sbuf, int scount, Datatype sdt,
                  void* rbuf, const int* rcounts, const int* displs,
                  Datatype rdt, int root, CommId comm) {
-  rt(e).do_gatherv(rm(e), sbuf, scount, sdt, rbuf, rcounts, displs, rdt, root,
-                   comm);
+  rt(e).do_gatherv(rm(e), sbuf, checked_count(scount), sdt, rbuf, rcounts,
+                   displs, rdt, root, comm);
 }
 
 void api_scatter(Env* e, const void* sbuf, int scount, Datatype sdt,
                  void* rbuf, int rcount, Datatype rdt, int root,
                  CommId comm) {
-  rt(e).do_scatter(rm(e), sbuf, scount, sdt, rbuf, rcount, rdt, root, comm);
+  rt(e).do_scatter(rm(e), sbuf, checked_count(scount), sdt, rbuf,
+                   checked_count(rcount), rdt, root, comm);
 }
 
 void api_scatterv(Env* e, const void* sbuf, const int* scounts,
                   const int* displs, Datatype sdt, void* rbuf, int rcount,
                   Datatype rdt, int root, CommId comm) {
-  rt(e).do_scatterv(rm(e), sbuf, scounts, displs, sdt, rbuf, rcount, rdt,
-                    root, comm);
+  rt(e).do_scatterv(rm(e), sbuf, scounts, displs, sdt, rbuf,
+                    checked_count(rcount), rdt, root, comm);
 }
 
 void api_allgather(Env* e, const void* sbuf, int scount, Datatype sdt,
                    void* rbuf, int rcount, Datatype rdt, CommId comm) {
-  rt(e).do_allgather(rm(e), sbuf, scount, sdt, rbuf, rcount, rdt, comm);
+  rt(e).do_allgather(rm(e), sbuf, checked_count(scount), sdt, rbuf,
+                     checked_count(rcount), rdt, comm);
 }
 
 void api_alltoall(Env* e, const void* sbuf, int scount, Datatype sdt,
                   void* rbuf, int rcount, Datatype rdt, CommId comm) {
-  rt(e).do_alltoall(rm(e), sbuf, scount, sdt, rbuf, rcount, rdt, comm);
+  rt(e).do_alltoall(rm(e), sbuf, checked_count(scount), sdt, rbuf,
+                    checked_count(rcount), rdt, comm);
 }
 
 CommId api_comm_dup(Env* e, CommId comm) {

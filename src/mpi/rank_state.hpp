@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
 #include <utility>
@@ -20,11 +21,13 @@ struct CommTopo;  // hierarchical-collective grouping (collectives_hier.cpp)
 
 /// State of one nonblocking operation.
 struct RequestState {
-  enum class Kind : std::uint8_t { None, Recv, Send };
-  Kind kind = Kind::None;
   bool active = false;
   bool complete = false;
   Status status;
+  /// What completing the receive went wrong with (a truncation, or a
+  /// mismatch the checker aborts on), rethrown by the wait or test that
+  /// retires it — in the receiver's own ULT, whichever thread matched.
+  std::exception_ptr error;
 };
 
 /// Per-virtual-rank MPI state. Runtime metadata (process-side bookkeeping,
@@ -71,11 +74,6 @@ struct RankMpi {
                            ///< either way, no definite wait-graph edge
   std::int32_t last_post_tag = 0;
   std::int32_t last_post_comm = -1;
-  /// Mismatch diagnosis found by the dispatcher thread at match time
-  /// (complete_recv runs on the PE loop thread, which must not throw into
-  /// rank context); thrown from the rank's next do_wait/do_test/resume.
-  std::string pending_check;
-
   bool waiting = false;  ///< parked in Runtime::block_current, until resumed
   bool finished = false;
   void* entry_ret = nullptr;
@@ -157,7 +155,7 @@ struct RankMpi {
     return comm_seq[static_cast<std::size_t>(comm)];
   }
 
-  Request alloc_request(RequestState::Kind kind) {
+  Request alloc_request() {
     // Rotating start point: in steady state (a window of requests allocated
     // and completed in posting order) the slot just past the previous
     // allocation is free, so this probes once instead of scanning every
@@ -167,12 +165,12 @@ struct RankMpi {
       std::size_t i = req_hint_ + k;
       if (i >= n) i -= n;
       if (!requests[i].active) {
-        requests[i] = RequestState{kind, true, false, {}};
+        requests[i] = RequestState{true, false, {}, nullptr};
         req_hint_ = i + 1 == n ? 0 : i + 1;
         return static_cast<Request>(i);
       }
     }
-    requests.push_back(RequestState{kind, true, false, {}});
+    requests.push_back(RequestState{true, false, {}, nullptr});
     req_hint_ = 0;
     return static_cast<Request>(requests.size() - 1);
   }

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <exception>
+#include <utility>
 
 #include "check/wait_graph.hpp"
 #include "lb/strategy.hpp"
@@ -448,10 +450,6 @@ void Runtime::dump_stuck_state() {
                    "[apv:mpi]     last posted recv: src=%d tag=%d comm=%d\n",
                    rm->last_post_src, rm->last_post_tag, rm->last_post_comm);
     }
-    if (!rm->pending_check.empty()) {
-      std::fprintf(stderr, "[apv:mpi]     undelivered check diagnosis: %s\n",
-                   rm->pending_check.c_str());
-    }
   }
   for (int p = 0; p < cluster_->num_pes(); ++p) {
     std::fprintf(stderr,
@@ -497,19 +495,9 @@ void Runtime::deliver_user(comm::PeId pe, comm::Message&& msg) {
     chase_rank(pe, std::move(msg));
     return;
   }
-  RankMpi& rm = *it->second;
-  // The envelope priority bit (stamped in Cluster::send, preserved through
-  // aggregation) picks the wake lane: latency-critical arrivals resume
-  // their rank ahead of Normal/Bulk work already queued here.
-  const ult::Lane lane = msg.prio != 0 ? ult::Lane::High : ult::Lane::Normal;
   const void* data = msg.payload.data();
   const std::size_t bytes = msg.payload.size();
-  if (rm.match.arrive(std::move(msg), data, bytes, completer(rm, false)) ==
-      MatchQueues::Arrival::Held) {
-    counters(pe).bump(Ctr::P2pHeld);
-    return;
-  }
-  wake_if_waiting(rm, lane);
+  land_user(*it->second, std::move(msg), data, bytes);
 }
 
 void Runtime::chase_rank(comm::PeId pe, comm::Message&& msg) {
@@ -531,13 +519,32 @@ void Runtime::chase_rank(comm::PeId pe, comm::Message&& msg) {
 }
 
 namespace {
-[[noreturn]] void throw_truncation(std::size_t got, std::size_t cap) {
-  throw util::ApvError(ErrorCode::InvalidArgument,
-                       "message truncation: received " + std::to_string(got) +
-                           " bytes into a " + std::to_string(cap) +
-                           "-byte buffer");
+// User payloads at or below this many bytes are latency-critical: their
+// landing wakes the receiver on the High lane, ahead of the Normal and Bulk
+// work already queued on its PE. The lane never changes routing, pacing or
+// aggregation.
+constexpr std::size_t kHipriBytes = 256;
+
+std::exception_ptr truncation_error(std::size_t got, std::size_t cap) {
+  return std::make_exception_ptr(ApvError(
+      ErrorCode::InvalidArgument, "message truncation: received " +
+                                      std::to_string(got) + " bytes into a " +
+                                      std::to_string(cap) + "-byte buffer"));
 }
 }  // namespace
+
+MatchQueues::Arrival Runtime::land_user(RankMpi& dst, comm::Message&& msg,
+                                        const void* data, std::size_t bytes) {
+  const MatchQueues::Arrival arrival =
+      dst.match.arrive(std::move(msg), data, bytes, completer(dst));
+  if (arrival == MatchQueues::Arrival::Held) {
+    counters(dst.resident_pe).bump(Ctr::P2pHeld);
+    return arrival;
+  }
+  wake_if_waiting(dst, bytes <= kHipriBytes ? ult::Lane::High
+                                            : ult::Lane::Normal);
+  return arrival;
+}
 
 std::string Runtime::p2p_mismatch(check::P2pVerdict v, const RankMpi& dst,
                                   const RecvPost& post,
@@ -568,14 +575,12 @@ std::string Runtime::p2p_mismatch(check::P2pVerdict v, const RankMpi& dst,
 
 void Runtime::complete_recv(RankMpi& dst, const RecvPost& post,
                             const comm::Message& msg, const void* data,
-                            std::size_t bytes, bool in_sender) {
-  std::size_t copy_bytes = bytes;
+                            std::size_t bytes) {
+  RequestState& rs = dst.requests[static_cast<std::size_t>(post.req)];
   // Match-time type/size verification. Only user traffic both sides stamped
-  // (internal collective fragments stay esize=0). The routed match runs on
-  // the PE loop thread, which must not throw into rank context — a mismatch
-  // is parked on dst.pending_check and thrown from the rank's next
-  // do_wait/do_test/resume instead. The inline hit runs in the sender's
-  // own ULT, so abort mode throws there before dst's buffer is touched.
+  // (internal collective fragments stay esize=0). This may run on the PE
+  // loop thread or in the sender's ULT, and neither is the receiver's: an
+  // error goes on the request, for the receiver's wait or test to throw.
   const bool stamped = check_on_ && msg.esize != 0 && post.esize != 0 &&
                        msg.tag < kInternalTagBase;
   if (stamped) {
@@ -583,22 +588,21 @@ void Runtime::complete_recv(RankMpi& dst, const RecvPost& post,
         checker_->p2p_verify(counters(dst.resident_pe), msg.esize, bytes,
                              post.esize, post.max_bytes);
     if (v != check::P2pVerdict::Ok) [[unlikely]] {
-      std::string diag = p2p_mismatch(v, dst, post, msg, bytes);
-      if (checker_->mode() == check::Mode::Abort) {
-        if (in_sender) throw ApvError(ErrorCode::CheckFailed, diag);
-        if (dst.pending_check.empty()) dst.pending_check = std::move(diag);
-      }
+      const std::string diag = p2p_mismatch(v, dst, post, msg, bytes);
+      if (checker_->mode() == check::Mode::Abort)
+        rs.error = std::make_exception_ptr(
+            ApvError(ErrorCode::CheckFailed, diag));
     }
   }
+  std::size_t copy_bytes = bytes;
   if (copy_bytes > post.max_bytes) [[unlikely]] {
     // Unverified traffic keeps the historic hard error; verified traffic
-    // already diagnosed the overflow above and delivers the truncated
-    // prefix (warn mode) or aborts at the rank's next blocking call.
-    if (!stamped) throw_truncation(copy_bytes, post.max_bytes);
+    // already diagnosed the overflow above. Either way the buffer takes
+    // the prefix that fits (what warn mode delivers).
+    if (!stamped) rs.error = truncation_error(copy_bytes, post.max_bytes);
     copy_bytes = post.max_bytes;
   }
   if (copy_bytes > 0) std::memcpy(post.buf, data, copy_bytes);
-  RequestState& rs = dst.requests[static_cast<std::size_t>(post.req)];
   rs.complete = true;
   rs.status.source = comm_info(dst, post.comm).local_of(msg.src_rank);
   rs.status.tag = msg.tag;
@@ -624,18 +628,6 @@ void Runtime::block_current(RankMpi& rm, std::function<void()> then) {
   cluster_->flush_aggregation(rm.resident_pe, comm::FlushCause::Block);
   sched->suspend(std::move(then));
   rm.waiting = false;
-  throw_pending_check(rm);
-}
-
-/// Delivers a mismatch the dispatcher thread found at match time: it could
-/// not throw into this rank's context, so the diagnosis waited here for the
-/// rank's next blocking call / resume.
-void Runtime::throw_pending_check(RankMpi& rm) {
-  if (rm.pending_check.empty()) [[likely]]
-    return;
-  std::string diag = std::move(rm.pending_check);
-  rm.pending_check.clear();
-  throw ApvError(ErrorCode::CheckFailed, diag);
 }
 
 void Runtime::close_run_slice(comm::PeId pe) {
@@ -672,6 +664,25 @@ inline void preempt_point() {
 // stays a wildcard); throws InvalidArgument for a rank outside `comm`.
 int world_source(const CommInfo& comm, int src) {
   return src == kAnySource ? kAnySource : comm.world_of(src);
+}
+
+// The live request `req` names; InvalidArgument for a handle out of range
+// (kRequestNull included) or already retired.
+RequestState& live_request(RankMpi& rm, Request req) {
+  const auto i = static_cast<std::size_t>(req);
+  require(i < rm.requests.size() && rm.requests[i].active,
+          ErrorCode::InvalidArgument, "invalid request handle");
+  return rm.requests[i];
+}
+
+// Retires the completed request `rs`, which `req` names: frees it, nulls
+// the handle, and returns its status, or throws the error its receive
+// completed with.
+Status retire(RequestState& rs, Request& req) {
+  rs.active = false;
+  req = kRequestNull;
+  if (rs.error) std::rethrow_exception(std::exchange(rs.error, nullptr));
+  return rs.status;
 }
 }  // namespace
 
@@ -716,26 +727,19 @@ bool Runtime::try_inline_send(RankMpi& rm, comm::Message& m,
   // anything else runs here, so it never shows up co-resident mid-move.
   if (dst.resident_pe != pe) return false;  // state still in flight to us
   if (dst.finished) return false;
-  util::CounterBlock& ctr = counters(pe);
   // Hit: one user-buffer -> user-buffer copy, no payload, no mailbox. Miss:
   // the bytes are copied into a payload on the unexpected queue. Held: a
   // routed message from us to this rank is still in a bin, a mailbox or
   // being forwarded; the copy waits in the hold until that one lands, and
   // flushing our bins lets it drain.
-  const MatchQueues::Arrival arrival =
-      dst.match.arrive(std::move(m), data, bytes, completer(dst, true));
+  const MatchQueues::Arrival arrival = land_user(dst, std::move(m), data,
+                                                 bytes);
+  util::CounterBlock& ctr = counters(pe);
   ctr.bump(arrival == MatchQueues::Arrival::Matched ? Ctr::InlineHits
                                                     : Ctr::InlineMisses);
   ctr.bump(Ctr::InlineBytes, bytes);
-  if (arrival == MatchQueues::Arrival::Held) {
-    ctr.bump(Ctr::P2pHeld);
+  if (arrival == MatchQueues::Arrival::Held)
     cluster_->flush_aggregation(pe, comm::FlushCause::Order);
-    return true;
-  }
-  // The inline path bypasses Cluster::send's prio stamp; apply the same
-  // small-payload cutoff to the wake lane directly.
-  wake_if_waiting(dst, bytes <= comm::kHipriBytes ? ult::Lane::High
-                                                  : ult::Lane::Normal);
   return true;
 }
 
@@ -743,7 +747,7 @@ Request Runtime::do_irecv(RankMpi& rm, void* buf, std::size_t max_bytes,
                           int src, int tag, CommId comm,
                           std::uint32_t esize) {
   const int src_world = world_source(comm_info(rm, comm), src);
-  const Request req = rm.alloc_request(RequestState::Kind::Recv);
+  const Request req = rm.alloc_request();
   const RecvPost post{req, buf, max_bytes, src_world, tag, comm, esize};
   if (check_on_ && tag < kInternalTagBase) {
     // Wait-graph provenance: what this rank is (about to be) blocked on.
@@ -751,22 +755,14 @@ Request Runtime::do_irecv(RankMpi& rm, void* buf, std::size_t max_bytes,
     rm.last_post_tag = tag;
     rm.last_post_comm = comm;
   }
-  rm.match.post(post, completer(rm, false));
+  rm.match.post(post, completer(rm));
   return req;
 }
 
 Status Runtime::do_wait(RankMpi& rm, Request& req) {
-  require(req != kRequestNull &&
-              static_cast<std::size_t>(req) < rm.requests.size() &&
-              rm.requests[static_cast<std::size_t>(req)].active,
-          ErrorCode::InvalidArgument, "wait on invalid request");
-  throw_pending_check(rm);
-  RequestState& rs = rm.requests[static_cast<std::size_t>(req)];
+  RequestState& rs = live_request(rm, req);
   while (!rs.complete) block_current(rm);
-  const Status status = rs.status;
-  rs.active = false;
-  req = kRequestNull;
-  return status;
+  return retire(rs, req);
 }
 
 Status Runtime::do_recv(RankMpi& rm, void* buf, std::size_t max_bytes,
@@ -778,21 +774,17 @@ Status Runtime::do_recv(RankMpi& rm, void* buf, std::size_t max_bytes,
 
 bool Runtime::do_test(RankMpi& rm, Request& req, Status* status) {
   preempt_point();
-  throw_pending_check(rm);
   if (req == kRequestNull) return true;
-  RequestState& rs = rm.requests[static_cast<std::size_t>(req)];
-  require(rs.active, ErrorCode::InvalidArgument, "test on invalid request");
+  RequestState& rs = live_request(rm, req);
   if (!rs.complete) return false;
-  if (status != nullptr) *status = rs.status;
-  rs.active = false;
-  req = kRequestNull;
+  const Status st = retire(rs, req);
+  if (status != nullptr) *status = st;
   return true;
 }
 
 bool Runtime::do_iprobe(RankMpi& rm, int src, int tag, CommId comm,
                         Status* status) {
   preempt_point();
-  throw_pending_check(rm);
   const CommInfo& ci = comm_info(rm, comm);
   const comm::Message* msg = rm.match.probe(
       RecvPost{kRequestNull, nullptr, 0, world_source(ci, src), tag, comm});

@@ -267,20 +267,26 @@ class Runtime {
   /// the rank's recorded location, or back into `pe`'s own mailbox while
   /// that location still says `pe` (its image is in flight to us).
   void chase_rank(comm::PeId pe, comm::Message&& msg);
+  /// The one landing step of a user message, routed (`deliver_user`) or
+  /// same-PE (`try_inline_send`), on `dst`'s resident PE thread: hands
+  /// `msg`, whose bytes are `data`/`bytes`, to dst's MatchQueues, counts a
+  /// hold, and otherwise wakes dst — on the High lane for a payload of at
+  /// most kHipriBytes, else on Normal.
+  MatchQueues::Arrival land_user(RankMpi& dst, comm::Message&& msg,
+                                 const void* data, std::size_t bytes);
   /// Completes `dst`'s matched receive `post` with message `msg`, whose
-  /// bytes are `data`/`bytes` (a match on the dispatcher or at post time,
-  /// or an inline hit when `in_sender`: the sender's own ULT, which may
-  /// throw a mismatch diagnosis straight away instead of parking it on
-  /// dst.pending_check).
+  /// bytes are `data`/`bytes`. Never throws, whichever thread matched: a
+  /// truncation or a mismatch the checker aborts on copies at most the
+  /// buffer's size and is recorded on the receive's request, for dst's own
+  /// wait or test to throw.
   void complete_recv(RankMpi& dst, const RecvPost& post,
                      const comm::Message& msg, const void* data,
-                     std::size_t bytes, bool in_sender);
+                     std::size_t bytes);
   /// complete_recv for `dst`, as the completion MatchQueues calls.
-  auto completer(RankMpi& dst, bool in_sender) {
-    return [this, &dst, in_sender](const RecvPost& post,
-                                   const comm::Message& msg,
-                                   const void* data, std::size_t bytes) {
-      complete_recv(dst, post, msg, data, bytes, in_sender);
+  auto completer(RankMpi& dst) {
+    return [this, &dst](const RecvPost& post, const comm::Message& msg,
+                        const void* data, std::size_t bytes) {
+      complete_recv(dst, post, msg, data, bytes);
     };
   }
   /// A stamped p2p pair the checker found mismatched at match time (`v`):
@@ -289,8 +295,7 @@ class Runtime {
   std::string p2p_mismatch(check::P2pVerdict v, const RankMpi& dst,
                            const RecvPost& post, const comm::Message& msg,
                            std::size_t bytes);
-  void wake_if_waiting(RankMpi& rm,
-                       ult::Lane lane = ult::Lane::Normal);
+  void wake_if_waiting(RankMpi& rm, ult::Lane lane);
 
   // --- idle-PE rank stealing (fast complement to epoch LB) -----------------
   /// Idle-hook half: after steal_idle_us of genuine idleness (empty mailbox,
@@ -350,10 +355,6 @@ class Runtime {
                      void* rbuf, std::size_t rblock, CommId comm);
   /// The grouping of `comm` under rm's placement view (cached per epoch).
   std::shared_ptr<const CommTopo> comm_topo(RankMpi& rm, CommId comm);
-
-  /// Throws a CheckFailed diagnosis the dispatcher parked on rm (it cannot
-  /// throw into rank context itself); no-op when none is pending.
-  void throw_pending_check(RankMpi& rm);
 
   /// Prints every rank's wait state and every PE's queue depths to stderr.
   /// Called from the wait_finish timeout path so a wedged job leaves a

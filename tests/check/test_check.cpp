@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -512,6 +513,77 @@ TEST(CheckOff, NoCheckerAndSeedTruncationSemantics) {
   EXPECT_TRUE(res.diags.empty());
   EXPECT_EQ(res.counters[Ctr::CheckP2pVerified], 0u);
 }
+
+// --- a match-time error belongs to the receiver's request -------------------
+
+namespace {
+
+// Rank 1 posts a 2-int receive before it hands rank 0 a token, so rank 0's
+// 8 ints always meet a posted receive: the match runs in rank 0's ULT (the
+// same-PE inline path) or on rank 1's PE loop thread (routed), never in
+// rank 1's own ULT. The truncation is still rank 1's error, thrown by its
+// wait; rank 0 returns normally.
+void* posted_short_recv_main(void* arg) {
+  ENV();
+  int token = 0;
+  if (env->rank() == 0) {
+    env->recv(&token, 1, Datatype::Int, 1, /*tag=*/1);
+    int data[8] = {0, 1, 2, 3, 4, 5, 6, 7};
+    env->send(data, 8, Datatype::Int, 1, /*tag=*/2);
+    return reinterpret_cast<void*>(1);
+  }
+  int buf[2] = {-1, -1};
+  mpi::Request req = env->irecv(buf, 2, Datatype::Int, 0, /*tag=*/2);
+  env->send(&token, 1, Datatype::Int, 0, /*tag=*/1);
+  env->wait(req);  // throws: 32 bytes into an 8-byte buffer
+  return reinterpret_cast<void*>(1);
+}
+
+struct LandingCase {
+  const char* name;
+  const char* mode;      // check.mode
+  int pes;               // 1: same PE; 2: routed between PEs
+  bool inline_on;        // comm.inline (1 PE only: off routes via mailbox)
+  const char* expected;  // the job's failure
+};
+
+class CheckLanding : public ::testing::TestWithParam<LandingCase> {};
+
+}  // namespace
+
+TEST_P(CheckLanding, TruncationFailsTheReceiverNotTheSender) {
+  const LandingCase& c = GetParam();
+  CheckJob j;
+  j.mode = c.mode;
+  j.pes = c.pes;
+  j.inline_on = c.inline_on;
+  j.timeout_s = 30;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto res = run_check_job(&posted_short_recv_main, j);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - t0;
+  EXPECT_TRUE(res.threw);
+  EXPECT_NE(res.what.find(c.expected), std::string::npos) << res.what;
+  EXPECT_EQ(res.rets[0], 1);  // the sender returned normally
+  EXPECT_LT(took.count(), 10.0) << "the receiver waited for the job timeout";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SamePeAndRouted, CheckLanding,
+    ::testing::Values(
+        LandingCase{"off_inline", "off", 1, true,
+                    "rank 1 failed: InvalidArgument: message truncation"},
+        LandingCase{"off_same_pe_routed", "off", 1, false,
+                    "rank 1 failed: InvalidArgument: message truncation"},
+        LandingCase{"off_two_pes", "off", 2, true,
+                    "rank 1 failed: InvalidArgument: message truncation"},
+        LandingCase{"abort_inline", "abort", 1, true,
+                    "rank 1 failed: CheckFailed: p2p truncation"},
+        LandingCase{"abort_two_pes", "abort", 2, true,
+                    "rank 1 failed: CheckFailed: p2p truncation"}),
+    [](const ::testing::TestParamInfo<LandingCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // --- negative-path FT regression: recovery under an armed checker -----------
 

@@ -7,6 +7,8 @@
 
 #include <cstring>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "image/image.hpp"
@@ -423,4 +425,78 @@ TEST(Collectives, EmptyPeUserOpCombineThrows) {
   // Built-in ops do not need a rank context anywhere.
   EXPECT_NO_THROW(rt2.combine_on_pe(2, Op::builtin(OpKind::Sum),
                                     Datatype::Int, &a, &b2, 1));
+}
+
+namespace {
+
+// Runs `entry` on `vps` ranks of one PE and returns the job's failure, ""
+// if none.
+std::string job_failure(EntryFn entry, int vps) {
+  img::ImageBuilder b("badcount");
+  b.add_global<int>("unused", 0);
+  b.add_function("mpi_main", entry);
+  const img::ProgramImage image = b.build();
+  mpi::RuntimeConfig cfg;
+  cfg.vps = vps;
+  cfg.method = core::Method::None;
+  cfg.slot_bytes = std::size_t{8} << 20;
+  cfg.options.set("mpi.timeout_s", "10");
+  mpi::Runtime rt(image, cfg);
+  try {
+    rt.run();
+  } catch (const util::ApvError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+constexpr int kCounts[2] = {1, 1};
+constexpr int kDispls[2] = {0, 1};
+
+// One collective call per entry, with -1 for one of its counts.
+#define BAD_COUNT(call)             \
+  {#call, +[](void* arg) -> void* { \
+     ENV();                         \
+     int buf[8] = {};               \
+     env->call;                     \
+     return nullptr;                \
+   }}
+
+const std::pair<const char*, EntryFn> kBadCountCalls[] = {
+    BAD_COUNT(bcast(buf, -1, Datatype::Int, 0)),
+    BAD_COUNT(reduce(buf, buf + 4, -1, Datatype::Int,
+                     Op::builtin(OpKind::Sum), 0)),
+    BAD_COUNT(allreduce(buf, buf + 4, -1, Datatype::Int,
+                        Op::builtin(OpKind::Sum))),
+    BAD_COUNT(scan(buf, buf + 4, -1, Datatype::Int,
+                   Op::builtin(OpKind::Sum))),
+    BAD_COUNT(gather(buf, -1, Datatype::Int, buf + 4, 1, Datatype::Int, 0)),
+    BAD_COUNT(gather(buf, 1, Datatype::Int, buf + 4, -1, Datatype::Int, 0)),
+    BAD_COUNT(gatherv(buf, -1, Datatype::Int, buf + 4, kCounts, kDispls,
+                      Datatype::Int, 0)),
+    BAD_COUNT(scatter(buf, -1, Datatype::Int, buf + 4, 1, Datatype::Int, 0)),
+    BAD_COUNT(scatter(buf, 1, Datatype::Int, buf + 4, -1, Datatype::Int, 0)),
+    BAD_COUNT(scatterv(buf, kCounts, kDispls, Datatype::Int, buf + 4, -1,
+                       Datatype::Int, 0)),
+    BAD_COUNT(allgather(buf, -1, Datatype::Int, buf + 4, 1, Datatype::Int)),
+    BAD_COUNT(allgather(buf, 1, Datatype::Int, buf + 4, -1, Datatype::Int)),
+    BAD_COUNT(alltoall(buf, -1, Datatype::Int, buf + 4, 1, Datatype::Int)),
+    BAD_COUNT(alltoall(buf, 1, Datatype::Int, buf + 4, -1, Datatype::Int)),
+};
+#undef BAD_COUNT
+
+}  // namespace
+
+// A negative count is refused at the API entry on every rank, before it can
+// size a copy or a vector: one rank alone and two ranks, each count of each
+// collective that takes one.
+TEST(Collectives, NegativeCountIsInvalidArgument) {
+  for (const auto& [call, entry] : kBadCountCalls) {
+    for (const int vps : {1, 2}) {
+      const std::string failure = job_failure(entry, vps);
+      EXPECT_NE(failure.find("InvalidArgument: negative count"),
+                std::string::npos)
+          << call << " on " << vps << " ranks: " << failure;
+    }
+  }
 }

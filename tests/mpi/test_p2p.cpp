@@ -424,6 +424,39 @@ TEST(P2P, UserTagsCannotEnterInternalSpace) {
 }
 
 namespace {
+// A handle past every request this rank allocated, and a negative one that
+// is not kRequestNull.
+#define BAD_HANDLE(handle, call) \
+  +[](void* arg) -> void* {      \
+    ENV();                       \
+    mpi::Request req = handle;   \
+    env->call;                   \
+    return nullptr;              \
+  }
+
+const EntryFn kBadHandleCalls[] = {
+    BAD_HANDLE(1000, test(req)),
+    BAD_HANDLE(-5, test(req)),
+    BAD_HANDLE(1000, waitany(1, &req, nullptr)),
+    BAD_HANDLE(-5, waitany(1, &req, nullptr)),
+    BAD_HANDLE(1000, wait(req)),
+    BAD_HANDLE(-5, wait(req)),
+};
+#undef BAD_HANDLE
+}  // namespace
+
+// wait, test and waitany check a handle the same way before they read the
+// request it names.
+TEST(P2P, InvalidRequestHandleIsInvalidArgument) {
+  for (const EntryFn entry : kBadHandleCalls) {
+    const std::string failure = job_failure(entry, 1);
+    EXPECT_NE(failure.find("InvalidArgument: invalid request handle"),
+              std::string::npos)
+        << failure;
+  }
+}
+
+namespace {
 void* recv_from_outside_main(void* arg) {
   ENV();
   if (env->rank() == 1) {
