@@ -1,9 +1,7 @@
-// Ablation: PIEglobals memory-footprint optimizations from the paper's
+// Ablation: PIEglobals' memory-footprint optimization from the paper's
 // future work — mapping each rank's code from one descriptor instead of
 // copying it into the rank's slot ("mapping the code segments into virtual
-// memory from a single file descriptor", pie.share_code), and serving
-// read-only globals from the shared primary ("detect read-only global
-// variables and not duplicate them", pie.share_readonly).
+// memory from a single file descriptor", pie.share_code).
 //
 // Reports per-rank slot heap use and the migration payload each variant
 // produces. A mapped code window stays at the rank's own addresses but
@@ -47,7 +45,7 @@ void* migrator_main(void* arg) {
 img::ProgramImage build_image() {
   img::ImageBuilder b("pie_memory");
   b.add_global<int>("mutable_one", 1);
-  // A large read-only table: the share_readonly candidate.
+  // A large read-only table, in each rank's data copy like every global.
   std::vector<double> table(4096);
   for (std::size_t i = 0; i < table.size(); ++i)
     table[i] = static_cast<double>(i);
@@ -60,14 +58,12 @@ img::ProgramImage build_image() {
 
 struct Variant {
   bool share_code = false;
-  bool share_readonly = false;
   double slot_use_mb = 0.0;
   double payload_mb = 0.0;  // per move
   double migrate_ms = 0.0;
 };
 
-Variant run_variant(const img::ProgramImage& image, bool share_code,
-                    bool share_readonly) {
+Variant run_variant(const img::ProgramImage& image, bool share_code) {
   mpi::RuntimeConfig cfg;
   cfg.nodes = 2;
   cfg.pes_per_node = 1;
@@ -75,11 +71,10 @@ Variant run_variant(const img::ProgramImage& image, bool share_code,
   cfg.method = core::Method::PIEglobals;
   cfg.slot_bytes = std::size_t{64} << 20;
   cfg.options.set_bool("pie.share_code", share_code);
-  cfg.options.set_bool("pie.share_readonly", share_readonly);
   cfg.options.set_bool("net.enabled", true);
   mpi::Runtime rt(image, cfg);
 
-  Variant out{share_code, share_readonly};
+  Variant out{share_code};
   out.slot_use_mb =
       static_cast<double>(rt.rank_state(0).rc->heap->bytes_in_use()) /
       (1 << 20);
@@ -89,9 +84,8 @@ Variant run_variant(const img::ProgramImage& image, bool share_code,
   const util::CounterValues v = rt.cluster().totals();
   out.payload_mb = static_cast<double>(v[util::Ctr::MigrationBytes]) /
                    static_cast<double>(v[util::Ctr::Migrations]) / (1 << 20);
-  std::printf("%-12s %-14s %14.2f %14.2f %12.3f\n",
-              share_code ? "mapped" : "copied",
-              share_readonly ? "shared" : "per-rank", out.slot_use_mb,
+  std::printf("%-12s %14.2f %14.2f %12.3f\n",
+              share_code ? "mapped" : "copied", out.slot_use_mb,
               out.payload_mb, out.migrate_ms);
   return out;
 }
@@ -102,16 +96,14 @@ int main() {
   const img::ProgramImage image = build_image();
   std::printf("Ablation: PIEglobals memory optimizations "
               "(14 MB code, 1 MB rank heap)\n\n");
-  std::printf("%-12s %-14s %14s %14s %12s\n", "code seg", "const globals",
-              "slot use (MB)", "payload (MB)", "migrate ms");
+  std::printf("%-12s %14s %14s %12s\n", "code seg", "slot use (MB)",
+              "payload (MB)", "migrate ms");
   const Variant variants[] = {
-      run_variant(image, false, false),  // the paper's implementation
-      run_variant(image, false, true),
-      run_variant(image, true, false),  // future work: code from one fd
-      run_variant(image, true, true),
+      run_variant(image, false),  // the paper's implementation
+      run_variant(image, true),   // future work: code from one fd
   };
   const double reduction_pct =
-      (1.0 - variants[2].payload_mb / variants[0].payload_mb) * 100.0;
+      (1.0 - variants[1].payload_mb / variants[0].payload_mb) * 100.0;
   const bool pass = reduction_pct >= 70.0;
   std::printf("\nacceptance: map-mode payload >= 70%% below copy "
               "(%.1f%% below) -> %s\n",
@@ -125,11 +117,9 @@ int main() {
     for (std::size_t i = 0; i < std::size(variants); ++i) {
       const Variant& v = variants[i];
       std::fprintf(json,
-                   "    {\"code\": \"%s\", \"const_globals\": \"%s\", "
-                   "\"slot_use_mb\": %.3f, \"payload_mb_per_move\": %.3f, "
-                   "\"migrate_ms\": %.3f}%s\n",
-                   v.share_code ? "mapped" : "copied",
-                   v.share_readonly ? "shared" : "per-rank", v.slot_use_mb,
+                   "    {\"code\": \"%s\", \"slot_use_mb\": %.3f, "
+                   "\"payload_mb_per_move\": %.3f, \"migrate_ms\": %.3f}%s\n",
+                   v.share_code ? "mapped" : "copied", v.slot_use_mb,
                    v.payload_mb, v.migrate_ms,
                    i + 1 < std::size(variants) ? "," : "");
     }

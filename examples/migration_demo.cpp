@@ -88,7 +88,7 @@ int main() {
   const void* privatized =
       rm.rc->instance->func_addr(rt.image().func_id("mpi_main"));
   // Consult the registry of the node the rank currently resides on.
-  const int node = rt.cluster().node_of(rm.resident_pe);
+  const int node = rt.cluster().node_of(rt.cluster().places().pe_of(0));
   const void* original = core::pieglobals_find(
       rt.privatizer(node).env().loader->registry(), privatized);
   std::printf("\npieglobalsfind: privatized mpi_main @ %p -> primary @ %p\n",

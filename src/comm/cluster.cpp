@@ -29,7 +29,9 @@ constexpr std::size_t kAggBinBytes = 16384;
 }  // namespace
 
 Cluster::Cluster(const Config& config)
-    : config_(config), net_(config.options) {
+    : config_(config),
+      net_(config.options),
+      places_(std::max(config.nodes * config.pes_per_node, 0)) {
   require(config.nodes >= 1 && config.pes_per_node >= 1,
           ErrorCode::InvalidArgument, "cluster needs >= 1 node and PE");
   const auto& opt = config.options;
@@ -44,7 +46,7 @@ Cluster::Cluster(const Config& config)
   bins_.resize(static_cast<std::size_t>(total));
   for (int i = 0; i < total; ++i) {
     pes_.push_back(std::make_unique<Pe>(i, node_of(i), config.backend,
-                                        pe_cfg));
+                                        pe_cfg, places_));
     bins_[static_cast<std::size_t>(i)].resize(static_cast<std::size_t>(total));
     // The aggregation bins owned by this PE are flushed whenever its loop
     // goes idle — the hook runs on the owning thread, so bins stay
@@ -63,32 +65,6 @@ Pe& Cluster::pe(PeId id) {
   require(id >= 0 && id < num_pes(), ErrorCode::InvalidArgument,
           "PE id out of range");
   return *pes_[id];
-}
-
-void Cluster::resize_location_table(int nranks) {
-  require(!started_, ErrorCode::BadState,
-          "location table must be sized before start");
-  require(nranks >= 0, ErrorCode::InvalidArgument, "negative rank count");
-  locations_ = std::make_unique<std::atomic<PeId>[]>(
-      static_cast<std::size_t>(nranks));
-  for (int i = 0; i < nranks; ++i) locations_[i].store(kInvalidPe);
-  num_ranks_ = nranks;
-}
-
-void Cluster::set_location(RankId rank, PeId pe) {
-  require(rank >= 0 && rank < num_ranks_, ErrorCode::InvalidArgument,
-          "rank out of location-table range");
-  require(locations_ != nullptr, ErrorCode::InvalidArgument,
-          "location table not sized");
-  locations_[rank].store(pe, std::memory_order_release);
-}
-
-PeId Cluster::location(RankId rank) const {
-  require(rank >= 0 && rank < num_ranks_, ErrorCode::InvalidArgument,
-          "rank out of location-table range");
-  require(locations_ != nullptr, ErrorCode::InvalidArgument,
-          "location table not sized");
-  return locations_[rank].load(std::memory_order_acquire);
 }
 
 bool Cluster::on_sender_pe(const Message& msg) const {
@@ -264,16 +240,15 @@ void Cluster::divert(Message&& msg) {
     return;
   }
   if (msg.kind == Message::Kind::UserData && msg.dst_rank >= 0 &&
-      msg.dst_rank < num_ranks_) {
-    const PeId loc = location(msg.dst_rank);
-    if (loc != kInvalidPe && loc != msg.dst_pe &&
-        !failed_[loc].load(std::memory_order_acquire)) {
+      msg.dst_rank < places_.num_ranks()) {
+    const PeId loc = places_.pe_of(msg.dst_rank);
+    if (loc != msg.dst_pe && !failed_[loc].load(std::memory_order_acquire)) {
       // The rank has already been re-homed: forward to its live host.
       msg.dst_pe = loc;
       send(std::move(msg));
       return;
     }
-    // The rank is (still) mapped to a dead PE: park the message until the
+    // The rank is (still) placed on a dead PE: park the message until the
     // recovery protocol re-homes the rank and flushes the queue.
     std::lock_guard<std::mutex> lock(dead_mutex_);
     dead_letters_.push_back(std::move(msg));
@@ -319,8 +294,8 @@ std::size_t Cluster::flush_dead_letters() {
   std::size_t delivered = 0;
   std::deque<Message> still_dead;
   for (auto& msg : pending) {
-    const PeId loc = msg.dst_rank >= 0 && msg.dst_rank < num_ranks_
-                         ? location(msg.dst_rank)
+    const PeId loc = msg.dst_rank >= 0 && msg.dst_rank < places_.num_ranks()
+                         ? places_.pe_of(msg.dst_rank)
                          : kInvalidPe;
     if (loc == kInvalidPe || failed_[loc].load(std::memory_order_acquire)) {
       still_dead.push_back(std::move(msg));
@@ -359,6 +334,7 @@ void Cluster::start() {
 
 void Cluster::stop_and_join() {
   if (!started_) return;
+  places_.begin_stop();
   for (auto& pe : pes_) pe->stop();
   for (auto& t : threads_) {
     if (t.joinable()) t.join();

@@ -10,6 +10,7 @@
 #include "comm/message.hpp"
 #include "comm/netmodel.hpp"
 #include "comm/pe.hpp"
+#include "comm/places.hpp"
 #include "util/counters.hpp"
 #include "util/options.hpp"
 
@@ -55,12 +56,10 @@ class Cluster {
 
   const NetModel& net() const noexcept { return net_; }
 
-  /// Sizes the authoritative rank-location table. Must be called before
-  /// start(); the upper layer seeds initial placements with set_location.
-  void resize_location_table(int nranks);
-  void set_location(RankId rank, PeId pe);
-  PeId location(RankId rank) const;
-  int num_ranks() const noexcept { return num_ranks_; }
+  /// Where each rank is. The upper layer seeds it before start() and moves
+  /// ranks through it; stop_and_join() refuses moves from then on.
+  RankPlaces& places() noexcept { return places_; }
+  const RankPlaces& places() const noexcept { return places_; }
 
   /// Routes a message to msg.dst_pe: inter-node hops pay the NetModel
   /// pacing on the calling thread, then the message lands in the
@@ -70,7 +69,7 @@ class Cluster {
   /// PE, by the sending PE going idle, or by the layer above through
   /// flush_aggregation, e.g. when a rank blocks); the per-(sender, destination)
   /// FIFO order is preserved across all of it. Messages to a failed PE are
-  /// diverted: user data follows its destination rank's location (or waits
+  /// diverted: user data follows its destination rank's place (or waits
   /// in the dead-letter queue until the rank is re-homed); control and
   /// migration traffic is dropped — it was addressed to a machine that no
   /// longer exists.
@@ -106,7 +105,7 @@ class Cluster {
   std::vector<bool> alive_mask() const;
 
   /// Re-sends every dead-lettered user message to its destination rank's
-  /// current location. Messages whose rank still maps to a failed PE stay
+  /// current place. Messages whose rank is still placed on a failed PE stay
   /// queued. Called by the recovery leader after re-homing the lost ranks.
   /// Returns the number delivered.
   std::size_t flush_dead_letters();
@@ -116,7 +115,8 @@ class Cluster {
   /// already be installed on every PE.
   void start();
 
-  /// Signals every PE to stop and joins all threads. Idempotent.
+  /// Refuses rank moves, signals every PE to stop and joins all threads.
+  /// Idempotent.
   void stop_and_join();
 
   bool started() const noexcept { return started_; }
@@ -160,14 +160,13 @@ class Cluster {
 
   Config config_;
   NetModel net_;
+  RankPlaces places_;
   std::vector<std::unique_ptr<Pe>> pes_;
   /// bins_[src][dst]: src's aggregation bins, written only by src's loop
   /// thread.
   std::vector<std::vector<AggBin>> bins_;
   util::CounterBlock shared_ctr_;
   std::vector<std::thread> threads_;
-  std::unique_ptr<std::atomic<PeId>[]> locations_;
-  int num_ranks_ = 0;
   bool started_ = false;
 
   std::unique_ptr<std::atomic<bool>[]> failed_;

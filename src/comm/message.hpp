@@ -28,7 +28,7 @@ inline constexpr PeId kInvalidPe = -1;
 /// `src_pe` is part of the envelope contract: every producer stamps the PE
 /// it is sending from (Cluster::send re-stamps forwards), and it is the one
 /// field that keys mailbox accounting, aggregation bins, and the netmodel's
-/// inter-node check — never re-derived from the rank location table at
+/// inter-node check — never re-derived from the rank places at
 /// delivery, which can have moved on by then.
 struct Message {
   /// Coarse class, for dispatch and accounting.

@@ -36,14 +36,12 @@ constexpr std::int64_t kIdleNapUs = 200;
 
 Pe* Pe::current() noexcept { return g_current_pe; }
 
-Pe::Pe(PeId id, NodeId node, ult::ContextBackend backend)
-    : Pe(id, node, backend, Config{}) {}
-
 Pe::Pe(PeId id, NodeId node, ult::ContextBackend backend,
-       const Config& config)
+       const Config& config, const RankPlaces& places)
     : id_(id),
       node_(node),
       sched_(backend, config.sched),
+      places_(places),
       mailbox_(config.mailbox) {
   drain_buf_.reserve(kDrainBatch);
 }
@@ -137,8 +135,12 @@ void Pe::run_loop() {
     run_idle_hooks();
     if (stop_.load() || failed_.load()) {
       // Exit only when really quiescent: a message may have raced in (and
-      // the idle hooks above may have flushed aggregation bins our way).
-      if (mailbox_.empty() && sched_.ready_count() == 0) break;
+      // the idle hooks above may have flushed aggregation bins our way),
+      // and a live PE waits for every rank on its way here, so that its
+      // stop drain unwinds it. A failed PE's arrivals are diverted.
+      if (mailbox_.empty() && sched_.ready_count() == 0 &&
+          (failed_.load() || places_.arriving(id_) == 0))
+        break;
       continue;
     }
     // A reply usually arrives within microseconds of the PE running dry,

@@ -7,6 +7,7 @@
 
 #include "comm/mailbox.hpp"
 #include "comm/message.hpp"
+#include "comm/places.hpp"
 #include "ult/scheduler.hpp"
 
 namespace apv::comm {
@@ -40,10 +41,10 @@ class Pe {
     ult::Scheduler::Config sched;  ///< runqueue policy for this PE
   };
 
-  Pe(PeId id, NodeId node,
-     ult::ContextBackend backend = ult::default_context_backend());
-  Pe(PeId id, NodeId node, ult::ContextBackend backend,
-     const Config& config);
+  /// `places` counts the rank moves in flight to this PE: the loop does not
+  /// stop while one is.
+  Pe(PeId id, NodeId node, ult::ContextBackend backend, const Config& config,
+     const RankPlaces& places);
 
   PeId id() const noexcept { return id_; }
   NodeId node() const noexcept { return node_; }
@@ -71,10 +72,12 @@ class Pe {
   const Mailbox& mailbox() const noexcept { return mailbox_; }
 
   /// The PE loop body; Cluster runs this on a dedicated thread. Returns
-  /// when stop() has been called and no work remains.
+  /// when stop() has been called and no work remains, and no rank is in
+  /// flight to this PE.
   void run_loop();
 
-  /// Requests loop exit once the mailbox and ready queue drain.
+  /// Requests loop exit once the mailbox and ready queue drain and no rank
+  /// is in flight to this PE.
   void stop();
 
   /// Simulates a crash of this PE (fault injection). The loop finishes the
@@ -101,6 +104,7 @@ class Pe {
   PeId id_;
   NodeId node_;
   ult::Scheduler sched_;
+  const RankPlaces& places_;
   Dispatcher dispatcher_;
   std::vector<IdleHook> idle_hooks_;
   StopDrain stop_drain_;

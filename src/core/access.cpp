@@ -19,8 +19,7 @@ const char* access_path_name(AccessPath path) noexcept {
 }
 
 VarAccess bind_var(const img::ProgramImage& image, img::VarId id,
-                   Method method, const img::ImageInstance& primary,
-                   bool pie_share_readonly) {
+                   Method method, const img::ImageInstance& primary) {
   const img::VarDecl& v = image.var(id);
   VarAccess a;
   a.offset = v.offset;
@@ -33,8 +32,7 @@ VarAccess bind_var(const img::ProgramImage& image, img::VarId id,
 
   // Truly immutable data can safely be served from any copy; pin it to the
   // primary for every method whose ranks do not own a full copy. (PIE-family
-  // copies include it anyway; PIEglobals' share_readonly mode opts back into
-  // sharing below.)
+  // copies include it anyway.)
   if (v.is_const && method != Method::PIPglobals &&
       method != Method::FSglobals && method != Method::PIEglobals) {
     return shared(primary.var_addr(id));
@@ -96,11 +94,6 @@ VarAccess bind_var(const img::ProgramImage& image, img::VarId id,
         // "PIEglobals implies use of TLSglobals where supported" (§4.2).
         a.path = AccessPath::TlsBase;
         return a;
-      }
-      if (v.is_const && pie_share_readonly) {
-        // Memory-footprint optimization from the paper's future work:
-        // detect read-only globals and do not duplicate them.
-        return shared(primary.var_addr(id));
       }
       a.path = AccessPath::RankData;
       return a;

@@ -41,11 +41,8 @@ struct VarAccess {
 
 /// Computes the access path for variable `id` under `method`. `primary` is
 /// the process's primary image instance (for shared addresses).
-/// `pie_share_readonly` enables PIEglobals' read-only-sharing memory
-/// optimization (paper future work; ablation bench).
 VarAccess bind_var(const img::ProgramImage& image, img::VarId id,
-                   Method method, const img::ImageInstance& primary,
-                   bool pie_share_readonly = false);
+                   Method method, const img::ImageInstance& primary);
 
 /// Resolves a bound reference against the rank currently executing on this
 /// PE. The cost model mirrors the real mechanisms: SharedDirect is one

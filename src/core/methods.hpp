@@ -144,7 +144,6 @@ struct PieFixupStats {
 ///          from another process maps this process's descriptor again.
 ///          Off copies the code into each rank's slot heap (the paper's
 ///          implementation, which figures 5 and 8 measure).
-/// (pie.share_readonly is the Privatizer's: it only changes bind_var.)
 class PieGlobalsMethod final : public PrivatizationMethod {
  public:
   PieGlobalsMethod() = default;

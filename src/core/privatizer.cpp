@@ -16,7 +16,6 @@ Privatizer::Privatizer(Method method, ProcessEnv env)
   require(env_.image != nullptr && env_.loader != nullptr &&
               env_.arena != nullptr,
           ErrorCode::InvalidArgument, "ProcessEnv incomplete");
-  pie_share_readonly_ = env_.options.get_bool("pie.share_readonly");
   method_->init_process(env_);
 }
 
@@ -89,8 +88,7 @@ int Privatizer::install_switch_hook(ult::Scheduler& sched) {
 }
 
 VarAccess Privatizer::bind(img::VarId id) const {
-  return bind_var(*env_.image, id, method_->kind(), primary(),
-                  pie_share_readonly_);
+  return bind_var(*env_.image, id, method_->kind(), primary());
 }
 
 VarAccess Privatizer::bind(const std::string& name) const {

@@ -83,7 +83,6 @@ class Privatizer {
  private:
   ProcessEnv env_;
   std::unique_ptr<PrivatizationMethod> method_;
-  bool pie_share_readonly_ = false;
 };
 
 }  // namespace apv::core

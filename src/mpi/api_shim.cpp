@@ -31,6 +31,13 @@ std::size_t nbytes(int count, Datatype dt) {
   return static_cast<std::size_t>(checked_count(count)) * datatype_size(dt);
 }
 
+// Every rooted collective refuses a root outside its communicator here.
+int checked_root(Env* e, int root, CommId comm) {
+  require(root >= 0 && root < rt(e).comm_info(comm).size(),
+          ErrorCode::InvalidArgument, "root out of range");
+  return root;
+}
+
 // User traffic keeps below the internal tag space, where collectives and
 // runtime control messages live: a user receive there could take them.
 bool user_tag(int tag) { return tag >= 0 && tag <= kMaxUserTag; }
@@ -83,6 +90,7 @@ Request api_irecv(Env* e, void* buf, int count, Datatype dt, int src, int tag,
 Status api_wait(Env* e, Request* req) { return rt(e).do_wait(rm(e), *req); }
 
 void api_waitall(Env* e, int n, Request* reqs) {
+  checked_count(n);
   for (int i = 0; i < n; ++i) {
     if (reqs[i] != kRequestNull) rt(e).do_wait(rm(e), reqs[i]);
   }
@@ -90,6 +98,7 @@ void api_waitall(Env* e, int n, Request* reqs) {
 
 int api_waitany(Env* e, int n, Request* reqs, Status* status) {
   RankMpi& r = rm(e);
+  checked_count(n);
   for (;;) {
     bool any_active = false;
     for (int i = 0; i < n; ++i) {
@@ -133,13 +142,14 @@ void api_barrier(Env* e, CommId comm) { rt(e).do_barrier(rm(e), comm); }
 
 void api_bcast(Env* e, void* buf, int count, Datatype dt, int root,
                CommId comm) {
-  rt(e).do_bcast(rm(e), buf, nbytes(count, dt), root, comm);
+  rt(e).do_bcast(rm(e), buf, nbytes(count, dt), checked_root(e, root, comm),
+                 comm);
 }
 
 void api_reduce(Env* e, const void* sbuf, void* rbuf, int count, Datatype dt,
                 Op op, int root, CommId comm) {
-  rt(e).do_reduce(rm(e), sbuf, rbuf, checked_count(count), dt, op, root,
-                  comm);
+  rt(e).do_reduce(rm(e), sbuf, rbuf, checked_count(count), dt, op,
+                  checked_root(e, root, comm), comm);
 }
 
 void api_allreduce(Env* e, const void* sbuf, void* rbuf, int count,
@@ -155,28 +165,31 @@ void api_scan(Env* e, const void* sbuf, void* rbuf, int count, Datatype dt,
 void api_gather(Env* e, const void* sbuf, int scount, Datatype sdt,
                 void* rbuf, int rcount, Datatype rdt, int root, CommId comm) {
   rt(e).do_gather(rm(e), sbuf, checked_count(scount), sdt, rbuf,
-                  checked_count(rcount), rdt, root, comm);
+                  checked_count(rcount), rdt, checked_root(e, root, comm),
+                  comm);
 }
 
 void api_gatherv(Env* e, const void* sbuf, int scount, Datatype sdt,
                  void* rbuf, const int* rcounts, const int* displs,
                  Datatype rdt, int root, CommId comm) {
   rt(e).do_gatherv(rm(e), sbuf, checked_count(scount), sdt, rbuf, rcounts,
-                   displs, rdt, root, comm);
+                   displs, rdt, checked_root(e, root, comm), comm);
 }
 
 void api_scatter(Env* e, const void* sbuf, int scount, Datatype sdt,
                  void* rbuf, int rcount, Datatype rdt, int root,
                  CommId comm) {
   rt(e).do_scatter(rm(e), sbuf, checked_count(scount), sdt, rbuf,
-                   checked_count(rcount), rdt, root, comm);
+                   checked_count(rcount), rdt, checked_root(e, root, comm),
+                   comm);
 }
 
 void api_scatterv(Env* e, const void* sbuf, const int* scounts,
                   const int* displs, Datatype sdt, void* rbuf, int rcount,
                   Datatype rdt, int root, CommId comm) {
   rt(e).do_scatterv(rm(e), sbuf, scounts, displs, sdt, rbuf,
-                    checked_count(rcount), rdt, root, comm);
+                    checked_count(rcount), rdt, checked_root(e, root, comm),
+                    comm);
 }
 
 void api_allgather(Env* e, const void* sbuf, int scount, Datatype sdt,
@@ -236,14 +249,14 @@ int api_checkpoint(Env* e) { return rt(e).do_checkpoint(rm(e)); }
 
 int api_checkpoint_all(Env* e) { return rt(e).do_checkpoint_all(rm(e)); }
 
-int api_my_pe(Env* e) { return rm(e).resident_pe; }
+int api_my_pe(Env* e) { return rt(e).pe_of(rm(e)); }
 
 int api_num_pes(Env* e) { return rt(e).cluster().num_pes(); }
 
 int api_num_live_pes(Env* e) { return rt(e).cluster().num_live_pes(); }
 
 int api_my_node(Env* e) {
-  return rt(e).cluster().node_of(rm(e).resident_pe);
+  return rt(e).cluster().node_of(rt(e).pe_of(rm(e)));
 }
 
 void api_add_load(Env* e, double seconds) {

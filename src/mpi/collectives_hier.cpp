@@ -14,7 +14,7 @@
 // the bodies differ only in what they hand in and what they take out.
 //
 // Thread-safety model: a group's members usually share one PE thread, but
-// the placement view may be stale against the live location table (explicit
+// the placement view may be stale against the ranks' live places (explicit
 // migrate_to, failure recovery keep views untouched so groupings still
 // agree). Blocks are therefore mutex-guarded, and a peer is woken either
 // directly (when resident on the calling thread) or via a kCtlCollWake
@@ -381,11 +381,11 @@ class Runtime::HierCall {
   /// The counters of the PE this rank runs on now — looked up per use,
   /// because a rank parked mid-collective can be stolen to another PE.
   PeState& pe() const {
-    return rt.pe_state_[static_cast<std::size_t>(rm.resident_pe)];
+    return rt.pe_state_[static_cast<std::size_t>(rt.pe_of(rm))];
   }
 
   void wake(int i) const {
-    rt.wake_coll_member(rm.resident_pe, rt.rank_state(ci.world_of(i)));
+    rt.wake_coll_member(rt.pe_of(rm), rt.rank_state(ci.world_of(i)));
   }
   void wake_agents() const {
     for (int gg = 0; gg < L; ++gg) {

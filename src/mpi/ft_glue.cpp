@@ -46,8 +46,7 @@ using util::ErrorCode;
 using util::require;
 
 int Runtime::do_checkpoint_all(RankMpi& rm) {
-  const comm::NodeId node = cluster_->node_of(rm.resident_pe);
-  auto& priv = *privs_[static_cast<std::size_t>(node)];
+  auto& priv = *privs_[static_cast<std::size_t>(cluster_->node_of(pe_of(rm)))];
   require(priv.supports_migration(), ErrorCode::CheckpointRefused,
           std::string(core::method_name(priv.kind())) +
               " cannot take recoverable checkpoints: adoption restores a "
@@ -58,7 +57,7 @@ int Runtime::do_checkpoint_all(RankMpi& rm) {
 
   do_barrier(rm, kCommWorld);
 
-  const comm::PeId pe = rm.resident_pe;
+  const comm::PeId pe = pe_of(rm);
   block_current(rm, [this, &rm, pe, epoch] {
     pack_checkpoint(pe, rm, epoch, /*buddy=*/true);
   });
@@ -68,19 +67,18 @@ int Runtime::do_checkpoint_all(RankMpi& rm) {
         injector_ ? injector_->victim_for_epoch(epoch) : comm::kInvalidPe;
     if (victim == comm::kInvalidPe) {
       do_barrier(rm, kCommWorld);
-      // Epoch E is globally committed; the previous epoch's images are no
-      // longer the fallback.
+      // Epoch E committed globally: older images are no longer the fallback.
       ckpt_store_->retire_before(epoch);
       return 0;
     }
-    if (rm.resident_pe == victim) {
+    if (pe == victim) {
       // This rank just lost its host. Check that someone survives to run
       // the recovery, then park without touching the network: a survivor
       // PE adopts this ULT, unpacks the epoch image over the slot, and
       // execution rewinds to the pack suspension above.
       bool any_survivor = false;
       for (int r = 0; r < config_.vps; ++r) {
-        if (cluster_->location(r) != victim) {
+        if (cluster_->places().pe_of(r) != victim) {
           any_survivor = true;
           break;
         }
@@ -88,7 +86,9 @@ int Runtime::do_checkpoint_all(RankMpi& rm) {
       require(any_survivor, ErrorCode::BadState,
               "fault killed the PE hosting every rank: no survivor left to "
               "run recovery");
-      park_until_rewound(rm, [&rm] { rm.restore_pending = true; });
+      park_until_rewound(rm, [this, &rm, pe] {
+        cluster_->places().park(pe, rm.world_rank);
+      });
     }
     recover_from_failure(rm, victim, epoch);
     // Survivors were already at the epoch state when the fault was
@@ -103,12 +103,13 @@ int Runtime::do_checkpoint_all(RankMpi& rm) {
 
 void Runtime::recover_from_failure(RankMpi& rm, comm::PeId victim,
                                    std::uint32_t epoch) {
-  // Survivor/victim sets are derived from the location table, which is
+  // Survivor/victim sets are derived from the ranks' places, which are
   // stable during the collective — every survivor computes the same sets
   // and the same leader (lowest surviving rank) without communicating.
+  comm::RankPlaces& places = cluster_->places();
   std::vector<int> victims, survivors;
   for (int r = 0; r < config_.vps; ++r) {
-    (cluster_->location(r) == victim ? victims : survivors).push_back(r);
+    (places.pe_of(r) == victim ? victims : survivors).push_back(r);
   }
   const int me = rm.world_rank;
   const int leader = survivors.front();
@@ -129,7 +130,7 @@ void Runtime::recover_from_failure(RankMpi& rm, comm::PeId victim,
 
   // Wait for each lost rank to pack its epoch image (the store places the
   // buddy copy synchronously), reach its own commit point, and park: its
-  // park continuation raises restore_pending once its ULT has switched
+  // park continuation makes its place Parked once its ULT has switched
   // out. The victim PE must stay alive through this: it may still be
   // receiving barrier tokens of this very epoch — we exited the
   // dissemination barrier knowing only that our own receives completed,
@@ -138,22 +139,20 @@ void Runtime::recover_from_failure(RankMpi& rm, comm::PeId victim,
   // in a yield loop holds its aggregation bins), and the victim would
   // never finish the barrier, never pack, and never park.
   for (int lost : victims) {
-    while (!rank_state(lost).restore_pending) do_yield(rm);
+    while (places.place(lost).where != comm::Where::Parked) do_yield(rm);
   }
 
   // Every victim now has a buddy copy and a suspended ULT ready for
   // adoption, and needs no further traffic. Declare the PE dead: its loop
-  // drains whatever backlog it already accepted and halts; new traffic is
-  // diverted.
+  // drains the backlog it already accepted and halts; new traffic is diverted.
   cluster_->fail_pe(victim);
   // Wait for that loop to exit. Its thread was the last to touch what
-  // adoption takes over: the slot bytes holding each parked ULT, its
-  // resident map, the privatization method's per-rank hooks. run_loop's
+  // recovery takes over: the slot bytes holding each parked ULT, its list
+  // of hosted ranks, the privatization method's per-rank hooks. run_loop's
   // final running_ store (release) against this load (acquire), carried on
-  // by the adopt messages below, orders those touches before the adopters'
-  // plain-byte unpack and map surgery. The wait is bounded: every rank on
-  // the dead PE is a parked victim, so its loop drains and halts without
-  // needing anything from us.
+  // by the adopt messages below, orders those touches before the re-homing
+  // and the adopters' plain-byte unpack. The wait is bounded: every rank
+  // on the dead PE is a parked victim, so its loop drains and halts.
   while (cluster_->pe(victim).running()) do_yield(rm);
   // Its memory is gone — and with it every checkpoint copy it owned.
   ckpt_store_->lose_pe(victim);
@@ -167,21 +166,22 @@ void Runtime::recover_from_failure(RankMpi& rm, comm::PeId victim,
   for (int r = 0; r < config_.vps; ++r) {
     stats.rank_load[static_cast<std::size_t>(r)] = ranks_[
         static_cast<std::size_t>(r)]->busy_time();
-    stats.rank_pe[static_cast<std::size_t>(r)] = cluster_->location(r);
+    stats.rank_pe[static_cast<std::size_t>(r)] = places.pe_of(r);
   }
   const ft::RecoveryPlan plan = ft::plan_recovery(
       lb::GreedyRefineLb(), stats, cluster_->alive_mask());
 
-  // Publish the new homes first so diverted and future traffic routes to
-  // them, then release the stranded messages and dispatch the adoptions.
+  // Re-home each lost rank (the dead node's departure hook runs here, on
+  // its behalf) and dispatch its adoption; then release the stranded
+  // messages, which follow it. Once stop has begun a victim stays parked.
   for (const auto& [lost, dest] : plan.placement) {
-    cluster_->set_location(lost, dest);
+    privs_[static_cast<std::size_t>(cluster_->node_of(victim))]
+        ->rank_departed(rank_state(lost).rc);
+    if (places.rehome(lost, dest))
+      cluster_->send(control(kCtlFtAdopt, pe_of(rm), dest, lost,
+                             static_cast<std::int32_t>(epoch)));
   }
   cluster_->flush_dead_letters();
-  for (const auto& [lost, dest] : plan.placement) {
-    cluster_->send(control(kCtlFtAdopt, rm.resident_pe, dest, lost,
-                           static_cast<std::int32_t>(epoch)));
-  }
   APV_INFO("ft", "recovery at epoch %u: PE %d died, %zu rank(s) re-placed "
                  "across %d live PE(s)",
            epoch, victim, victims.size(), cluster_->num_live_pes());
@@ -192,7 +192,7 @@ void Runtime::recover_from_failure(RankMpi& rm, comm::PeId victim,
   // the checker stays armed across recovery with no false positives. Count
   // the event so tests can assert the checker observed a recovery.
   if (checker_ != nullptr)
-    counters(rm.resident_pe).bump(util::Ctr::CheckRecoveriesSeen);
+    counters(pe_of(rm)).bump(util::Ctr::CheckRecoveriesSeen);
 
   for (std::size_t i = 1; i < survivors.size(); ++i) {
     do_send(rm, nullptr, 0, survivors[i], release_tag, kCommWorld);

@@ -22,7 +22,7 @@ void Runtime::do_load_balance(RankMpi& rm, const std::string& strategy) {
     std::int32_t pad;
   };
   std::vector<Entry> all(static_cast<std::size_t>(n));
-  const Entry mine{rm.busy_time(), rm.resident_pe, 0};
+  const Entry mine{rm.busy_time(), pe_of(rm), 0};
   do_allgather(rm, &mine, sizeof(Entry), Datatype::Byte, all.data(),
                sizeof(Entry), Datatype::Byte, kCommWorld);
 
@@ -63,16 +63,16 @@ void Runtime::do_load_balance(RankMpi& rm, const std::string& strategy) {
   // Everyone has decided; quiesce, then move.
   do_barrier(rm, kCommWorld);
   const comm::PeId my_dest = dest[static_cast<std::size_t>(me)];
-  if (my_dest != rm.resident_pe) do_migrate_to(rm, my_dest);
+  if (my_dest != pe_of(rm)) do_migrate_to(rm, my_dest);
   do_barrier(rm, kCommWorld);
 
   // Steal interplay: the epoch just rebalanced deliberately (and the
-  // allgather above used rm.resident_pe, so earlier steals were already
+  // allgather above used each rank's place, so earlier steals were already
   // folded into the stats). Restart this PE's idle clock so the thief
   // logic doesn't immediately second-guess the fresh placement with a
   // steal of its own.
   if (steal_on_) {
-    auto& ps = pe_state_[static_cast<std::size_t>(rm.resident_pe)];
+    auto& ps = pe_state_[static_cast<std::size_t>(pe_of(rm))];
     ps.idle_since_ns = 0;
   }
 }

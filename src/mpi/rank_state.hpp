@@ -33,12 +33,12 @@ struct RequestState {
 /// Per-virtual-rank MPI state. Runtime metadata (process-side bookkeeping,
 /// like AMPI's per-rank structures): lives on the ordinary heap, keyed from
 /// RankContext::user_data, and is handed between PEs when the rank
-/// migrates. All access happens on the rank's current resident PE thread.
+/// migrates. All access happens on the thread of the PE that hosts the rank
+/// (where it is: comm::RankPlaces).
 struct RankMpi {
   core::RankContext* rc = nullptr;
   std::unique_ptr<Env> env;
   comm::RankId world_rank = -1;
-  comm::PeId resident_pe = comm::kInvalidPe;
 
   std::vector<RequestState> requests;
   /// Point-to-point matching: posted receives, unexpected and held
@@ -75,18 +75,10 @@ struct RankMpi {
   std::int32_t last_post_tag = 0;
   std::int32_t last_post_comm = -1;
   bool waiting = false;  ///< parked in Runtime::block_current, until resumed
-  bool finished = false;
   void* entry_ret = nullptr;
   bool failed = false;
   std::string failure;
 
-  /// An FT victim parked for adoption: raised by its park continuation,
-  /// once its epoch image is stored and its ULT has switched out; cleared
-  /// when its adopter resumes it. While raised, no message wakes the rank
-  /// and its PE steals nothing. Atomic because the recovery leader polls it
-  /// from another PE; what adoption consumes afterwards is published by the
-  /// dead PE's loop exit (Pe::running) and the checkpoint store's mutex.
-  std::atomic<bool> restore_pending{false};
   bool restored = false;  ///< set by checkpoint-restore before resuming
   /// Monotonic checkpoint epoch counter. Lives here (ordinary heap, not in
   /// the slot) deliberately: a restore rewinds the slot but not this
@@ -122,9 +114,9 @@ struct RankMpi {
   /// construction and updated only inside do_load_balance (where all ranks
   /// compute the same assignment deterministically), so all members of a
   /// communicator always agree on the grouping — even when the view is
-  /// stale against the live location table (explicit migrate_to, failure
+  /// stale against the ranks' live places (explicit migrate_to, failure
   /// recovery). Stale views only cost performance: group blocks are
-  /// mutex-guarded and messages route by the live table.
+  /// mutex-guarded and messages route by the live places.
   std::vector<comm::PeId> placement_view;
   /// Bumped whenever placement_view changes; invalidates cached topologies.
   std::uint32_t view_epoch = 0;

@@ -107,7 +107,15 @@ Runtime::Runtime(const img::ProgramImage& image, RuntimeConfig config)
         std::make_unique<core::Privatizer>(config_.method, std::move(env)));
   }
 
-  cluster_->resize_location_table(config_.vps);
+  // Every rank starts resident on its initial PE. Each rank's placement
+  // view is seeded with the same map and changes only inside
+  // do_load_balance, where all ranks deterministically compute the same
+  // assignment — so hierarchical-collective groupings always agree across
+  // members regardless of later ad-hoc migrations.
+  std::vector<comm::PeId> initial(static_cast<std::size_t>(config_.vps));
+  for (int r = 0; r < config_.vps; ++r)
+    initial[static_cast<std::size_t>(r)] = initial_pe(r);
+  cluster_->places().seed(initial);
 
   // Bring up every virtual rank: slot, heap, privatized view, ULT. If any
   // rank is refused partway (e.g. PiPglobals past the namespace cap), the
@@ -116,11 +124,11 @@ Runtime::Runtime(const img::ProgramImage& image, RuntimeConfig config)
   ranks_.reserve(static_cast<std::size_t>(config_.vps));
   try {
   for (int r = 0; r < config_.vps; ++r) {
-    const comm::PeId pe = initial_pe(r);
-    const comm::NodeId node = cluster_->node_of(pe);
+    const comm::NodeId node =
+        cluster_->node_of(initial[static_cast<std::size_t>(r)]);
     auto rm = std::make_unique<RankMpi>();
     rm->world_rank = r;
-    rm->resident_pe = pe;
+    rm->placement_view = initial;
     core::Privatizer::RankParams params;
     params.world_rank = r;
     params.body = &Runtime::rank_body;
@@ -130,30 +138,17 @@ Runtime::Runtime(const img::ProgramImage& image, RuntimeConfig config)
     rm->rc = privs_[static_cast<std::size_t>(node)]->create_rank(params);
     rm->rc->user_data = rm.get();
     rm->env = std::make_unique<Env>(this, rm.get(), &api_);
-    pe_state_[static_cast<std::size_t>(pe)].resident[r] = rm.get();
-    cluster_->set_location(r, pe);
     ranks_.push_back(std::move(rm));
   }
   } catch (...) {
     for (auto& rm : ranks_) {
       if (rm->rc != nullptr) {
-        const comm::NodeId node = cluster_->node_of(rm->resident_pe);
+        const comm::NodeId node = cluster_->node_of(pe_of(*rm));
         privs_[static_cast<std::size_t>(node)]->destroy_rank(rm->rc);
         rm->rc = nullptr;
       }
     }
     throw;
-  }
-
-  // Seed every rank's placement view with the initial map. The views only
-  // change inside do_load_balance, where all ranks deterministically compute
-  // the same assignment — so hierarchical-collective groupings always agree
-  // across members regardless of later ad-hoc migrations.
-  {
-    std::vector<comm::PeId> initial(static_cast<std::size_t>(config_.vps));
-    for (int r = 0; r < config_.vps; ++r)
-      initial[static_cast<std::size_t>(r)] = initial_pe(r);
-    for (auto& rm : ranks_) rm->placement_view = initial;
   }
 
   // Stealing rides the migration machinery; methods whose segments the
@@ -193,16 +188,17 @@ Runtime::Runtime(const img::ProgramImage& image, RuntimeConfig config)
     // would leak. On orderly stop each PE resumes its parked residents one
     // last time with the unwind flag armed, so the suspend point throws
     // and the stack unwinds through its destructors (see UltUnwind).
-    // The drain walks this PE's resident map, not ranks_: residency and
-    // ULT state of residents are written only on this PE's thread, so the
-    // walk is race-free even while other PEs are still winding down
-    // (finished/resident_pe on ranks_ would race their owners' last acts).
+    // The drain walks the ranks this PE hosts, not ranks_: that list and
+    // the ULT states of its ranks are written only on this PE's thread, so
+    // the walk is race-free while other PEs are still winding down. No
+    // rank is left in flight to this PE: the loop waited for every move
+    // to it, and no move starts once stop has begun.
     pe.set_stop_drain([this, p] {
-      auto& ps = pe_state_[static_cast<std::size_t>(p)];
       ult::Scheduler& sched = cluster_->pe(p).scheduler();
       bool any = false;
-      for (const auto& [rank, rm] : ps.resident) {
-        ult::Ult* t = rm->rc != nullptr ? rm->rc->ult : nullptr;
+      for (const comm::RankId r : cluster_->places().hosted(p)) {
+        const RankMpi& rm = rank_state(r);
+        ult::Ult* t = rm.rc != nullptr ? rm.rc->ult : nullptr;
         if (t == nullptr || t->state() == ult::UltState::Done) continue;
         t->request_unwind();
         // Ready/Created ULTs are already queued (start() readied every
@@ -234,8 +230,7 @@ Runtime::~Runtime() {
   // Destroy ranks before privatizers (rank teardown uses method state).
   for (auto& rm : ranks_) {
     if (rm->rc != nullptr) {
-      const comm::NodeId node = cluster_->node_of(
-          rm->resident_pe == comm::kInvalidPe ? 0 : rm->resident_pe);
+      const comm::NodeId node = cluster_->node_of(pe_of(*rm));
       privs_[static_cast<std::size_t>(node)]->destroy_rank(rm->rc);
       rm->rc = nullptr;
     }
@@ -284,7 +279,7 @@ void Runtime::rank_body(void* arg) {
 }
 
 void Runtime::rank_finished(RankMpi& rm) {
-  rm.finished = true;
+  cluster_->places().finish(pe_of(rm), rm.world_rank);
   // Fail-fast (checker abort mode): a failed rank wakes wait_finish
   // immediately instead of letting its peers hang until the job timeout —
   // the diagnosis is already recorded and the failure already stamped.
@@ -300,7 +295,7 @@ void Runtime::start() {
   started_ = true;
   live_ranks_.store(config_.vps);
   for (auto& rm : ranks_) {
-    cluster_->pe(rm->resident_pe).scheduler().ready(rm->rc->ult);
+    cluster_->pe(pe_of(*rm)).scheduler().ready(rm->rc->ult);
   }
   cluster_->start();
 }
@@ -418,6 +413,9 @@ void Runtime::run() {
 }
 
 void Runtime::dump_stuck_state() {
+  static constexpr const char* kWhere[] = {"resident on", "in flight to",
+                                           "awaiting adoption on",
+                                           "finished on"};
   std::fprintf(stderr, "[apv:mpi] job timeout post-mortem:\n");
   for (const auto& rm : ranks_) {
     // Acquire the ULT state first: for parked (Blocked) and exited (Done)
@@ -426,12 +424,12 @@ void Runtime::dump_stuck_state() {
     // caught actually Running at the coarse timeout gets a best-effort
     // snapshot; the job is being torn down either way.
     const ult::UltState st = rm->rc->ult->state();
+    const comm::Place place = cluster_->places().place(rm->world_rank);
     std::fprintf(stderr,
-                 "[apv:mpi]   rank %d on PE %d: state=%s waiting=%d "
-                 "restore_pending=%d restored=%d "
-                 "posted=%zu unexpected=%zu held=%zu epoch=%u\n",
-                 rm->world_rank, rm->resident_pe, ult::ult_state_name(st),
-                 rm->waiting ? 1 : 0, rm->restore_pending ? 1 : 0,
+                 "[apv:mpi]   rank %d %s PE %d: state=%s waiting=%d "
+                 "restored=%d posted=%zu unexpected=%zu held=%zu epoch=%u\n",
+                 rm->world_rank, kWhere[static_cast<int>(place.where)],
+                 place.pe, ult::ult_state_name(st), rm->waiting ? 1 : 0,
                  rm->restored ? 1 : 0, rm->match.num_posted(),
                  rm->match.num_unexpected(), rm->match.num_held(),
                  rm->ft_epoch);
@@ -454,11 +452,12 @@ void Runtime::dump_stuck_state() {
   for (int p = 0; p < cluster_->num_pes(); ++p) {
     std::fprintf(stderr,
                  "[apv:mpi]   PE %d: failed=%d mailbox=%zu ready=%zu "
-                 "binned=%zu\n",
+                 "binned=%zu arriving=%d\n",
                  p, cluster_->pe_failed(p) ? 1 : 0,
                  cluster_->pe(p).mailbox().size_approx(),
                  cluster_->pe(p).scheduler().ready_count(),
-                 cluster_->pending_aggregated(p));
+                 cluster_->pending_aggregated(p),
+                 cluster_->places().arriving(p));
   }
   std::fprintf(stderr, "[apv:mpi]   dead_letters=%zu dropped=%llu\n",
                cluster_->dead_letter_count(),
@@ -489,26 +488,22 @@ void Runtime::dispatch(comm::PeId pe, comm::Message&& msg) {
 }
 
 void Runtime::deliver_user(comm::PeId pe, comm::Message&& msg) {
-  auto& ps = pe_state_[static_cast<std::size_t>(pe)];
-  auto it = ps.resident.find(msg.dst_rank);
-  if (it == ps.resident.end()) {
-    chase_rank(pe, std::move(msg));
-    return;
-  }
+  if (!reaches_rank(pe, msg)) return;
   const void* data = msg.payload.data();
   const std::size_t bytes = msg.payload.size();
-  land_user(*it->second, std::move(msg), data, bytes);
+  land_user(rank_state(msg.dst_rank), std::move(msg), data, bytes);
 }
 
-void Runtime::chase_rank(comm::PeId pe, comm::Message&& msg) {
-  const comm::PeId loc = cluster_->location(msg.dst_rank);
-  if (loc == pe) {
-    // The location still says "here": the rank's state is in flight to us.
-    // Requeue behind its migration message.
-    cluster_->pe(pe).post(std::move(msg));
-    return;
+bool Runtime::reaches_rank(comm::PeId pe, comm::Message& msg) {
+  switch (cluster_->places().route(pe, msg)) {
+    case comm::Route::Land:
+      return true;
+    case comm::Route::Queued:
+      counters(pe).bump(Ctr::ArrivalWaits);
+      return false;
+    case comm::Route::Forward:
+      break;
   }
-  msg.dst_pe = loc;
   // Re-stamp the envelope: from here on *this* PE is the sender (the
   // netmodel and aggregation bins key off src_pe, and the original
   // sender's hop was already paid).
@@ -516,6 +511,7 @@ void Runtime::chase_rank(comm::PeId pe, comm::Message&& msg) {
   if (msg.kind == comm::Message::Kind::UserData)
     counters(pe).bump(Ctr::Forwards);
   cluster_->send(std::move(msg));
+  return false;
 }
 
 namespace {
@@ -538,7 +534,7 @@ MatchQueues::Arrival Runtime::land_user(RankMpi& dst, comm::Message&& msg,
   const MatchQueues::Arrival arrival =
       dst.match.arrive(std::move(msg), data, bytes, completer(dst));
   if (arrival == MatchQueues::Arrival::Held) {
-    counters(dst.resident_pe).bump(Ctr::P2pHeld);
+    counters(pe_of(dst)).bump(Ctr::P2pHeld);
     return arrival;
   }
   wake_if_waiting(dst, bytes <= kHipriBytes ? ult::Lane::High
@@ -585,7 +581,7 @@ void Runtime::complete_recv(RankMpi& dst, const RecvPost& post,
                        msg.tag < kInternalTagBase;
   if (stamped) {
     const check::P2pVerdict v =
-        checker_->p2p_verify(counters(dst.resident_pe), msg.esize, bytes,
+        checker_->p2p_verify(counters(pe_of(dst)), msg.esize, bytes,
                              post.esize, post.max_bytes);
     if (v != check::P2pVerdict::Ok) [[unlikely]] {
       const std::string diag = p2p_mismatch(v, dst, post, msg, bytes);
@@ -612,9 +608,10 @@ void Runtime::complete_recv(RankMpi& dst, const RecvPost& post,
 void Runtime::wake_if_waiting(RankMpi& rm, ult::Lane lane) {
   // An FT victim parked for adoption waits for its image, not a message:
   // a stale wake (a late kCtlCollWake) must not resume it on its dying PE.
-  if (!rm.waiting || rm.restore_pending) return;
+  const comm::Place place = cluster_->places().place(rm.world_rank);
+  if (!rm.waiting || place.where != comm::Where::Resident) return;
   if (rm.rc->ult->state() != ult::UltState::Blocked) return;
-  cluster_->pe(rm.resident_pe).scheduler().ready(rm.rc->ult, lane);
+  cluster_->pe(place.pe).scheduler().ready(rm.rc->ult, lane);
 }
 
 void Runtime::block_current(RankMpi& rm, std::function<void()> then) {
@@ -625,7 +622,7 @@ void Runtime::block_current(RankMpi& rm, std::function<void()> then) {
   // What this rank sent before blocking is what its peers wait on to reply:
   // ship it now rather than when the PE next goes idle. A burst still
   // leaves as one bundle per destination.
-  cluster_->flush_aggregation(rm.resident_pe, comm::FlushCause::Block);
+  cluster_->flush_aggregation(pe_of(rm), comm::FlushCause::Block);
   sched->suspend(std::move(then));
   rm.waiting = false;
 }
@@ -697,36 +694,36 @@ void Runtime::do_send(RankMpi& rm, const void* buf, std::size_t bytes,
   // matching receive.
   comm::Message m;
   m.kind = comm::Message::Kind::UserData;
-  m.src_pe = rm.resident_pe;
+  m.src_pe = pe_of(rm);
   m.src_rank = rm.world_rank;
   m.dst_rank = comm_info(rm, comm).world_of(dst_local);
   m.comm_id = comm;
   m.tag = tag;
   m.esize = esize;
   m.seq = rm.match.next_seq(m.dst_rank);
-  if (try_inline_send(rm, m, buf, bytes)) return;
-  m.dst_pe = cluster_->location(m.dst_rank);
+  if (try_inline_send(m, buf, bytes)) return;
+  m.dst_pe = cluster_->places().pe_of(m.dst_rank);
   cluster_->send(std::move(m), buf, bytes);
 }
 
-bool Runtime::try_inline_send(RankMpi& rm, comm::Message& m,
-                              const void* data, std::size_t bytes) {
+bool Runtime::try_inline_send(comm::Message& m, const void* data,
+                              std::size_t bytes) {
   if (!inline_enabled_) return false;
-  const comm::PeId pe = rm.resident_pe;
+  const comm::PeId pe = m.src_pe;
   // Only from the destination PE's own loop thread: everything below (the
   // peer's match queues, the wake) is single-writer state owned by that
   // thread.
   comm::Pe* cur = comm::Pe::current();
   if (cur == nullptr || cur != &cluster_->pe(pe)) return false;
-  if (cluster_->location(m.dst_rank) != pe) return false;  // not co-resident
+  // Only this thread makes a rank resident here or moves it on, so a rank
+  // found resident here stays so below. A rank leaving this PE is shipped
+  // by its park continuation before anything else runs here, so it never
+  // shows up co-resident mid-move.
+  if (cluster_->places().place(m.dst_rank) !=
+      comm::Place{comm::Where::Resident, pe})
+    return false;
   if (cluster_->pe_failed(pe)) return false;  // keep FT divert semantics
   RankMpi& dst = rank_state(m.dst_rank);
-  // resident_pe is only advanced on the owning loop thread (migration
-  // arrival, FT adoption both run there), so on a match the state below is
-  // ours. A rank leaving this PE is shipped by its park continuation before
-  // anything else runs here, so it never shows up co-resident mid-move.
-  if (dst.resident_pe != pe) return false;  // state still in flight to us
-  if (dst.finished) return false;
   // Hit: one user-buffer -> user-buffer copy, no payload, no mailbox. Miss:
   // the bytes are copied into a payload on the unexpected queue. Held: a
   // routed message from us to this rank is still in a bin, a mailbox or
@@ -820,7 +817,7 @@ Op Runtime::do_op_create_named(RankMpi& rm, const char* image_fn,
 Op Runtime::do_op_create(RankMpi& rm, void* fn_addr, bool commutative) {
   // The paper's PIEglobals path: the address is inside *this rank's* code
   // copy; translate it to a base-relative handle via the instance registry.
-  const comm::NodeId node = cluster_->node_of(rm.resident_pe);
+  const comm::NodeId node = cluster_->node_of(pe_of(rm));
   Op op;
   op.kind = OpKind::User;
   op.commutative = commutative;
@@ -847,8 +844,8 @@ void Runtime::combine_on_pe(comm::PeId pe, const Op& op, Datatype dt,
     apply_builtin_op(op.kind, dt, in, inout, len);
     return;
   }
-  auto& ps = pe_state_[static_cast<std::size_t>(pe)];
-  if (ps.resident.empty()) {
+  const std::vector<comm::RankId>& hosted = cluster_->places().hosted(pe);
+  if (hosted.empty()) {
     // Paper §3.3: "we instead require that all cores have at least one
     // virtual rank assigned to them during reduction processing with
     // PIEglobals enabled and otherwise throw a runtime error".
@@ -856,7 +853,7 @@ void Runtime::combine_on_pe(comm::PeId pe, const Op& op, Datatype dt,
                    "user-defined reduction cannot be combined on PE " +
                        std::to_string(pe) + ": no virtual ranks resident");
   }
-  RankMpi& host = *ps.resident.begin()->second;
+  RankMpi& host = rank_state(hosted.front());
   auto* fn = core::fn_as<void(const void*, void*, int, Datatype)>(op.user,
                                                                   *host.rc);
   fn(in, inout, len, dt);
@@ -895,15 +892,15 @@ void Runtime::do_migrate_to(RankMpi& rm, comm::PeId dest) {
           "migration destination PE out of range");
   require(!cluster_->pe_failed(dest), ErrorCode::InvalidArgument,
           "migration destination PE " + std::to_string(dest) + " has failed");
-  if (dest == rm.resident_pe) return;
-  const comm::NodeId src_node = cluster_->node_of(rm.resident_pe);
-  auto& priv = *privs_[static_cast<std::size_t>(src_node)];
+  const comm::PeId pe = pe_of(rm);
+  if (dest == pe) return;
+  auto& priv = *privs_[static_cast<std::size_t>(cluster_->node_of(pe))];
   require(priv.supports_migration(), ErrorCode::MigrationRefused,
           std::string(core::method_name(priv.kind())) +
               " cannot migrate ranks: its segment copies were allocated by "
               "the dynamic linker, not Isomalloc");
-  // Park; our PE ships us, and the destination PE resumes us.
-  const comm::PeId pe = rm.resident_pe;
+  // Park; our PE ships us, and the destination PE resumes us. Once stop
+  // has begun the move is refused, and our PE's stop drain unwinds us.
   block_current(rm, [this, &rm, pe, dest] { ship(pe, rm, dest, kMigPlain); });
 }
 
@@ -912,21 +909,13 @@ void Runtime::handle_control(comm::PeId pe, comm::Message&& msg) {
     case kCtlFtAdopt:
       perform_ft_adopt(pe, msg.dst_rank, static_cast<std::uint32_t>(msg.tag));
       return;
-    case kCtlCollWake: {
-      auto& ps = pe_state_[static_cast<std::size_t>(pe)];
-      auto it = ps.resident.find(msg.dst_rank);
-      if (it != ps.resident.end()) {
-        wake_if_waiting(*it->second, ult::Lane::High);
-        return;
-      }
-      // The rank moved on (migration/adoption). A wake that arrives after
-      // the rank already observed its release flag is a harmless no-op
-      // wherever it lands; one for a rank on its way here is dropped, as
-      // every arrival readies the rank, which then re-checks its flag.
-      if (cluster_->location(msg.dst_rank) != pe)
-        chase_rank(pe, std::move(msg));
+    case kCtlCollWake:
+      // A wake that arrives after the rank already observed its release
+      // flag is a harmless no-op wherever it lands; one that waited for
+      // the rank's arrival is released after the arrival readied it.
+      if (reaches_rank(pe, msg))
+        wake_if_waiting(rank_state(msg.dst_rank), ult::Lane::High);
       return;
-    }
     case kCtlStealRequest:
       handle_steal_request(pe, static_cast<comm::PeId>(msg.tag));
       return;
@@ -952,21 +941,17 @@ void Runtime::wake_coll_member(comm::PeId my_pe, RankMpi& member) {
   // thread the member's check-then-suspend cannot interleave with the
   // dispatcher handling the wake message.
   //
-  // The same-PE test keys on THIS PE's own resident map — single-writer,
-  // mutated only on this thread — not on member.resident_pe: that field is
-  // written by the destination PE's arrival handler when the member
-  // migrates mid-collective (steal), and reading it here would race
-  // (found by TSan). A member that already left simply takes the message
-  // path below, routed by the live location table.
+  // The same-PE test asks the member's place: only this thread makes it
+  // hosted here or moves it on. A member that already left, or is on its
+  // way, takes the message path below, routed by its place.
+  const comm::Place place = cluster_->places().place(member.world_rank);
   if (comm::Pe::current() == &cluster_->pe(my_pe) &&
-      pe_state_[static_cast<std::size_t>(my_pe)].resident.count(
-          member.world_rank) != 0) {
+      place.hosted_on(my_pe)) {
     wake_if_waiting(member, ult::Lane::High);
     return;
   }
-  cluster_->send(control(kCtlCollWake, my_pe,
-                         cluster_->location(member.world_rank),
-                         member.world_rank));
+  cluster_->send(
+      control(kCtlCollWake, my_pe, place.pe, member.world_rank));
 }
 
 // ---------------------------------------------------------------------------
@@ -974,8 +959,10 @@ void Runtime::wake_coll_member(comm::PeId my_pe, RankMpi& member) {
 //
 // Every move of a rank's state is built from the same steps: migrate_to and
 // LB epochs (ship, then admit on arrival), steals (ship as kMigSteal),
-// checkpoint restore (overwrite in place) and FT adoption (leave the dead
-// PE, overwrite, admit). A fix to one kind of move is a fix to all of them.
+// checkpoint restore (overwrite in place) and FT adoption (the leader
+// re-homes the victim, its adopter overwrites and admits it). Where the
+// rank is at each step is its place (comm::RankPlaces). A fix to one kind
+// of move is a fix to all of them.
 //
 // Only a move between nodes carries an image (carries_image): the PEs of one
 // node are threads of one process, where the rank's slot already sits at its
@@ -987,13 +974,7 @@ bool Runtime::carries_image(comm::PeId from, comm::PeId to) const {
   return cluster_->node_of(from) != cluster_->node_of(to);
 }
 
-void Runtime::leave(comm::PeId pe, RankMpi& rm) {
-  privs_[static_cast<std::size_t>(cluster_->node_of(pe))]->rank_departed(
-      rm.rc);
-  pe_state_[static_cast<std::size_t>(pe)].resident.erase(rm.world_rank);
-}
-
-void Runtime::ship(comm::PeId pe, RankMpi& rm, comm::PeId dest, MigOp op) {
+bool Runtime::ship(comm::PeId pe, RankMpi& rm, comm::PeId dest, MigOp op) {
   // Settle busy-time accounting before the rank can run elsewhere: if the
   // open slice still names this rank, a later idle-hook close here would
   // race the destination PE's switch hook writing the same busy_time_s
@@ -1006,32 +987,33 @@ void Runtime::ship(comm::PeId pe, RankMpi& rm, comm::PeId dest, MigOp op) {
   // dispatches, and every mailbox push here completes before the image's,
   // so pre-move traffic stays ahead of post-move traffic on every path.
   cluster_->flush_aggregation(pe, comm::FlushCause::Order);
-  leave(pe, rm);
-
-  comm::Message mig;
-  mig.kind = comm::Message::Kind::Migration;
-  mig.opcode = op;
-  mig.src_pe = pe;
-  mig.dst_pe = dest;
-  mig.dst_rank = rm.world_rank;
-  util::CounterBlock& ctr = counters(pe);
-  if (carries_image(pe, dest)) {
-    // The packed image moves into the payload — the bytes pack_slot
-    // produced are the bytes the destination unpacks, with no intermediate
-    // copy.
-    util::ByteBuffer buf;
-    iso::pack_slot(*arena_, rm.rc->slot, pack_mode_, buf);
-    ctr.bump(Ctr::MigrationBytes, buf.size());
-    mig.payload = comm::Payload::adopt(buf.take());
-  }
-  // Steals are deliberately not counted in Ctr::Migrations: that counter
-  // means "explicit migrations the program asked for" (AMPI_Migrate / LB),
-  // and steals are reported separately (Ctr::SchedStealsOut/In).
-  if (op == kMigPlain) ctr.bump(Ctr::Migrations);
-  // Update the location *before* the state ships so forwards head to the
-  // destination and queue behind the migration message.
-  cluster_->set_location(rm.world_rank, dest);
-  cluster_->send(std::move(mig));
+  // The place says "in flight to dest" before the envelope ships, so
+  // forwards head to the destination and wait there for the arrival.
+  return cluster_->places().depart(pe, rm.world_rank, dest, [&] {
+    privs_[static_cast<std::size_t>(cluster_->node_of(pe))]->rank_departed(
+        rm.rc);
+    comm::Message mig;
+    mig.kind = comm::Message::Kind::Migration;
+    mig.opcode = op;
+    mig.src_pe = pe;
+    mig.dst_pe = dest;
+    mig.dst_rank = rm.world_rank;
+    util::CounterBlock& ctr = counters(pe);
+    if (carries_image(pe, dest)) {
+      // The packed image moves into the payload — the bytes pack_slot
+      // produced are the bytes the destination unpacks, with no
+      // intermediate copy.
+      util::ByteBuffer buf;
+      iso::pack_slot(*arena_, rm.rc->slot, pack_mode_, buf);
+      ctr.bump(Ctr::MigrationBytes, buf.size());
+      mig.payload = comm::Payload::adopt(buf.take());
+    }
+    // Steals are deliberately not counted in Ctr::Migrations: that counter
+    // means "explicit migrations the program asked for" (AMPI_Migrate /
+    // LB), and steals are reported separately (Ctr::SchedStealsOut/In).
+    if (op == kMigPlain) ctr.bump(Ctr::Migrations);
+    cluster_->send(std::move(mig));
+  });
 }
 
 std::size_t Runtime::overwrite(RankMpi& rm,
@@ -1053,25 +1035,19 @@ std::size_t Runtime::overwrite(RankMpi& rm,
   return bytes;
 }
 
-void Runtime::admit(comm::PeId pe, RankMpi& rm) {
+void Runtime::admit(comm::PeId pe, RankMpi& rm, ult::Lane lane) {
   privs_[static_cast<std::size_t>(cluster_->node_of(pe))]->rank_arrived(
       rm.rc);
-  rm.resident_pe = pe;
-  pe_state_[static_cast<std::size_t>(pe)].resident[rm.world_rank] = &rm;
-}
-
-void Runtime::resume_restored(comm::PeId pe, RankMpi& rm) {
-  // The ULT (stack, context, heap) is now exactly as it was inside the
-  // checkpoint suspension. Flag the resume as a restore and wake it.
-  rm.restored = true;
-  rm.restore_pending = false;
-  cluster_->pe(pe).scheduler().ready(rm.rc->ult, ult::Lane::High);
+  cluster_->places().arrive(
+      pe, rm.world_rank,
+      [&] { cluster_->pe(pe).scheduler().ready(rm.rc->ult, lane); },
+      [&](comm::Message&& msg) { dispatch(pe, std::move(msg)); });
 }
 
 void Runtime::handle_migration_arrival(comm::PeId pe, comm::Message&& msg) {
   RankMpi& rm = rank_state(msg.dst_rank);
   if (carries_image(msg.src_pe, pe)) overwrite(rm, {&msg.payload, 1});
-  admit(pe, rm);
+  admit(pe, rm, ult::Lane::Normal);
   if (msg.opcode == kMigSteal) {
     // A stolen rank arriving answers this PE's own steal request: settle
     // the in-flight marker and the idle clock (we have work now).
@@ -1080,7 +1056,6 @@ void Runtime::handle_migration_arrival(comm::PeId pe, comm::Message&& msg) {
     ps.steal_req_ns = 0;
     ps.idle_since_ns = 0;
   }
-  cluster_->pe(pe).scheduler().ready(rm.rc->ult);
 }
 
 // ---------------------------------------------------------------------------
@@ -1116,10 +1091,11 @@ void Runtime::maybe_steal(comm::PeId pe) {
     ps.idle_since_ns = 0;
     return;
   }
-  for (const auto& [rank, rm] : ps.resident) {
-    // FT interplay: a resident parked for adoption means this PE is about
-    // to be declared dead, not idle — a rank pulled in now would die here.
-    if (rm->restore_pending) {
+  const comm::RankPlaces& places = cluster_->places();
+  for (const comm::RankId r : places.hosted(pe)) {
+    // FT interplay: a rank parked for adoption means this PE is about to
+    // be declared dead, not idle — a rank pulled in now would die here.
+    if (places.place(r).where == comm::Where::Parked) {
       ps.idle_since_ns = 0;
       return;
     }
@@ -1181,24 +1157,32 @@ void Runtime::handle_steal_request(comm::PeId pe, comm::PeId thief) {
   // a collective (group blocks and gate shards hold per-PE references), and
   // not this PE's only resident. The busiest candidate goes — it is the one
   // most worth running elsewhere.
+  const comm::RankPlaces& places = cluster_->places();
+  const std::vector<comm::RankId>& hosted = places.hosted(pe);
   RankMpi* best = nullptr;
-  for (const auto& [rank, rm] : ps.resident) {
-    if (rm->finished || rm->failed || rm->waiting) continue;
-    if (rm->coll_depth > 0) continue;
-    if (rm->rc->ult->state() != ult::UltState::Ready) continue;
-    if (best == nullptr || rm->busy_time() > best->busy_time()) best = rm;
+  for (const comm::RankId r : hosted) {
+    RankMpi& rm = rank_state(r);
+    if (places.place(r).where != comm::Where::Resident || rm.waiting)
+      continue;
+    if (rm.coll_depth > 0) continue;
+    if (rm.rc->ult->state() != ult::UltState::Ready) continue;
+    if (best == nullptr || rm.busy_time() > best->busy_time()) best = &rm;
   }
   // unqueue fails when the pick raced with dispatch (it is running right
   // now): nothing to hand over this round.
-  if (best == nullptr || ps.resident.size() < 2 ||
-      !sched.unqueue(best->rc->ult)) {
+  if (best == nullptr || hosted.size() < 2 || !sched.unqueue(best->rc->ult)) {
+    nack();
+    return;
+  }
+  // Once shipped the rank is on its way to the thief, so a late message or
+  // kCtlCollWake follows it instead of readying it. A ship refused at stop
+  // puts it back in the queue.
+  if (!ship(pe, *best, thief, kMigSteal)) {
+    sched.ready(best->rc->ult);
     nack();
     return;
   }
   ps.ctr->bump(Ctr::SchedStealsOut);
-  // Once shipped the rank is no longer resident here, so a late message or
-  // kCtlCollWake chases it instead of readying it.
-  ship(pe, *best, thief, kMigSteal);
   APV_DEBUG("mpi", "PE %d: rank %d stolen by idle PE %d", pe,
             best->world_rank, thief);
 }
@@ -1206,7 +1190,7 @@ void Runtime::handle_steal_request(comm::PeId pe, comm::PeId thief) {
 int Runtime::do_checkpoint(RankMpi& rm) {
   rm.restored = false;
   const std::uint32_t epoch = ++rm.ft_epoch;
-  const comm::PeId pe = rm.resident_pe;
+  const comm::PeId pe = pe_of(rm);
   block_current(rm, [this, &rm, pe, epoch] {
     pack_checkpoint(pe, rm, epoch, /*buddy=*/false);
   });
@@ -1291,11 +1275,14 @@ int Runtime::do_restore(RankMpi& rm) {
           "checkpoint image lost for rank " + std::to_string(rank) +
               " epoch " + std::to_string(epoch));
   // The continuation owns the chain: the unpack abandons this frame, so
-  // nothing left on it would ever be destroyed.
-  const comm::PeId pe = rm.resident_pe;
+  // nothing left on it would ever be destroyed. The ULT (stack, context,
+  // heap) is then exactly as it was inside the checkpoint suspension: flag
+  // the resume as a restore and wake it.
+  const comm::PeId pe = pe_of(rm);
   park_until_rewound(rm, [this, &rm, pe, chain = std::move(chain)] {
     overwrite(rm, chain);
-    resume_restored(pe, rm);
+    rm.restored = true;
+    cluster_->pe(pe).scheduler().ready(rm.rc->ult, ult::Lane::High);
   });
 }
 
@@ -1312,27 +1299,25 @@ void Runtime::perform_ft_adopt(comm::PeId pe, comm::RankId rank,
                                std::uint32_t epoch) {
   RankMpi& rm = rank_state(rank);
   // The recovery leader sent this only once the victim had parked with its
-  // epoch image stored and the dead PE's loop had exited, so the parked
-  // ULT, the dead PE's resident map and the privatizer's per-rank state
-  // are ours to take over (recover_from_failure has the ordering).
-  leave(rm.resident_pe, rm);
-
+  // epoch image stored and the dead PE's loop had exited, and it re-homed
+  // the victim here, so the parked ULT is ours to take over
+  // (recover_from_failure has the ordering).
+  //
   // Pull the surviving buddy chain over and unpack it over the slot (full
   // base, then deltas in order): the rank is now bit-for-bit at the epoch
-  // state, hosted here. The views are ref-counted — no copy is made to
-  // serve them. The recovery leader already published this PE as the
-  // rank's location.
+  // state. The views are ref-counted — no copy is made to serve them. The
+  // admit resumes it inside its checkpoint suspension, flagged as restored.
   std::vector<comm::Payload> chain;
   require(ckpt_store_->fetch_chain(rank, epoch, chain), ErrorCode::Internal,
           "buddy checkpoint copy vanished during adoption");
   const std::size_t chain_bytes = overwrite(rm, chain);
-  admit(pe, rm);
+  rm.restored = true;
+  admit(pe, rm, ult::Lane::High);
   counters(pe).bump(Ctr::Recoveries);
   counters(pe).bump(Ctr::RecoveryBytes, chain_bytes);
   APV_INFO("ft", "rank %d adopted by PE %d from buddy copy (epoch %u, "
                  "%zu image(s), %zu bytes)",
            rank, pe, epoch, chain.size(), chain_bytes);
-  resume_restored(pe, rm);
 }
 
 void Runtime::do_compute(RankMpi& rm, double seconds) {
@@ -1358,7 +1343,7 @@ void Runtime::do_compute(RankMpi& rm, double seconds) {
 
 core::VarAccess Runtime::bind_global(const RankMpi& rm,
                                      const std::string& name) const {
-  const comm::NodeId node = cluster_->node_of(rm.resident_pe);
+  const comm::NodeId node = cluster_->node_of(pe_of(rm));
   return privs_[static_cast<std::size_t>(node)]->bind(name);
 }
 
@@ -1377,7 +1362,7 @@ void Runtime::coll_gate_entry(RankMpi& rm, const char* name,
   d.esize = esize;
   d.bytes = bytes;
   std::string mismatch = checker_->coll_gate(
-      counters(rm.resident_pe), rm.world_rank, name, comm, seq, expected, d);
+      counters(pe_of(rm)), rm.world_rank, name, comm, seq, expected, d);
   if (mismatch.empty()) [[likely]]
     return;
   checker_->record("collective-mismatch", rm.world_rank, mismatch);

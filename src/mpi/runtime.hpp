@@ -3,7 +3,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -100,6 +99,10 @@ class Runtime {
   const img::ProgramImage& image() const noexcept { return *image_; }
 
   RankMpi& rank_state(int world_rank);
+  /// The PE that `rm`'s place names (cluster().places()).
+  comm::PeId pe_of(const RankMpi& rm) const {
+    return cluster_->places().pe_of(rm.world_rank);
+  }
   /// Value returned by the rank's entry function.
   void* rank_return(int world_rank);
 
@@ -238,7 +241,6 @@ class Runtime {
  private:
   struct PeState {
     util::CounterBlock* ctr = nullptr;  ///< this PE's counters
-    std::map<comm::RankId, RankMpi*> resident;
     RankMpi* running = nullptr;        // load-timing bookkeeping
     std::uint64_t slice_start_ns = 0;
     // Rank stealing, written only by this PE's loop thread: when the PE
@@ -263,10 +265,9 @@ class Runtime {
   void deliver_user(comm::PeId pe, comm::Message&& msg);
   void handle_control(comm::PeId pe, comm::Message&& msg);
   void handle_migration_arrival(comm::PeId pe, comm::Message&& msg);
-  /// Sends a message for a rank that is not resident on `pe` after it: to
-  /// the rank's recorded location, or back into `pe`'s own mailbox while
-  /// that location still says `pe` (its image is in flight to us).
-  void chase_rank(comm::PeId pe, comm::Message&& msg);
+  /// Whether `msg`, which reached PE `pe`, finds its rank hosted there.
+  /// If not, it waits for the rank's arrival or is forwarded to the rank.
+  bool reaches_rank(comm::PeId pe, comm::Message& msg);
   /// The one landing step of a user message, routed (`deliver_user`) or
   /// same-PE (`try_inline_send`), on `dst`'s resident PE thread: hands
   /// `msg`, whose bytes are `data`/`bytes`, to dst's MatchQueues, counts a
@@ -307,13 +308,13 @@ class Runtime {
   /// kCtlStealNack when nothing is stealable.
   void handle_steal_request(comm::PeId pe, comm::PeId thief);
 
-  /// Same-PE inline delivery: when the destination rank is co-resident,
-  /// hands the stamped envelope `m` and the sender's bytes straight to its
-  /// MatchQueues (hit: one user-buffer -> user-buffer copy; miss or hold: a
-  /// pooled copy), bypassing the mailbox entirely. Returns false, with `m`
-  /// untouched, when the routed path must be used instead.
-  bool try_inline_send(RankMpi& rm, comm::Message& m, const void* data,
-                       std::size_t bytes);
+  /// Same-PE inline delivery: when the destination rank is resident on the
+  /// sender's PE (m.src_pe), hands the stamped envelope `m` and the
+  /// sender's bytes straight to its MatchQueues (hit: one user-buffer ->
+  /// user-buffer copy; miss or hold: a pooled copy), bypassing the mailbox
+  /// entirely. Returns false, with `m` untouched, when the routed path must
+  /// be used instead.
+  bool try_inline_send(comm::Message& m, const void* data, std::size_t bytes);
   /// Wakes a collective peer parked in a group-block wait: directly when it
   /// is resident on the calling PE thread, else via a kCtlCollWake control
   /// message processed on its own PE thread (cross-thread ready() would
@@ -373,41 +374,37 @@ class Runtime {
                                        std::function<void()> then);
 
   // --- rank movement: every move is built from these steps ----------------
-  /// Takes `rm` off `pe`: the privatizer's departure hook and the resident
-  /// map.
-  void leave(comm::PeId pe, RankMpi& rm);
   /// Whether a move from PE `from` to PE `to` carries the rank's slot
   /// image: only between nodes. The PEs of one node share one address
   /// space, where the slot already sits at its own addresses.
   bool carries_image(comm::PeId from, comm::PeId to) const;
   /// Moves the parked `rm` from `pe` to `dest`: settles the run slice,
-  /// flushes `pe`'s aggregation bins, leaves, packs when carries_image,
-  /// publishes the new location, then sends the migration envelope as
-  /// `op`.
-  void ship(comm::PeId pe, RankMpi& rm, comm::PeId dest, MigOp op);
+  /// flushes `pe`'s aggregation bins, departs (places), then runs the
+  /// privatizer's departure hook, packs when carries_image and sends the
+  /// migration envelope as `op`. False, with `rm` still resident and
+  /// parked here, once stop has begun.
+  bool ship(comm::PeId pe, RankMpi& rm, comm::PeId dest, MigOp op);
   /// Rewrites rm's slot wholesale from `images` (a full base first, then
   /// deltas in order), with the write barrier disarmed and the next
   /// checkpoint forced full. Returns the bytes unpacked.
   std::size_t overwrite(RankMpi& rm, std::span<const comm::Payload> images);
-  /// Makes `rm` resident on `pe`: the privatizer's arrival hook, the
-  /// resident map and rm.resident_pe.
-  void admit(comm::PeId pe, RankMpi& rm);
-  /// Resumes a rank whose slot was just overwritten with a checkpoint
-  /// image inside its checkpoint suspension, flagged as restored.
-  void resume_restored(comm::PeId pe, RankMpi& rm);
+  /// Admits `rm`, in flight to `pe`: the privatizer's arrival hook, then
+  /// the arrival (places), which readies it on `lane` and then dispatches
+  /// the messages that waited for it.
+  void admit(comm::PeId pe, RankMpi& rm, ult::Lane lane);
 
   /// Packs the parked `rm` on `pe` as checkpoint `epoch`, stored on `pe`
   /// and, when `buddy`, on buddy_of(pe) too; then readies it. Runs as the
   /// rank's park continuation.
   void pack_checkpoint(comm::PeId pe, RankMpi& rm, std::uint32_t epoch,
                        bool buddy);
-  /// kCtlFtAdopt on the new host `pe`: moves FT victim `rank` off its dead
-  /// PE, overwrites its slot with its `epoch` buddy chain and resumes it.
+  /// kCtlFtAdopt on the new host `pe`: overwrites FT victim `rank`'s slot
+  /// with its `epoch` buddy chain and admits it, flagged as restored.
   void perform_ft_adopt(comm::PeId pe, comm::RankId rank, std::uint32_t epoch);
   /// Survivor-side recovery protocol (ft_glue.cpp): survivor barrier, then
   /// the leader declares the PE dead, waits for its loop to exit,
-  /// re-places the lost ranks via the LB strategy, and dispatches adopt
-  /// commands to their new hosts.
+  /// re-places the lost ranks via the LB strategy, re-homes them, and
+  /// dispatches adopt commands to their new hosts.
   void recover_from_failure(RankMpi& rm, comm::PeId victim,
                             std::uint32_t epoch);
   /// The next live PE after `pe` (cyclic): where its buddy copies go.

@@ -84,6 +84,8 @@ enum class CtrWriter : std::uint8_t {
     "image bytes shipped by migrations and steals")                          \
   X(Forwards, "forwards", Owner,                                             \
     "user messages chased after a rank that moved")                          \
+  X(ArrivalWaits, "arrival_waits", Owner,                                    \
+    "messages that waited for their rank's arrival on this PE")              \
   X(Recoveries, "recoveries", Owner,                                         \
     "ranks adopted from buddy checkpoints after a failure")                  \
   X(RecoveryBytes, "recovery_bytes", Owner,                                  \

@@ -60,8 +60,6 @@ constexpr OptionSpec kOptions[] = {
     {"pie.share_code", Bool, "on", "", kNoMin, nullptr,
      "PIEglobals: each rank maps one code descriptor at its own address; "
      "off copies the code into every slot"},
-    {"pie.share_readonly", Bool, "off", "", kNoMin, nullptr,
-     "PIEglobals: ranks share read-only data instead of a copy each"},
     {"tls.compiler", String, "gcc", "", kNoMin, nullptr,
      "TLSglobals: the emulated compiler; gcc and clang are supported"},
     {"swap.linker_version", String, "2.23", "", kNoMin, nullptr,

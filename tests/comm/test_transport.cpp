@@ -127,10 +127,10 @@ TEST(DeadLetter, FloodDuringRecoveryNoLossNoDuplication) {
       delivered.fetch_add(1);
     });
   }
-  cluster.resize_location_table(2);
-  cluster.set_location(0, 0);
-  cluster.set_location(1, 1);
+  const comm::PeId initial[] = {0, 1};
+  cluster.places().seed(initial);
   cluster.start();
+  cluster.places().park(1, 1);  // rank 1's place: awaiting adoption on PE 1
   cluster.fail_pe(1);
 
   // A flush while the rank still maps to the dead PE delivers nothing and
@@ -166,7 +166,8 @@ TEST(DeadLetter, FloodDuringRecoveryNoLossNoDuplication) {
   // Re-home mid-flood, then keep flushing until the queue drains: late
   // senders race the flush loop in both directions.
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  cluster.set_location(1, 0);
+  ASSERT_TRUE(cluster.places().rehome(1, 0));
+  cluster.places().arrive(0, 1, [] {}, [](Message&&) {});  // the adoption
   for (auto& t : senders) t.join();
   while (cluster.dead_letter_count() > 0) cluster.flush_dead_letters();
 

@@ -24,6 +24,7 @@
 #include "isomalloc/pack.hpp"
 #include "isomalloc/slot_heap.hpp"
 #include "mpi/runtime.hpp"
+#include "places_check.hpp"
 #include "proc_maps.hpp"
 #include "util/counters.hpp"
 #include "util/error.hpp"
@@ -195,10 +196,10 @@ TEST(DeadLetter, UserMessagesFollowRecoveredRank) {
       if (m.kind == comm::Message::Kind::UserData && m.tag == 7) ++delivered;
     });
   }
-  cluster.resize_location_table(2);
-  cluster.set_location(0, 0);
-  cluster.set_location(1, 1);
+  const comm::PeId initial[] = {0, 1};
+  cluster.places().seed(initial);
   cluster.start();
+  cluster.places().park(1, 1);  // rank 1's place: awaiting adoption on PE 1
   cluster.fail_pe(1);
   EXPECT_TRUE(cluster.pe_failed(1));
   EXPECT_EQ(cluster.num_live_pes(), 1);
@@ -222,8 +223,10 @@ TEST(DeadLetter, UserMessagesFollowRecoveredRank) {
   cluster.send(std::move(ctl));
   EXPECT_EQ(cluster.totals()[Ctr::CommDropped], 1u);
 
-  // Re-home rank 1 onto the survivor and flush: the message is delivered.
-  cluster.set_location(1, 0);
+  // Re-home rank 1 onto the survivor, which adopts it, and flush: the
+  // message is delivered.
+  ASSERT_TRUE(cluster.places().rehome(1, 0));
+  cluster.places().arrive(0, 1, [] {}, [](comm::Message&&) {});
   EXPECT_EQ(cluster.flush_dead_letters(), 1u);
   EXPECT_EQ(cluster.dead_letter_count(), 0u);
   const auto deadline =
@@ -404,19 +407,17 @@ double run_ft_jacobi(core::Method method, bool inject,
     if (rt.fault_injector() != nullptr) {
       EXPECT_EQ(rt.fault_injector()->kills(), 1);
     }
-    // Adopted ranks are resident where the location table says, and none
-    // is left on the killed PE.
-    for (int r = 0; r < cfg.vps; ++r) {
-      EXPECT_EQ(rt.rank_state(r).resident_pe, rt.cluster().location(r))
-          << "rank " << r;
-      EXPECT_NE(rt.rank_state(r).resident_pe, 1) << "rank " << r;
-    }
+    // Adopted ranks are each in exactly one place, and none is left on
+    // the killed PE.
+    test::expect_every_rank_finished_in_place(rt);
+    for (int r = 0; r < cfg.vps; ++r)
+      EXPECT_NE(rt.cluster().places().pe_of(r), 1) << "rank " << r;
   }
   if (method == core::Method::PIEglobals && share_code) {
     // Every code window maps the descriptor of the node its rank is on, an
     // adopted rank's too: one file per node.
     const auto node_of = [&rt](int r) {
-      return rt.cluster().node_of(rt.rank_state(r).resident_pe);
+      return rt.cluster().node_of(rt.cluster().places().pe_of(r));
     };
     const auto code_file = [&rt](int r) {
       return test::mapping_at(rt.rank_state(r).rc->instance->code_base())
@@ -856,7 +857,7 @@ TEST(Recovery, KillAfterMoveWithinNodeRestoresMixedChain) {
   for (int r = 0; r < 3; ++r) {
     EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1)
         << "rank " << r;
-    EXPECT_NE(rt.rank_state(r).resident_pe, 1) << "rank " << r;
+    EXPECT_NE(rt.cluster().places().pe_of(r), 1) << "rank " << r;
   }
   const util::CounterValues v = rt.cluster().totals();
   EXPECT_EQ(v[Ctr::Recoveries], 1u);

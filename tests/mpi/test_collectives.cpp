@@ -429,15 +429,16 @@ TEST(Collectives, EmptyPeUserOpCombineThrows) {
 
 namespace {
 
-// Runs `entry` on `vps` ranks of one PE and returns the job's failure, ""
-// if none.
-std::string job_failure(EntryFn entry, int vps) {
+// Runs `entry` on `vps` ranks of `pes` PEs and returns the job's failure,
+// "" if none.
+std::string job_failure(EntryFn entry, int vps, int pes = 1) {
   img::ImageBuilder b("badcount");
   b.add_global<int>("unused", 0);
   b.add_function("mpi_main", entry);
   const img::ProgramImage image = b.build();
   mpi::RuntimeConfig cfg;
   cfg.vps = vps;
+  cfg.pes_per_node = pes;
   cfg.method = core::Method::None;
   cfg.slot_bytes = std::size_t{8} << 20;
   cfg.options.set("mpi.timeout_s", "10");
@@ -485,6 +486,39 @@ const std::pair<const char*, EntryFn> kBadCountCalls[] = {
 };
 #undef BAD_COUNT
 
+// One rooted collective call per entry, with root -1 or the communicator's
+// size.
+#define BAD_ROOTS(call)                            \
+  {#call ", root -1", +[](void* arg) -> void* {    \
+     ENV();                                        \
+     int buf[8] = {};                              \
+     const int root = -1;                          \
+     env->call;                                    \
+     return nullptr;                               \
+   }},                                             \
+  {                                                \
+    #call ", root size", +[](void* arg) -> void* { \
+      ENV();                                       \
+      int buf[8] = {};                             \
+      const int root = env->size();                \
+      env->call;                                   \
+      return nullptr;                              \
+    }                                              \
+  }
+
+const std::pair<const char*, EntryFn> kBadRootCalls[] = {
+    BAD_ROOTS(bcast(buf, 1, Datatype::Int, root)),
+    BAD_ROOTS(reduce(buf, buf + 4, 1, Datatype::Int,
+                     Op::builtin(OpKind::Sum), root)),
+    BAD_ROOTS(gather(buf, 1, Datatype::Int, buf + 4, 1, Datatype::Int, root)),
+    BAD_ROOTS(gatherv(buf, 1, Datatype::Int, buf + 4, kCounts, kDispls,
+                      Datatype::Int, root)),
+    BAD_ROOTS(scatter(buf, 1, Datatype::Int, buf + 4, 1, Datatype::Int, root)),
+    BAD_ROOTS(scatterv(buf, kCounts, kDispls, Datatype::Int, buf + 4, 1,
+                       Datatype::Int, root)),
+};
+#undef BAD_ROOTS
+
 }  // namespace
 
 // A negative count is refused at the API entry on every rank, before it can
@@ -497,6 +531,23 @@ TEST(Collectives, NegativeCountIsInvalidArgument) {
       EXPECT_NE(failure.find("InvalidArgument: negative count"),
                 std::string::npos)
           << call << " on " << vps << " ranks: " << failure;
+    }
+  }
+}
+
+// A root outside the communicator is refused at the API entry of every
+// rooted collective, on every rank, before it can index a peer: one rank
+// and two, on one PE and on two.
+TEST(Collectives, RootOutOfRangeIsInvalidArgument) {
+  for (const auto& [call, entry] : kBadRootCalls) {
+    for (const int vps : {1, 2}) {
+      for (const int pes : {1, 2}) {
+        const std::string failure = job_failure(entry, vps, pes);
+        EXPECT_NE(failure.find("InvalidArgument: root out of range"),
+                  std::string::npos)
+            << call << " on " << vps << " ranks, " << pes
+            << " PEs: " << failure;
+      }
     }
   }
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "mpi/runtime.hpp"
+#include "places_check.hpp"
 #include "test_programs.hpp"
 #include "util/counters.hpp"
 #include "util/error.hpp"
@@ -106,11 +107,8 @@ TEST_P(MigratePerMethod, StatePreservedAcrossPes) {
   } else {
     EXPECT_GT(v[Ctr::MigrationBytes], 0u);
   }
-  // Every move leaves the rank's state and the location table agreeing.
-  for (int r = 0; r < 4; ++r) {
-    EXPECT_EQ(rt.rank_state(r).resident_pe, rt.cluster().location(r))
-        << "rank " << r;
-  }
+  // Every move leaves each rank in exactly one place.
+  test::expect_every_rank_finished_in_place(rt);
 }
 
 namespace {
@@ -226,11 +224,9 @@ TEST(LoadBalance, RotateMovesEveryRank) {
   cfg.options.set("sched.steal", "off");
   mpi::Runtime rt(image, cfg);
   rt.run();
-  for (int r = 0; r < 4; ++r) {
+  for (int r = 0; r < 4; ++r)
     EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), 1);
-    EXPECT_EQ(rt.rank_state(r).resident_pe, rt.cluster().location(r))
-        << "rank " << r;
-  }
+  test::expect_every_rank_finished_in_place(rt);
   EXPECT_EQ(rt.cluster().totals()[Ctr::Migrations], 4u);
 }
 
@@ -301,6 +297,38 @@ void* forward_main(void* arg) {
 }
 
 }  // namespace
+
+namespace {
+// Rank 1 fails at once. Rank 0 computes with a heap-backed vector on its
+// stack and then asks to move to PE 1; in checker abort mode the first
+// failure ends the job, so the move comes after teardown began.
+void* late_move_main(void* arg) {
+  auto* env = static_cast<mpi::Env*>(arg);
+  if (env->rank() == 1)
+    throw util::ApvError(util::ErrorCode::InvalidArgument, "fails at once");
+  std::vector<int> held(8, 1);
+  env->compute(0.1);
+  env->migrate_to(1);
+  return reinterpret_cast<void*>(static_cast<std::intptr_t>(held.size()));
+}
+}  // namespace
+
+// A move asked for after stop began is refused: the rank stays on its PE,
+// whose stop drain unwinds it (its stack, the vector with it, is released).
+// Before, the rank was shipped to a PE whose loop had already stopped, and
+// nothing ever unwound it.
+TEST(Migration, TeardownUnwindsARankThatMovesAfterStop) {
+  const img::ProgramImage image = build_entry("late_move", &late_move_main);
+  mpi::RuntimeConfig cfg = cfg_pes(core::Method::PIEglobals, 2, 2);
+  cfg.options.set("check.mode", "abort");
+  mpi::Runtime rt(image, cfg);
+  EXPECT_THROW(rt.run(), util::ApvError);
+  EXPECT_EQ(rt.rank_state(0).rc->ult->state(), ult::UltState::Done);
+  const comm::Place p = rt.cluster().places().place(0);
+  EXPECT_NE(p.where, comm::Where::InFlight) << "rank 0 in flight to PE "
+                                            << p.pe;
+  EXPECT_EQ(rt.cluster().places().arriving(1), 0);
+}
 
 TEST(Migration, MessagesFollowMigratedRank) {
   const img::ProgramImage image = build_entry("forward", &forward_main);

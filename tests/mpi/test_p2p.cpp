@@ -425,7 +425,7 @@ TEST(P2P, UserTagsCannotEnterInternalSpace) {
 
 namespace {
 // A handle past every request this rank allocated, and a negative one that
-// is not kRequestNull.
+// is not kRequestNull; and a negative request count.
 #define BAD_HANDLE(handle, call) \
   +[](void* arg) -> void* {      \
     ENV();                       \
@@ -434,25 +434,27 @@ namespace {
     return nullptr;              \
   }
 
-const EntryFn kBadHandleCalls[] = {
-    BAD_HANDLE(1000, test(req)),
-    BAD_HANDLE(-5, test(req)),
-    BAD_HANDLE(1000, waitany(1, &req, nullptr)),
-    BAD_HANDLE(-5, waitany(1, &req, nullptr)),
-    BAD_HANDLE(1000, wait(req)),
-    BAD_HANDLE(-5, wait(req)),
+constexpr const char* kBadHandle = "InvalidArgument: invalid request handle";
+constexpr const char* kBadCount = "InvalidArgument: negative count";
+const std::pair<EntryFn, const char*> kBadHandleCalls[] = {
+    {BAD_HANDLE(1000, test(req)), kBadHandle},
+    {BAD_HANDLE(-5, test(req)), kBadHandle},
+    {BAD_HANDLE(1000, waitany(1, &req, nullptr)), kBadHandle},
+    {BAD_HANDLE(-5, waitany(1, &req, nullptr)), kBadHandle},
+    {BAD_HANDLE(1000, wait(req)), kBadHandle},
+    {BAD_HANDLE(-5, wait(req)), kBadHandle},
+    {BAD_HANDLE(mpi::kRequestNull, waitall(-1, &req)), kBadCount},
+    {BAD_HANDLE(mpi::kRequestNull, waitany(-1, &req, nullptr)), kBadCount},
 };
 #undef BAD_HANDLE
 }  // namespace
 
 // wait, test and waitany check a handle the same way before they read the
-// request it names.
+// request it names, and waitall and waitany refuse a negative count.
 TEST(P2P, InvalidRequestHandleIsInvalidArgument) {
-  for (const EntryFn entry : kBadHandleCalls) {
+  for (const auto& [entry, error] : kBadHandleCalls) {
     const std::string failure = job_failure(entry, 1);
-    EXPECT_NE(failure.find("InvalidArgument: invalid request handle"),
-              std::string::npos)
-        << failure;
+    EXPECT_NE(failure.find(error), std::string::npos) << failure;
   }
 }
 

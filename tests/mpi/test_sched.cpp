@@ -10,6 +10,7 @@
 
 #include "image/image.hpp"
 #include "mpi/runtime.hpp"
+#include "places_check.hpp"
 #include "util/counters.hpp"
 
 using namespace apv;
@@ -241,10 +242,9 @@ TEST(SchedSteal, IdlePeStealsFromCrowdedNeighbor) {
   for (int r = 0; r < cfg.vps; ++r) {
     EXPECT_EQ(reinterpret_cast<std::intptr_t>(rt.rank_return(r)), cfg.vps)
         << "rank " << r;
-    // Stolen ranks too: resident where the location table says.
-    EXPECT_EQ(rt.rank_state(r).resident_pe, rt.cluster().location(r))
-        << "rank " << r;
   }
+  // Stolen ranks too: each in exactly one place.
+  test::expect_every_rank_finished_in_place(rt);
   const util::CounterValues c = rt.cluster().totals();
   EXPECT_GE(c[Ctr::SchedStealRequests], 1u);
   EXPECT_GE(c[Ctr::SchedStealsIn], 1u);
