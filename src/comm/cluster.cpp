@@ -20,12 +20,6 @@ inline void bump32(std::atomic<std::uint32_t>& c) {
   c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
 }
 
-// Small-message aggregation: UserData payloads below kAggThreshold bytes
-// sent between PEs travel bundled, and a bin ships once it holds
-// kAggBinBytes.
-constexpr std::size_t kAggThreshold = 512;
-constexpr std::size_t kAggBinBytes = 16384;
-
 }  // namespace
 
 Cluster::Cluster(const Config& config)
@@ -113,7 +107,7 @@ void Cluster::send(Message&& msg, const void* data, std::size_t bytes) {
   ctr.bump(Ctr::CommSends);
   ctr.bump(Ctr::CommBytes, bytes);
   if (msg.kind == Message::Kind::UserData && msg.dst_pe != msg.src_pe &&
-      bytes < kAggThreshold) {
+      agg_fits(bytes)) {
     ctr.bump(Ctr::CommAggregated);
     append_to_bin(msg, data, bytes);
     return;
@@ -136,15 +130,11 @@ void Cluster::append_to_bin(const Message& msg, const void* data,
   AggBin& bin = agg_bin(src, dst);
   util::CounterBlock& ctr = pes_[src]->counters();
   const std::size_t entry = agg_entry_bytes(bytes);
-  if (bin.count.load(std::memory_order_relaxed) > 0 &&
-      bin.used + entry > bin.buf.size()) {
+  if (bin.used + entry > kAggBinBytes) {
     ctr.bump(Ctr::CommFlushesSize);
     flush_bin(src, dst);
   }
-  if (bin.buf.empty()) {
-    bin.buf = Payload::acquire(std::max(kAggBinBytes, entry));
-    bin.used = 0;
-  }
+  if (bin.buf.empty()) bin.buf = Payload::acquire(kAggBinBytes);
   AggSubHeader h{};
   h.src_rank = msg.src_rank;
   h.dst_rank = msg.dst_rank;
@@ -159,7 +149,9 @@ void Cluster::append_to_bin(const Message& msg, const void* data,
   bin.used += entry;
   bump32(bin.count);
   bin.payload_bytes += bytes;
-  if (bin.used + sizeof(AggSubHeader) >= bin.buf.size()) {
+  // Ship as soon as another entry of this size would not fit, so no
+  // message waits for a successor that could not share its envelope.
+  if (bin.used + entry > kAggBinBytes) {
     ctr.bump(Ctr::CommFlushesSize);
     flush_bin(src, dst);
   }

@@ -63,12 +63,14 @@ class Cluster {
 
   /// Routes a message to msg.dst_pe: inter-node hops pay the NetModel
   /// pacing on the calling thread, then the message lands in the
-  /// destination PE's mailbox. Small UserData messages sent from a PE
-  /// thread are coalesced per destination PE and shipped as aggregate
-  /// envelopes (flushed by size, by a later non-bundled message to the same
-  /// PE, by the sending PE going idle, or by the layer above through
-  /// flush_aggregation, e.g. when a rank blocks); the per-(sender, destination)
-  /// FIFO order is preserved across all of it. Messages to a failed PE are
+  /// destination PE's mailbox. UserData messages sent from a PE thread to
+  /// another PE are coalesced per destination PE whenever they fit a bin
+  /// (agg_fits) and shipped as aggregate envelopes (flushed once another
+  /// entry of the size just appended would not fit, by a later non-bundled
+  /// message to the same PE, by the sending PE going idle, or by the layer
+  /// above through flush_aggregation, e.g. when a rank blocks); the
+  /// per-(sender, destination) FIFO order is preserved across all of it.
+  /// A message too big for a bin travels alone. Messages to a failed PE are
   /// diverted: user data follows its destination rank's place (or waits
   /// in the dead-letter queue until the rank is re-homed); control and
   /// migration traffic is dropped — it was addressed to a machine that no

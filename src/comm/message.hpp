@@ -84,11 +84,21 @@ struct AggSubHeader {
 static_assert(sizeof(AggSubHeader) == 32);
 
 inline constexpr std::size_t kAggAlign = 8;
+/// An aggregation bin's capacity: the most envelope bytes one bundle holds.
+inline constexpr std::size_t kAggBinBytes = 16384;
 
 /// Bytes one bundled message occupies inside an aggregate envelope.
-inline std::size_t agg_entry_bytes(std::size_t payload_bytes) {
+constexpr std::size_t agg_entry_bytes(std::size_t payload_bytes) {
   return sizeof(AggSubHeader) + util::align_up(payload_bytes, kAggAlign);
 }
+
+/// True iff a UserData payload of `payload_bytes` fits an empty bin, the
+/// one test of which inter-PE user messages travel bundled. A larger one
+/// travels alone.
+constexpr bool agg_fits(std::size_t payload_bytes) {
+  return agg_entry_bytes(payload_bytes) <= kAggBinBytes;
+}
+static_assert(agg_fits(16352) && !agg_fits(16353));
 
 /// Splits an aggregate envelope back into its bundled messages, invoking
 /// `fn(Message&&)` for each in bundling order. Sub-payloads are refcounted

@@ -31,6 +31,29 @@ std::size_t nbytes(int count, Datatype dt) {
   return static_cast<std::size_t>(checked_count(count)) * datatype_size(dt);
 }
 
+// Every buffer the calling rank reads or writes is refused here when it is
+// null but has bytes to carry; returns those bytes.
+std::size_t checked_buffer(const void* buf, std::size_t bytes) {
+  require(buf != nullptr || bytes == 0, ErrorCode::InvalidArgument,
+          "null buffer");
+  return bytes;
+}
+
+// A vector collective's count and displacement arrays, which its root alone
+// reads, are refused here unless both are non-null with every one of their
+// `n` entries >= 0. Returns the elements the counts add up to.
+std::size_t checked_vector(const int* counts, const int* displs, int n) {
+  require(counts != nullptr && displs != nullptr, ErrorCode::InvalidArgument,
+          "null count or displacement array");
+  std::size_t total = 0;
+  for (int i = 0; i < n; ++i) {
+    total += static_cast<std::size_t>(checked_count(counts[i]));
+    require(displs[i] >= 0, ErrorCode::InvalidArgument,
+            "negative displacement");
+  }
+  return total;
+}
+
 // Every rooted collective refuses a root outside its communicator here.
 int checked_root(Env* e, int root, CommId comm) {
   require(root >= 0 && root < rt(e).comm_info(comm).size(),
@@ -58,14 +81,15 @@ int api_comm_size(Env* e, CommId comm) {
 void api_send(Env* e, const void* buf, int count, Datatype dt, int dst,
               int tag, CommId comm) {
   require(user_tag(tag), ErrorCode::InvalidArgument, "user tag out of range");
-  rt(e).do_send(rm(e), buf, nbytes(count, dt), dst, tag, comm,
-                static_cast<std::uint32_t>(datatype_size(dt)));
+  rt(e).do_send(rm(e), buf, checked_buffer(buf, nbytes(count, dt)), dst, tag,
+                comm, static_cast<std::uint32_t>(datatype_size(dt)));
 }
 
 Status api_recv(Env* e, void* buf, int count, Datatype dt, int src, int tag,
                 CommId comm) {
   require_recv_tag(tag);
-  return rt(e).do_recv(rm(e), buf, nbytes(count, dt), src, tag, comm,
+  return rt(e).do_recv(rm(e), buf, checked_buffer(buf, nbytes(count, dt)),
+                       src, tag, comm,
                        static_cast<std::uint32_t>(datatype_size(dt)));
 }
 
@@ -83,7 +107,8 @@ Request api_isend(Env* e, const void* buf, int count, Datatype dt, int dst,
 Request api_irecv(Env* e, void* buf, int count, Datatype dt, int src, int tag,
                   CommId comm) {
   require_recv_tag(tag);
-  return rt(e).do_irecv(rm(e), buf, nbytes(count, dt), src, tag, comm,
+  return rt(e).do_irecv(rm(e), buf, checked_buffer(buf, nbytes(count, dt)),
+                        src, tag, comm,
                         static_cast<std::uint32_t>(datatype_size(dt)));
 }
 
@@ -132,6 +157,7 @@ Status api_probe(Env* e, int src, int tag, CommId comm) {
 void api_sendrecv(Env* e, const void* sbuf, int scount, Datatype sdt, int dst,
                   int stag, void* rbuf, int rcount, Datatype rdt, int src,
                   int rtag, CommId comm, Status* status) {
+  checked_buffer(sbuf, nbytes(scount, sdt));  // before the receive is posted
   Request rreq = api_irecv(e, rbuf, rcount, rdt, src, rtag, comm);
   api_send(e, sbuf, scount, sdt, dst, stag, comm);
   const Status st = rt(e).do_wait(rm(e), rreq);
@@ -142,66 +168,88 @@ void api_barrier(Env* e, CommId comm) { rt(e).do_barrier(rm(e), comm); }
 
 void api_bcast(Env* e, void* buf, int count, Datatype dt, int root,
                CommId comm) {
-  rt(e).do_bcast(rm(e), buf, nbytes(count, dt), checked_root(e, root, comm),
-                 comm);
+  rt(e).do_bcast(rm(e), buf, checked_buffer(buf, nbytes(count, dt)),
+                 checked_root(e, root, comm), comm);
 }
 
 void api_reduce(Env* e, const void* sbuf, void* rbuf, int count, Datatype dt,
                 Op op, int root, CommId comm) {
-  rt(e).do_reduce(rm(e), sbuf, rbuf, checked_count(count), dt, op,
-                  checked_root(e, root, comm), comm);
+  const std::size_t bytes = checked_buffer(sbuf, nbytes(count, dt));
+  if (api_comm_rank(e, comm) == checked_root(e, root, comm))
+    checked_buffer(rbuf, bytes);
+  rt(e).do_reduce(rm(e), sbuf, rbuf, count, dt, op, root, comm);
 }
 
 void api_allreduce(Env* e, const void* sbuf, void* rbuf, int count,
                    Datatype dt, Op op, CommId comm) {
-  rt(e).do_allreduce(rm(e), sbuf, rbuf, checked_count(count), dt, op, comm);
+  checked_buffer(rbuf, checked_buffer(sbuf, nbytes(count, dt)));
+  rt(e).do_allreduce(rm(e), sbuf, rbuf, count, dt, op, comm);
 }
 
 void api_scan(Env* e, const void* sbuf, void* rbuf, int count, Datatype dt,
               Op op, CommId comm) {
-  rt(e).do_scan(rm(e), sbuf, rbuf, checked_count(count), dt, op, comm);
+  checked_buffer(rbuf, checked_buffer(sbuf, nbytes(count, dt)));
+  rt(e).do_scan(rm(e), sbuf, rbuf, count, dt, op, comm);
 }
 
 void api_gather(Env* e, const void* sbuf, int scount, Datatype sdt,
                 void* rbuf, int rcount, Datatype rdt, int root, CommId comm) {
-  rt(e).do_gather(rm(e), sbuf, checked_count(scount), sdt, rbuf,
-                  checked_count(rcount), rdt, checked_root(e, root, comm),
-                  comm);
+  checked_buffer(sbuf, nbytes(scount, sdt));
+  const std::size_t rbytes = nbytes(rcount, rdt);
+  if (api_comm_rank(e, comm) == checked_root(e, root, comm))
+    checked_buffer(rbuf, rbytes * api_comm_size(e, comm));
+  rt(e).do_gather(rm(e), sbuf, scount, sdt, rbuf, rcount, rdt, root, comm);
 }
 
 void api_gatherv(Env* e, const void* sbuf, int scount, Datatype sdt,
                  void* rbuf, const int* rcounts, const int* displs,
                  Datatype rdt, int root, CommId comm) {
-  rt(e).do_gatherv(rm(e), sbuf, checked_count(scount), sdt, rbuf, rcounts,
-                   displs, rdt, checked_root(e, root, comm), comm);
+  checked_buffer(sbuf, nbytes(scount, sdt));
+  if (api_comm_rank(e, comm) == checked_root(e, root, comm)) {
+    checked_buffer(rbuf, checked_vector(rcounts, displs,
+                                        api_comm_size(e, comm)) *
+                             datatype_size(rdt));
+  }
+  rt(e).do_gatherv(rm(e), sbuf, scount, sdt, rbuf, rcounts, displs, rdt, root,
+                   comm);
 }
 
 void api_scatter(Env* e, const void* sbuf, int scount, Datatype sdt,
                  void* rbuf, int rcount, Datatype rdt, int root,
                  CommId comm) {
-  rt(e).do_scatter(rm(e), sbuf, checked_count(scount), sdt, rbuf,
-                   checked_count(rcount), rdt, checked_root(e, root, comm),
-                   comm);
+  const std::size_t sbytes = nbytes(scount, sdt);
+  if (api_comm_rank(e, comm) == checked_root(e, root, comm))
+    checked_buffer(sbuf, sbytes * api_comm_size(e, comm));
+  checked_buffer(rbuf, nbytes(rcount, rdt));
+  rt(e).do_scatter(rm(e), sbuf, scount, sdt, rbuf, rcount, rdt, root, comm);
 }
 
 void api_scatterv(Env* e, const void* sbuf, const int* scounts,
                   const int* displs, Datatype sdt, void* rbuf, int rcount,
                   Datatype rdt, int root, CommId comm) {
-  rt(e).do_scatterv(rm(e), sbuf, scounts, displs, sdt, rbuf,
-                    checked_count(rcount), rdt, checked_root(e, root, comm),
-                    comm);
+  if (api_comm_rank(e, comm) == checked_root(e, root, comm)) {
+    checked_buffer(sbuf, checked_vector(scounts, displs,
+                                        api_comm_size(e, comm)) *
+                             datatype_size(sdt));
+  }
+  checked_buffer(rbuf, nbytes(rcount, rdt));
+  rt(e).do_scatterv(rm(e), sbuf, scounts, displs, sdt, rbuf, rcount, rdt,
+                    root, comm);
 }
 
 void api_allgather(Env* e, const void* sbuf, int scount, Datatype sdt,
                    void* rbuf, int rcount, Datatype rdt, CommId comm) {
-  rt(e).do_allgather(rm(e), sbuf, checked_count(scount), sdt, rbuf,
-                     checked_count(rcount), rdt, comm);
+  checked_buffer(sbuf, nbytes(scount, sdt));
+  checked_buffer(rbuf, nbytes(rcount, rdt) * api_comm_size(e, comm));
+  rt(e).do_allgather(rm(e), sbuf, scount, sdt, rbuf, rcount, rdt, comm);
 }
 
 void api_alltoall(Env* e, const void* sbuf, int scount, Datatype sdt,
                   void* rbuf, int rcount, Datatype rdt, CommId comm) {
-  rt(e).do_alltoall(rm(e), sbuf, checked_count(scount), sdt, rbuf,
-                    checked_count(rcount), rdt, comm);
+  const int n = api_comm_size(e, comm);
+  checked_buffer(sbuf, nbytes(scount, sdt) * n);
+  checked_buffer(rbuf, nbytes(rcount, rdt) * n);
+  rt(e).do_alltoall(rm(e), sbuf, scount, sdt, rbuf, rcount, rdt, comm);
 }
 
 CommId api_comm_dup(Env* e, CommId comm) {

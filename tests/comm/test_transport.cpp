@@ -40,9 +40,9 @@ bool wait_for(Pred pred) {
 }  // namespace
 
 // Kicks PE0 with a control message; PE0's dispatcher then sends a stream of
-// small messages (and a few large ones in between) to PE1. Verifies that the
-// stream is bundled, that delivery order survives the flush boundaries, and
-// that the counters account per-message.
+// small messages (and a few too big for a bin in between) to PE1. Verifies
+// that the stream is bundled, that delivery order survives the flush
+// boundaries, and that the counters account per-message.
 TEST(Aggregation, BundlesSmallMessagesPreservingOrder) {
   constexpr int kMessages = 200;
   comm::Cluster::Config cc;
@@ -71,9 +71,9 @@ TEST(Aggregation, BundlesSmallMessagesPreservingOrder) {
       u.dst_rank = 0;
       u.tag = 5;
       u.seq = static_cast<std::uint64_t>(i);
-      // Every 16th message is larger than the 512-byte aggregation threshold:
-      // it must flush the bin first so order holds across the boundary.
-      const std::size_t bytes = (i % 16 == 15) ? 2048 : 24;
+      // Every 16th message cannot fit an aggregation bin: it travels alone
+      // and must flush the bin first so order holds across the boundary.
+      const std::size_t bytes = (i % 16 == 15) ? 20480 : 24;
       u.payload = comm::Payload::acquire(bytes);
       u.payload.data()[0] = static_cast<std::byte>(i);
       cluster.send(std::move(u));
@@ -239,12 +239,11 @@ img::ProgramImage entry_image(const char* name, img::NativeFn fn) {
   return b.build();
 }
 
-// Send sizes on both sides of the hipri cutoff (256 B) and of the
-// aggregation threshold (512 B: smaller sends travel bundled), plus one
-// class-sized send.
-constexpr std::size_t kEdgeSizes[] = {0,   1,   255, 256, 257,
-                                      511, 512, 513, 4096};
-constexpr std::size_t kBundledBelow = 512;
+// Send sizes on both sides of the hipri cutoff (256 B) and of the largest
+// payload that fits an aggregation bin (16,352 B: up to it, sends travel
+// bundled), plus class-sized sends.
+constexpr std::size_t kEdgeSizes[] = {0,   1,   255, 256,  257,   511,
+                                      512, 513, 4096, 16352, 16353};
 constexpr int kEdgePasses = 20;
 
 std::byte edge_byte(int n, std::size_t i) {
@@ -256,7 +255,8 @@ std::byte edge_byte(int n, std::size_t i) {
 // each message's size and every byte, in send order.
 void* size_edge_stream(void* arg) {
   auto* env = static_cast<mpi::Env*>(arg);
-  std::vector<std::byte> buf(4096);
+  std::vector<std::byte> buf(*std::max_element(std::begin(kEdgeSizes),
+                                               std::end(kEdgeSizes)));
   std::intptr_t ok = 1;
   int n = 0;
   for (int pass = 0; pass < kEdgePasses; ++pass) {
@@ -281,6 +281,29 @@ void* size_edge_stream(void* arg) {
   return reinterpret_cast<void*>(ok);
 }
 
+// Rank 0 sends one 12 KiB message, stamped with its send time, to rank 1
+// and then computes for 100 ms without blocking. Rank 1 returns how long the
+// message took to arrive, in microseconds.
+constexpr int kLoneBytes = 12 << 10;
+
+void* lone_entry(void* arg) {
+  auto* env = static_cast<mpi::Env*>(arg);
+  std::vector<std::byte> buf(kLoneBytes);
+  if (env->rank() == 0) {
+    const double sent = env->wtime();
+    std::memcpy(buf.data(), &sent, sizeof sent);
+    env->send(buf.data(), kLoneBytes, mpi::Datatype::Byte, 1, 4);
+    env->compute(0.1);
+    return nullptr;
+  }
+  env->recv(buf.data(), kLoneBytes, mpi::Datatype::Byte, 0, 4);
+  const double arrived = env->wtime();
+  double sent = 0;
+  std::memcpy(&sent, buf.data(), sizeof sent);
+  return reinterpret_cast<void*>(
+      static_cast<std::intptr_t>((arrived - sent) * 1e6));
+}
+
 }  // namespace
 
 // A cross-PE stream over the size edges arrives intact and in order, and
@@ -299,7 +322,7 @@ TEST(Aggregation, SendSizeEdgesAcrossPes) {
   std::uint64_t bundled = 0;
   std::uint64_t bytes = 0;
   for (const std::size_t b : kEdgeSizes) {
-    if (b < kBundledBelow) ++bundled;
+    if (comm::agg_fits(b)) ++bundled;
     bytes += b;
   }
   bundled *= kEdgePasses;
@@ -314,13 +337,30 @@ TEST(Aggregation, SendSizeEdgesAcrossPes) {
   EXPECT_EQ(s.bytes_copied, 0u);
 }
 
+// A bin ships as soon as another entry of the size just appended would not
+// fit, so a lone 12 KiB message leaves at once instead of when its sender
+// next blocks or idles. Its sender computes for 100 ms without blocking
+// right after the send: a bin that waited for a successor would hold the
+// message that long.
+TEST(Aggregation, LoneEntryShipsWithoutSuccessor) {
+  const img::ProgramImage image = entry_image("agg_lone", &lone_entry);
+  mpi::RuntimeConfig cfg = transport_cfg(2, 2, core::Method::None);
+  cfg.options.set("sched.steal", "off");
+  mpi::Runtime rt(image, cfg);
+  rt.run();
+  EXPECT_EQ(rt.cluster().totals()[Ctr::CommAggregated], 1u);
+  EXPECT_LT(reinterpret_cast<std::intptr_t>(rt.rank_return(1)), 10000)
+      << "microseconds from the send to the completed receive";
+}
+
 // Acceptance: routed delivery copies a message's bytes once, out of the
 // sender's buffer, and hands that copy to the receiver — the pool observes
 // hits and zero payload-to-payload copies. That holds within a PE (same-PE
 // inline fast path disabled), where the copy is a pooled payload, and
-// across PEs both for small messages, which are written straight into
-// their aggregation bin and arrive as views into its envelope, and for
-// large ones, which travel in a pooled payload of their own.
+// across PEs both for messages that fit an aggregation bin (256 B, 4 KiB),
+// which are written straight into it and arrive as views into its
+// envelope, and for one too big for a bin (32 KiB), which travels in a
+// pooled payload of its own.
 TEST(ZeroCopy, RoutedDeliveryCopiesNoPayloadBytes) {
   struct Case {
     const char* name;
@@ -330,7 +370,8 @@ TEST(ZeroCopy, RoutedDeliveryCopiesNoPayloadBytes) {
   };
   for (const Case& c : {Case{"intra-PE 256 B", 1, &pingpong<256>, 0},
                         Case{"inter-PE 256 B", 2, &pingpong<256>, 200},
-                        Case{"inter-PE 4 KiB", 2, &pingpong<4096>, 0}}) {
+                        Case{"inter-PE 4 KiB", 2, &pingpong<4096>, 200},
+                        Case{"inter-PE 32 KiB", 2, &pingpong<32768>, 0}}) {
     SCOPED_TRACE(c.name);
     const img::ProgramImage image = entry_image("zc_routed", c.fn);
     mpi::RuntimeConfig cfg = transport_cfg(2, c.pes, core::Method::None);

@@ -1,7 +1,8 @@
 // Collective-operation correctness: every collective against a sequential
 // reference, across communicator sizes, datatypes, ops, and placements —
-// plus user-defined operators with PIEglobals function-pointer translation
-// and the paper's empty-PE reduction error.
+// plus user-defined operators with PIEglobals function-pointer translation,
+// the paper's empty-PE reduction error, and the argument checks at the API
+// entries (bad counts, roots, vector arrays and buffers).
 
 #include <gtest/gtest.h>
 
@@ -429,9 +430,10 @@ TEST(Collectives, EmptyPeUserOpCombineThrows) {
 
 namespace {
 
-// Runs `entry` on `vps` ranks of `pes` PEs and returns the job's failure,
-// "" if none.
-std::string job_failure(EntryFn entry, int vps, int pes = 1) {
+// Runs `entry` on `vps` ranks of `pes` PEs (with check.mode set when
+// `check_mode` is given) and returns the job's failure, "" if none.
+std::string job_failure(EntryFn entry, int vps, int pes = 1,
+                        const char* check_mode = nullptr) {
   img::ImageBuilder b("badcount");
   b.add_global<int>("unused", 0);
   b.add_function("mpi_main", entry);
@@ -442,6 +444,7 @@ std::string job_failure(EntryFn entry, int vps, int pes = 1) {
   cfg.method = core::Method::None;
   cfg.slot_bytes = std::size_t{8} << 20;
   cfg.options.set("mpi.timeout_s", "10");
+  if (check_mode != nullptr) cfg.options.set("check.mode", check_mode);
   mpi::Runtime rt(image, cfg);
   try {
     rt.run();
@@ -519,6 +522,179 @@ const std::pair<const char*, EntryFn> kBadRootCalls[] = {
 };
 #undef BAD_ROOTS
 
+struct Misuse {
+  const char* call;
+  const char* error;
+  EntryFn entry;
+};
+
+// One misuse per entry, made by the job's last rank alone, which is also
+// the root of a rooted call and the peer of a p2p call: the failure must
+// name that rank, and no peer waits on a call it made. `bad`'s entry for the last rank is -1, so a
+// count or displacement array read in full holds one negative entry.
+#define MISUSE(call, error)                       \
+  Misuse {                                        \
+    #call, error, +[](void* arg) -> void* {       \
+      ENV();                                      \
+      [[maybe_unused]] int buf[8] = {};           \
+      const int root = env->size() - 1;           \
+      [[maybe_unused]] int bad[2] = {1, 1};       \
+      bad[root] = -1;                             \
+      if (env->rank() == root) env->call;         \
+      return nullptr;                             \
+    }                                             \
+  }
+
+constexpr const char* kNullBuffer = "null buffer";
+constexpr const char* kNullArray = "null count or displacement array";
+
+const Misuse kBadVectorCalls[] = {
+    MISUSE(gatherv(buf, 1, Datatype::Int, buf + 4, nullptr, kDispls,
+                   Datatype::Int, root),
+           kNullArray),
+    MISUSE(gatherv(buf, 1, Datatype::Int, buf + 4, kCounts, nullptr,
+                   Datatype::Int, root),
+           kNullArray),
+    MISUSE(gatherv(buf, 1, Datatype::Int, buf + 4, bad, kDispls,
+                   Datatype::Int, root),
+           "negative count"),
+    MISUSE(gatherv(buf, 1, Datatype::Int, buf + 4, kCounts, bad,
+                   Datatype::Int, root),
+           "negative displacement"),
+    MISUSE(scatterv(buf, nullptr, kDispls, Datatype::Int, buf + 4, 1,
+                    Datatype::Int, root),
+           kNullArray),
+    MISUSE(scatterv(buf, kCounts, nullptr, Datatype::Int, buf + 4, 1,
+                    Datatype::Int, root),
+           kNullArray),
+    MISUSE(scatterv(buf, bad, kDispls, Datatype::Int, buf + 4, 1,
+                    Datatype::Int, root),
+           "negative count"),
+    MISUSE(scatterv(buf, kCounts, bad, Datatype::Int, buf + 4, 1,
+                    Datatype::Int, root),
+           "negative displacement"),
+};
+
+const Misuse kNullBufferCalls[] = {
+    MISUSE(send(nullptr, 1, Datatype::Int, root, 0), kNullBuffer),
+    MISUSE(isend(nullptr, 1, Datatype::Int, root, 0), kNullBuffer),
+    MISUSE(recv(nullptr, 1, Datatype::Int, root, 0), kNullBuffer),
+    MISUSE(irecv(nullptr, 1, Datatype::Int, root, 0), kNullBuffer),
+    MISUSE(sendrecv(nullptr, 1, Datatype::Int, root, 0, buf, 1,
+                    Datatype::Int, root, 0),
+           kNullBuffer),
+    MISUSE(sendrecv(buf, 1, Datatype::Int, root, 0, nullptr, 1,
+                    Datatype::Int, root, 0),
+           kNullBuffer),
+    MISUSE(bcast(nullptr, 1, Datatype::Int, root), kNullBuffer),
+    MISUSE(reduce(nullptr, buf, 1, Datatype::Int, Op::builtin(OpKind::Sum),
+                  root),
+           kNullBuffer),
+    MISUSE(reduce(buf, nullptr, 1, Datatype::Int, Op::builtin(OpKind::Sum),
+                  root),
+           kNullBuffer),
+    MISUSE(allreduce(nullptr, buf, 1, Datatype::Int,
+                     Op::builtin(OpKind::Sum)),
+           kNullBuffer),
+    MISUSE(allreduce(buf, nullptr, 1, Datatype::Int,
+                     Op::builtin(OpKind::Sum)),
+           kNullBuffer),
+    MISUSE(scan(nullptr, buf, 1, Datatype::Int, Op::builtin(OpKind::Sum)),
+           kNullBuffer),
+    MISUSE(scan(buf, nullptr, 1, Datatype::Int, Op::builtin(OpKind::Sum)),
+           kNullBuffer),
+    MISUSE(gather(nullptr, 1, Datatype::Int, buf + 4, 1, Datatype::Int,
+                  root),
+           kNullBuffer),
+    MISUSE(gather(buf, 1, Datatype::Int, nullptr, 1, Datatype::Int, root),
+           kNullBuffer),
+    MISUSE(gatherv(nullptr, 1, Datatype::Int, buf + 4, kCounts, kDispls,
+                   Datatype::Int, root),
+           kNullBuffer),
+    MISUSE(gatherv(buf, 1, Datatype::Int, nullptr, kCounts, kDispls,
+                   Datatype::Int, root),
+           kNullBuffer),
+    MISUSE(scatter(nullptr, 1, Datatype::Int, buf + 4, 1, Datatype::Int,
+                   root),
+           kNullBuffer),
+    MISUSE(scatter(buf, 1, Datatype::Int, nullptr, 1, Datatype::Int, root),
+           kNullBuffer),
+    MISUSE(scatterv(nullptr, kCounts, kDispls, Datatype::Int, buf + 4, 1,
+                    Datatype::Int, root),
+           kNullBuffer),
+    MISUSE(scatterv(buf, kCounts, kDispls, Datatype::Int, nullptr, 1,
+                    Datatype::Int, root),
+           kNullBuffer),
+    MISUSE(allgather(nullptr, 1, Datatype::Int, buf + 4, 1, Datatype::Int),
+           kNullBuffer),
+    MISUSE(allgather(buf, 1, Datatype::Int, nullptr, 1, Datatype::Int),
+           kNullBuffer),
+    MISUSE(alltoall(nullptr, 1, Datatype::Int, buf + 4, 1, Datatype::Int),
+           kNullBuffer),
+    MISUSE(alltoall(buf, 1, Datatype::Int, nullptr, 1, Datatype::Int),
+           kNullBuffer),
+};
+#undef MISUSE
+
+// Runs `m` on one rank and two, on one PE and two, with the checker off
+// and in abort mode. The named rank must fail with InvalidArgument and the
+// misuse's error; a hang would end in the 10 s job timeout instead.
+void expect_named_rank_fails(const Misuse& m) {
+  for (const int vps : {1, 2}) {
+    for (const int pes : {1, 2}) {
+      for (const char* mode : {"off", "abort"}) {
+        const std::string failure = job_failure(m.entry, vps, pes, mode);
+        const std::string want = "rank " + std::to_string(vps - 1) +
+                                 " failed: InvalidArgument: " + m.error;
+        EXPECT_NE(failure.find(want), std::string::npos)
+            << m.call << " on " << vps << " ranks, " << pes
+            << " PEs, checker " << mode << ": " << failure;
+      }
+    }
+  }
+}
+
+// An empty message needs no buffer: rank 0 sends one from a null buffer,
+// and rank 1 receives it into one.
+void* empty_null_send_main(void* arg) {
+  ENV();
+  if (env->rank() == 0) {
+    env->send(nullptr, 0, Datatype::Int, 1, 0);
+  } else {
+    const mpi::Status st = env->recv(nullptr, 0, Datatype::Int, 0, 0);
+    EXPECT_EQ(st.count_bytes, 0);
+  }
+  return nullptr;
+}
+
+// The root gathers rank i's i + 1 and scatters back ten times it, passing
+// the count and displacement arrays; every other rank passes null ones.
+void* null_arrays_off_root_main(void* arg) {
+  ENV();
+  const int n = env->size();
+  const int me = env->rank();
+  const bool root = me == 0;
+  std::vector<int> counts(static_cast<std::size_t>(n), 1);
+  std::vector<int> displs(static_cast<std::size_t>(n));
+  std::iota(displs.begin(), displs.end(), 0);
+  std::vector<int> all(static_cast<std::size_t>(n), 0);
+  const int mine = me + 1;
+  env->gatherv(&mine, 1, Datatype::Int, root ? all.data() : nullptr,
+               root ? counts.data() : nullptr,
+               root ? displs.data() : nullptr, Datatype::Int, 0);
+  std::intptr_t ok = 1;
+  for (int i = 0; root && i < n; ++i) {
+    if (all[static_cast<std::size_t>(i)] != i + 1) ok = 0;
+    all[static_cast<std::size_t>(i)] *= 10;
+  }
+  int got = 0;
+  env->scatterv(root ? all.data() : nullptr, root ? counts.data() : nullptr,
+                root ? displs.data() : nullptr, Datatype::Int, &got, 1,
+                Datatype::Int, 0);
+  if (got != mine * 10) ok = 0;
+  return reinterpret_cast<void*>(ok);
+}
+
 }  // namespace
 
 // A negative count is refused at the API entry on every rank, before it can
@@ -532,6 +708,32 @@ TEST(Collectives, NegativeCountIsInvalidArgument) {
                 std::string::npos)
           << call << " on " << vps << " ranks: " << failure;
     }
+  }
+}
+
+// On the root, gatherv's and scatterv's count and displacement arrays must
+// be non-null with every entry >= 0: each is refused at the API entry
+// before the root reads it.
+TEST(Collectives, VectorArraysAreCheckedOnTheRoot) {
+  for (const Misuse& m : kBadVectorCalls) expect_named_rank_fails(m);
+}
+
+// Every p2p and collective entry refuses, before it touches the runtime, a
+// null buffer with bytes to carry, for each buffer the calling rank reads
+// or writes. A null buffer with no bytes stays valid.
+TEST(MpiEntries, NullBufferIsInvalidArgument) {
+  for (const Misuse& m : kNullBufferCalls) expect_named_rank_fails(m);
+  EXPECT_EQ(job_failure(&empty_null_send_main, 2), "");
+}
+
+// Only the root reads gatherv's and scatterv's arrays, so the other ranks
+// may pass null ones, as MPI allows.
+TEST(Collectives, NonRootsMayPassNullVectorArrays) {
+  for (const JobShape shape :
+       {JobShape{3, 1, 1}, JobShape{4, 1, 2}, JobShape{6, 2, 2}}) {
+    for (const std::intptr_t ok :
+         run_job(&null_arrays_off_root_main, shape, core::Method::None))
+      EXPECT_EQ(ok, 1);
   }
 }
 

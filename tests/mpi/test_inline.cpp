@@ -32,9 +32,10 @@ constexpr int kSenders = 2;
 constexpr int kSenderRanks[kSenders] = {1, 4};
 
 // Message i from sender s: a 4-int header (sender, seq) then a deterministic
-// byte pattern; sizes straddle the 512-byte aggregation threshold so the
-// remote stream mixes bundled and direct messages.
-int stream_bytes(int i) { return 16 + (i % 5) * 200; }
+// byte pattern; sizes straddle the largest payload that fits an aggregation
+// bin (16,352 B) so the remote stream mixes bundled and direct messages.
+constexpr int stream_bytes(int i) { return 16 + (i % 5) * 5000; }
+constexpr int kMaxStreamBytes = stream_bytes(4);
 unsigned char stream_byte(int s, int i, int j) {
   return static_cast<unsigned char>((s * 31 + i * 7 + j) & 0xff);
 }
@@ -62,7 +63,7 @@ void* fifo_main(void* arg) {
     // sender's PE a third of the way through, once both senders have been
     // heard from: the co-resident one has then sent while sharing this PE,
     // however the PE threads happened to be scheduled.
-    std::vector<unsigned char> buf(4096);
+    std::vector<unsigned char> buf(kMaxStreamBytes);
     std::vector<unsigned char> want;
     int next_seq[kSenders] = {0, 0};
     const int total = kSenders * kMsgs;
